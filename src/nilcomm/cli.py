@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import sys
+from typing import Optional
 
 from . import closure, components, excdata, invariants, oracle, selflarge
 from .diagrams import (
@@ -27,6 +28,7 @@ from .diagrams import (
     params_for,
     parse as parse_diagram,
     partitions,
+    validate,
 )
 from .errors import ClaimViolated, NilcommError, UnrealizableDiagram
 
@@ -50,21 +52,28 @@ def _pair_type(name: str) -> PairType:
 
 
 def _params_from_args(pair_type: PairType, numbers: list[int]) -> PairParams:
+    expected = "n p q" if pair_type.has_signature else "n"
+    if len(numbers) != len(expected.split()):
+        got = f"{len(numbers)} number" + ("" if len(numbers) == 1 else "s")
+        raise ValueError(f"{pair_type.value} needs {expected}, got {got}")
     if pair_type.has_signature:
-        if len(numbers) != 3:
-            raise SystemExit(2)
         n, p, q = numbers
         return params_for(pair_type, n, p, q)
-    if len(numbers) != 1:
-        raise SystemExit(2)
     return PairParams(numbers[0])
 
 
-def _params_for_diagram(pair_type: PairType, diagram: AbDiagram) -> PairParams:
+def _valid_params(pair_type: PairType, diagram: AbDiagram) -> Optional[PairParams]:
+    """The pair the diagram belongs to, or None once the reasons it is not a
+    valid orbit diagram of that pair are printed."""
     if pair_type.has_signature:
         p, q = diagram.signature() if diagram.rows else (0, 0)
-        return PairParams(diagram.n, (p, q))
-    return PairParams(diagram.n)
+        params = PairParams(diagram.n, (p, q))
+    else:
+        params = PairParams(diagram.n)
+    violations = validate(diagram, pair_type, params)
+    for v in violations:
+        print(f"error: {v}", file=sys.stderr)
+    return None if violations else params
 
 
 def _cmd_enumerate(args) -> int:
@@ -80,7 +89,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     diagram = parse_diagram(args.diagram)
-    params = _params_for_diagram(args.type, diagram)
+    params = _valid_params(args.type, diagram)
+    if params is None:
+        return 2
     inv = invariants.orbit_invariants(diagram, args.type, params)
     if args.format == "json":
         print(json.dumps(inv.to_json()))
@@ -102,7 +113,9 @@ def _cmd_closure_graph(args) -> int:
 
 def _cmd_reduce(args) -> int:
     diagram = parse_diagram(args.diagram)
-    params = _params_for_diagram(args.type, diagram)
+    params = _valid_params(args.type, diagram)
+    if params is None:
+        return 2
     target = closure.find_reduction(diagram, args.type, params, args.bound)
     if args.format == "json":
         print(json.dumps({"orbit": diagram.text(), "reduction": target.text() if target else None}))
@@ -128,7 +141,8 @@ def _cmd_selflarge(args) -> int:
     except ValueError:
         diagram = parse_diagram(args.target)
     if diagram is not None:
-        params = _params_for_diagram(args.type, diagram)
+        if _valid_params(args.type, diagram) is None:
+            return 2
         verdicts = [selflarge.is_self_large(diagram, args.type)]
     else:
         params = _params_from_args(args.type, numbers)

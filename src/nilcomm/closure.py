@@ -2,8 +2,15 @@
 
 The order is tested column by column: Gamma1 <= Gamma2 when every truncation
 Gamma1^(k) has at most as many cells (plain case) or at most as many a's and
-b's (ab case) as Gamma2^(k).  Covers are computed poset-theoretically inside
-the full enumeration of valid diagrams, never from local move tables.
+b's (ab case) as Gamma2^(k).  These counts form one flat truncation profile
+per diagram, and the order is the componentwise order of profiles.
+
+Covers are computed poset-theoretically inside the full enumeration of valid
+diagrams, never from local move tables.  Each pair gets one cached index of
+its diagrams and their profiles, with a bitset per diagram of the diagrams
+strictly above it, filled on first use.  The covers of a diagram are then
+up & ~OR(up[j] for j in up): what lies above it but above nothing else above
+it.
 
 A cover (or any degeneration) Gamma1 < Gamma2 is a *reduction* when the drop
 in defect equals the drop in centralizer dimension; finding one eliminates
@@ -13,6 +20,7 @@ Gamma1 as a strange-component candidate.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -22,36 +30,29 @@ from .diagrams import (
     PairParams,
     PairType,
     enumerate_diagrams,
-    row_letter_counts,
     DEFAULT_BOUND,
 )
 from .errors import NotComparable, ShapeMismatch, WrongType
 from .invariants import defect, dim_p_cent
 
 
-@lru_cache(maxsize=None)
-def _truncation_profile(diagram: AbDiagram) -> tuple:
-    """Per truncation depth k >= 0: (cells,) for plain rows, (a-count, b-count)
-    for ab rows; constant beyond the longest row."""
-    max_len = diagram.rows[0][0] if diagram.rows else 0
-    profile = []
-    for k in range(max_len + 1):
-        if diagram.is_ab:
-            na = nb = 0
-            for d, s in diagram.rows:
-                if d > k:
-                    start = s if k % 2 == 0 else ("b" if s == "a" else "a")
-                    ca, cb = row_letter_counts(d - k, start)
-                    na += ca
-                    nb += cb
-            profile.append((na, nb))
-        else:
-            profile.append((sum(d - k for d, _s in diagram.rows if d > k),))
-    return tuple(profile)
+def _truncation_profile(diagram: AbDiagram) -> tuple[int, ...]:
+    """Flat counts of the truncations Gamma^(k) for k = 0 .. n-1: the cell
+    count per depth for plain rows, the a-count then the b-count per depth
+    for ab rows.  Depths past the longest row are zero, so diagrams of one
+    size have profiles of one length."""
+    width = 2 if diagram.is_ab else 1
+    counts = [0] * (width * diagram.n)
+    for d, s in diagram.rows:
+        for k in range(d):
+            # the cell in column k is a b when k is even for a b-row, odd for an a-row
+            counts[width * k + (s is not None and (s == "a") != (k % 2 == 0))] += 1
+    for i in range(len(counts) - width - 1, -1, -1):
+        counts[i] += counts[i + width]
+    return tuple(counts)
 
 
-def leq(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
-    """g1 <= g2 in the degeneration order."""
+def _check_comparable(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> None:
     if g1.n != g2.n:
         raise ShapeMismatch(f"sizes differ: {g1.n} vs {g2.n}")
     if g1.rows and g2.rows and g1.is_ab != g2.is_ab:
@@ -60,19 +61,70 @@ def leq(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
         raise ShapeMismatch(
             f"signatures differ: {g1.letter_counts()} vs {g2.letter_counts()}"
         )
-    p1 = _truncation_profile(g1)
-    p2 = _truncation_profile(g2)
-    depth = max(len(p1), len(p2))
-    for k in range(depth):
-        c1 = p1[k] if k < len(p1) else p1[-1]
-        c2 = p2[k] if k < len(p2) else p2[-1]
-        if any(x > y for x, y in zip(c1, c2)):
-            return False
-    return True
+
+
+def leq(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
+    """g1 <= g2 in the degeneration order."""
+    _check_comparable(g1, g2, pair_type)
+    return all(map(operator.le, _truncation_profile(g1), _truncation_profile(g2)))
 
 
 def lt(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
     return g1 != g2 and leq(g1, g2, pair_type)
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _ClosureIndex:
+    """The closure order on the valid diagrams of one pair.
+
+    Bit j of ``up(i)`` is set when diagram j lies strictly above diagram i;
+    these sets are filled on first use from the flat truncation profiles.
+    """
+
+    def __init__(self, pair_type: PairType, diagrams: list[AbDiagram]):
+        self.pair_type = pair_type
+        self.diagrams = diagrams
+        self.position = {g: i for i, g in enumerate(diagrams)}
+        self.profiles = [_truncation_profile(g) for g in diagrams]
+        self._up: list[Optional[int]] = [None] * len(diagrams)
+
+    def _above(self, profile: tuple[int, ...], skip: Optional[int]) -> int:
+        mask = 0
+        for j, other in enumerate(self.profiles):
+            if j != skip and all(map(operator.le, profile, other)):
+                mask |= 1 << j
+        return mask
+
+    def up(self, i: int) -> int:
+        mask = self._up[i]
+        if mask is None:
+            mask = self._up[i] = self._above(self.profiles[i], i)
+        return mask
+
+    def covers(self, diagram: AbDiagram) -> list[AbDiagram]:
+        i = self.position.get(diagram)
+        if i is not None:
+            up = self.up(i)
+        else:
+            if self.diagrams:
+                _check_comparable(diagram, self.diagrams[0], self.pair_type)
+            up = self._above(_truncation_profile(diagram), None)
+        above = 0
+        for j in _bits(up):
+            above |= self.up(j)
+        return [self.diagrams[j] for j in _bits(up & ~above)]
+
+
+@lru_cache(maxsize=4)
+def _closure_index(pair_type: PairType, params: PairParams, bound: int) -> _ClosureIndex:
+    return _ClosureIndex(pair_type, enumerate_diagrams(pair_type, params, bound))
 
 
 def minimal_degenerations(
@@ -81,13 +133,10 @@ def minimal_degenerations(
     params: PairParams,
     bound: int = DEFAULT_BOUND,
 ) -> list[AbDiagram]:
-    """Covers of the diagram in the poset of valid diagrams of the pair."""
-    ups = [
-        g
-        for g in enumerate_diagrams(pair_type, params, bound)
-        if lt(diagram, g, pair_type)
-    ]
-    return [g for g in ups if not any(lt(other, g, pair_type) for other in ups)]
+    """Covers of the diagram in the poset of valid diagrams of the pair, in
+    enumeration order.  The diagram itself need not be valid, but it must
+    have the pair's size and signature."""
+    return _closure_index(pair_type, params, bound).covers(diagram)
 
 
 def reduction_order(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> int:

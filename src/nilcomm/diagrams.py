@@ -312,6 +312,11 @@ def _parity_rules(pair_type: PairType, d: int, m: int, a: int, b: int) -> Option
     return None
 
 
+def _expected_letters(pair_type: PairType, params: PairParams) -> tuple[int, int]:
+    """The (a, b) cell counts every ab-diagram of the pair has."""
+    return params.signature if pair_type.has_signature else (params.n // 2, params.n // 2)
+
+
 def validate(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> list[Violation]:
     """Return the list of violations; an empty list means the diagram is a
     valid orbit diagram for (pair_type, params)."""
@@ -326,7 +331,7 @@ def validate(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> lis
             Violation("SizeMismatch", f"diagram has {diagram.n} cells, pair has n={params.n}")
         )
     if pair_type.uses_letters and diagram.rows:
-        want = params.signature if pair_type.has_signature else (params.n // 2, params.n // 2)
+        want = _expected_letters(pair_type, params)
         got = diagram.letter_counts()
         if got != want:
             violations.append(
@@ -382,6 +387,7 @@ def enumerate_diagrams(
 @functools.lru_cache(maxsize=None)
 def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagram, ...]:
     out = []
+    want = _expected_letters(pair_type, params) if pair_type.uses_letters else None
     for part in partitions(params.n):
         mults = {}
         for d in part:
@@ -395,12 +401,14 @@ def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagra
         per_length = [_letter_choices(pair_type, d, mults[d]) for d in lengths]
         if any(not ch for ch in per_length):
             continue
+        # the size holds by construction and _letter_choices applies the
+        # parity rules, so only the letter counts remain to be checked
         for combo in itertools.product(*per_length):
             rows = []
             for d, (a, b) in zip(lengths, combo):
                 rows.extend([(d, "a")] * a + [(d, "b")] * b)
             diag = AbDiagram.from_rows(rows)
-            if is_valid(diag, pair_type, params):
+            if diag.letter_counts() == want:
                 out.append(diag)
     return tuple(out)
 

@@ -1,5 +1,6 @@
 import json
 
+from nilcomm import oracle
 from nilcomm.cli import main
 
 
@@ -107,3 +108,36 @@ def test_config_file(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "invariants", "AI", "2,1")
     assert code == 0
     assert json.loads(out)["defect"] == 1
+
+
+def test_invalid_diagrams_rejected_with_reasons(capsys):
+    code, out, err = run(capsys, "invariants", "BDI", "ab/ab")
+    assert code == 2 and not out
+    assert err.splitlines() == ["error: ParityViolation: even length needs a_2=b_2, got (2,0)"]
+    code, out, err = run(capsys, "reduce", "CI", "a/a/a/b")
+    assert code == 2 and not out
+    assert err.splitlines() == [
+        "error: SignatureMismatch: letter counts (3, 1), expected (2, 2)",
+        "error: ParityViolation: odd length needs a_1=b_1, got (3,1)",
+    ]
+    code, out, err = run(capsys, "selflarge", "BDI", "ab/ab")
+    assert code == 2 and not out and "ParityViolation" in err
+
+
+def test_invalid_ci_length_one_rows_rejected_before_the_oracle(capsys, monkeypatch):
+    """k + 2 a-rows and k b-rows of length 1 for k = 7: the validator answers
+    before any search for a realization."""
+    def no_realize(*args):
+        raise AssertionError("the oracle was asked to realize an invalid diagram")
+
+    monkeypatch.setattr(oracle, "realize", no_realize)
+    code, out, err = run(capsys, "invariants", "CI", "/".join(["a"] * 9 + ["b"] * 7))
+    assert code == 2 and not out
+    assert "SignatureMismatch" in err and "ParityViolation" in err
+
+
+def test_missing_signature_numbers(capsys):
+    for command in ("components", "selflarge"):
+        code, out, err = run(capsys, command, "BDI", "5")
+        assert code == 2 and not out
+        assert err.strip() == "error: BDI needs n p q, got 1 number"

@@ -20,8 +20,10 @@ from nilcomm.diagrams import (
     PairParams,
     PairType,
     enumerate_diagrams,
+    is_valid,
     params_for,
     parse,
+    truncate_columns,
 )
 from nilcomm.errors import NotComparable, ShapeMismatch, WrongType
 from nilcomm.invariants import dim_orbit, is_almost_distinguished, is_distinguished
@@ -83,23 +85,42 @@ def test_order_properties_small():
                 assert leq(a, c, pt)
 
 
+def every_pair(n):
+    for pt in PairType:
+        if pt.needs_even_n and n % 2:
+            continue
+        if pt.has_signature:
+            step = 2 if pt is PairType.CII else 1
+            for p in range(0, n + 1, step):
+                if (n - p) % step == 0:
+                    yield pt, PairParams(n, (p, n - p))
+        else:
+            yield pt, PairParams(n)
+
+
+def truncation_leq(g1, g2):
+    """The order straight from its definition: every truncation of g1 has at
+    most the cells (plain) or the a's and b's (ab) of that of g2."""
+    for k in range(max(g1.n, g2.n)):
+        t1, t2 = truncate_columns(g1, k), truncate_columns(g2, k)
+        if t1.n > t2.n or any(x > y for x, y in zip(t1.letter_counts(), t2.letter_counts())):
+            return False
+    return True
+
+
+def brute_force_covers(g1, diags):
+    ups = [g for g in diags if g != g1 and truncation_leq(g1, g)]
+    return [g for g in ups if not any(h != g and truncation_leq(h, g) for h in ups)]
+
+
 def test_truncation_profiles_injective():
     """The profile determines the diagram, which gives antisymmetry on every
     enumeration up to n = 10."""
     for n in range(1, 11):
-        for pt in PairType:
-            if pt.needs_even_n and n % 2:
-                continue
-            if pt.has_signature:
-                step = 2 if pt is PairType.CII else 1
-                paramss = [PairParams(n, (p, n - p)) for p in range(0, n + 1, step)
-                           if (n - p) % step == 0]
-            else:
-                paramss = [PairParams(n)]
-            for prm in paramss:
-                diags = enumerate_diagrams(pt, prm)
-                profiles = {closure._truncation_profile(d) for d in diags}
-                assert len(profiles) == len(diags)
+        for pt, prm in every_pair(n):
+            diags = enumerate_diagrams(pt, prm)
+            profiles = {closure._truncation_profile(d) for d in diags}
+            assert len(profiles) == len(diags)
 
 
 def test_minimal_degenerations_ai():
@@ -110,21 +131,42 @@ def test_minimal_degenerations_ai():
 
 def test_minimal_degenerations_against_brute_force():
     """Covers = strictly-larger diagrams with empty open interval, computed
-    here directly from the raw order."""
-    for pt, prm in [
-        (PairType.AI, PairParams(6)),
-        (PairType.CI, PairParams(6)),
-        (PairType.BDI, params_for(PairType.BDI, 5, 3, 2)),
-        (PairType.AIII, PairParams(5, (3, 2))),
+    here directly from truncations, in enumeration order, for every pair of
+    every type and signature up to n = 8."""
+    for n in range(0, 9):
+        for pt, prm in every_pair(n):
+            diags = enumerate_diagrams(pt, prm)
+            for g1 in diags:
+                assert minimal_degenerations(g1, pt, prm) == brute_force_covers(g1, diags), (
+                    pt, prm, g1.text())
+
+
+def test_minimal_degenerations_of_invalid_diagram():
+    """A diagram of the pair's size and signature that breaks a parity rule
+    gets the covers the brute-force order gives."""
+    for pt, prm, text in [
+        (PairType.BDI, params_for(PairType.BDI, 6, 3, 3), "ab/ab/a/b"),
+        (PairType.BDI, params_for(PairType.BDI, 7, 4, 3), "abab/aba"),
+        (PairType.CI, PairParams(6), "aba/a/b/b"),
+        (PairType.CII, PairParams(8, (4, 4)), "abab/ab/ba"),
+        (PairType.AII, PairParams(6), "3,2,1"),
     ]:
+        g = parse(text)
+        assert not is_valid(g, pt, prm)
         diags = enumerate_diagrams(pt, prm)
-        for g1 in diags:
-            ups = [g for g in diags if g != g1 and leq(g1, g, pt)]
-            expected = [
-                g for g in ups
-                if not any(h != g and h != g1 and leq(g1, h, pt) and leq(h, g, pt) for h in ups)
-            ]
-            assert set(minimal_degenerations(g1, pt, prm)) == set(expected)
+        covers = minimal_degenerations(g, pt, prm)
+        assert covers and covers == brute_force_covers(g, diags), text
+
+
+def test_minimal_degenerations_shape_mismatch():
+    prm = params_for(PairType.BDI, 5, 3, 2)
+    for text in ("aba/a", "aba/a/a", "bab/b/a", "3,2"):
+        with pytest.raises(ShapeMismatch):
+            minimal_degenerations(parse(text), PairType.BDI, prm)
+    with pytest.raises(ShapeMismatch):
+        minimal_degenerations(parse("2,1"), PairType.AI, PairParams(4))
+    with pytest.raises(ShapeMismatch):
+        minimal_degenerations(parse("aba/a"), PairType.CI, PairParams(4))
 
 
 def test_bdi_gamma5_cover_includes_regular():
