@@ -78,6 +78,11 @@ class UnknownCase(NilcommError):
     """Unrecognized exceptional case label."""
 
 
+class OracleCheckFailed(NilcommError):
+    """A matrix identity that the oracle's construction guarantees does not
+    hold; the message names the identity."""
+
+
 class ClaimViolated(NilcommError):
     """A verified-rank-bound claim failed; records the pair and the orbit."""
 

@@ -1,44 +1,87 @@
 """Exact linear algebra over the rationals.
 
 Linear systems are lists of sparse rows (dicts column -> coefficient) with int
-or Fraction values.  Elimination keeps rows sparse and works entirely in
-Fraction arithmetic, so every rank and kernel dimension is exact.  Dense
-matrices (for the matrix realizations) are tuples of tuples.
+or Fraction values.  Elimination is fraction-free: each row enters with its
+zero entries dropped, its denominators cleared and its content (the gcd of its
+entries) divided out, and every row operation is an integer combination
+followed by the same division, in the manner of Bareiss.  A row with a single
+entry sets its column to zero, so it is settled first and that column is
+removed from every other row.  Every rank and kernel dimension is exact, and
+``rref_pivots`` divides by the pivots only at the end, so its rows are exact
+Fractions.  Dense matrices (for the matrix realizations) are tuples of tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 SparseRow = dict[int, Fraction]
 Matrix = tuple[tuple, ...]
 
 
-def _normalized(row) -> SparseRow:
-    return {k: v for k, v in row.items() if v}
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a nonzero integer row by its content."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {k: v // g for k, v in row.items()}
 
 
-def echelon_pivots(rows) -> dict[int, SparseRow]:
-    """Forward elimination; returns pivot-column -> row (not inter-reduced)."""
-    pivots: dict[int, SparseRow] = {}
+def _integer_row(raw) -> dict[int, int]:
+    """The primitive integer row with the same kernel as ``raw``."""
+    row = {k: v for k, v in raw.items() if v}
+    if not row:
+        return row
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # Fraction entries: clear their denominators first
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {k: int(v * den) for k, v in row.items()}
+        g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _combine(cur: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+    """Integer combination of ``cur`` and ``piv`` that clears column ``c``,
+    divided by its content; empty when nothing is left."""
+    p, a = piv[c], cur[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    nxt = {k: p * v for k, v in cur.items()} if p != 1 else dict(cur)
+    for k, v in piv.items():
+        nv = nxt.get(k, 0) - a * v
+        if nv:
+            nxt[k] = nv
+        else:
+            del nxt[k]
+    return _primitive(nxt) if nxt else nxt
+
+
+def echelon_pivots(rows) -> dict[int, dict[int, int]]:
+    """Forward elimination; returns pivot-column -> primitive integer row
+    (not inter-reduced)."""
+    pivots: dict[int, dict[int, int]] = {}
+    rest = []
     for raw in rows:
-        cur = _normalized(raw)
+        row = _integer_row(raw)
+        if len(row) == 1:
+            (c,) = row
+            pivots[c] = {c: 1}
+        elif row:
+            rest.append(row)
+    settled = set(pivots)
+    for cur in rest:
+        if not settled.isdisjoint(cur):
+            cur = {k: v for k, v in cur.items() if k not in settled}
+            cur = _primitive(cur) if cur else cur
         while cur:
             c = min(cur)
             piv = pivots.get(c)
             if piv is None:
                 pivots[c] = cur
                 break
-            factor = Fraction(cur[c]) / Fraction(piv[c])
-            nxt = dict(cur)
-            for k, v in piv.items():
-                nv = nxt.get(k, 0) - factor * v
-                if nv:
-                    nxt[k] = nv
-                else:
-                    nxt.pop(k, None)
-            cur = nxt
+            cur = _combine(cur, piv, c)
     return pivots
 
 
@@ -54,24 +97,13 @@ def rref_pivots(rows) -> dict[int, SparseRow]:
     """Gauss-Jordan: pivot rows fully reduced against each other, pivot
     coefficient scaled to 1."""
     pivots = echelon_pivots(rows)
-    for c in sorted(pivots, reverse=True):
+    cols = sorted(pivots)
+    for c in reversed(cols):
         row = pivots[c]
-        inv = Fraction(1) / Fraction(row[c])
-        row = {k: inv * v for k, v in row.items()}
-        pivots[c] = row
         for c2, other in pivots.items():
-            if c2 >= c or c not in other:
-                continue
-            factor = other[c]
-            nxt = dict(other)
-            for k, v in row.items():
-                nv = nxt.get(k, 0) - factor * v
-                if nv:
-                    nxt[k] = nv
-                else:
-                    nxt.pop(k, None)
-            pivots[c2] = nxt
-    return pivots
+            if c2 < c and c in other:
+                pivots[c2] = _combine(other, row, c)
+    return {c: {k: Fraction(v, pivots[c][c]) for k, v in pivots[c].items()} for c in cols}
 
 
 def nullspace(rows, ncols: int) -> list[SparseRow]:
@@ -167,7 +199,3 @@ def is_zero_matrix(a) -> bool:
 def mat_rank(a) -> int:
     rows = [{j: v for j, v in enumerate(row) if v} for row in a]
     return rank(rows)
-
-
-def mat_to_fractions(a) -> Matrix:
-    return freeze([[Fraction(x) for x in row] for row in a])

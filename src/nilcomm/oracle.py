@@ -26,6 +26,7 @@ from .errors import (
     NoAdjacentLengths,
     NotAlmostDistinguished,
     NotNilpotent,
+    OracleCheckFailed,
     SizeMismatch,
     UnrealizableDiagram,
     WrongType,
@@ -275,36 +276,54 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
         partners=tuple(partners),
         alphas=alphas,
     )
-    _assert_realization(real)
+    _check_realization(real)
     return real
 
 
-def _assert_realization(real: MatrixRealization) -> None:
+def _require(holds: bool, identity: str) -> None:
+    """Soundness check that also runs under ``python -O``."""
+    if not holds:
+        raise OracleCheckFailed(f"identity fails: {identity}")
+
+
+def _check_realization(real: MatrixRealization) -> None:
     e, h, f, n = real.e, real.h, real.f, real.n
     zero = freeze(zeros(n))
-    assert commutator(h, e) == mat_scale(2, e)
-    assert commutator(h, f) == mat_scale(-2, f)
-    assert commutator(e, f) == h or n == 0
-    assert real.theta(e) == mat_scale(-1, e)
-    assert real.theta(h) == h
-    assert real.theta(f) == mat_scale(-1, f)
+    _require(commutator(h, e) == mat_scale(2, e), "[h, e] = 2e")
+    _require(commutator(h, f) == mat_scale(-2, f), "[h, f] = -2f")
+    _require(commutator(e, f) == h or n == 0, "[e, f] = h")
+    _require(real.theta(e) == mat_scale(-1, e), "theta(e) = -e")
+    _require(real.theta(h) == h, "theta(h) = h")
+    _require(real.theta(f) == mat_scale(-1, f), "theta(f) = -f")
     t = real.form
     if t is not None:
-        assert mat_rank(t) == n
+        _require(mat_rank(t) == n, "form T is nondegenerate")
         eta = 1 if real.d_matrix is not None else -1
         eps = real.pair_type.form_sign if real.d_matrix is not None else (
             1 if real.pair_type is PairType.AI else -1
         )
-        assert transpose(t) == mat_scale(eps, t)
+        _require(transpose(t) == mat_scale(eps, t), "T^t = eps T")
         # form compatibility: Phi(e.u, v) = -eta Phi(u, e.v), same for f; h skew
-        assert mat_sub(mat_mul(transpose(e), t), mat_scale(-eta, mat_mul(t, e))) == zero
-        assert mat_sub(mat_mul(transpose(f), t), mat_scale(-eta, mat_mul(t, f))) == zero
-        assert mat_sub(mat_mul(transpose(h), t), mat_scale(-1, mat_mul(t, h))) == zero
+        _require(
+            mat_sub(mat_mul(transpose(e), t), mat_scale(-eta, mat_mul(t, e))) == zero,
+            "e^t T = -eta T e",
+        )
+        _require(
+            mat_sub(mat_mul(transpose(f), t), mat_scale(-eta, mat_mul(t, f))) == zero,
+            "f^t T = -eta T f",
+        )
+        _require(
+            mat_sub(mat_mul(transpose(h), t), mat_scale(-1, mat_mul(t, h))) == zero,
+            "h^t T = -T h",
+        )
     if real.d_matrix is not None:
         d = real.d_matrix
-        assert mat_mul(d, d) == linalg.identity(n)
+        _require(mat_mul(d, d) == linalg.identity(n), "D^2 = I")
         if t is not None:
-            assert mat_mul(mat_mul(transpose(d), t), d) == mat_scale(real.xi, t)
+            _require(
+                mat_mul(mat_mul(transpose(d), t), d) == mat_scale(real.xi, t),
+                "D^t T D = xi T",
+            )
 
 
 # -- linear conditions ---------------------------------------------------------
@@ -427,12 +446,6 @@ class GradedDims:
     @property
     def dim_k_cent(self) -> int:
         return sum(k for _i, k, _p in self.pieces)
-
-    def dim_p(self, i: int) -> int:
-        for j, _k, p in self.pieces:
-            if j == i:
-                return p
-        return 0
 
 
 def dim_p_cent_oracle(real: MatrixRealization) -> int:
@@ -641,9 +654,12 @@ def commuting_witness(
         witness = _partial_shift(real, i1, i2)
     others = set(range(len(real.diagram.rows))) - used
     witness = linalg.mat_add(witness, _row_restriction(real, others))
-    assert commutator(real.e, witness) == freeze(zeros(real.n))
-    assert real.theta(witness) == mat_scale(-1, witness)
-    assert _dominates_strictly(jordan_type(witness), real.diagram.partition)
+    _require(commutator(real.e, witness) == freeze(zeros(real.n)), "[e, w] = 0")
+    _require(real.theta(witness) == mat_scale(-1, witness), "theta(w) = -w")
+    _require(
+        _dominates_strictly(jordan_type(witness), real.diagram.partition),
+        "Jordan type of w strictly dominates the diagram",
+    )
     return witness
 
 

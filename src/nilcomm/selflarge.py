@@ -21,7 +21,6 @@ from .invariants import is_almost_distinguished, is_distinguished
 DISTINGUISHED = "Distinguished"
 TORUS_AND_NO_DEGREE_ONE = "TorusAndNoDegreeOne"
 ADJACENT_LENGTH_WITNESS = "AdjacentLengthWitness"
-PROP_7_4 = "Prop74"
 DATA_TABLE = "DataTable"
 
 

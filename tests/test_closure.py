@@ -204,6 +204,27 @@ def test_find_reduction_ci_examples():
     assert find_reduction(parse("bababa/baba/abab/ba"), PairType.CI, PairParams(16)) is None
 
 
+def test_find_reduction_does_not_recheck_the_order(monkeypatch):
+    """Covers already lie strictly above, so find_reduction needs no lt."""
+    cases = []
+    for n in range(1, 9):
+        for pt, prm in every_pair(n):
+            for d in enumerate_diagrams(pt, prm):
+                covers = minimal_degenerations(d, pt, prm)
+                tight = [c for c in covers if is_reduction(d, c, pt, prm)]
+                cases.append((d, pt, prm, tight[0] if tight else None))
+    assert any(target is None for *_, target in cases)
+    assert any(target is not None for *_, target in cases)
+
+    def refuse(*args):
+        raise AssertionError("the order was compared again")
+
+    monkeypatch.setattr(closure, "lt", refuse)
+    monkeypatch.setattr(closure, "leq", refuse)
+    for d, pt, prm, target in cases:
+        assert find_reduction(d, pt, prm) == target, (pt, prm, d.text())
+
+
 def test_motif_examples():
     assert matches_irreducible_motif(parse("ababa/aba/bab/a"), PairType.BDI)
     assert not matches_irreducible_motif(parse("aba/a/b"), PairType.BDI)

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, strategies as st
 
-from nilcomm import linalg
+from nilcomm import linalg, oracle
+from nilcomm.diagrams import PairParams, PairType, enumerate_diagrams
 
 
 def dense_rank_reference(rows, ncols):
@@ -34,6 +36,102 @@ def test_rank_matches_dense_reference(seed):
         row = {j: rng.choice([-2, -1, 1, 2]) for j in range(n) if rng.random() < 0.4}
         rows.append(row)
     assert linalg.rank(rows) == dense_rank_reference(rows, n)
+
+
+def dense_rref_reference(rows, ncols):
+    """Textbook dense Gauss-Jordan over Fraction: pivot column -> reduced row
+    with pivot coefficient 1."""
+    mat = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    pivot_rows = {}
+    row_at = 0
+    for col in range(ncols):
+        sel = next((r for r in range(row_at, len(mat)) if mat[r][col]), None)
+        if sel is None:
+            continue
+        mat[row_at], mat[sel] = mat[sel], mat[row_at]
+        lead = mat[row_at][col]
+        mat[row_at] = [x / lead for x in mat[row_at]]
+        for r in range(len(mat)):
+            if r != row_at and mat[r][col]:
+                fac = mat[r][col]
+                mat[r] = [x - fac * y for x, y in zip(mat[r], mat[row_at])]
+        pivot_rows[col] = row_at
+        row_at += 1
+    return {c: {j: v for j, v in enumerate(mat[r]) if v} for c, r in pivot_rows.items()}
+
+
+def nullspace_from_reference(rref, ncols):
+    """One kernel vector per free column, scaled to coprime integers."""
+    basis = []
+    for f in range(ncols):
+        if f in rref:
+            continue
+        vec = {f: Fraction(1)}
+        vec.update({c: -row[f] for c, row in rref.items() if f in row})
+        den = lcm(*(v.denominator for v in vec.values()))
+        ints = {k: int(v * den) for k, v in vec.items()}
+        g = gcd(*ints.values())
+        basis.append({k: v // g for k, v in ints.items()})
+    return basis
+
+
+ENTRIES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse rows with explicit zeros, Fraction entries, single-entry rows,
+    duplicate rows and coefficients up to 10^6 in absolute value."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    col = st.integers(min_value=0, max_value=ncols - 1)
+    row = st.one_of(
+        st.dictionaries(col, ENTRIES, max_size=ncols),
+        st.builds(lambda c, v: {c: v}, col, ENTRIES),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(range(len(rows))), max_size=3))
+    return rows + [dict(rows[i]) for i in repeats], ncols
+
+
+@given(sparse_systems())
+def test_rref_and_nullspace_match_dense_reference(system):
+    rows, ncols = system
+    reference = dense_rref_reference(rows, ncols)
+    rref = linalg.rref_pivots(rows)
+    assert rref == reference and list(rref) == list(reference)
+    assert linalg.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
+    echelon = linalg.echelon_pivots(rows)
+    assert set(echelon) == set(reference)
+    for c, row in echelon.items():
+        assert min(row) == c
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+
+
+def form_pairs(max_n):
+    """Every BDI, CI, CII and DIII pair with 1 <= n <= max_n."""
+    for n in range(1, max_n + 1):
+        for p in range(n + 1):
+            yield PairType.BDI, PairParams(n, (p, n - p))
+        if n % 2 == 0:
+            yield PairType.CI, PairParams(n)
+            yield PairType.DIII, PairParams(n)
+            for p in range(0, n + 1, 2):
+                yield PairType.CII, PairParams(n, (p, n - p))
+
+
+def test_integer_inverse_of_every_form():
+    checked = 0
+    for pt, prm in form_pairs(6):
+        for d in enumerate_diagrams(pt, prm):
+            t = oracle.realize(d, pt, prm).form
+            assert linalg.mat_mul(t, oracle._integer_inverse(t)) == linalg.identity(prm.n)
+            checked += 1
+    assert checked > 100
 
 
 def test_rows_with_explicit_zero_coefficients():

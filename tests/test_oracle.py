@@ -1,6 +1,12 @@
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
+
+import nilcomm
 
 from nilcomm import linalg, oracle
 from nilcomm.diagrams import (
@@ -16,6 +22,7 @@ from nilcomm.errors import (
     NoAdjacentLengths,
     NotAlmostDistinguished,
     NotNilpotent,
+    OracleCheckFailed,
     SizeMismatch,
     UnrealizableDiagram,
     WrongType,
@@ -134,6 +141,52 @@ def test_witness_aii_2211():
     real = oracle.realize(parse("2,2,1,1"), PairType.AII, PairParams(6))
     w = oracle.commuting_witness(real)
     assert oracle.jordan_type(w) == (3, 3)
+
+
+def test_tampered_realization_fails_its_checks():
+    real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
+    bad_h = dataclasses.replace(real, h=linalg.mat_scale(2, real.h))
+    with pytest.raises(OracleCheckFailed, match=r"\[h, e\] = 2e"):
+        oracle._check_realization(bad_h)
+    bad_e = dataclasses.replace(real, e=linalg.transpose(real.e))
+    with pytest.raises(OracleCheckFailed, match=r"\[e, w\] = 0"):
+        oracle.commuting_witness(bad_e)
+
+
+OPTIMIZED_CHECKS = """
+import dataclasses
+from nilcomm import linalg, oracle
+from nilcomm.diagrams import PairParams, PairType, parse
+from nilcomm.errors import OracleCheckFailed
+
+if __debug__:
+    raise SystemExit("expected python -O")
+real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
+for tampered, check in [
+    (dataclasses.replace(real, h=linalg.mat_scale(2, real.h)), oracle._check_realization),
+    (dataclasses.replace(real, e=linalg.transpose(real.e)), oracle.commuting_witness),
+]:
+    try:
+        check(tampered)
+    except OracleCheckFailed as exc:
+        print(exc)
+    else:
+        raise SystemExit("tampered realization passed")
+"""
+
+
+def test_oracle_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(nilcomm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "identity fails: [h, e] = 2e",
+        "identity fails: [e, w] = 0",
+    ]
 
 
 def test_witness_gap_two_fails():
