@@ -21,19 +21,6 @@ class SizeMismatch(NilcommError):
     """Diagram cell count disagrees with the ambient dimension."""
 
 
-class SignatureMismatch(NilcommError):
-    """Diagram letter counts disagree with the pair signature."""
-
-
-class ParityViolation(NilcommError):
-    """A per-length parity rule fails; records which rule and which length."""
-
-    def __init__(self, rule: str, length: int):
-        super().__init__(f"{rule} (length {length})")
-        self.rule = rule
-        self.length = length
-
-
 class BoundExceeded(NilcommError):
     """Requested enumeration is larger than the configured bound."""
 

@@ -7,6 +7,13 @@ involution.  All invariant dimensions are then exact kernel dimensions of
 integer linear systems, giving a verification route independent of the
 combinatorial formulas.
 
+Each system is graded: its unknowns are only the entries x_rc of the
+requested ad h-weight h_r - h_c and, for a diagonal involution, of the
+requested sign d_r d_c, since every commutation, form and trace row lies in
+one weight and every other entry is zero by a single-entry condition.  The
+unknowns keep their row-major order, so bases come out as from the full
+system over all n^2 entries.
+
 For the types whose involution J squares to -Id, J = sqrt(-1) * D with D an
 integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
 whole computation stays rational.  The realization stores D and the sign xi.
@@ -173,43 +180,100 @@ def _form_identities_hold(t, e, h, d, eps, xi, n) -> bool:
     return dtd == mat_scale(xi, t)
 
 
+def _matchable(pair_type: PairType, length: int, na: int, nb: int, memo: dict) -> bool:
+    """Can na rows starting with a and nb rows starting with b, all of one
+    length, be paired up by admissible couplings?  Memoised on the counts."""
+    if not na and not nb:
+        return True
+    key = (na, nb)
+    if key not in memo:
+        # some row must be coupled: take an a-row when there is one
+        s = "a" if na else "b"
+        na1, nb1 = (na - 1, nb) if na else (na, nb - 1)
+        memo[key] = (
+            (_pair_admissible(pair_type, length, s, "")
+             and _matchable(pair_type, length, na1, nb1, memo))
+            or (na1 > 0 and _pair_admissible(pair_type, length, s, "a")
+                and _matchable(pair_type, length, na1 - 1, nb1, memo))
+            or (nb1 > 0 and _pair_admissible(pair_type, length, s, "b")
+                and _matchable(pair_type, length, na1, nb1 - 1, memo))
+        )
+    return memo[key]
+
+
 def _match_rows(pair_type: PairType, length: int, row_ids, letters):
     """Pair up the rows of one length so each pair carries an admissible
     coupling; self-pairing is a one-row coupling.  Returns the matching or
-    None."""
-    if not row_ids:
-        return []
-    first, rest = row_ids[0], row_ids[1:]
-    if _pair_admissible(pair_type, length, letters[first], ""):
-        sub = _match_rows(pair_type, length, rest, letters)
-        if sub is not None:
-            return [(first, first)] + sub
-    for k, other in enumerate(rest):
-        if _pair_admissible(pair_type, length, letters[first], letters[other]):
-            sub = _match_rows(pair_type, length, rest[:k] + rest[k + 1:], letters)
-            if sub is not None:
-                return [(first, other)] + sub
-    return None
+    None.  Each row in turn takes the first admissible partner (itself, then
+    the later rows in order) that leaves the other rows matchable.  The
+    coupling test depends on the two start letters only through their
+    product, so ``_matchable`` decides the rest from its letter counts."""
+    count = {"a": 0, "b": 0}
+    for i in row_ids:
+        count[letters[i]] += 1
+    memo: dict = {}
+    matching = []
+    rest = list(row_ids)
+    while rest:
+        first = rest.pop(0)
+        count[letters[first]] -= 1
+        for other in [first] + rest:
+            s = "" if other == first else letters[other]
+            left = (count["a"] - (s == "a"), count["b"] - (s == "b"))
+            if (_pair_admissible(pair_type, length, letters[first], s)
+                    and _matchable(pair_type, length, *left, memo)):
+                break
+        else:
+            return None
+        matching.append((first, other))
+        if other != first:
+            rest.remove(other)
+        count["a"], count["b"] = left
+    return matching
 
 
 @lru_cache(maxsize=None)
 def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> MatrixRealization:
     """Build a matrix realization, or raise UnrealizableDiagram when no sign
-    assignment satisfies the invariants (this certifies diagram validity)."""
+    assignment satisfies the invariants (this certifies diagram validity).
+    Every check that can reject the diagram runs before any matrix is built."""
     params.check(pair_type)
     if diagram.n != params.n:
         raise SizeMismatch(f"diagram has {diagram.n} cells, pair has n={params.n}")
     if diagram.rows and diagram.is_ab != pair_type.uses_letters:
         raise WrongType(f"representation does not match {pair_type.value}")
+    by_length: dict[int, list[int]] = {}
+    for i, (length, _s) in enumerate(diagram.rows):
+        by_length.setdefault(length, []).append(i)
+    matchings = {}
+    if pair_type is PairType.AII:
+        for length, ids in by_length.items():
+            if len(ids) % 2 != 0:
+                raise UnrealizableDiagram(
+                    f"no symplectic pairing: odd number of rows of length {length}"
+                )
+    elif pair_type not in A_TYPES:
+        letters = {i: s for i, (_d, s) in enumerate(diagram.rows)}
+        for length, ids in sorted(by_length.items(), reverse=True):
+            matching = _match_rows(pair_type, length, tuple(ids), letters)
+            if matching is None:
+                raise UnrealizableDiagram(
+                    f"no admissible coupling of the rows of length {length}"
+                )
+            matchings[length] = matching
+    if pair_type.has_signature and diagram.letter_counts() != params.signature:
+        raise UnrealizableDiagram(
+            f"involution eigenspace dimensions {diagram.letter_counts()} "
+            f"do not match the signature {params.signature}"
+        )
+
     basis, idx, e, h, f = _triple_matrices(diagram)
     n = len(basis)
     nrows = len(diagram.rows)
-
     form = None
     d_matrix = None
     alphas = None
     partners = list(range(nrows))
-
     if pair_type is PairType.AI:
         t = zeros(n)
         for i, (length, _s) in enumerate(diagram.rows):
@@ -217,16 +281,9 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
                 t[idx[(i, a)]][idx[(i, length - 1 - a)]] = 1
         form = freeze(t)
     elif pair_type is PairType.AII:
-        by_length: dict[int, list[int]] = {}
-        for i, (length, _s) in enumerate(diagram.rows):
-            by_length.setdefault(length, []).append(i)
         alpha = [0] * nrows
         t = zeros(n)
         for length, ids in by_length.items():
-            if len(ids) % 2 != 0:
-                raise UnrealizableDiagram(
-                    f"no symplectic pairing: odd number of rows of length {length}"
-                )
             for i1, i2 in zip(ids[0::2], ids[1::2]):
                 partners[i1], partners[i2] = i2, i1
                 alpha[i1], alpha[i2] = 1, -1
@@ -239,27 +296,12 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
         d_matrix = _d_matrix(diagram, basis, idx)
         if pair_type is not PairType.AIII:
             eps = pair_type.form_sign
-            letters = {i: s for i, (_d, s) in enumerate(diagram.rows)}
-            by_length = {}
-            for i, (length, _s) in enumerate(diagram.rows):
-                by_length.setdefault(length, []).append(i)
             t = zeros(n)
-            for length, ids in sorted(by_length.items(), reverse=True):
-                matching = _match_rows(pair_type, length, tuple(ids), letters)
-                if matching is None:
-                    raise UnrealizableDiagram(
-                        f"no admissible coupling of the rows of length {length}"
-                    )
+            for length, matching in matchings.items():
                 for i, j in matching:
                     partners[i], partners[j] = j, i
                     _couple(t, idx, i, j, length, eps)
             form = freeze(t)
-        if pair_type.has_signature:
-            if diagram.letter_counts() != params.signature:
-                raise UnrealizableDiagram(
-                    f"involution eigenspace dimensions {diagram.letter_counts()} "
-                    f"do not match the signature {params.signature}"
-                )
 
     real = MatrixRealization(
         pair_type=pair_type,
@@ -326,105 +368,113 @@ def _check_realization(real: MatrixRealization) -> None:
             )
 
 
-# -- linear conditions ---------------------------------------------------------
+# -- graded linear systems ------------------------------------------------------
 
 
-def _commute_rows(m: Matrix, n: int, shift: int = 0) -> list[dict]:
-    rows = []
-    nz_row = [{k: m[i][k] for k in range(n) if m[i][k]} for i in range(n)]
-    nz_col = [{k: m[k][j] for k in range(n) if m[k][j]} for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            row: dict[int, int] = {}
-            for k, v in nz_row[i].items():
-                row[k * n + j + shift] = row.get(k * n + j + shift, 0) + v
-            for k, v in nz_col[j].items():
-                key = i * n + k + shift
-                nv = row.get(key, 0) - v
-                if nv:
-                    row[key] = nv
-                else:
-                    row.pop(key, None)
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return rows
+def _system(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Optional[int]):
+    """Linear system of the x in g with [m, x] = 0, ad h-weight ``degree`` and
+    theta(x) = sigma x; no weight or involution condition when None.
 
-
-def _grading_rows(h_diag, degree: int, n: int) -> list[dict]:
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            coeff = h_diag[r] - h_diag[c] - degree
-            if coeff:
-                rows.append({r * n + c: coeff})
-    return rows
-
-
-def _form_rows(t: Matrix, sigma: int, n: int) -> list[dict]:
-    """Rows of x^T T + sigma T x = 0."""
-    rows = []
-    nz_col = [{k: t[k][j] for k in range(n) if t[k][j]} for j in range(n)]
-    nz_row = [{k: t[i][k] for k in range(n) if t[i][k]} for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            row: dict[int, int] = {}
-            for k, v in nz_col[j].items():
-                row[k * n + i] = row.get(k * n + i, 0) + v
-            for k, v in nz_row[i].items():
-                key = k * n + j
-                nv = row.get(key, 0) + sigma * v
-                if nv:
-                    row[key] = nv
-                else:
-                    row.pop(key, None)
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def _theta_rows(real: MatrixRealization, sigma: int) -> list[dict]:
-    n = real.n
-    if real.d_matrix is not None:
+    Only the unknowns x_rc that the grading (h_r - h_c = degree) and a
+    diagonal involution (d_r d_c = sigma) leave free are kept; every other
+    unknown would be pinned to zero by a row of its own.  Each commutation,
+    form and trace row lies in a single ad h-weight, so the kept rows only
+    meet kept unknowns, and the kernel dimension is len(unknowns) -
+    rank(rows).  Returns (unknowns, rows): the free positions (r, c) in
+    increasing r*n + c order, and sparse rows over their indices.
+    """
+    n, hd = real.n, real.h_diagonal
+    dd = None
+    if real.d_matrix is not None and sigma is not None:
         dd = [real.d_matrix[k][k] for k in range(n)]
-        rows = []
-        for r in range(n):
-            for c in range(n):
-                coeff = dd[r] * dd[c] - sigma
-                if coeff:
-                    rows.append({r * n + c: coeff})
-        return rows
-    return _form_rows(real.form, sigma, n)
+    unknowns = [
+        (r, c)
+        for r in range(n)
+        for c in range(n)
+        if (degree is None or hd[r] - hd[c] == degree) and (dd is None or dd[r] * dd[c] == sigma)
+    ]
+    # form rows x^T T + form_sigma T x: membership in g for the BD/C types,
+    # theta for AI/AII (AIII has no form); the A types carry the trace row
+    form_sigma = 1 if real.d_matrix is not None else sigma
+    t = real.form if form_sigma is not None else None
+    trace_row = real.pair_type in A_TYPES
+    m_col, m_row = _lines(_sparse(m))
+    t_col, t_row = _lines(_sparse(t)) if t is not None else ({}, {})
+    eqs: dict[int, dict[int, int]] = {}
+    for u, (r, c) in enumerate(unknowns):
+        # [m, x]_ic gains m_ir x_rc; [m, x]_rj gains -x_rc m_cj
+        for i, v in m_col.get(r, ()):
+            row = eqs.setdefault(i * n + c, {})
+            row[u] = row.get(u, 0) + v
+        for j, v in m_row.get(c, ()):
+            row = eqs.setdefault(r * n + j, {})
+            row[u] = row.get(u, 0) - v
+        if t is not None:
+            # (x^T T)_cj gains x_rc T_rj; (T x)_ic gains T_ir x_rc
+            for j, v in t_row.get(r, ()):
+                row = eqs.setdefault(n * n + c * n + j, {})
+                row[u] = row.get(u, 0) + v
+            for i, v in t_col.get(r, ()):
+                row = eqs.setdefault(n * n + i * n + c, {})
+                row[u] = row.get(u, 0) + form_sigma * v
+        if trace_row and r == c:
+            eqs.setdefault(2 * n * n, {})[u] = 1
+    rows = [{u: v for u, v in row.items() if v} for row in eqs.values()]
+    return unknowns, [row for row in rows if row]
 
 
-def _membership_rows(real: MatrixRealization) -> list[dict]:
-    n = real.n
-    if real.pair_type in A_TYPES:
-        return [{k * n + k: 1 for k in range(n)}] if n else []
-    return _form_rows(real.form, 1, n)
+def _kernel_dim(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Optional[int]) -> int:
+    unknowns, rows = _system(real, m, degree, sigma)
+    return linalg.kernel_dim(rows, len(unknowns))
 
 
-def _space_dim(real: MatrixRealization, conditions) -> int:
-    rows = []
-    for c in conditions:
-        rows.extend(c)
-    return linalg.kernel_dim(rows, real.n * real.n)
+def _kernel(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Optional[int]):
+    """Basis of the solution space as sparse matrices {(r, c): value}."""
+    unknowns, rows = _system(real, m, degree, sigma)
+    return [
+        {unknowns[u]: v for u, v in vec.items()}
+        for vec in linalg.nullspace(rows, len(unknowns))
+    ]
 
 
-def _space_basis(real: MatrixRealization, conditions) -> list[Matrix]:
-    rows = []
-    for c in conditions:
-        rows.extend(c)
-    n = real.n
-    vectors = linalg.nullspace(rows, n * n)
-    out = []
-    for vec in vectors:
-        m = zeros(n)
-        for key, v in vec.items():
-            m[key // n][key % n] = v
-        out.append(freeze(m))
-    return out
+def _dense(n: int, sparse: dict) -> Matrix:
+    m = zeros(n)
+    for (r, c), v in sparse.items():
+        m[r][c] = v
+    return freeze(m)
+
+
+def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
+    """Rows of the linear map c -> [x, sum_k c_k module[k]] on sparse
+    matrices, one row per matrix position in row-major order."""
+    x_col, x_row = _lines(x)
+    eqs: dict[tuple[int, int], dict[int, int]] = {}
+    for k, b in enumerate(module):
+        comm: dict[tuple[int, int], int] = {}
+        for (r, c), v in b.items():
+            for i, xv in x_col.get(r, ()):
+                comm[i, c] = comm.get((i, c), 0) + xv * v
+            for j, xv in x_row.get(c, ()):
+                comm[r, j] = comm.get((r, j), 0) - v * xv
+        for pos, v in comm.items():
+            if v:
+                eqs.setdefault(pos, {})[k] = v
+    return [eqs[pos] for pos in sorted(eqs)]
+
+
+def _sparse(m: Matrix) -> dict:
+    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
+def _lines(x: dict):
+    """Nonzero entries of a sparse matrix by column and by row: cols[k] lists
+    (i, x_ik), rows[k] lists (j, x_kj)."""
+    cols: dict[int, list] = {}
+    rows: dict[int, list] = {}
+    for (i, k), v in x.items():
+        cols.setdefault(k, []).append((i, v))
+        rows.setdefault(i, []).append((k, v))
+    return cols, rows
 
 
 # -- centralizer dimensions -----------------------------------------------------
@@ -449,46 +499,21 @@ class GradedDims:
 
 
 def dim_p_cent_oracle(real: MatrixRealization) -> int:
-    """dim p^e as an exact kernel dimension."""
-    return _space_dim(
-        real, [_commute_rows(real.e, real.n), _theta_rows(real, -1), _membership_rows(real)]
-    )
+    """dim p^e as an exact kernel dimension, over every ad h-weight."""
+    return _kernel_dim(real, real.e, None, -1)
 
 
 def dim_graded(real: MatrixRealization, degree: int, sigma: int) -> int:
     """dim of the theta-eigenspace of g(e, degree); sigma=+1 for k, -1 for p."""
-    return _space_dim(
-        real,
-        [
-            _commute_rows(real.e, real.n),
-            _grading_rows(real.h_diagonal, degree, real.n),
-            _theta_rows(real, sigma),
-            _membership_rows(real),
-        ],
-    )
+    return _kernel_dim(real, real.e, degree, sigma)
 
 
 def p_e0_basis(real: MatrixRealization) -> list[Matrix]:
-    return _space_basis(
-        real,
-        [
-            _commute_rows(real.e, real.n),
-            _grading_rows(real.h_diagonal, 0, real.n),
-            _theta_rows(real, -1),
-            _membership_rows(real),
-        ],
-    )
+    return [_dense(real.n, x) for x in _kernel(real, real.e, 0, -1)]
 
 
 def g_f_minus1_basis(real: MatrixRealization) -> list[Matrix]:
-    return _space_basis(
-        real,
-        [
-            _commute_rows(real.f, real.n),
-            _grading_rows(real.h_diagonal, -1, real.n),
-            _membership_rows(real),
-        ],
-    )
+    return [_dense(real.n, x) for x in _kernel(real, real.f, -1, None)]
 
 
 def fixed_space_dim(acting: list[Matrix], module: list[Matrix]) -> int:
@@ -497,15 +522,10 @@ def fixed_space_dim(acting: list[Matrix], module: list[Matrix]) -> int:
         return 0
     if not acting:
         return len(module)
+    sparse_module = [_sparse(c) for c in module]
     rows = []
     for b in acting:
-        comms = [commutator(b, c) for c in module]
-        n = len(b)
-        for r in range(n):
-            for c in range(n):
-                row = {k: comms[k][r][c] for k in range(len(module)) if comms[k][r][c]}
-                if row:
-                    rows.append(row)
+        rows.extend(_bracket_rows(_sparse(b), sparse_module))
     return linalg.kernel_dim(rows, len(module))
 
 
@@ -533,7 +553,7 @@ def centralizer_dims(real: MatrixRealization) -> GradedDims:
 def defect_oracle(real: MatrixRealization, seed: int = 0, coeff_bound: int = 10) -> int:
     """Rank of p(e,0): centralizer dimension in p(e,0) of a random element,
     with three agreeing seeded trials."""
-    basis = p_e0_basis(real)
+    basis = _kernel(real, real.e, 0, -1)
     m = len(basis)
     if m == 0:
         return 0
@@ -543,17 +563,12 @@ def defect_oracle(real: MatrixRealization, seed: int = 0, coeff_bound: int = 10)
         coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(m)]
         if all(c == 0 for c in coeffs):
             continue
-        x = freeze(zeros(real.n))
+        x: dict[tuple[int, int], int] = {}
         for c, b in zip(coeffs, basis):
             if c:
-                x = linalg.mat_add(x, mat_scale(c, b))
-        comms = [commutator(x, b) for b in basis]
-        rows = []
-        for r in range(real.n):
-            for ccol in range(real.n):
-                row = {k: comms[k][r][ccol] for k in range(m) if comms[k][r][ccol]}
-                if row:
-                    rows.append(row)
+                for pos, v in b.items():
+                    x[pos] = x.get(pos, 0) + c * v
+        rows = _bracket_rows({pos: v for pos, v in x.items() if v}, basis)
         values.append(linalg.kernel_dim(rows, m))
         if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
             return values[-1]

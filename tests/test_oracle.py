@@ -263,3 +263,173 @@ def test_realizability_matches_validity_exhaustive_n6():
                     except UnrealizableDiagram:
                         ok = False
                     assert ok == (d in valid), (pt, prm, d.text())
+
+
+# -- the graded systems against the full n^2 system ---------------------------------
+
+
+def _reference_maps(real):
+    """Each linear condition on the full space of n x n matrices x, as rows
+    indexed by the output position: [e, x], [f, x], [h, x], theta(x), and
+    membership in g (x^T T + T x for the BD/C types, the trace for the A
+    types).  Unknown k is the entry x_rc with k = r*n + c."""
+    n = real.n
+    units = []
+    for r in range(n):
+        for c in range(n):
+            u = linalg.zeros(n)
+            u[r][c] = 1
+            units.append(linalg.freeze(u))
+
+    def rows_of(image):
+        imgs = [image(u) for u in units]
+        if not imgs:
+            return []
+        return [{k: img[i][j] for k, img in enumerate(imgs) if img[i][j]}
+                for i in range(len(imgs[0])) for j in range(len(imgs[0][0]))]
+
+    maps = {
+        "e": rows_of(lambda x: linalg.commutator(real.e, x)),
+        "f": rows_of(lambda x: linalg.commutator(real.f, x)),
+        "h": rows_of(lambda x: linalg.commutator(real.h, x)),
+        "theta": rows_of(real.theta),
+    }
+    if real.pair_type in oracle.A_TYPES:
+        maps["g"] = rows_of(lambda x: ((linalg.trace(x),),))
+    else:
+        t = real.form
+        maps["g"] = rows_of(lambda x: linalg.mat_add(linalg.mat_mul(linalg.transpose(x), t),
+                                                     linalg.mat_mul(t, x)))
+    return maps
+
+
+def _reference_rows(maps, m, degree, sigma):
+    """Rows of the full system: [m, x] = 0, x in g, [h, x] = degree x unless
+    degree is None, theta(x) = sigma x unless sigma is None."""
+    rows = maps[m] + maps["g"]
+    for name, scalar in (("h", degree), ("theta", sigma)):
+        if scalar is None:
+            continue
+        for k, row in enumerate(maps[name]):
+            row = dict(row)
+            row[k] = row.get(k, 0) - scalar
+            rows.append({c: v for c, v in row.items() if v})
+    return [row for row in rows if row]
+
+
+def _reference_basis(rows, n):
+    basis = []
+    for vec in linalg.nullspace(rows, n * n):
+        m = linalg.zeros(n)
+        for k, v in vec.items():
+            m[k // n][k % n] = v
+        basis.append(linalg.freeze(m))
+    return basis
+
+
+def test_graded_systems_match_full_reference():
+    """Every kernel dimension and basis of the restricted systems equals the
+    one of the full n^2 system, on every valid diagram with n <= 6."""
+    for n in range(0, 7):
+        for pt, prm in every_params(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                real = oracle.realize(diagram, pt, prm)
+                maps = _reference_maps(real)
+                label = (pt, prm, diagram.text())
+                span = 2 * (diagram.rows[0][0] if diagram.rows else 1)
+                for degree in range(-span, span + 1):
+                    for sigma in (1, -1):
+                        rows = _reference_rows(maps, "e", degree, sigma)
+                        assert oracle.dim_graded(real, degree, sigma) == \
+                            linalg.kernel_dim(rows, n * n), (label, degree, sigma)
+                rows = _reference_rows(maps, "e", None, -1)
+                assert oracle.dim_p_cent_oracle(real) == linalg.kernel_dim(rows, n * n), label
+                rows = _reference_rows(maps, "e", 0, -1)
+                assert oracle.p_e0_basis(real) == _reference_basis(rows, n), label
+                rows = _reference_rows(maps, "f", -1, None)
+                assert oracle.g_f_minus1_basis(real) == _reference_basis(rows, n), label
+
+
+# -- row matching --------------------------------------------------------------------
+
+FORM_TYPES = (PairType.BDI, PairType.CI, PairType.CII, PairType.DIII)
+
+
+def _backtracking_match(pair_type, length, row_ids, letters):
+    """Depth-first search over partners: the first row takes itself, then
+    each later row in order, and recurses on the rest."""
+    if not row_ids:
+        return []
+    first, rest = row_ids[0], row_ids[1:]
+    if oracle._pair_admissible(pair_type, length, letters[first], ""):
+        sub = _backtracking_match(pair_type, length, rest, letters)
+        if sub is not None:
+            return [(first, first)] + sub
+    for k, other in enumerate(rest):
+        if oracle._pair_admissible(pair_type, length, letters[first], letters[other]):
+            sub = _backtracking_match(pair_type, length, rest[:k] + rest[k + 1:], letters)
+            if sub is not None:
+                return [(first, other)] + sub
+    return None
+
+
+def test_pair_admissible_symmetric_in_letters():
+    for pt in FORM_TYPES:
+        for length in range(1, 13):
+            assert oracle._pair_admissible(pt, length, "a", "b") == \
+                oracle._pair_admissible(pt, length, "b", "a"), (pt, length)
+
+
+def test_match_rows_equals_backtracking_search():
+    """Same matching, or None, on every ab-diagram with n <= 8."""
+    checked = 0
+    for pt in FORM_TYPES:
+        for n in range(1, 9):
+            for part in partitions(n):
+                for letters in itertools.product("ab", repeat=len(part)):
+                    by_length = {}
+                    for i, length in enumerate(part):
+                        by_length.setdefault(length, []).append(i)
+                    named = dict(enumerate(letters))
+                    for length, ids in by_length.items():
+                        want = _backtracking_match(pt, length, tuple(ids), named)
+                        assert oracle._match_rows(pt, length, tuple(ids), named) == want, \
+                            (pt, part, letters, length)
+                        checked += 1
+    assert checked > 9000
+
+
+def test_match_rows_polynomial_on_unmatchable_rows(monkeypatch):
+    """CI with k+2 a-rows and k b-rows of length 1 has no matching; the
+    count recursion decides it in O(k^2) calls."""
+    calls = []
+    matchable = oracle._matchable
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return matchable(*args)
+
+    monkeypatch.setattr(oracle, "_matchable", counted)
+    k = 12
+    letters = {i: "a" if i < k + 2 else "b" for i in range(2 * k + 2)}
+    assert oracle._match_rows(PairType.CI, 1, tuple(letters), letters) is None
+    assert 0 < len(calls) <= 3 * (k + 3) ** 2
+    diagram = AbDiagram.from_rows([(1, letters[i]) for i in letters])
+    with pytest.raises(UnrealizableDiagram, match="rows of length 1"):
+        oracle.realize(diagram, PairType.CI, PairParams(2 * k + 2))
+
+
+def test_realize_rejects_before_building_matrices(monkeypatch):
+    def no_matrices(_diagram):
+        raise AssertionError("matrices built for an unrealizable diagram")
+
+    monkeypatch.setattr(oracle, "_triple_matrices", no_matrices)
+    for text, pt, prm, message in [
+        ("2,1,1", PairType.AII, PairParams(4), "odd number of rows of length 2"),
+        ("abab", PairType.BDI, params_for(PairType.BDI, 4, 2, 2), "rows of length 4"),
+        ("ab/ab", PairType.BDI, params_for(PairType.BDI, 4, 3, 1), "rows of length 2"),
+        ("aba/a/b", PairType.BDI, params_for(PairType.BDI, 5, 2, 3), "signature"),
+        ("ab/a/b", PairType.AIII, PairParams(4, (3, 1)), "signature"),
+    ]:
+        with pytest.raises(UnrealizableDiagram, match=message):
+            oracle.realize(parse(text), pt, prm)
