@@ -6,7 +6,8 @@ selflarge, exceptional, verify.  Output format is text, json or dot
 violated claim, 2 usage error.
 
 Configuration can also come from a JSON file named by $NILCOMM_CONFIG with
-keys "bound", "seed", "format".
+keys "bound", "seed", "format", read on every call; a flag given on the
+command line overrides it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import closure, components, excdata, invariants, oracle, selflarge
@@ -251,18 +253,18 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    config = _load_config()
+    """The parser, built once per process; $NILCOMM_CONFIG is read by main."""
     parser = argparse.ArgumentParser(
         prog="nilcomm",
         description="Irreducible components of nilpotent commuting varieties "
         "of symmetric Lie algebra pairs",
     )
-    parser.add_argument("--format", choices=["text", "json", "dot"],
-                        default=config.get("format", "text"))
-    parser.add_argument("--bound", type=int, default=config.get("bound", DEFAULT_BOUND),
+    parser.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                         help="enumeration size bound")
-    parser.add_argument("--seed", type=int, default=config.get("seed", 0),
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized rank oracle")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -310,9 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    config = _load_config()
+    # the config's values go first, as flags: the parser checks them, and a
+    # flag on the command line overrides them
+    flags = [f"--{key}={config[key]}" for key in ("format", "bound", "seed") if key in config]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(flags + (sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

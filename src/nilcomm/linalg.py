@@ -8,7 +8,7 @@ followed by the same division, in the manner of Bareiss.  A row with a single
 entry sets its column to zero, so it is settled first and that column is
 removed from every other row.  Every rank and kernel dimension is exact, and
 ``rref_pivots`` divides by the pivots only at the end, so its rows are exact
-Fractions.  Dense matrices (for the matrix realizations) are tuples of tuples.
+Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 SparseRow = dict[int, Fraction]
-Matrix = tuple[tuple, ...]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -134,68 +133,3 @@ def scale_to_integers(vec: SparseRow) -> SparseRow:
     if g > 1:
         scaled = {k: v // g for k, v in scaled.items()}
     return scaled
-
-
-# -- dense matrices -----------------------------------------------------------
-
-
-def zeros(n: int, m: int | None = None) -> list[list]:
-    m = n if m is None else m
-    return [[0] * m for _ in range(n)]
-
-
-def freeze(mat) -> Matrix:
-    return tuple(tuple(row) for row in mat)
-
-
-def identity(n: int) -> Matrix:
-    return freeze([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def mat_mul(a, b) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            v = arow[t]
-            if v:
-                brow = b[t]
-                for j in range(m):
-                    if brow[j]:
-                        orow[j] += v * brow[j]
-    return freeze(out)
-
-
-def mat_add(a, b) -> Matrix:
-    return freeze([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-
-
-def mat_sub(a, b) -> Matrix:
-    return freeze([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-
-
-def mat_scale(c, a) -> Matrix:
-    return freeze([[c * x for x in row] for row in a])
-
-
-def transpose(a) -> Matrix:
-    return freeze(list(zip(*a))) if a else ()
-
-
-def commutator(a, b) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def mat_rank(a) -> int:
-    rows = [{j: v for j, v in enumerate(row) if v} for row in a]
-    return rank(rows)

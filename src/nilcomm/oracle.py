@@ -17,14 +17,20 @@ system over all n^2 entries.
 For the types whose involution J squares to -Id, J = sqrt(-1) * D with D an
 integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
 whole computation stays rational.  The realization stores D and the sign xi.
+
+Each of e, h, f, the form T and D has at most one nonzero entry in each row
+and each column, and T is a signed permutation (one entry +-1 in each row and
+column), so T^-1 = T^t.  They are built, checked and multiplied as sparse
+matrices {(r, c): value} without zero entries, at O(n) per product; a
+realization stores them as dense tuples for its callers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from . import linalg
@@ -38,9 +44,10 @@ from .errors import (
     UnrealizableDiagram,
     WrongType,
 )
-from .linalg import Matrix, commutator, freeze, mat_mul, mat_rank, mat_scale, mat_sub, transpose, zeros
 
 A_TYPES = (PairType.AI, PairType.AII, PairType.AIII)
+
+Matrix = tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,8 @@ class MatrixRealization:
     """Integer matrices realizing a diagram for a classical symmetric pair.
 
     ``basis[k] = (i, a)`` tags basis vector e^a.v_i (row i of the diagram,
-    power a).  ``form`` is the Gram matrix of the bilinear form: for BD/C
+    power a).  ``form`` is the Gram matrix of the bilinear form, a signed
+    permutation (``realize`` checks it, and theta relies on it): for BD/C
     types it cuts out g, for AI/AII it cuts out k.  ``d_matrix`` is the
     diagonal sign matrix of the involution: the involution datum J is
     d_matrix itself when xi = +1 and sqrt(-1) * d_matrix when xi = -1;
@@ -75,109 +83,149 @@ class MatrixRealization:
 
     def theta(self, x: Matrix) -> Matrix:
         """Apply the involution to a matrix."""
-        if self.d_matrix is not None:
-            return mat_mul(mat_mul(self.d_matrix, x), self.d_matrix)
-        t = self.form
-        tinv = _integer_inverse(t)
-        return mat_scale(-1, mat_mul(mat_mul(tinv, transpose(x)), t))
+        return _dense(self.n, _theta(_sparse(x), _sparse(self.d_matrix), _sparse(self.form)))
 
 
-@lru_cache(maxsize=None)
-def _integer_inverse(t: Matrix) -> Matrix:
-    """Inverse of a Gram matrix; exact, entries become Fractions if needed."""
-    n = len(t)
-    rows = []
-    for i in range(n):
-        row = {j: Fraction(t[i][j]) for j in range(n) if t[i][j]}
-        for j in range(n):
-            if i == j:
-                row[n + j] = Fraction(1)
-        rows.append(row)
-    pivots = linalg.rref_pivots(rows)
-    inv = zeros(n)
-    for c in range(n):
-        row = pivots.get(c)
-        if row is None:
-            raise ValueError("form is degenerate")
-        for j in range(n):
-            inv[c][j] = row.get(n + j, Fraction(0))
-    return freeze(inv)
+# -- sparse matrices -------------------------------------------------------------
+
+
+def _sparse(m: Optional[Matrix]) -> Optional[dict]:
+    if m is None:
+        return None
+    return {(r, c): row[c] for r, row in enumerate(m) for c in compress(range(len(row)), row)}
+
+
+def _dense(n: int, x: dict) -> Matrix:
+    rows = [[0] * n for _ in range(n)]
+    for (r, c), v in x.items():
+        rows[r][c] = v
+    return tuple(map(tuple, rows))
+
+
+def _lines(x: dict):
+    """Nonzero entries of a sparse matrix by column and by row: cols[k] lists
+    (i, x_ik), rows[k] lists (j, x_kj)."""
+    cols: dict[int, list] = {}
+    rows: dict[int, list] = {}
+    for (i, k), v in x.items():
+        cols.setdefault(k, []).append((i, v))
+        rows.setdefault(i, []).append((k, v))
+    return cols, rows
+
+
+def _mul(a: dict, b: dict) -> dict:
+    b_rows: dict[int, list] = {}
+    for (k, c), w in b.items():
+        b_rows.setdefault(k, []).append((c, w))
+    out: dict[tuple[int, int], int] = {}
+    for (r, k), v in a.items():
+        for c, w in b_rows.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + v * w
+    return {pos: v for pos, v in out.items() if v}
+
+
+def _add(*terms) -> dict:
+    """The sum of c * x over the (c, x) terms."""
+    out: dict[tuple[int, int], int] = {}
+    for c, x in terms:
+        for pos, v in x.items():
+            out[pos] = out.get(pos, 0) + c * v
+    return {pos: v for pos, v in out.items() if v}
+
+
+def _transpose(x: dict) -> dict:
+    return {(c, r): v for (r, c), v in x.items()}
+
+
+def _bracket(a: dict, b: dict) -> dict:
+    return _add((1, _mul(a, b)), (-1, _mul(b, a)))
+
+
+def _theta(x: dict, d: Optional[dict], t: Optional[dict]) -> dict:
+    """The involution: conjugation by D, or for AI/AII (no D) x -> -T^-1 x^t T
+    with T^-1 = T^t, as T is a signed permutation."""
+    if d is not None:
+        return _mul(_mul(d, x), d)
+    return _add((-1, _mul(_transpose(_mul(x, t)), t)))
+
+
+def _is_signed_permutation(t: dict, n: int) -> bool:
+    return (len(t) == n == len({r for r, _c in t}) == len({c for _r, c in t})
+            and all(v in (1, -1) for v in t.values()))
+
+
+def _identities(pair_type: PairType, n: int, xi, e, h, f, t, d):
+    """Every identity of a realization, as lazily computed (holds, identity)
+    pairs on sparse matrices; t or d is None where there is no form or no
+    diagonal involution.  T comes first because theta inverts it as T^t."""
+    if t is not None:
+        yield _is_signed_permutation(t, n), "form T is a signed permutation"
+    yield _bracket(h, e) == _add((2, e)), "[h, e] = 2e"
+    yield _bracket(h, f) == _add((-2, f)), "[h, f] = -2f"
+    yield _bracket(e, f) == h, "[e, f] = h"
+    yield _theta(e, d, t) == _add((-1, e)), "theta(e) = -e"
+    yield _theta(h, d, t) == h, "theta(h) = h"
+    yield _theta(f, d, t) == _add((-1, f)), "theta(f) = -f"
+    if t is not None:
+        eta = 1 if d is not None else -1
+        eps = pair_type.form_sign if d is not None else (1 if pair_type is PairType.AI else -1)
+        yield _transpose(t) == _add((eps, t)), "T^t = eps T"
+        # form compatibility: Phi(e.u, v) = -eta Phi(u, e.v), same for f; h skew
+        yield not _add((1, _mul(_transpose(e), t)), (eta, _mul(t, e))), "e^t T = -eta T e"
+        yield not _add((1, _mul(_transpose(f), t)), (eta, _mul(t, f))), "f^t T = -eta T f"
+        yield not _add((1, _mul(_transpose(h), t)), (1, _mul(t, h))), "h^t T = -T h"
+    if d is not None:
+        yield _mul(d, d) == {(k, k): 1 for k in range(n)}, "D^2 = I"
+        if t is not None:
+            yield _mul(_mul(_transpose(d), t), d) == _add((xi, t)), "D^t T D = xi T"
 
 
 # -- building the triple -------------------------------------------------------
 
 
 def _triple_matrices(diagram: AbDiagram):
-    basis = []
-    for i, (length, _start) in enumerate(diagram.rows):
-        for a in range(length):
-            basis.append((i, a))
+    """The basis tags, their positions, and the sparse standard triple."""
+    basis = [(i, a) for i, (length, _s) in enumerate(diagram.rows) for a in range(length)]
     idx = {tag: k for k, tag in enumerate(basis)}
-    n = len(basis)
-    e = zeros(n)
-    h = zeros(n)
-    f = zeros(n)
+    e, h, f = {}, {}, {}
     for (i, a), k in idx.items():
         length = diagram.rows[i][0]
-        h[k][k] = 2 * a - length + 1
+        if 2 * a + 1 != length:
+            h[k, k] = 2 * a - length + 1
         if a + 1 < length:
-            e[idx[(i, a + 1)]][k] = 1
+            e[idx[(i, a + 1)], k] = 1
         if a > 0:
-            f[idx[(i, a - 1)]][k] = a * (length - a)
-    return tuple(basis), idx, freeze(e), freeze(h), freeze(f)
+            f[idx[(i, a - 1)], k] = a * (length - a)
+    return tuple(basis), idx, e, h, f
 
 
 def _sign(start: Optional[str]) -> int:
     return 1 if start == "a" else -1
 
 
-def _d_matrix(diagram: AbDiagram, basis, idx) -> Matrix:
-    n = len(basis)
-    d = zeros(n)
-    for (i, a), k in idx.items():
-        d[k][k] = _sign(diagram.rows[i][1]) * (-1) ** a
-    return freeze(d)
+def _d_matrix(diagram: AbDiagram, idx) -> dict:
+    return {(k, k): _sign(diagram.rows[i][1]) * (-1) ** a for (i, a), k in idx.items()}
 
 
-def _couple(t, idx, i, j, length, eps):
+def _couple(t: dict, idx, i, j, length, eps):
     """Write the standard coupling of rows i and j (equal length) into t."""
     for a in range(length):
-        t[idx[(i, a)]][idx[(j, length - 1 - a)]] += (-1) ** a
+        t[idx[(i, a)], idx[(j, length - 1 - a)]] = (-1) ** a
         if i != j:
-            t[idx[(j, a)]][idx[(i, length - 1 - a)]] += eps * (-1) ** (length - 1) * (-1) ** a
+            t[idx[(j, a)], idx[(i, length - 1 - a)]] = eps * (-1) ** (length - 1) * (-1) ** a
 
 
 @lru_cache(maxsize=None)
 def _pair_admissible(pair_type: PairType, length: int, s1: str, s2: str) -> bool:
     """Matrix test on a two-row (or one-row, when s2 is empty) template: does
-    the standard coupling satisfy all form and involution identities?"""
+    the standard coupling satisfy all the identities of a realization?"""
     rows = [(length, s1)] + ([(length, s2)] if s2 else [])
     diag = AbDiagram.from_rows(rows)
-    basis, idx, e, h, _f = _triple_matrices(diag)
-    d = _d_matrix(diag, basis, idx)
-    eps = pair_type.form_sign
-    xi = pair_type.involution_square
-    t = zeros(len(basis))
-    if s2:
-        _couple(t, idx, 0, 1, length, eps)
-    else:
-        _couple(t, idx, 0, 0, length, eps)
-    t = freeze(t)
-    return _form_identities_hold(t, e, h, d, eps, xi, len(basis))
-
-
-def _form_identities_hold(t, e, h, d, eps, xi, n) -> bool:
-    if mat_rank(t) != n:
-        return False
-    if transpose(t) != mat_scale(eps, t):
-        return False
-    # e, f skew, h skew for the ambient algebra (eta = +1 convention)
-    if mat_sub(mat_scale(-1, mat_mul(transpose(e), t)), mat_mul(t, e)) != freeze(zeros(n)):
-        return False
-    if mat_sub(mat_scale(-1, mat_mul(transpose(h), t)), mat_mul(t, h)) != freeze(zeros(n)):
-        return False
-    dtd = mat_mul(mat_mul(transpose(d), t), d)
-    return dtd == mat_scale(xi, t)
+    basis, idx, e, h, f = _triple_matrices(diag)
+    t: dict = {}
+    _couple(t, idx, 0, 1 if s2 else 0, length, pair_type.form_sign)
+    return all(holds for holds, _identity in _identities(
+        pair_type, len(basis), pair_type.involution_square, e, h, f, t, _d_matrix(diag, idx)))
 
 
 def _matchable(pair_type: PairType, length: int, na: int, nb: int, memo: dict) -> bool:
@@ -270,38 +318,32 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
     basis, idx, e, h, f = _triple_matrices(diagram)
     n = len(basis)
     nrows = len(diagram.rows)
-    form = None
-    d_matrix = None
-    alphas = None
+    t = d = alphas = None
     partners = list(range(nrows))
     if pair_type is PairType.AI:
-        t = zeros(n)
+        t = {}
         for i, (length, _s) in enumerate(diagram.rows):
             for a in range(length):
-                t[idx[(i, a)]][idx[(i, length - 1 - a)]] = 1
-        form = freeze(t)
+                t[idx[(i, a)], idx[(i, length - 1 - a)]] = 1
     elif pair_type is PairType.AII:
         alpha = [0] * nrows
-        t = zeros(n)
+        t = {}
         for length, ids in by_length.items():
             for i1, i2 in zip(ids[0::2], ids[1::2]):
                 partners[i1], partners[i2] = i2, i1
                 alpha[i1], alpha[i2] = 1, -1
                 for a in range(length):
-                    t[idx[(i1, a)]][idx[(i2, length - 1 - a)]] = 1
-                    t[idx[(i2, a)]][idx[(i1, length - 1 - a)]] = -1
-        form = freeze(t)
+                    t[idx[(i1, a)], idx[(i2, length - 1 - a)]] = 1
+                    t[idx[(i2, a)], idx[(i1, length - 1 - a)]] = -1
         alphas = tuple(alpha)
     else:
-        d_matrix = _d_matrix(diagram, basis, idx)
+        d = _d_matrix(diagram, idx)
         if pair_type is not PairType.AIII:
-            eps = pair_type.form_sign
-            t = zeros(n)
+            t = {}
             for length, matching in matchings.items():
                 for i, j in matching:
                     partners[i], partners[j] = j, i
-                    _couple(t, idx, i, j, length, eps)
-            form = freeze(t)
+                    _couple(t, idx, i, j, length, pair_type.form_sign)
 
     real = MatrixRealization(
         pair_type=pair_type,
@@ -309,11 +351,11 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
         diagram=diagram,
         n=n,
         basis=basis,
-        e=e,
-        h=h,
-        f=f,
-        form=form,
-        d_matrix=d_matrix,
+        e=_dense(n, e),
+        h=_dense(n, h),
+        f=_dense(n, f),
+        form=None if t is None else _dense(n, t),
+        d_matrix=None if d is None else _dense(n, d),
         xi=pair_type.involution_square,
         partners=tuple(partners),
         alphas=alphas,
@@ -329,43 +371,10 @@ def _require(holds: bool, identity: str) -> None:
 
 
 def _check_realization(real: MatrixRealization) -> None:
-    e, h, f, n = real.e, real.h, real.f, real.n
-    zero = freeze(zeros(n))
-    _require(commutator(h, e) == mat_scale(2, e), "[h, e] = 2e")
-    _require(commutator(h, f) == mat_scale(-2, f), "[h, f] = -2f")
-    _require(commutator(e, f) == h or n == 0, "[e, f] = h")
-    _require(real.theta(e) == mat_scale(-1, e), "theta(e) = -e")
-    _require(real.theta(h) == h, "theta(h) = h")
-    _require(real.theta(f) == mat_scale(-1, f), "theta(f) = -f")
-    t = real.form
-    if t is not None:
-        _require(mat_rank(t) == n, "form T is nondegenerate")
-        eta = 1 if real.d_matrix is not None else -1
-        eps = real.pair_type.form_sign if real.d_matrix is not None else (
-            1 if real.pair_type is PairType.AI else -1
-        )
-        _require(transpose(t) == mat_scale(eps, t), "T^t = eps T")
-        # form compatibility: Phi(e.u, v) = -eta Phi(u, e.v), same for f; h skew
-        _require(
-            mat_sub(mat_mul(transpose(e), t), mat_scale(-eta, mat_mul(t, e))) == zero,
-            "e^t T = -eta T e",
-        )
-        _require(
-            mat_sub(mat_mul(transpose(f), t), mat_scale(-eta, mat_mul(t, f))) == zero,
-            "f^t T = -eta T f",
-        )
-        _require(
-            mat_sub(mat_mul(transpose(h), t), mat_scale(-1, mat_mul(t, h))) == zero,
-            "h^t T = -T h",
-        )
-    if real.d_matrix is not None:
-        d = real.d_matrix
-        _require(mat_mul(d, d) == linalg.identity(n), "D^2 = I")
-        if t is not None:
-            _require(
-                mat_mul(mat_mul(transpose(d), t), d) == mat_scale(real.xi, t),
-                "D^t T D = xi T",
-            )
+    """Check every identity on the stored matrices, read once each."""
+    matrices = map(_sparse, (real.e, real.h, real.f, real.form, real.d_matrix))
+    for holds, identity in _identities(real.pair_type, real.n, real.xi, *matrices):
+        _require(holds, identity)
 
 
 # -- graded linear systems ------------------------------------------------------
@@ -437,13 +446,6 @@ def _kernel(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Op
     ]
 
 
-def _dense(n: int, sparse: dict) -> Matrix:
-    m = zeros(n)
-    for (r, c), v in sparse.items():
-        m[r][c] = v
-    return freeze(m)
-
-
 def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
     """Rows of the linear map c -> [x, sum_k c_k module[k]] on sparse
     matrices, one row per matrix position in row-major order."""
@@ -460,21 +462,6 @@ def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
             if v:
                 eqs.setdefault(pos, {})[k] = v
     return [eqs[pos] for pos in sorted(eqs)]
-
-
-def _sparse(m: Matrix) -> dict:
-    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
-
-
-def _lines(x: dict):
-    """Nonzero entries of a sparse matrix by column and by row: cols[k] lists
-    (i, x_ik), rows[k] lists (j, x_kj)."""
-    cols: dict[int, list] = {}
-    rows: dict[int, list] = {}
-    for (i, k), v in x.items():
-        cols.setdefault(k, []).append((i, v))
-        rows.setdefault(i, []).append((k, v))
-    return cols, rows
 
 
 # -- centralizer dimensions -----------------------------------------------------
@@ -583,13 +570,14 @@ def jordan_type(matrix: Matrix) -> tuple[int, ...]:
     n = len(matrix)
     if n == 0:
         return ()
+    x = _sparse(matrix)
     ranks = [n]
-    power = matrix
+    power = x
     while ranks[-1] > 0:
         if len(ranks) > n:
             raise NotNilpotent("matrix is not nilpotent")
-        ranks.append(mat_rank(power))
-        power = mat_mul(power, matrix)
+        ranks.append(linalg.rank([dict(row) for row in _lines(power)[1].values()]))
+        power = _mul(power, x)
     blocks = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []
     for size in range(len(blocks), 0, -1):
@@ -611,26 +599,22 @@ def _dominates_strictly(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return True
 
 
-def _partial_shift(real: MatrixRealization, i1: int, i2: int) -> Matrix:
+def _partial_shift(real: MatrixRealization, idx, i1: int, i2: int) -> dict:
     """The elementary map sending row i1 into row i2 one step up and row i2
     back onto row i1 (lengths differing by one)."""
-    idx = {tag: k for k, tag in enumerate(real.basis)}
-    lam1 = real.diagram.rows[i1][0]
-    m = zeros(real.n)
-    for a in range(lam1):
-        m[idx[(i2, a + 1)]][idx[(i1, a)]] = 1
-        m[idx[(i1, a)]][idx[(i2, a)]] = 1
-    return freeze(m)
+    m = {}
+    for a in range(real.diagram.rows[i1][0]):
+        m[idx[(i2, a + 1)], idx[(i1, a)]] = 1
+        m[idx[(i1, a)], idx[(i2, a)]] = 1
+    return m
 
 
-def _row_restriction(real: MatrixRealization, rows: set[int]) -> Matrix:
-    idx = {tag: k for k, tag in enumerate(real.basis)}
-    m = zeros(real.n)
+def _row_restriction(real: MatrixRealization, idx, rows: set[int]) -> dict:
+    m = {}
     for i in rows:
-        length = real.diagram.rows[i][0]
-        for a in range(length - 1):
-            m[idx[(i, a + 1)]][idx[(i, a)]] = 1
-    return freeze(m)
+        for a in range(real.diagram.rows[i][0] - 1):
+            m[idx[(i, a + 1)], idx[(i, a)]] = 1
+    return m
 
 
 def find_adjacent_rows(diagram: AbDiagram) -> Optional[tuple[int, int]]:
@@ -658,19 +642,19 @@ def commuting_witness(
     lam2 = real.diagram.rows[i2][0]
     if lam1 + 1 != lam2:
         raise NoAdjacentLengths(f"rows have lengths {lam1}, {lam2}")
-    used = {i1, i2}
+    pairs = [(i1, i2)]
     if real.pair_type is PairType.AII:
         if real.alphas[i1] != real.alphas[i2]:
             i1 = real.partners[i1]
-        b1, b2 = real.partners[i1], real.partners[i2]
-        used = {i1, i2, b1, b2}
-        witness = linalg.mat_add(_partial_shift(real, i1, i2), _partial_shift(real, b1, b2))
-    else:
-        witness = _partial_shift(real, i1, i2)
-    others = set(range(len(real.diagram.rows))) - used
-    witness = linalg.mat_add(witness, _row_restriction(real, others))
-    _require(commutator(real.e, witness) == freeze(zeros(real.n)), "[e, w] = 0")
-    _require(real.theta(witness) == mat_scale(-1, witness), "theta(w) = -w")
+        pairs = [(i1, i2), (real.partners[i1], real.partners[i2])]
+    others = set(range(len(real.diagram.rows))) - {i for pair in pairs for i in pair}
+    idx = {tag: k for k, tag in enumerate(real.basis)}
+    w = _add(*[(1, _partial_shift(real, idx, *pair)) for pair in pairs],
+             (1, _row_restriction(real, idx, others)))
+    _require(not _bracket(_sparse(real.e), w), "[e, w] = 0")
+    theta_w = _theta(w, _sparse(real.d_matrix), _sparse(real.form))
+    _require(theta_w == _add((-1, w)), "theta(w) = -w")
+    witness = _dense(real.n, w)
     _require(
         _dominates_strictly(jordan_type(witness), real.diagram.partition),
         "Jordan type of w strictly dominates the diagram",

@@ -1,7 +1,7 @@
 import json
 
 from nilcomm import oracle
-from nilcomm.cli import main
+from nilcomm.cli import build_parser, main
 
 
 def run(capsys, *args):
@@ -108,6 +108,31 @@ def test_config_file(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "invariants", "AI", "2,1")
     assert code == 0
     assert json.loads(out)["defect"] == 1
+
+
+def test_config_file_read_on_every_call(capsys, tmp_path, monkeypatch):
+    """One parser serves every call; each call reads the config file named
+    then, and a flag on the command line still wins."""
+    text_cfg, json_cfg = tmp_path / "text.json", tmp_path / "json.json"
+    text_cfg.write_text(json.dumps({"format": "text", "bound": 2}))
+    json_cfg.write_text(json.dumps({"format": "json"}))
+    monkeypatch.setenv("NILCOMM_CONFIG", str(json_cfg))
+    code, out, _ = run(capsys, "enumerate", "AI", "3")
+    assert code == 0 and json.loads(out) == ["3", "2,1", "1,1,1"]
+    monkeypatch.setenv("NILCOMM_CONFIG", str(text_cfg))
+    code, out, err = run(capsys, "enumerate", "AI", "3")
+    assert code == 2 and not out and "bound" in err
+    code, out, _ = run(capsys, "--bound", "5", "enumerate", "AI", "3")
+    assert code == 0 and out.splitlines() == ["3", "2,1", "1,1,1"]
+    code, out, _ = run(capsys, "--bound", "5", "--format", "json", "enumerate", "AI", "3")
+    assert code == 0 and json.loads(out) == ["3", "2,1", "1,1,1"]
+    monkeypatch.setenv("NILCOMM_CONFIG", str(json_cfg))
+    code, out, _ = run(capsys, "--format", "text", "enumerate", "AI", "3")
+    assert code == 0 and out.splitlines() == ["3", "2,1", "1,1,1"]
+    monkeypatch.delenv("NILCOMM_CONFIG")
+    code, out, _ = run(capsys, "enumerate", "AI", "3")
+    assert code == 0 and out.splitlines() == ["3", "2,1", "1,1,1"]
+    assert build_parser() is build_parser()
 
 
 def test_invalid_diagrams_rejected_with_reasons(capsys):

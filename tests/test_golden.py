@@ -1,0 +1,69 @@
+"""Golden CLI transcript: every command in tests/golden/commands.json is
+replayed through ``cli.main`` and its exit code, stdout and stderr must match
+the recorded ones byte for byte.  The usage errors that argparse reports
+itself are recorded as Python 3.11 words them.
+
+Regenerate the recorded outputs (only after checking that a change of output
+is intended) with:
+
+    PYTHONPATH=src python tests/test_golden.py --update
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from nilcomm.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
+
+
+def _replay(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _recorded(name, stream):
+    path = GOLDEN / f"{name}.{stream}"
+    return path.read_text(encoding="utf-8") if path.exists() else ""
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_transcript(case, monkeypatch):
+    # argparse wraps its usage lines at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("NILCOMM_CONFIG", raising=False)
+    code, out, err = _replay(case["argv"])
+    assert code == case["exit"]
+    assert out == _recorded(case["name"], "stdout")
+    assert err == _recorded(case["name"], "stderr")
+
+
+def _update():
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("NILCOMM_CONFIG", None)
+    for case in CASES:
+        code, out, err = _replay(case["argv"])
+        case["exit"] = code
+        for stream, text in (("stdout", out), ("stderr", err)):
+            path = GOLDEN / f"{case['name']}.{stream}"
+            if text:
+                path.write_text(text, encoding="utf-8")
+            elif path.exists():
+                path.unlink()
+    text = "[\n" + ",\n".join(json.dumps(case) for case in CASES) + "\n]\n"
+    (GOLDEN / "commands.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden.py --update")
+    _update()

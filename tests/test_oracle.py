@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
+import dense_reference as dense
 import nilcomm
 
 from nilcomm import linalg, oracle
@@ -60,7 +62,7 @@ def test_realize_bdi_gamma5():
     assert oracle.dim_graded(real, 0, -1) == 1
     assert oracle.defect_oracle(real) == 1
     # trace of the involution sign matrix is p - q
-    assert linalg.trace(real.d_matrix) == 1
+    assert dense.trace(real.d_matrix) == 1
 
 
 def test_realize_rejects_single_even_bdi_row():
@@ -94,10 +96,35 @@ def test_jordan_type_round_trip():
 
 
 def test_jordan_type_zero_and_errors():
-    assert oracle.jordan_type(linalg.freeze(linalg.zeros(3))) == (1, 1, 1)
+    assert oracle.jordan_type(dense.freeze(dense.zeros(3))) == (1, 1, 1)
     assert oracle.jordan_type(()) == ()
     with pytest.raises(NotNilpotent):
-        oracle.jordan_type(linalg.identity(2))
+        oracle.jordan_type(dense.identity(2))
+
+
+def test_jordan_type_matches_dense_reference():
+    """On e, f and every witness of every valid diagram with n <= 8."""
+    for n in range(0, 9):
+        for pt, prm in every_params(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                real = oracle.realize(diagram, pt, prm)
+                matrices = [real.e, real.f]
+                if pt in (PairType.AI, PairType.AII) and oracle.find_adjacent_rows(diagram):
+                    matrices.append(oracle.commuting_witness(real))
+                for m in matrices:
+                    assert oracle.jordan_type(m) == dense.jordan_type(m), (pt, prm, diagram.text())
+
+
+@st.composite
+def strictly_upper_triangular(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+    return tuple(tuple(draw(entry) if c > r else 0 for c in range(n)) for r in range(n))
+
+
+@given(strictly_upper_triangular())
+def test_jordan_type_of_triangular_matrices_matches_dense_reference(m):
+    assert oracle.jordan_type(m) == dense.jordan_type(m)
 
 
 def test_ab_label_recovery():
@@ -133,8 +160,8 @@ def test_witness_ai_21():
     real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
     w = oracle.commuting_witness(real)
     assert oracle.jordan_type(w) == (3,)
-    assert linalg.commutator(real.e, w) == linalg.freeze(linalg.zeros(3))
-    assert real.theta(w) == linalg.mat_scale(-1, w)
+    assert dense.commutator(real.e, w) == dense.freeze(dense.zeros(3))
+    assert real.theta(w) == dense.mat_scale(-1, w)
 
 
 def test_witness_aii_2211():
@@ -143,19 +170,87 @@ def test_witness_aii_2211():
     assert oracle.jordan_type(w) == (3, 3)
 
 
+# one realization of each type, and the identity that fails first when one of
+# its matrices is doubled
+TAMPER_CASES = [
+    ("2,1", PairType.AI, PairParams(3)),
+    ("2,2,1,1", PairType.AII, PairParams(6)),
+    ("ab/a", PairType.AIII, PairParams(3, (2, 1))),
+    ("aba/a/b", PairType.BDI, PairParams(5, (3, 2))),
+    ("abab/ba", PairType.CI, PairParams(6)),
+    ("ab/ab/ba/ba", PairType.CII, PairParams(8, (4, 4))),
+    ("aba/bab", PairType.DIII, PairParams(6)),
+]
+FIRST_FAILURE = {
+    "e": "[e, f] = h",
+    "h": "[h, e] = 2e",
+    "f": "[e, f] = h",
+    "form": "form T is a signed permutation",
+    "d_matrix": "theta(e) = -e",
+}
+
+
 def test_tampered_realization_fails_its_checks():
     real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
-    bad_h = dataclasses.replace(real, h=linalg.mat_scale(2, real.h))
+    bad_h = dataclasses.replace(real, h=dense.mat_scale(2, real.h))
     with pytest.raises(OracleCheckFailed, match=r"\[h, e\] = 2e"):
         oracle._check_realization(bad_h)
-    bad_e = dataclasses.replace(real, e=linalg.transpose(real.e))
+    bad_e = dataclasses.replace(real, e=dense.transpose(real.e))
     with pytest.raises(OracleCheckFailed, match=r"\[e, w\] = 0"):
         oracle.commuting_witness(bad_e)
+    tampered = 0
+    for text, pt, prm in TAMPER_CASES:
+        real = oracle.realize(parse(text), pt, prm)
+        oracle._check_realization(real)
+        for field, identity in FIRST_FAILURE.items():
+            m = getattr(real, field)
+            if m is None:
+                continue
+            bad = dataclasses.replace(real, **{field: dense.mat_scale(2, m)})
+            with pytest.raises(OracleCheckFailed) as exc:
+                oracle._check_realization(bad)
+            assert str(exc.value) == f"identity fails: {identity}", (pt, field)
+            tampered += 1
+    assert tampered == 7 * 3 + 6 + 5
+
+
+def test_form_checks_name_their_identity():
+    """Signed permutations T that break only the symmetry of the form, its
+    compatibility with the triple, or with the involution."""
+    real = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
+    t = real.form
+    assert t[3][3] == t[4][4] == 1  # rows a and b of length 1 are self-coupled
+    cross = t[:3] + ((0, 0, 0, 0, 1), (0, 0, 0, 1, 0))
+    for form, identity in [
+        (t[::-1], "T^t = eps T"),
+        (dense.identity(5), "e^t T = -eta T e"),
+        (cross, "D^t T D = xi T"),
+    ]:
+        with pytest.raises(OracleCheckFailed) as exc:
+            oracle._check_realization(dataclasses.replace(real, form=form))
+        assert str(exc.value) == f"identity fails: {identity}"
+
+
+def test_every_form_is_a_signed_permutation():
+    """T has one entry +-1 in each row and column, so T T^t = I, for every
+    valid diagram with n <= 8 of every type with a form."""
+    checked = 0
+    for n in range(1, 9):
+        for pt, prm in every_params(n):
+            if pt is PairType.AIII:
+                continue
+            for d in enumerate_diagrams(pt, prm):
+                t = oracle.realize(d, pt, prm).form
+                assert all(sum(1 for v in row if v) == 1 for row in t)
+                assert all(v in (0, 1, -1) for row in t for v in row)
+                assert dense.mat_mul(t, dense.transpose(t)) == dense.identity(n)
+                checked += 1
+    assert checked == 350
 
 
 OPTIMIZED_CHECKS = """
 import dataclasses
-from nilcomm import linalg, oracle
+from nilcomm import oracle
 from nilcomm.diagrams import PairParams, PairType, parse
 from nilcomm.errors import OracleCheckFailed
 
@@ -163,8 +258,11 @@ if __debug__:
     raise SystemExit("expected python -O")
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
 for tampered, check in [
-    (dataclasses.replace(real, h=linalg.mat_scale(2, real.h)), oracle._check_realization),
-    (dataclasses.replace(real, e=linalg.transpose(real.e)), oracle.commuting_witness),
+    (dataclasses.replace(real, h=tuple(tuple(2 * v for v in row) for row in real.h)),
+     oracle._check_realization),
+    (dataclasses.replace(real, form=tuple(tuple(2 * v for v in row) for row in real.form)),
+     oracle._check_realization),
+    (dataclasses.replace(real, e=tuple(zip(*real.e))), oracle.commuting_witness),
 ]:
     try:
         check(tampered)
@@ -185,6 +283,7 @@ def test_oracle_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "identity fails: [h, e] = 2e",
+        "identity fails: form T is a signed permutation",
         "identity fails: [e, w] = 0",
     ]
 
@@ -277,9 +376,9 @@ def _reference_maps(real):
     units = []
     for r in range(n):
         for c in range(n):
-            u = linalg.zeros(n)
+            u = dense.zeros(n)
             u[r][c] = 1
-            units.append(linalg.freeze(u))
+            units.append(dense.freeze(u))
 
     def rows_of(image):
         imgs = [image(u) for u in units]
@@ -289,17 +388,17 @@ def _reference_maps(real):
                 for i in range(len(imgs[0])) for j in range(len(imgs[0][0]))]
 
     maps = {
-        "e": rows_of(lambda x: linalg.commutator(real.e, x)),
-        "f": rows_of(lambda x: linalg.commutator(real.f, x)),
-        "h": rows_of(lambda x: linalg.commutator(real.h, x)),
+        "e": rows_of(lambda x: dense.commutator(real.e, x)),
+        "f": rows_of(lambda x: dense.commutator(real.f, x)),
+        "h": rows_of(lambda x: dense.commutator(real.h, x)),
         "theta": rows_of(real.theta),
     }
     if real.pair_type in oracle.A_TYPES:
-        maps["g"] = rows_of(lambda x: ((linalg.trace(x),),))
+        maps["g"] = rows_of(lambda x: ((dense.trace(x),),))
     else:
         t = real.form
-        maps["g"] = rows_of(lambda x: linalg.mat_add(linalg.mat_mul(linalg.transpose(x), t),
-                                                     linalg.mat_mul(t, x)))
+        maps["g"] = rows_of(lambda x: dense.mat_add(dense.mat_mul(dense.transpose(x), t),
+                                                    dense.mat_mul(t, x)))
     return maps
 
 
@@ -320,10 +419,10 @@ def _reference_rows(maps, m, degree, sigma):
 def _reference_basis(rows, n):
     basis = []
     for vec in linalg.nullspace(rows, n * n):
-        m = linalg.zeros(n)
+        m = dense.zeros(n)
         for k, v in vec.items():
             m[k // n][k % n] = v
-        basis.append(linalg.freeze(m))
+        basis.append(dense.freeze(m))
     return basis
 
 
