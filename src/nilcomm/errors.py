@@ -29,10 +29,6 @@ class EmptyDiagram(NilcommError):
     """Operation needs a nonempty diagram."""
 
 
-class EvenRowPresent(NilcommError):
-    """Column profile is only defined for diagrams with all rows of odd length."""
-
-
 class ShapeMismatch(NilcommError):
     """Diagrams live in different posets (size, signature or representation)."""
 

@@ -3,10 +3,15 @@
 The centralizer of the standard triple of an orbit decomposes, one reductive
 symmetric pair per occupied row length; which pair occurs is dictated by the
 pair type and the parity of the length.  Defect, torus dimensions and
-distinguishedness all read off these descriptors.  dim p^e has closed forms
-for some families and otherwise delegates to the exact matrix oracle; every
-combinatorial path here is cross-certified against the oracle by the test
-suite.
+distinguishedness all read off these descriptors.
+
+dim p^e is one graded count for every pair type: dim p^e = sum over i >= 0 of
+dim p(e,i) = dim p(i,h) - dim k(i+2,h).  The centralizer g^e lies in the
+nonnegative ad h-weights, and by sl2 theory ad e maps g(i,h) onto g(i+2,h) for
+i >= -1; as e lies in p it maps p(i,h) onto k(i+2,h) (Kostant-Rallis).  The
+dimensions of p(j,h) and k(j,h) are counted on the cells of the diagram, so
+no matrix is built here; the test suite certifies every count against the
+exact matrix oracle.
 """
 
 from __future__ import annotations
@@ -14,11 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import oracle
-from .diagrams import AbDiagram, PairParams, PairType
-from .errors import EmptyDiagram, EvenRowPresent
-
-A_TYPES = (PairType.AI, PairType.AII, PairType.AIII)
+from .diagrams import AbDiagram, PairParams, PairType, validate
+from .errors import EmptyDiagram, UnrealizableDiagram
 
 
 @dataclass(frozen=True)
@@ -186,31 +188,31 @@ def _cells(diagram: AbDiagram) -> list[tuple[int, int]]:
     return out
 
 
-def graded_theta_dims(diagram: AbDiagram, pair_type: PairType, j: int) -> tuple[int, int]:
-    """(dim k(j,h), dim p(j,h)): the theta-eigenspace dimensions of the weight-j
-    part of the ambient algebra, counted on cells of the diagram."""
+def _theta_dims(diagram: AbDiagram, pair_type: PairType, lo: int, hi: int) -> tuple[int, int]:
+    """(dim k, dim p) of the ambient algebra summed over the ad h-weights
+    lo <= j <= hi, counted on cells of the diagram."""
     cells = _cells(diagram)
-    cut = 1 if (j == 0 and cells) else 0  # remove the trace direction of gl
-    if pair_type in A_TYPES:
-        if pair_type is PairType.AIII:
-            nk = np = 0
-            for mu_k, d_k in cells:
-                for mu_l, d_l in cells:
-                    if mu_k - mu_l == j:
-                        if d_k * d_l == 1:
-                            nk += 1
-                        else:
-                            np += 1
-            return (nk - cut, np)
-        # AI/AII: theta permutes the matrix-unit basis; its fixed elements are
-        # the units E_{k, dual(k)}, of weight 2*mu_k, all with sign -1 (AI)
-        # or +1 (AII)
+    cut = 1 if (lo <= 0 <= hi and cells) else 0  # remove the trace direction of gl
+    if pair_type is PairType.AIII:
+        nk = np = 0
+        for mu_k, d_k in cells:
+            for mu_l, d_l in cells:
+                if lo <= mu_k - mu_l <= hi:
+                    if d_k * d_l == 1:
+                        nk += 1
+                    else:
+                        np += 1
+        return (nk - cut, np)
+    if pair_type in (PairType.AI, PairType.AII):
+        # theta permutes the matrix-unit basis; its fixed elements are the
+        # units E_{k, dual(k)}, of weight 2*mu_k, all with sign -1 (AI) or +1
+        # (AII)
         total = 0
         for mu_k, _ in cells:
             for mu_l, _ in cells:
-                if mu_k - mu_l == j:
+                if lo <= mu_k - mu_l <= hi:
                     total += 1
-        fixed = sum(1 for mu, _ in cells if 2 * mu == j)
+        fixed = sum(1 for mu, _ in cells if lo <= 2 * mu <= hi)
         if pair_type is PairType.AI:
             nk, np = (total - fixed) // 2, (total + fixed) // 2
         else:
@@ -226,7 +228,7 @@ def graded_theta_dims(diagram: AbDiagram, pair_type: PairType, j: int) -> tuple[
         for idx_l, (mu_l, d_l) in enumerate(cells):
             if idx_l < idx_k or (idx_l == idx_k and not sym):
                 continue
-            if mu_k + mu_l != j:
+            if not lo <= mu_k + mu_l <= hi:
                 continue
             if xi_tilde * d_k * d_l == 1:
                 nk += 1
@@ -238,27 +240,16 @@ def graded_theta_dims(diagram: AbDiagram, pair_type: PairType, j: int) -> tuple[
 def dim_p_graded(diagram: AbDiagram, pair_type: PairType, i: int) -> int:
     """dim p(e,i) for i >= 0: the raising map is onto, so the kernel dimension
     is dim p(i,h) - dim k(i+2,h)."""
-    _k_i, p_i = graded_theta_dims(diagram, pair_type, i)
-    k_next, _p_next = graded_theta_dims(diagram, pair_type, i + 2)
+    _k_i, p_i = _theta_dims(diagram, pair_type, i, i)
+    k_next, _p_next = _theta_dims(diagram, pair_type, i + 2, i + 2)
     return p_i - k_next
 
 
 def dim_k_graded(diagram: AbDiagram, pair_type: PairType, i: int) -> int:
     """dim k(e,i) for i >= 0."""
-    k_i, _p_i = graded_theta_dims(diagram, pair_type, i)
-    _k_next, p_next = graded_theta_dims(diagram, pair_type, i + 2)
+    k_i, _p_i = _theta_dims(diagram, pair_type, i, i)
+    _k_next, p_next = _theta_dims(diagram, pair_type, i + 2, i + 2)
     return k_i - p_next
-
-
-def k_profile(diagram: AbDiagram) -> tuple[int, ...]:
-    """Column profile of an all-odd-rows diagram: entry j is the length of
-    column 2j+1, i.e. the number of rows of length >= 2j+1."""
-    if any(d % 2 == 0 for d, _s in diagram.rows):
-        raise EvenRowPresent("profile needs all rows of odd length")
-    if not diagram.rows:
-        return ()
-    top = (diagram.rows[0][0] + 1) // 2
-    return tuple(sum(1 for d, _s in diagram.rows if d >= 2 * j + 1) for j in range(top))
 
 
 @dataclass(frozen=True)
@@ -294,53 +285,15 @@ def ambient_dims(pair_type: PairType, params: PairParams) -> AmbientDims:
 
 @lru_cache(maxsize=None)
 def dim_p_cent(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
-    """dim p^e.  Closed forms: AI for every partition; AIII by counting the
-    theta-negative part of the commutant; BDI with all rows odd and CI with
-    all rows even (the element is then even and dim g^h is a column-profile
-    count).  Any other shape goes to the matrix oracle."""
-    if pair_type is PairType.AI:
-        return sum(j * d for j, (d, _s) in enumerate(diagram.rows, start=1)) - (
-            1 if diagram.rows else 0
-        )
-    if pair_type is PairType.AIII:
-        return _dim_p_cent_a3(diagram)
-    amb = ambient_dims(pair_type, params)
-    dim_g = amb.dim_p + amb.dim_k
-    if pair_type is PairType.BDI and all(d % 2 == 1 for d, _s in diagram.rows):
-        # even element: dim p^e = dim p - (dim g - dim g^h)/2, with g^h given
-        # by the column profile (orthogonal piece in degree 0, gl above)
-        prof = k_profile(diagram)
-        k0 = prof[0] if prof else 0
-        dim_gh = k0 * (k0 - 1) // 2 + sum(k * k for k in prof[1:])
-        return amb.dim_p - (dim_g - dim_gh) // 2
-    if pair_type is PairType.CI and all(d % 2 == 0 for d, _s in diagram.rows):
-        # even element with all weights of V odd: g^h is a sum of gl blocks
-        weights = []
-        j = 0
-        while True:
-            w = sum(1 for d, _s in diagram.rows if d >= 2 * j + 2)
-            if w == 0:
-                break
-            weights.append(w)
-            j += 1
-        dim_gh = sum(w * w for w in weights)
-        return amb.dim_p - (dim_g - dim_gh) // 2
-    return oracle.dim_p_cent_oracle(oracle.realize(diagram, pair_type, params))
-
-
-def _dim_p_cent_a3(diagram: AbDiagram) -> int:
-    """Count commutant basis maps between rows whose involution sign is -1."""
-    total = 0
-    for d1, s1 in diagram.rows:
-        for d2, s2 in diagram.rows:
-            lo = max(0, d2 - d1)
-            length = min(d1, d2)
-            # shifts r in [lo, lo+length) with sign s1*s2*(-1)^r = -1
-            want_odd = s1 == s2
-            first = lo if (lo % 2 == 1) == want_odd else lo + 1
-            if first < lo + length:
-                total += (lo + length - first + 1) // 2
-    return total
+    """dim p^e as one graded count: the sum over i >= 0 of dim p(e,i) =
+    dim p(i,h) - dim k(i+2,h), since g^e has nonnegative weights and ad e maps
+    p(i,h) onto k(i+2,h).  Weights never exceed 2n.  Raises
+    UnrealizableDiagram, naming the violations, for an invalid diagram."""
+    violations = validate(diagram, pair_type, params)
+    if violations:
+        raise UnrealizableDiagram("; ".join(str(v) for v in violations))
+    top = 2 * diagram.n
+    return _theta_dims(diagram, pair_type, 0, top)[1] - _theta_dims(diagram, pair_type, 2, top)[0]
 
 
 def dim_orbit(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:

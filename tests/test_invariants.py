@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import nilcomm
 from nilcomm import oracle
 from nilcomm.diagrams import (
     AbDiagram,
@@ -9,7 +14,7 @@ from nilcomm.diagrams import (
     params_for,
     parse,
 )
-from nilcomm.errors import EmptyDiagram, EvenRowPresent
+from nilcomm.errors import EmptyDiagram, UnrealizableDiagram
 from nilcomm.invariants import (
     ambient_dims,
     centralizer_pairs,
@@ -24,7 +29,6 @@ from nilcomm.invariants import (
     is_almost_distinguished,
     is_distinguished,
     is_even,
-    k_profile,
     orbit_invariants,
 )
 
@@ -95,12 +99,45 @@ def test_dim_p_cent_closed_forms():
     assert dim_p_cent(G5, PairType.BDI, BDI_5) == 3
 
 
-def test_k_profile():
-    assert k_profile(G5) == (3, 1)
-    assert k_profile(parse("ababa")) == (1, 1, 1)
-    assert k_profile(parse("a/a/b")) == (3,)
-    with pytest.raises(EvenRowPresent):
-        k_profile(parse("abab/a/b"))
+def test_dim_p_cent_rejects_invalid_diagrams():
+    bdi_22 = PairParams(4, (2, 2))
+    with pytest.raises(UnrealizableDiagram, match="^SizeMismatch: diagram has 3 cells"):
+        dim_p_cent(parse("2,1"), PairType.AI, PairParams(4))
+    with pytest.raises(UnrealizableDiagram, match=r"^SignatureMismatch: letter counts \(3, 1\)"):
+        dim_p_cent(parse("aba/a"), PairType.BDI, bdi_22)
+    with pytest.raises(UnrealizableDiagram) as exc:
+        dim_p_cent(parse("ab/ab"), PairType.BDI, bdi_22)
+    assert str(exc.value) == "ParityViolation: even length needs a_2=b_2, got (2,0)"
+
+
+def test_dim_p_cent_matches_oracle_n9_n10():
+    """The graded count equals the oracle's kernel dimension beyond the
+    n <= 8 sweep of the acceptance criteria."""
+    checked = 0
+    for n in (9, 10):
+        for pt in PairType:
+            if pt.needs_even_n and n % 2:
+                continue
+            for prm in signed_params(pt, n) if pt.has_signature else [PairParams(n)]:
+                for d in enumerate_diagrams(pt, prm):
+                    real = oracle.realize(d, pt, prm)
+                    assert dim_p_cent(d, pt, prm) == oracle.dim_p_cent_oracle(real), (pt, d)
+                    checked += 1
+    assert checked == 1184
+
+
+def test_classification_layers_do_not_import_oracle():
+    src = os.path.dirname(os.path.dirname(nilcomm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, nilcomm.components; "
+        "print(sorted(m for m in ('nilcomm.oracle', 'nilcomm.linalg') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ambient_dims_certified_against_oracle():
