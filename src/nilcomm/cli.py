@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: enumerate, invariants, closure-graph, reduce, components,
-selflarge, exceptional, verify.  Output format is text, json or dot
-(closure-graph only).  Exit codes: 0 success, 1 failed verification or
-violated claim, 2 usage error.
+selflarge, exceptional, verify (which runs ``oracle.certify``).  Output
+format is text, json or dot (closure-graph only).  Exit codes: 0 success,
+1 failed verification or violated claim, 2 usage error.
 
 Configuration can also come from a JSON file named by $NILCOMM_CONFIG with
 keys "bound", "seed", "format", read on every call; a flag given on the
@@ -13,7 +13,6 @@ command line overrides it.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -29,10 +28,9 @@ from .diagrams import (
     enumerate_diagrams,
     params_for,
     parse as parse_diagram,
-    partitions,
     validate,
 )
-from .errors import ClaimViolated, NilcommError, UnrealizableDiagram
+from .errors import ClaimViolated, NilcommError
 
 
 def _load_config() -> dict:
@@ -171,65 +169,11 @@ def _cmd_exceptional(args) -> int:
     return 0
 
 
-def _all_params_up_to(bound: int):
-    for n in range(0, bound + 1):
-        for pt in PairType:
-            if pt.needs_even_n and n % 2:
-                continue
-            if pt.has_signature:
-                step = 2 if pt is PairType.CII else 1
-                for p in range(0, n + 1, step):
-                    if (n - p) % step == 0:
-                        yield pt, PairParams(n, (p, n - p))
-            else:
-                yield pt, PairParams(n)
-
-
 def _cmd_verify(args) -> int:
-    """Certify the combinatorial layer against the matrix oracle, check the
-    embedded exceptional tables, and run the verified-rank-bound grid."""
-    failures = []
-    checked = 0
-    for pt, prm in _all_params_up_to(args.cert_bound):
-        valid = set(enumerate_diagrams(pt, prm))
-        seen = set()
-        for part in partitions(prm.n):
-            if pt.uses_letters:
-                assigns = itertools.product("ab", repeat=len(part))
-            else:
-                assigns = [(None,) * len(part)]
-            for letters in assigns:
-                if pt.uses_letters:
-                    diagram = AbDiagram.from_rows(zip(part, letters))
-                else:
-                    diagram = AbDiagram.from_partition(part)
-                if diagram in seen:
-                    continue
-                seen.add(diagram)
-                try:
-                    real = oracle.realize(diagram, pt, prm)
-                    realizable = True
-                except UnrealizableDiagram:
-                    realizable = False
-                if realizable != (diagram in valid):
-                    failures.append(
-                        f"{pt.value} {prm}: {diagram.text()!r} realizable={realizable} "
-                        f"valid={diagram in valid}"
-                    )
-                    continue
-                if not realizable:
-                    continue
-                checked += 1
-                if oracle.jordan_type(real.e) != diagram.partition:
-                    failures.append(f"{pt.value} {prm}: jordan type mismatch {diagram.text()!r}")
-                if invariants.dim_p_cent(diagram, pt, prm) != oracle.dim_p_cent_oracle(real):
-                    failures.append(f"{pt.value} {prm}: dim p^e mismatch {diagram.text()!r}")
-                if invariants.dim_p0(diagram, pt) != oracle.dim_graded(real, 0, -1):
-                    failures.append(f"{pt.value} {prm}: dim p(e,0) mismatch {diagram.text()!r}")
-                if diagram.rows and invariants.defect(diagram, pt) != oracle.defect_oracle(
-                    real, seed=args.seed
-                ):
-                    failures.append(f"{pt.value} {prm}: defect mismatch {diagram.text()!r}")
+    """Certify the combinatorial layer against the matrix oracle
+    (``oracle.certify``), check the embedded exceptional tables, and run the
+    verified-rank-bound grid."""
+    checked, failures = oracle.certify(args.cert_bound, args.seed)
     print(f"oracle certification: {checked} realizations checked, "
           f"{len(failures)} failures (bound {args.cert_bound})")
     for f in failures:

@@ -260,11 +260,6 @@ def parse(text: str) -> AbDiagram:
     return AbDiagram.from_partition(parts)
 
 
-def diagram_text(diagram: AbDiagram) -> str:
-    """Inverse of parse on canonical text."""
-    return diagram.text()
-
-
 # -- validity ---------------------------------------------------------------
 
 
@@ -362,15 +357,51 @@ def partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ..
             yield (head, *tail)
 
 
-def _letter_choices(pair_type: PairType, d: int, m: int) -> list[tuple[int, int]]:
-    """Admissible (a_d, b_d) splits of m rows of length d, a-count decreasing."""
-    odd = d % 2 == 1
-    allowed = []
-    for a in range(m, -1, -1):
-        b = m - a
-        if _parity_rules(pair_type, d, m, a, b) is None:
-            allowed.append((a, b))
-    return allowed
+def pairs_of_size(n: int, types=PairType) -> Iterator[tuple[PairType, PairParams]]:
+    """Every (type, params) with matrix size n: types in the given order,
+    signatures (p, n - p) by increasing p."""
+    for pt in types:
+        if pt.needs_even_n and n % 2:
+            continue
+        if pt.has_signature:
+            step = 2 if pt is PairType.CII else 1
+            for p in range(0, n + 1, step):
+                if (n - p) % step == 0:
+                    yield pt, PairParams(n, (p, n - p))
+        else:
+            yield pt, PairParams(n)
+
+
+def _every_split(d: int, m: int) -> list[tuple[int, int]]:
+    """Every (a_d, b_d) split of m rows of length d, a-count decreasing."""
+    return [(a, m - a) for a in range(m, -1, -1)]
+
+
+@functools.lru_cache(maxsize=1024)
+def _letter_choices(pair_type: PairType, d: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Admissible (a_d, b_d) splits of m rows of length d, a-count decreasing;
+    cached, as every partition of every pair asks again."""
+    return tuple(s for s in _every_split(d, m) if _parity_rules(pair_type, d, m, *s) is None)
+
+
+def _lettered(part: tuple[int, ...], choices) -> Iterator[AbDiagram]:
+    """The ab-diagrams of shape part whose (a_d, b_d) split of each length d
+    is one of choices(d, m_d), each once, in the order of the splits."""
+    mults = {d: part.count(d) for d in part}
+    blocks = [[((d, "a"),) * a + ((d, "b"),) * b for a, b in choices(d, m)]
+              for d, m in mults.items()]
+    for combo in itertools.product(*blocks):
+        yield AbDiagram(sum(combo, ()))
+
+
+def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
+    """Every diagram with n cells of the kind the type uses, valid or not,
+    each exactly once: plain partitions, or every letter split of each length."""
+    for part in partitions(n):
+        if pair_type.uses_letters:
+            yield from _lettered(part, _every_split)
+        else:
+            yield AbDiagram.from_partition(part)
 
 
 def enumerate_diagrams(
@@ -386,31 +417,16 @@ def enumerate_diagrams(
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagram, ...]:
-    out = []
-    want = _expected_letters(pair_type, params) if pair_type.uses_letters else None
-    for part in partitions(params.n):
-        mults = {}
-        for d in part:
-            mults[d] = mults.get(d, 0) + 1
-        if not pair_type.uses_letters:
-            diag = AbDiagram.from_partition(part)
-            if is_valid(diag, pair_type, params):
-                out.append(diag)
-            continue
-        lengths = sorted(mults, reverse=True)
-        per_length = [_letter_choices(pair_type, d, mults[d]) for d in lengths]
-        if any(not ch for ch in per_length):
-            continue
-        # the size holds by construction and _letter_choices applies the
-        # parity rules, so only the letter counts remain to be checked
-        for combo in itertools.product(*per_length):
-            rows = []
-            for d, (a, b) in zip(lengths, combo):
-                rows.extend([(d, "a")] * a + [(d, "b")] * b)
-            diag = AbDiagram.from_rows(rows)
-            if diag.letter_counts() == want:
-                out.append(diag)
-    return tuple(out)
+    if not pair_type.uses_letters:
+        return tuple(d for d in candidates(pair_type, params.n) if is_valid(d, pair_type, params))
+    # the size holds by construction and _letter_choices applies the parity
+    # rules, so only the letter counts remain to be checked
+    want = _expected_letters(pair_type, params)
+    choices = functools.partial(_letter_choices, pair_type)
+    return tuple(
+        d for part in partitions(params.n) for d in _lettered(part, choices)
+        if d.letter_counts() == want
+    )
 
 
 # -- column truncation and common rows ---------------------------------------

@@ -22,7 +22,8 @@ Each of e, h, f, the form T and D has at most one nonzero entry in each row
 and each column, and T is a signed permutation (one entry +-1 in each row and
 column), so T^-1 = T^t.  They are built, checked and multiplied as sparse
 matrices {(r, c): value} without zero entries, at O(n) per product; a
-realization stores them as dense tuples for its callers.
+realization stores them as dense tuples for its callers.  ``certify`` checks
+the formulas of ``invariants`` against them on every diagram up to a bound.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from functools import lru_cache
 from itertools import compress
 from typing import Optional
 
-from . import linalg
-from .diagrams import AbDiagram, PairParams, PairType
+from . import invariants, linalg
+from .diagrams import AbDiagram, PairParams, PairType, candidates, enumerate_diagrams, pairs_of_size
 from .errors import (
     NoAdjacentLengths,
     NotAlmostDistinguished,
@@ -678,3 +679,41 @@ def selflarge_test_7_4(real: MatrixRealization, seed: int = 0) -> bool:
     fm1 = g_f_minus1_basis(real)
     fixed = fixed_space_dim(p0, fm1)
     return fixed == 0 and dim_graded(real, 1, -1) > 0
+
+
+# -- the certification sweep --------------------------------------------------------
+
+
+def certify(bound: int, seed: int = 0) -> tuple[int, list[str]]:
+    """Every candidate diagram of every pair with n <= bound is realizable
+    exactly when it is valid, and on each realization the Jordan type of e,
+    dim p^e, dim p(e,0) (descriptor and graded count), dim p(e,1) and the
+    defect equal the oracle's.  Returns (realizations checked, failure lines)."""
+    checked, failures = 0, []
+    for n in range(bound + 1):
+        for pt, prm in pairs_of_size(n):
+            valid = set(enumerate_diagrams(pt, prm))
+            for d in candidates(pt, n):
+                try:
+                    real = realize(d, pt, prm)
+                except UnrealizableDiagram:
+                    real = None
+                if (real is not None) != (d in valid):
+                    failures.append(f"{pt.value} {prm}: {d.text()!r} realizable={real is not None} "
+                                    f"valid={d in valid}")
+                if real is None or d not in valid:
+                    continue
+                checked += 1
+                p0 = dim_graded(real, 0, -1)
+                checks = [
+                    ("jordan type", d.partition, jordan_type(real.e)),
+                    ("dim p^e", invariants.dim_p_cent(d, pt, prm), dim_p_cent_oracle(real)),
+                    ("dim p(e,0)", invariants.dim_p0(d, pt), p0),
+                    ("graded dim p(e,0)", invariants.dim_p_graded(d, pt, 0), p0),
+                    ("dim p(e,1)", invariants.dim_p_graded(d, pt, 1), dim_graded(real, 1, -1)),
+                ]
+                if d.rows:
+                    checks.append(("defect", invariants.defect(d, pt), defect_oracle(real, seed)))
+                failures.extend(f"{pt.value} {prm}: {what} mismatch {d.text()!r}"
+                                for what, formula, matrix in checks if formula != matrix)
+    return checked, failures

@@ -13,6 +13,7 @@ from nilcomm.diagrams import (
     PairParams,
     PairType,
     enumerate_diagrams,
+    pairs_of_size,
     params_for,
     parse,
 )
@@ -21,19 +22,6 @@ def report(num, name, ok, detail=""):
     print(f"\nACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}"
           + (f"  [{detail}]" if detail else ""))
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def every_params(n, types=None):
-    for pt in types or PairType:
-        if pt.needs_even_n and n % 2:
-            continue
-        if pt.has_signature:
-            step = 2 if pt is PairType.CII else 1
-            for p in range(0, n + 1, step):
-                if (n - p) % step == 0:
-                    yield pt, PairParams(n, (p, n - p))
-        else:
-            yield pt, PairParams(n)
 
 
 def test_criterion_1_exceptional_component_counts():
@@ -86,51 +74,8 @@ def test_criterion_3_rank_bounds_zero_unresolved():
 
 
 def test_criterion_4_oracle_equivalence():
-    import itertools
-
-    from nilcomm.diagrams import partitions
-    from nilcomm.errors import UnrealizableDiagram
-
     start = time.perf_counter()
-    checked = 0
-    failures = []
-    for n in range(0, 9):
-        for pt, prm in every_params(n):
-            valid = set(enumerate_diagrams(pt, prm))
-            seen = set()
-            for part in partitions(n):
-                if pt.uses_letters:
-                    assigns = itertools.product("ab", repeat=len(part))
-                else:
-                    assigns = [(None,) * len(part)]
-                for letters in assigns:
-                    if pt.uses_letters:
-                        d = AbDiagram.from_rows(zip(part, letters))
-                    else:
-                        d = AbDiagram.from_partition(part)
-                    if d in seen:
-                        continue
-                    seen.add(d)
-                    try:
-                        real = oracle.realize(d, pt, prm)
-                    except UnrealizableDiagram:
-                        real = None
-                    if (real is not None) != (d in valid):
-                        failures.append(("realizable vs valid", pt.value, d.text()))
-                        continue
-                    if real is None:
-                        continue
-                    checked += 1
-                    if invariants.dim_p_cent(d, pt, prm) != oracle.dim_p_cent_oracle(real):
-                        failures.append(("dim p^e", pt.value, d.text()))
-                    if invariants.dim_p_graded(d, pt, 0) != oracle.dim_graded(real, 0, -1):
-                        failures.append(("dim p(e,0) graded", pt.value, d.text()))
-                    if invariants.dim_p0(d, pt) != oracle.dim_graded(real, 0, -1):
-                        failures.append(("dim p(e,0) descriptor", pt.value, d.text()))
-                    if invariants.dim_p_graded(d, pt, 1) != oracle.dim_graded(real, 1, -1):
-                        failures.append(("dim p(e,1)", pt.value, d.text()))
-                    if d.rows and invariants.defect(d, pt) != oracle.defect_oracle(real):
-                        failures.append(("defect", pt.value, d.text()))
+    checked, failures = oracle.certify(8)
     elapsed = time.perf_counter() - start
     ok = not failures and checked > 700 and elapsed < 300
     report(4, "combinatorics equals matrix oracle (n <= 8)", ok,
@@ -193,7 +138,7 @@ def test_criterion_6_reduction_examples_and_motifs():
         failures.append("blocked CI example has a reduction")
     # motif matcher is equivalent to the exhaustive no-reduction search
     for n in range(2, 11):
-        for pt, prm in every_params(n, (PairType.BDI, PairType.CI)):
+        for pt, prm in pairs_of_size(n, (PairType.BDI, PairType.CI)):
             for d in enumerate_diagrams(pt, prm):
                 if not invariants.is_almost_distinguished(d, pt):
                     continue
@@ -237,7 +182,7 @@ def test_criterion_7_witness_suite():
             failures.append(("example", text))
     # degree-one part vanishes when no two lengths are adjacent (type A)
     for n in range(1, 11):
-        for pt, prm in every_params(n, (PairType.AI, PairType.AII, PairType.AIII)):
+        for pt, prm in pairs_of_size(n, (PairType.AI, PairType.AII, PairType.AIII)):
             if pt is PairType.AIII and n > 8:
                 continue
             for d in enumerate_diagrams(pt, prm):
@@ -255,7 +200,7 @@ def test_criterion_7_witness_suite():
 def test_criterion_8_self_large():
     failures = []
     for n in range(0, 9):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             for d in enumerate_diagrams(pt, prm):
                 table = selflarge.is_self_large(d, pt).verdict
                 via_oracle = selflarge.verify_self_large_criterion(d, pt, prm)

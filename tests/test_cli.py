@@ -1,7 +1,8 @@
 import json
 
-from nilcomm import oracle
+from nilcomm import invariants, oracle
 from nilcomm.cli import build_parser, main
+from nilcomm.diagrams import PairType, parse
 
 
 def run(capsys, *args):
@@ -99,6 +100,23 @@ def test_verify_small(capsys):
     # idempotent
     code2, out2, _ = run(capsys, "verify", "--cert-bound", "4")
     assert code2 == 0 and out2 == out
+
+
+def test_verify_reports_a_failed_certification(capsys, monkeypatch):
+    exact = invariants.dim_p_cent
+
+    def off_by_one(diagram, pair_type, params):
+        wrong = diagram == parse("2,1") and pair_type is PairType.AI
+        return exact(diagram, pair_type, params) + wrong
+
+    monkeypatch.setattr(invariants, "dim_p_cent", off_by_one)
+    line = "AI PairParams(n=3, signature=None): dim p^e mismatch '2,1'"
+    _checked, failures = oracle.certify(3)
+    assert failures == [line]
+    code, out, _ = run(capsys, "verify", "--cert-bound", "3")
+    assert code == 1
+    assert "  " + line in out.splitlines()
+    assert out.splitlines()[-1] == "verify: FAIL"
 
 
 def test_config_file(capsys, tmp_path, monkeypatch):

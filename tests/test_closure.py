@@ -21,6 +21,7 @@ from nilcomm.diagrams import (
     PairType,
     enumerate_diagrams,
     is_valid,
+    pairs_of_size,
     params_for,
     parse,
     truncate_columns,
@@ -85,19 +86,6 @@ def test_order_properties_small():
                 assert leq(a, c, pt)
 
 
-def every_pair(n):
-    for pt in PairType:
-        if pt.needs_even_n and n % 2:
-            continue
-        if pt.has_signature:
-            step = 2 if pt is PairType.CII else 1
-            for p in range(0, n + 1, step):
-                if (n - p) % step == 0:
-                    yield pt, PairParams(n, (p, n - p))
-        else:
-            yield pt, PairParams(n)
-
-
 def truncation_leq(g1, g2):
     """The order straight from its definition: every truncation of g1 has at
     most the cells (plain) or the a's and b's (ab) of that of g2."""
@@ -117,7 +105,7 @@ def test_truncation_profiles_injective():
     """The profile determines the diagram, which gives antisymmetry on every
     enumeration up to n = 10."""
     for n in range(1, 11):
-        for pt, prm in every_pair(n):
+        for pt, prm in pairs_of_size(n):
             diags = enumerate_diagrams(pt, prm)
             profiles = {closure._truncation_profile(d) for d in diags}
             assert len(profiles) == len(diags)
@@ -134,7 +122,7 @@ def test_minimal_degenerations_against_brute_force():
     here directly from truncations, in enumeration order, for every pair of
     every type and signature up to n = 8."""
     for n in range(0, 9):
-        for pt, prm in every_pair(n):
+        for pt, prm in pairs_of_size(n):
             diags = enumerate_diagrams(pt, prm)
             for g1 in diags:
                 assert minimal_degenerations(g1, pt, prm) == brute_force_covers(g1, diags), (
@@ -208,7 +196,7 @@ def test_find_reduction_does_not_recheck_the_order(monkeypatch):
     """Covers already lie strictly above, so find_reduction needs no lt."""
     cases = []
     for n in range(1, 9):
-        for pt, prm in every_pair(n):
+        for pt, prm in pairs_of_size(n):
             for d in enumerate_diagrams(pt, prm):
                 covers = minimal_degenerations(d, pt, prm)
                 tight = [c for c in covers if is_reduction(d, c, pt, prm)]

@@ -15,6 +15,7 @@ from nilcomm.diagrams import (
     PairParams,
     PairType,
     enumerate_diagrams,
+    pairs_of_size,
     params_for,
     parse,
 )
@@ -100,21 +101,12 @@ def test_eliminations_are_sound():
 
 def test_no_candidates_beyond_components_aiii_cii_diii():
     for n in range(1, 9):
-        for pt in (PairType.AIII, PairType.CII, PairType.DIII):
-            if pt.needs_even_n and n % 2:
-                continue
-            step = 2 if pt is PairType.CII else 1
-            if pt.has_signature:
-                paramss = [PairParams(n, (p, n - p)) for p in range(0, n + 1, step)
-                           if (n - p) % step == 0]
-            else:
-                paramss = [PairParams(n)]
-            for prm in paramss:
-                report = classify_components(pt, prm)
-                assert not report.eliminated
-                assert not report.unresolved
-                for c in report.components:
-                    assert not c.diagram.rows or is_distinguished(c.diagram, pt)
+        for pt, prm in pairs_of_size(n, (PairType.AIII, PairType.CII, PairType.DIII)):
+            report = classify_components(pt, prm)
+            assert not report.eliminated
+            assert not report.unresolved
+            for c in report.components:
+                assert not c.diagram.rows or is_distinguished(c.diagram, pt)
 
 
 def test_reports_deterministic():

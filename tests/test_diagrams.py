@@ -7,8 +7,9 @@ from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
     PairType,
-    diagram_text,
+    candidates,
     enumerate_diagrams,
+    pairs_of_size,
     params_for,
     parse,
     partitions,
@@ -185,23 +186,48 @@ def test_enumeration_matches_brute_force_signed(pair_type):
             assert set(got) == expected
 
 
+def test_candidates_each_diagram_once_against_brute_force():
+    """Every diagram of each size exactly once, against every partition times
+    every per-row letter assignment (n <= 8)."""
+    total = 0
+    for n in range(0, 9):
+        plain = {AbDiagram.from_partition(part) for part in partitions(n)}
+        lettered = {
+            AbDiagram.from_rows(zip(part, letters))
+            for part in partitions(n)
+            for letters in itertools.product("ab", repeat=len(part))
+        }
+        for pair_type, _params in pairs_of_size(n):
+            got = list(candidates(pair_type, n))
+            assert len(got) == len(set(got)), (pair_type, n)
+            assert set(got) == (lettered if pair_type.uses_letters else plain)
+            total += len(got)
+    assert total == 8668
+
+
+def test_pairs_of_size_counts():
+    for n in range(0, 13):
+        got = {}
+        for pair_type, params in pairs_of_size(n):
+            params.check(pair_type)
+            assert params.n == n
+            got[pair_type] = got.get(pair_type, 0) + 1
+        want = {PairType.AI: 1, PairType.AIII: n + 1, PairType.BDI: n + 1}
+        if n % 2 == 0:
+            want.update({PairType.AII: 1, PairType.CI: 1, PairType.DIII: 1,
+                         PairType.CII: n // 2 + 1})
+        assert got == want
+
+
 def test_enumerated_diagrams_all_validate():
     for n in range(0, 11):
-        for pair_type in PairType:
-            if pair_type.needs_even_n and n % 2:
-                continue
-            if pair_type.has_signature:
-                step = 2 if pair_type is PairType.CII else 1
-                sigs = [(p, n - p) for p in range(0, n + 1, step) if (n - p) % step == 0]
-            else:
-                sigs = [None]
-            for sig in sigs:
-                params = PairParams(n, sig)
-                for d in enumerate_diagrams(pair_type, params):
-                    assert validate(d, pair_type, params) == []
-                    if pair_type.uses_letters and d.rows:
-                        want = sig if sig else (n // 2, n // 2)
-                        assert d.letter_counts() == want
+        for pair_type, params in pairs_of_size(n):
+            sig = params.signature
+            for d in enumerate_diagrams(pair_type, params):
+                assert validate(d, pair_type, params) == []
+                if pair_type.uses_letters and d.rows:
+                    want = sig if sig else (n // 2, n // 2)
+                    assert d.letter_counts() == want
 
 
 def test_enumeration_counts_monotone_in_n():
@@ -222,17 +248,9 @@ def test_enumeration_counts_monotone_in_n():
 
 def test_print_parse_round_trip_on_enumerations():
     for n in range(0, 13):
-        for pair_type in PairType:
-            if pair_type.needs_even_n and n % 2:
-                continue
-            if pair_type.has_signature:
-                step = 2 if pair_type is PairType.CII else 1
-                sigs = [(p, n - p) for p in range(0, n + 1, step) if (n - p) % step == 0]
-            else:
-                sigs = [None]
-            for sig in sigs:
-                for d in enumerate_diagrams(pair_type, PairParams(n, sig)):
-                    assert parse(diagram_text(d)) == d
+        for pair_type, params in pairs_of_size(n):
+            for d in enumerate_diagrams(pair_type, params):
+                assert parse(d.text()) == d
 
 
 def test_truncate_plain():

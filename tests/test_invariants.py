@@ -11,6 +11,7 @@ from nilcomm.diagrams import (
     PairParams,
     PairType,
     enumerate_diagrams,
+    pairs_of_size,
     params_for,
     parse,
 )
@@ -34,15 +35,6 @@ from nilcomm.invariants import (
 
 BDI_5 = params_for(PairType.BDI, 5, 3, 2)
 G5 = parse("aba/a/b")
-
-
-def signed_params(pt, n):
-    step = 2 if pt is PairType.CII else 1
-    return [
-        PairParams(n, (p, n - p))
-        for p in range(0, n + 1, step)
-        if (n - p) % step == 0
-    ]
 
 
 def test_defect_examples():
@@ -115,14 +107,11 @@ def test_dim_p_cent_matches_oracle_n9_n10():
     n <= 8 sweep of the acceptance criteria."""
     checked = 0
     for n in (9, 10):
-        for pt in PairType:
-            if pt.needs_even_n and n % 2:
-                continue
-            for prm in signed_params(pt, n) if pt.has_signature else [PairParams(n)]:
-                for d in enumerate_diagrams(pt, prm):
-                    real = oracle.realize(d, pt, prm)
-                    assert dim_p_cent(d, pt, prm) == oracle.dim_p_cent_oracle(real), (pt, d)
-                    checked += 1
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                assert dim_p_cent(d, pt, prm) == oracle.dim_p_cent_oracle(real), (pt, d)
+                checked += 1
     assert checked == 1184
 
 
@@ -187,17 +176,13 @@ def test_even_orbits():
 
 def test_distinguished_iff_zero_defect_enumerations():
     for n in range(1, 11):
-        for pt in PairType:
-            if pt.needs_even_n and n % 2:
-                continue
-            paramss = signed_params(pt, n) if pt.has_signature else [PairParams(n)]
-            for prm in paramss:
-                for d in enumerate_diagrams(pt, prm):
-                    dft = defect(d, pt)
-                    assert is_distinguished(d, pt) == (dft == 0)
-                    assert is_almost_distinguished(d, pt) == (dft == dim_p0(d, pt))
-                    if pt in (PairType.AIII, PairType.CII, PairType.DIII):
-                        assert is_almost_distinguished(d, pt) == is_distinguished(d, pt)
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                dft = defect(d, pt)
+                assert is_distinguished(d, pt) == (dft == 0)
+                assert is_almost_distinguished(d, pt) == (dft == dim_p0(d, pt))
+                if pt in (PairType.AIII, PairType.CII, PairType.DIII):
+                    assert is_almost_distinguished(d, pt) == is_distinguished(d, pt)
 
 
 def test_graded_dims_match_oracle_spot():

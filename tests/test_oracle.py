@@ -16,6 +16,7 @@ from nilcomm.diagrams import (
     PairParams,
     PairType,
     enumerate_diagrams,
+    pairs_of_size,
     params_for,
     parse,
     partitions,
@@ -29,19 +30,6 @@ from nilcomm.errors import (
     UnrealizableDiagram,
     WrongType,
 )
-
-
-def every_params(n):
-    for pt in PairType:
-        if pt.needs_even_n and n % 2:
-            continue
-        if pt.has_signature:
-            step = 2 if pt is PairType.CII else 1
-            for p in range(0, n + 1, step):
-                if (n - p) % step == 0:
-                    yield pt, PairParams(n, (p, n - p))
-        else:
-            yield pt, PairParams(n)
 
 
 def test_realize_ai_21_frozen_dims():
@@ -89,7 +77,7 @@ def test_realize_rejects_odd_multiplicity_aii():
 
 def test_jordan_type_round_trip():
     for n in range(0, 11):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
                 real = oracle.realize(diagram, pt, prm)
                 assert oracle.jordan_type(real.e) == diagram.partition
@@ -105,7 +93,7 @@ def test_jordan_type_zero_and_errors():
 def test_jordan_type_matches_dense_reference():
     """On e, f and every witness of every valid diagram with n <= 8."""
     for n in range(0, 9):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
                 real = oracle.realize(diagram, pt, prm)
                 matrices = [real.e, real.f]
@@ -131,7 +119,7 @@ def test_ab_label_recovery():
     """The involution eigenvalue of each lowest-weight vector is the row's
     start letter, for every lettered realization with n <= 8."""
     for n in range(1, 9):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             if not pt.uses_letters:
                 continue
             for diagram in enumerate_diagrams(pt, prm):
@@ -145,7 +133,7 @@ def test_ab_label_recovery():
 def test_form_weights_pair_to_zero():
     """The form couples only h-weight spaces of opposite weights."""
     for n in range(1, 9):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
                 real = oracle.realize(diagram, pt, prm)
                 if real.form is None:
@@ -236,7 +224,7 @@ def test_every_form_is_a_signed_permutation():
     valid diagram with n <= 8 of every type with a form."""
     checked = 0
     for n in range(1, 9):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             if pt is PairType.AIII:
                 continue
             for d in enumerate_diagrams(pt, prm):
@@ -345,7 +333,7 @@ def test_realizability_matches_validity_exhaustive_n6():
     """Independent certification of the validity rules at n <= 6: a letter
     assignment is realizable exactly when validate accepts it."""
     for n in range(0, 7):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             if not pt.uses_letters:
                 continue
             valid = set(enumerate_diagrams(pt, prm))
@@ -430,7 +418,7 @@ def test_graded_systems_match_full_reference():
     """Every kernel dimension and basis of the restricted systems equals the
     one of the full n^2 system, on every valid diagram with n <= 6."""
     for n in range(0, 7):
-        for pt, prm in every_params(n):
+        for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
                 real = oracle.realize(diagram, pt, prm)
                 maps = _reference_maps(real)

@@ -3,6 +3,7 @@ from nilcomm.diagrams import (
     PairParams,
     PairType,
     enumerate_diagrams,
+    pairs_of_size,
     params_for,
     parse,
 )
@@ -43,20 +44,11 @@ def test_criterion_examples():
 
 def test_verdicts_match_oracle_criterion_small():
     for n in range(1, 7):
-        for pt in PairType:
-            if pt.needs_even_n and n % 2:
-                continue
-            if pt.has_signature:
-                step = 2 if pt is PairType.CII else 1
-                paramss = [PairParams(n, (p, n - p)) for p in range(0, n + 1, step)
-                           if (n - p) % step == 0]
-            else:
-                paramss = [PairParams(n)]
-            for prm in paramss:
-                for d in enumerate_diagrams(pt, prm):
-                    assert is_self_large(d, pt).verdict == verify_self_large_criterion(
-                        d, pt, prm
-                    ), (pt, prm, d.text())
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                assert is_self_large(d, pt).verdict == verify_self_large_criterion(
+                    d, pt, prm
+                ), (pt, prm, d.text())
 
 
 def test_implication_chain():
