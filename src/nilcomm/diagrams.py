@@ -11,12 +11,18 @@ whose rows may carry a starting letter:
 Text grammar: ab-diagrams are rows joined by ``/`` (``"aba/a/b"``), plain
 partitions are comma lists (``"4,2,1"``).  The empty string is the empty
 diagram.
+
+Enumeration builds only the diagrams it keeps.  An even row has as many a's
+as b's and an odd row one extra cell of its start letter, so a diagram of
+shape ``part`` has sum_d floor(d/2) m_d + (odd rows starting with a) cells a.
+The pair's a-count thus fixes how many odd rows start with a, and the walk
+over the lengths of each partition drops a choice of letters as soon as that
+number can no longer be met.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -346,15 +352,15 @@ def is_valid(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> boo
 # -- enumeration -------------------------------------------------------------
 
 
-def partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n in decreasing parts, reverse-lexicographic order."""
+@functools.lru_cache(maxsize=64)
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n in decreasing parts, reverse-lexicographic order:
+    one table per n, built from the tables of smaller n (the bound keeps
+    every table up to n = 63)."""
     if n == 0:
-        yield ()
-        return
-    first = n if max_part is None else min(n, max_part)
-    for head in range(first, 0, -1):
-        for tail in partitions(n - head, head):
-            yield (head, *tail)
+        return ((),)
+    return tuple((head, *tail) for head in range(n, 0, -1)
+                 for tail in partitions(n - head) if not tail or tail[0] <= head)
 
 
 def pairs_of_size(n: int, types=PairType) -> Iterator[tuple[PairType, PairParams]]:
@@ -384,14 +390,27 @@ def _letter_choices(pair_type: PairType, d: int, m: int) -> tuple[tuple[int, int
     return tuple(s for s in _every_split(d, m) if _parity_rules(pair_type, d, m, *s) is None)
 
 
-def _lettered(part: tuple[int, ...], choices) -> Iterator[AbDiagram]:
+def _lettered(part: tuple[int, ...], choices, lo: int, hi: int) -> list[AbDiagram]:
     """The ab-diagrams of shape part whose (a_d, b_d) split of each length d
-    is one of choices(d, m_d), each once, in the order of the splits."""
-    mults = {d: part.count(d) for d in part}
-    blocks = [[((d, "a"),) * a + ((d, "b"),) * b for a, b in choices(d, m)]
-              for d, m in mults.items()]
-    for combo in itertools.product(*blocks):
-        yield AbDiagram(sum(combo, ()))
+    is one of choices(d, m_d) and which have between lo and hi cells a, each
+    once, in the order of the splits (the shortest length varying fastest).
+
+    The lengths are walked in order, carrying the a-count of the rows chosen
+    so far plus floor(d/2) for each row still to come; a prefix is dropped
+    as soon as the odd rows left can no longer bring that count into
+    [lo, hi], so only the diagrams that are kept are built."""
+    left = sum(d % 2 for d in part)  # odd rows after the current length
+    count = (sum(part) - left) // 2
+    if not lo - left <= count <= hi:
+        return []
+    prefixes = [((), count)]
+    for d, m in {d: part.count(d) for d in part}.items():
+        odd = d % 2
+        left -= odd * m
+        blocks = [(((d, "a"),) * a + ((d, "b"),) * b, odd * a) for a, b in choices(d, m)]
+        prefixes = [(rows + block, k + a) for rows, k in prefixes for block, a in blocks
+                    if lo - left <= k + a <= hi]
+    return [AbDiagram(rows) for rows, _ in prefixes]
 
 
 def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
@@ -399,7 +418,7 @@ def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
     each exactly once: plain partitions, or every letter split of each length."""
     for part in partitions(n):
         if pair_type.uses_letters:
-            yield from _lettered(part, _every_split)
+            yield from _lettered(part, _every_split, 0, n)
         else:
             yield AbDiagram.from_partition(part)
 
@@ -415,18 +434,17 @@ def enumerate_diagrams(
     return list(_enumerate_cached(pair_type, params))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagram, ...]:
+    """The valid diagrams of one pair.  Lettered pairs: _letter_choices
+    applies the parity rules and the walk of _lettered the pair's a-count,
+    so every diagram built is kept.  The cache holds 1,024 pairs: every pair
+    with n <= 27."""
     if not pair_type.uses_letters:
         return tuple(d for d in candidates(pair_type, params.n) if is_valid(d, pair_type, params))
-    # the size holds by construction and _letter_choices applies the parity
-    # rules, so only the letter counts remain to be checked
-    want = _expected_letters(pair_type, params)
+    want_a = _expected_letters(pair_type, params)[0]
     choices = functools.partial(_letter_choices, pair_type)
-    return tuple(
-        d for part in partitions(params.n) for d in _lettered(part, choices)
-        if d.letter_counts() == want
-    )
+    return tuple(d for part in partitions(params.n) for d in _lettered(part, choices, want_a, want_a))
 
 
 # -- column truncation and common rows ---------------------------------------

@@ -35,8 +35,17 @@ from itertools import compress
 from typing import Optional
 
 from . import invariants, linalg
-from .diagrams import AbDiagram, PairParams, PairType, candidates, enumerate_diagrams, pairs_of_size
+from .diagrams import (
+    AbDiagram,
+    DEFAULT_BOUND,
+    PairParams,
+    PairType,
+    candidates,
+    enumerate_diagrams,
+    pairs_of_size,
+)
 from .errors import (
+    BoundExceeded,
     NoAdjacentLengths,
     NotAlmostDistinguished,
     NotNilpotent,
@@ -688,7 +697,10 @@ def certify(bound: int, seed: int = 0) -> tuple[int, list[str]]:
     """Every candidate diagram of every pair with n <= bound is realizable
     exactly when it is valid, and on each realization the Jordan type of e,
     dim p^e, dim p(e,0) (descriptor and graded count), dim p(e,1) and the
-    defect equal the oracle's.  Returns (realizations checked, failure lines)."""
+    defect equal the oracle's.  Returns (realizations checked, failure lines).
+    A bound above DEFAULT_BOUND raises BoundExceeded before any pair is swept."""
+    if bound > DEFAULT_BOUND:
+        raise BoundExceeded(f"n={bound} exceeds bound {DEFAULT_BOUND}")
     checked, failures = 0, []
     for n in range(bound + 1):
         for pt, prm in pairs_of_size(n):

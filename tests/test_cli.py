@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import nilcomm
 from nilcomm import invariants, oracle
 from nilcomm.cli import build_parser, main
 from nilcomm.diagrams import PairType, parse
+from nilcomm.errors import BoundExceeded
 
 
 def run(capsys, *args):
@@ -117,6 +124,27 @@ def test_verify_reports_a_failed_certification(capsys, monkeypatch):
     assert code == 1
     assert "  " + line in out.splitlines()
     assert out.splitlines()[-1] == "verify: FAIL"
+
+
+def test_verify_cert_bound_checked_before_the_sweep(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(oracle, "pairs_of_size", never)
+    monkeypatch.setattr(oracle, "candidates", never)
+    with pytest.raises(BoundExceeded, match="n=31 exceeds bound 30"):
+        oracle.certify(31)
+    code, out, err = run(capsys, "verify", "--cert-bound", "31")
+    assert (code, out, err) == (2, "", "error: n=31 exceeds bound 30\n")
+
+
+def test_python_m_nilcomm():
+    src = os.path.dirname(os.path.dirname(nilcomm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilcomm", "enumerate", "AI", "3"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n2,1\n1,1,1\n", "")
 
 
 def test_config_file(capsys, tmp_path, monkeypatch):

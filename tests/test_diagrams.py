@@ -7,6 +7,7 @@ from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
     PairType,
+    _enumerate_cached,
     candidates,
     enumerate_diagrams,
     pairs_of_size,
@@ -107,9 +108,22 @@ def test_validate_signature_mismatch():
 
 
 def test_partitions_of_small_n():
+    """Each table is every composition of n sorted into decreasing parts,
+    deduplicated, in reverse-lexicographic order (n <= 12)."""
     assert list(partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
     assert list(partitions(0)) == [()]
     assert len(list(partitions(8))) == 22
+    for n in range(1, 13):
+        compositions = set()
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            parts, size = [], 1
+            for cut in cuts:
+                if cut:
+                    parts.append(size)
+                    size = 0
+                size += 1
+            compositions.add(tuple(sorted(parts + [size], reverse=True)))
+        assert partitions(n) == tuple(sorted(compositions, reverse=True))
 
 
 def test_enumerate_ai():
@@ -184,6 +198,42 @@ def test_enumeration_matches_brute_force_signed(pair_type):
                 d for d in buckets.get((p, q), set()) if is_valid(d, pair_type, params)
             } if n else {AbDiagram(())}
             assert set(got) == expected
+
+
+def test_enumeration_order_is_candidate_order():
+    """The enumeration lists the valid candidates in the order candidates
+    yields them (every pair, n <= 11)."""
+    for n in range(0, 12):
+        for pair_type, params in pairs_of_size(n):
+            want = [d for d in candidates(pair_type, n) if is_valid(d, pair_type, params)]
+            assert enumerate_diagrams(pair_type, params) == want, (pair_type, params)
+
+
+def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
+    """On a cold cache, every AbDiagram built while enumerating a lettered
+    pair is one of the diagrams returned (every lettered pair, n <= 10)."""
+    built = 0
+    check = AbDiagram.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(AbDiagram, "__post_init__", counted)
+    for n in range(0, 11):
+        for pair_type, params in pairs_of_size(n):
+            if not pair_type.uses_letters:
+                continue
+            _enumerate_cached.cache_clear()
+            built = 0
+            got = enumerate_diagrams(pair_type, params)
+            assert built == len(got), (pair_type, params)
+
+
+def test_enumeration_caches_are_bounded():
+    assert _enumerate_cached.cache_info().maxsize is not None
+    assert partitions.cache_info().maxsize is not None
 
 
 def test_candidates_each_diagram_once_against_brute_force():
