@@ -298,10 +298,7 @@ def closure_hasse(
     for g1 in diagrams:
         for g2 in minimal_degenerations(g1, pair_type, params, bound):
             s = centralizer_drop(g1, g2, pair_type, params)
-            if g1.rows:
-                delta = reduction_order(g1, g2, pair_type)
-            else:
-                delta = 0
+            delta = reduction_order(g1, g2, pair_type)
             edges.append(
                 DegenerationEdge(
                     lower=g1, upper=g2, s=s, delta=delta, is_reduction=(s == delta)

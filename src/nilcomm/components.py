@@ -1,12 +1,12 @@
 """The classification engine for classical pairs.
 
 Every irreducible component of the nilpotent commuting variety is generated
-by an almost-distinguished orbit; distinguished orbits give the components of
-full dimension.  A strange-component candidate (almost-distinguished, not
-distinguished) is eliminated either by a reduction (an explicit larger orbit
-whose subvariety contains the candidate's) or, in the A cases, by a commuting
-witness showing the nilpotent part of the centralizer escapes the orbit
-closure.  Whatever survives is reported as unresolved, never suppressed.
+by an almost-distinguished orbit (p(e,0) a torus); distinguished orbits
+(defect 0) give the components of full dimension.  A strange-component
+candidate, almost-distinguished but not distinguished, is eliminated by a
+reduction (a larger orbit whose subvariety contains its own) or, in the A
+cases, by a commuting witness that the nilpotent part of the centralizer
+escapes the orbit closure.  What survives is reported unresolved, never hidden.
 """
 
 from __future__ import annotations
@@ -75,13 +75,11 @@ def candidate_status(
 ) -> CandidateStatus:
     """Classify a single orbit."""
     cdim = component_dim(diagram, pair_type, params)
-    if not diagram.rows:
-        # zero pair: its unique orbit generates the whole variety
-        return CandidateStatus(diagram, COMPONENT, cdim)
-    if is_distinguished(diagram, pair_type):
-        return CandidateStatus(diagram, COMPONENT, cdim)
+    # distinguished implies almost-distinguished; most orbits are neither
     if not is_almost_distinguished(diagram, pair_type):
         return CandidateStatus(diagram, NON_CANDIDATE, cdim)
+    if is_distinguished(diagram, pair_type):
+        return CandidateStatus(diagram, COMPONENT, cdim)
     target = find_reduction(diagram, pair_type, params, bound)
     if target is not None:
         return CandidateStatus(

@@ -436,12 +436,14 @@ def enumerate_diagrams(
 
 @functools.lru_cache(maxsize=1024)
 def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagram, ...]:
-    """The valid diagrams of one pair.  Lettered pairs: _letter_choices
-    applies the parity rules and the walk of _lettered the pair's a-count,
-    so every diagram built is kept.  The cache holds 1,024 pairs: every pair
-    with n <= 27."""
+    """The valid diagrams of one pair.  _letter_choices applies the parity
+    rules: a partition of a plain type is kept when every length has an
+    admissible split of its rows, and for lettered pairs the walk of _lettered
+    also applies the pair's a-count, so every diagram built is kept.  The
+    cache holds 1,024 pairs: every pair with n <= 27."""
     if not pair_type.uses_letters:
-        return tuple(d for d in candidates(pair_type, params.n) if is_valid(d, pair_type, params))
+        return tuple(AbDiagram.from_partition(part) for part in partitions(params.n)
+                     if all(_letter_choices(pair_type, d, part.count(d)) for d in set(part)))
     want_a = _expected_letters(pair_type, params)[0]
     choices = functools.partial(_letter_choices, pair_type)
     return tuple(d for part in partitions(params.n) for d in _lettered(part, choices, want_a, want_a))

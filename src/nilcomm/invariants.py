@@ -2,8 +2,12 @@
 
 The centralizer of the standard triple of an orbit decomposes, one reductive
 symmetric pair per occupied row length; which pair occurs is dictated by the
-pair type and the parity of the length.  Defect, torus dimensions and
-distinguishedness all read off these descriptors.
+pair type and the parity of the length.  Defect and dim p(e,0) read off these
+descriptors, and the two orbit classes of the paper are stated by their
+definitions on them: an orbit is distinguished when its defect is 0 (p(e,0)
+holds no nonzero semisimple element), and almost-distinguished when p(e,0) is
+a torus, i.e. every block's p-part is as large as its rank.  The ambient
+dimensions are those of the zero orbit, whose cells all have weight 0.
 
 dim p^e is one graded count for every pair type: dim p^e = sum over i >= 0 of
 dim p(e,i) = dim p(i,h) - dim k(i+2,h).  The centralizer g^e lies in the
@@ -18,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .diagrams import AbDiagram, PairParams, PairType, validate
+from .diagrams import AbDiagram, PairParams, PairType, _expected_letters, validate
 from .errors import EmptyDiagram, UnrealizableDiagram
 
 
-@dataclass(frozen=True)
-class PairDescriptor:
+class PairDescriptor(NamedTuple):
     """One reductive symmetric pair in the centralizer decomposition: the
     block attached to row length d, with sizes (m, a, b) taken from the
     diagram."""
@@ -102,15 +106,8 @@ def centralizer_pairs(diagram: AbDiagram, pair_type: PairType) -> tuple[PairDesc
     out = []
     for d, (m, a, b) in diagram.multiplicities().items():
         kind = _DESCRIPTOR_KIND[pair_type][0 if d % 2 else 1]
-        out.append(PairDescriptor(kind=kind, d=d, m=m, a=a, b=b))
+        out.append(PairDescriptor(kind, d, m, a, b))
     return tuple(out)
-
-
-def defect_per_length(diagram: AbDiagram, pair_type: PairType, d: int) -> int:
-    for desc in centralizer_pairs(diagram, pair_type):
-        if desc.d == d:
-            return desc.rank
-    return 0
 
 
 def defect(diagram: AbDiagram, pair_type: PairType) -> int:
@@ -135,41 +132,15 @@ def dim_p0(diagram: AbDiagram, pair_type: PairType) -> int:
 
 
 def is_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
-    mults = diagram.multiplicities()
-    if pair_type is PairType.AI:
-        return len(diagram.rows) == 1
-    if pair_type is PairType.AII:
-        return len(diagram.rows) == 2 and len(mults) == 1
-    if pair_type is PairType.AIII:
-        return all(a == 0 or b == 0 for _m, a, b in mults.values())
-    if pair_type is PairType.BDI:
-        return all(d % 2 == 1 and (a == 0 or b == 0) for d, (_m, a, b) in mults.items())
-    if pair_type is PairType.CI:
-        return all(d % 2 == 0 and (a == 0 or b == 0) for d, (_m, a, b) in mults.items())
-    if pair_type is PairType.CII:
-        return all(
-            (a == 0 or b == 0) if d % 2 else m <= 2 for d, (m, a, b) in mults.items()
-        )
-    if pair_type is PairType.DIII:
-        return all(
-            m <= 2 if d % 2 else (a == 0 or b == 0) for d, (m, a, b) in mults.items()
-        )
-    raise ValueError(pair_type)
+    """Defect 0: p(e,0) holds no nonzero semisimple element.  The empty
+    diagram, the only orbit of a zero pair, is distinguished."""
+    return not diagram.rows or defect(diagram, pair_type) == 0
 
 
 def is_almost_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
-    """p(e,0) is a torus: no descriptor block carries nonzero nilpotents."""
-    mults = diagram.multiplicities()
-    if pair_type is PairType.AI:
-        return all(m == 1 for m, _a, _b in mults.values())
-    if pair_type is PairType.AII:
-        return all(m == 2 for m, _a, _b in mults.values())
-    if pair_type is PairType.BDI:
-        return all(d % 2 == 1 and a * b <= 1 for d, (_m, a, b) in mults.items())
-    if pair_type is PairType.CI:
-        return all(d % 2 == 0 and a * b <= 1 for d, (_m, a, b) in mults.items())
-    # AIII, CII, DIII: almost-distinguished coincides with distinguished
-    return is_distinguished(diagram, pair_type)
+    """p(e,0) is a torus: every descriptor block's p-part equals its rank.
+    This is dim p(e,0) == defect, as the AI/AII trace correction cancels."""
+    return all(desc.dim_p_part == desc.rank for desc in centralizer_pairs(diagram, pair_type))
 
 
 def is_even(diagram: AbDiagram) -> bool:
@@ -259,31 +230,22 @@ class AmbientDims:
     dim_k: int
 
 
+@lru_cache(maxsize=1024)
 def ambient_dims(pair_type: PairType, params: PairParams) -> AmbientDims:
-    """Dimensions of the ambient symmetric pair."""
+    """Dimensions of the ambient symmetric pair, read off its zero orbit (n
+    rows of length 1): every cell has weight 0, so the weight-0 count is
+    (dim k, dim p), and rank p is the defect of the zero orbit."""
     params.check(pair_type)
-    n = params.n
-    if pair_type is PairType.AI:
-        return AmbientDims(n * (n + 1) // 2 - 1 if n else 0, max(n - 1, 0), n * (n - 1) // 2)
-    if pair_type is PairType.AII:
-        return AmbientDims(n * (n - 1) // 2 - 1 if n else 0, max(n // 2 - 1, 0), n * (n + 1) // 2)
-    if pair_type is PairType.AIII:
-        p, q = params.signature
-        return AmbientDims(2 * p * q, min(p, q), p * p + q * q - 1 if n else 0)
-    if pair_type is PairType.BDI:
-        p, q = params.signature
-        return AmbientDims(p * q, min(p, q), p * (p - 1) // 2 + q * (q - 1) // 2)
-    if pair_type is PairType.CI:
-        return AmbientDims(n * n // 4 + n // 2, n // 2, n * n // 4)
-    if pair_type is PairType.CII:
-        p, q = params.signature
-        return AmbientDims(p * q, min(p, q) // 2, p * (p + 1) // 2 + q * (q + 1) // 2)
-    if pair_type is PairType.DIII:
-        return AmbientDims(n * n // 4 - n // 2, n // 4, n * n // 4)
-    raise ValueError(pair_type)
+    if pair_type.uses_letters:
+        a, b = _expected_letters(pair_type, params)
+        zero = AbDiagram(((1, "a"),) * a + ((1, "b"),) * b)
+    else:
+        zero = AbDiagram(((1, None),) * params.n)
+    dim_k, dim_p = _theta_dims(zero, pair_type, 0, 0)
+    return AmbientDims(dim_p, defect(zero, pair_type) if params.n else 0, dim_k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def dim_p_cent(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
     """dim p^e as one graded count: the sum over i >= 0 of dim p(e,i) =
     dim p(i,h) - dim k(i+2,h), since g^e has nonnegative weights and ad e maps

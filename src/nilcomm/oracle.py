@@ -225,7 +225,7 @@ def _couple(t: dict, idx, i, j, length, eps):
             t[idx[(j, a)], idx[(i, length - 1 - a)]] = eps * (-1) ** (length - 1) * (-1) ** a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _pair_admissible(pair_type: PairType, length: int, s1: str, s2: str) -> bool:
     """Matrix test on a two-row (or one-row, when s2 is empty) template: does
     the standard coupling satisfy all the identities of a realization?"""
@@ -290,7 +290,7 @@ def _match_rows(pair_type: PairType, length: int, row_ids, letters):
     return matching
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> MatrixRealization:
     """Build a matrix realization, or raise UnrealizableDiagram when no sign
     assignment satisfies the invariants (this certifies diagram validity).

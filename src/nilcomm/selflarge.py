@@ -2,12 +2,13 @@
 
 An orbit is self-large when every nilpotent element of p^e already lies in
 the orbit closure; only such orbits can generate a component.  For the
-classical families the verdict is combinatorial: distinguished orbits always
-qualify; for AI/AII the almost-distinguished orbits whose (paired) row
-lengths differ pairwise by at least two; for BDI/CI exactly the
-almost-distinguished orbits; for AIII/CII/DIII exactly the distinguished
-ones.  The matrix oracle provides an equivalent criterion (p(e,0) a torus and
-p(e,1) = 0) that the test suite checks against these rules pair by pair.
+classical families the verdict is combinatorial: distinguished orbits (defect
+0) always qualify; for AI/AII the almost-distinguished orbits (p(e,0) a
+torus) whose (paired) row lengths differ pairwise by at least two; for BDI/CI
+exactly the almost-distinguished orbits.  For AIII/CII/DIII every
+almost-distinguished orbit is distinguished.  The matrix oracle provides an
+equivalent criterion (p(e,0) a torus and p(e,1) = 0) that the test suite
+checks against these rules pair by pair.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ def _all_gaps_at_least_two(diagram: AbDiagram, pair_type: PairType) -> bool:
 
 def is_self_large(diagram: AbDiagram, pair_type: PairType) -> SelfLargeVerdict:
     """Combinatorial verdict, with the reason recorded."""
-    if not diagram.rows:
-        # zero pair: its only orbit is trivially distinguished
-        return SelfLargeVerdict(diagram, True, DISTINGUISHED)
     if is_distinguished(diagram, pair_type):
         return SelfLargeVerdict(diagram, True, DISTINGUISHED)
     if not is_almost_distinguished(diagram, pair_type):
@@ -63,10 +61,8 @@ def is_self_large(diagram: AbDiagram, pair_type: PairType) -> SelfLargeVerdict:
         if _all_gaps_at_least_two(diagram, pair_type):
             return SelfLargeVerdict(diagram, True, TORUS_AND_NO_DEGREE_ONE)
         return SelfLargeVerdict(diagram, False, ADJACENT_LENGTH_WITNESS)
-    if pair_type in (PairType.BDI, PairType.CI):
-        return SelfLargeVerdict(diagram, True, DATA_TABLE)
-    # AIII, CII, DIII: almost-distinguished but not distinguished cannot occur
-    return SelfLargeVerdict(diagram, False, DATA_TABLE)
+    # BDI or CI: for AIII, CII and DIII almost-distinguished is distinguished
+    return SelfLargeVerdict(diagram, True, DATA_TABLE)
 
 
 def verify_self_large_criterion(

@@ -1,8 +1,11 @@
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import nilcomm
 from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
@@ -210,8 +213,8 @@ def test_enumeration_order_is_candidate_order():
 
 
 def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
-    """On a cold cache, every AbDiagram built while enumerating a lettered
-    pair is one of the diagrams returned (every lettered pair, n <= 10)."""
+    """On a cold cache, every AbDiagram built while enumerating a pair is one
+    of the diagrams returned (every pair, n <= 10)."""
     built = 0
     check = AbDiagram.__post_init__
 
@@ -223,8 +226,6 @@ def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
     monkeypatch.setattr(AbDiagram, "__post_init__", counted)
     for n in range(0, 11):
         for pair_type, params in pairs_of_size(n):
-            if not pair_type.uses_letters:
-                continue
             _enumerate_cached.cache_clear()
             built = 0
             got = enumerate_diagrams(pair_type, params)
@@ -234,6 +235,19 @@ def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
 def test_enumeration_caches_are_bounded():
     assert _enumerate_cached.cache_info().maxsize is not None
     assert partitions.cache_info().maxsize is not None
+
+
+def test_library_has_no_unbounded_cache():
+    """No cache in the library grows for the life of the process."""
+    src = Path(nilcomm.__file__).parent
+    unbounded = re.compile(r"lru_cache\(\s*(maxsize\s*=\s*)?None|@(functools\.)?cache\b")
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if unbounded.search(line)
+    ]
+    assert found == []
 
 
 def test_candidates_each_diagram_once_against_brute_force():

@@ -21,7 +21,6 @@ from nilcomm.invariants import (
     centralizer_pairs,
     component_dim,
     defect,
-    defect_per_length,
     dim_k_graded,
     dim_orbit,
     dim_p0,
@@ -45,14 +44,6 @@ def test_defect_examples():
     assert defect(parse("2,2,1,1"), PairType.AII) == 1
     with pytest.raises(EmptyDiagram):
         defect(AbDiagram(()), PairType.AI)
-
-
-def test_defect_per_length_examples():
-    assert defect_per_length(G5, PairType.BDI, 1) == 1
-    assert defect_per_length(G5, PairType.BDI, 3) == 0
-    assert defect_per_length(parse("2,1"), PairType.AI, 2) == 1
-    assert defect_per_length(parse("2,2"), PairType.AII, 2) == 1
-    assert defect_per_length(parse("2,1"), PairType.AI, 5) == 0
 
 
 def test_centralizer_pairs_bdi():
@@ -174,15 +165,80 @@ def test_even_orbits():
     assert not is_even(parse("2,1"))
 
 
+def _distinguished_by_type(diagram, pair_type):
+    """The paper's characterization of distinguished orbits, type by type."""
+    if not diagram.rows:
+        return True
+    mults = diagram.multiplicities()
+    if pair_type is PairType.AI:
+        return len(diagram.rows) == 1
+    if pair_type is PairType.AII:
+        return len(diagram.rows) == 2 and len(mults) == 1
+    if pair_type is PairType.AIII:
+        return all(a == 0 or b == 0 for _m, a, b in mults.values())
+    if pair_type is PairType.BDI:
+        return all(d % 2 == 1 and (a == 0 or b == 0) for d, (_m, a, b) in mults.items())
+    if pair_type is PairType.CI:
+        return all(d % 2 == 0 and (a == 0 or b == 0) for d, (_m, a, b) in mults.items())
+    if pair_type is PairType.CII:
+        return all((a == 0 or b == 0) if d % 2 else m <= 2 for d, (m, a, b) in mults.items())
+    return all(m <= 2 if d % 2 else (a == 0 or b == 0) for d, (m, a, b) in mults.items())
+
+
+def _almost_distinguished_by_type(diagram, pair_type):
+    """The paper's characterization of almost-distinguished orbits."""
+    mults = diagram.multiplicities()
+    if pair_type is PairType.AI:
+        return all(m == 1 for m, _a, _b in mults.values())
+    if pair_type is PairType.AII:
+        return all(m == 2 for m, _a, _b in mults.values())
+    if pair_type is PairType.BDI:
+        return all(d % 2 == 1 and a * b <= 1 for d, (_m, a, b) in mults.items())
+    if pair_type is PairType.CI:
+        return all(d % 2 == 0 and a * b <= 1 for d, (_m, a, b) in mults.items())
+    return _distinguished_by_type(diagram, pair_type)
+
+
 def test_distinguished_iff_zero_defect_enumerations():
-    for n in range(1, 11):
+    """Distinguished (defect 0) and almost-distinguished (p(e,0) a torus), as
+    defined on the descriptors, agree with the paper's per-type
+    characterizations on every valid diagram with n <= 12, the empty
+    diagram of each zero pair included."""
+    checked = 0
+    for n in range(0, 13):
         for pt, prm in pairs_of_size(n):
             for d in enumerate_diagrams(pt, prm):
-                dft = defect(d, pt)
-                assert is_distinguished(d, pt) == (dft == 0)
-                assert is_almost_distinguished(d, pt) == (dft == dim_p0(d, pt))
+                assert is_distinguished(d, pt) == _distinguished_by_type(d, pt), (pt, d)
+                assert is_almost_distinguished(d, pt) == _almost_distinguished_by_type(d, pt), (
+                    pt, d)
+                if d.rows:
+                    assert is_almost_distinguished(d, pt) == (defect(d, pt) == dim_p0(d, pt))
                 if pt in (PairType.AIII, PairType.CII, PairType.DIII):
                     assert is_almost_distinguished(d, pt) == is_distinguished(d, pt)
+                checked += 1
+    assert checked == 4674
+
+
+def _textbook_ambient_dims(pair_type, params):
+    """(dim p, rank p, dim k) of each classical pair in closed form."""
+    n, (p, q) = params.n, params.signature or (0, 0)
+    return {
+        PairType.AI: (n * (n + 1) // 2 - 1 if n else 0, max(n - 1, 0), n * (n - 1) // 2),
+        PairType.AII: (n * (n - 1) // 2 - 1 if n else 0, max(n // 2 - 1, 0), n * (n + 1) // 2),
+        PairType.AIII: (2 * p * q, min(p, q), p * p + q * q - 1 if n else 0),
+        PairType.BDI: (p * q, min(p, q), p * (p - 1) // 2 + q * (q - 1) // 2),
+        PairType.CI: (n * n // 4 + n // 2, n // 2, n * n // 4),
+        PairType.CII: (p * q, min(p, q) // 2, p * (p + 1) // 2 + q * (q + 1) // 2),
+        PairType.DIII: (n * n // 4 - n // 2, n // 4, n * n // 4),
+    }[pair_type]
+
+
+def test_ambient_dims_equal_textbook_closed_forms():
+    """The zero-orbit count equals the closed forms on every pair, n <= 30."""
+    for n in range(0, 31):
+        for pt, prm in pairs_of_size(n):
+            amb = ambient_dims(pt, prm)
+            assert (amb.dim_p, amb.rank_p, amb.dim_k) == _textbook_ambient_dims(pt, prm), (pt, prm)
 
 
 def test_graded_dims_match_oracle_spot():
