@@ -7,10 +7,12 @@ per diagram, and the order is the componentwise order of profiles.
 
 Covers are computed poset-theoretically inside the full enumeration of valid
 diagrams, never from local move tables.  Each pair gets one cached index of
-its diagrams and their profiles, with a bitset per diagram of the diagrams
-strictly above it, filled on first use.  The covers of a diagram are then
-up & ~OR(up[j] for j in up): what lies above it but above nothing else above
-it.
+its diagrams, bit-sliced by profile field: for each field k and value v >= 1
+one integer bitset ge[k][v] of the diagrams whose field k is at least v.  The
+diagrams at or above a profile are then the AND of ge[k][profile[k]] over
+its nonzero fields, with no scan of the other profiles.  The covers of a
+diagram are up & ~OR(up[j] for j in up): what lies above it but above
+nothing else above it.
 
 A cover (or any degeneration) Gamma1 < Gamma2 is a *reduction* when the drop
 in defect equals the drop in centralizer dimension; finding one eliminates
@@ -82,10 +84,13 @@ def _bits(mask: int):
 
 
 class _ClosureIndex:
-    """The closure order on the valid diagrams of one pair.
+    """The closure order on the valid diagrams of one pair, bit-sliced.
 
-    Bit j of ``up(i)`` is set when diagram j lies strictly above diagram i;
-    these sets are filled on first use from the flat truncation profiles.
+    ``ge[k][v]`` is the bitset of the diagrams whose profile field k is at
+    least v; ``ge[k][0]`` is every diagram, and a value above the column's
+    top matches none.  Bit j of ``up(i)`` is set when diagram j lies strictly
+    above diagram i: the AND of ``ge[k][profile_i[k]]`` over the nonzero
+    fields, with bit i cleared, kept once computed.
     """
 
     def __init__(self, pair_type: PairType, diagrams: list[AbDiagram]):
@@ -93,19 +98,39 @@ class _ClosureIndex:
         self.diagrams = diagrams
         self.position = {g: i for i, g in enumerate(diagrams)}
         self.profiles = [_truncation_profile(g) for g in diagrams]
+        self._all = (1 << len(diagrams)) - 1
+        # per field, the diagrams holding each nonzero value; profiles are
+        # suffix sums, so the fields past a diagram's longest row are zero
+        buckets: list[dict[int, int]] = [{} for _ in self.profiles[0]] if diagrams else []
+        for j, profile in enumerate(self.profiles):
+            bit = 1 << j
+            for k, v in enumerate(profile):
+                if v:
+                    column = buckets[k]
+                    column[v] = column.get(v, 0) | bit
+        self.ge: list[list[int]] = []
+        for column in buckets:
+            slices = [self._all] * (max(column, default=0) + 1)
+            acc = 0
+            for v in range(len(slices) - 1, 0, -1):
+                acc |= column.get(v, 0)
+                slices[v] = acc
+            self.ge.append(slices)
         self._up: list[Optional[int]] = [None] * len(diagrams)
 
-    def _above(self, profile: tuple[int, ...], skip: Optional[int]) -> int:
-        mask = 0
-        for j, other in enumerate(self.profiles):
-            if j != skip and all(map(operator.le, profile, other)):
-                mask |= 1 << j
+    def _at_or_above(self, profile: tuple[int, ...]) -> int:
+        mask = self._all
+        for slices, v in zip(self.ge, profile):
+            if v:
+                if v >= len(slices):
+                    return 0
+                mask &= slices[v]
         return mask
 
     def up(self, i: int) -> int:
         mask = self._up[i]
         if mask is None:
-            mask = self._up[i] = self._above(self.profiles[i], i)
+            mask = self._up[i] = self._at_or_above(self.profiles[i]) & ~(1 << i)
         return mask
 
     def covers(self, diagram: AbDiagram) -> list[AbDiagram]:
@@ -115,7 +140,7 @@ class _ClosureIndex:
         else:
             if self.diagrams:
                 _check_comparable(diagram, self.diagrams[0], self.pair_type)
-            up = self._above(_truncation_profile(diagram), None)
+            up = self._at_or_above(_truncation_profile(diagram))
         above = 0
         for j in _bits(up):
             above |= self.up(j)

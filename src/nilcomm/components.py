@@ -24,12 +24,7 @@ from .diagrams import (
     DEFAULT_BOUND,
 )
 from .errors import ClaimViolated
-from .invariants import (
-    ambient_dims,
-    component_dim,
-    is_almost_distinguished,
-    is_distinguished,
-)
+from .invariants import ambient_dims, orbit_class
 
 COMPONENT = "Component"
 ELIMINATED_BY_REDUCTION = "EliminatedByReduction"
@@ -74,11 +69,12 @@ def candidate_status(
     bound: int = DEFAULT_BOUND,
 ) -> CandidateStatus:
     """Classify a single orbit."""
-    cdim = component_dim(diagram, pair_type, params)
+    delta, almost = orbit_class(diagram, pair_type)
+    cdim = ambient_dims(pair_type, params).dim_p - delta  # component_dim
     # distinguished implies almost-distinguished; most orbits are neither
-    if not is_almost_distinguished(diagram, pair_type):
+    if not almost:
         return CandidateStatus(diagram, NON_CANDIDATE, cdim)
-    if is_distinguished(diagram, pair_type):
+    if delta == 0:
         return CandidateStatus(diagram, COMPONENT, cdim)
     target = find_reduction(diagram, pair_type, params, bound)
     if target is not None:

@@ -25,10 +25,6 @@ class BoundExceeded(NilcommError):
     """Requested enumeration is larger than the configured bound."""
 
 
-class EmptyDiagram(NilcommError):
-    """Operation needs a nonempty diagram."""
-
-
 class ShapeMismatch(NilcommError):
     """Diagrams live in different posets (size, signature or representation)."""
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .diagrams import AbDiagram, PairParams, PairType, _expected_letters, validate
-from .errors import EmptyDiagram, UnrealizableDiagram
+from .errors import UnrealizableDiagram
 
 
 class PairDescriptor(NamedTuple):
@@ -110,37 +110,51 @@ def centralizer_pairs(diagram: AbDiagram, pair_type: PairType) -> tuple[PairDesc
     return tuple(out)
 
 
+def _trace_cut(pairs: tuple[PairDescriptor, ...], pair_type: PairType) -> int:
+    """1 where the ambient gl-centralizer carries one extra central torus
+    dimension inside p, which the trace condition removes: AI/AII with rows
+    (the identity is theta-negative there).  For AIII the identity lies in k,
+    and a diagram without rows has no gl-centre."""
+    return 1 if pairs and pair_type in (PairType.AI, PairType.AII) else 0
+
+
+def _defect(pairs: tuple[PairDescriptor, ...], pair_type: PairType) -> int:
+    return sum(desc.rank for desc in pairs) - _trace_cut(pairs, pair_type)
+
+
+def _is_torus(pairs: tuple[PairDescriptor, ...]) -> bool:
+    """Every descriptor block's p-part equals its rank.  This is dim p(e,0)
+    == defect, as the AI/AII trace correction cancels."""
+    return all(desc.dim_p_part == desc.rank for desc in pairs)
+
+
 def defect(diagram: AbDiagram, pair_type: PairType) -> int:
-    """Rank of p(e,0).  In the A cases the ambient gl-centralizer carries one
-    extra central torus dimension inside p for AI/AII (the identity is
-    theta-negative there), which the trace condition removes; for AIII the
-    identity lies in k and no correction applies."""
-    if not diagram.rows:
-        raise EmptyDiagram("defect of the empty diagram is the rank of the pair")
-    total = sum(desc.rank for desc in centralizer_pairs(diagram, pair_type))
-    if pair_type in (PairType.AI, PairType.AII):
-        total -= 1
-    return total
+    """Rank of p(e,0); 0 for the empty diagram, the only orbit of a zero
+    pair."""
+    return _defect(centralizer_pairs(diagram, pair_type), pair_type)
 
 
 def dim_p0(diagram: AbDiagram, pair_type: PairType) -> int:
     """dim p(e,0), summed over the centralizer descriptors."""
-    total = sum(desc.dim_p_part for desc in centralizer_pairs(diagram, pair_type))
-    if diagram.rows and pair_type in (PairType.AI, PairType.AII):
-        total -= 1
-    return total
+    pairs = centralizer_pairs(diagram, pair_type)
+    return sum(desc.dim_p_part for desc in pairs) - _trace_cut(pairs, pair_type)
 
 
 def is_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
-    """Defect 0: p(e,0) holds no nonzero semisimple element.  The empty
-    diagram, the only orbit of a zero pair, is distinguished."""
-    return not diagram.rows or defect(diagram, pair_type) == 0
+    """Defect 0: p(e,0) holds no nonzero semisimple element."""
+    return defect(diagram, pair_type) == 0
 
 
 def is_almost_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
-    """p(e,0) is a torus: every descriptor block's p-part equals its rank.
-    This is dim p(e,0) == defect, as the AI/AII trace correction cancels."""
-    return all(desc.dim_p_part == desc.rank for desc in centralizer_pairs(diagram, pair_type))
+    """p(e,0) is a torus."""
+    return _is_torus(centralizer_pairs(diagram, pair_type))
+
+
+def orbit_class(diagram: AbDiagram, pair_type: PairType) -> tuple[int, bool]:
+    """(defect, almost-distinguished) from one build of the descriptors; the
+    orbit is distinguished when the defect is 0."""
+    pairs = centralizer_pairs(diagram, pair_type)
+    return _defect(pairs, pair_type), _is_torus(pairs)
 
 
 def is_even(diagram: AbDiagram) -> bool:
@@ -242,7 +256,7 @@ def ambient_dims(pair_type: PairType, params: PairParams) -> AmbientDims:
     else:
         zero = AbDiagram(((1, None),) * params.n)
     dim_k, dim_p = _theta_dims(zero, pair_type, 0, 0)
-    return AmbientDims(dim_p, defect(zero, pair_type) if params.n else 0, dim_k)
+    return AmbientDims(dim_p, defect(zero, pair_type), dim_k)
 
 
 @lru_cache(maxsize=4096)
@@ -264,10 +278,7 @@ def dim_orbit(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> in
 
 def component_dim(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
     """dim of the commuting-variety subvariety generated by the orbit."""
-    amb = ambient_dims(pair_type, params)
-    if not diagram.rows:
-        return amb.dim_p  # zero pair: the single point has full dimension 0
-    return amb.dim_p - defect(diagram, pair_type)
+    return ambient_dims(pair_type, params).dim_p - defect(diagram, pair_type)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from nilcomm.closure import (
     reduction_order,
 )
 from nilcomm.diagrams import (
+    DEFAULT_BOUND,
     AbDiagram,
     PairParams,
     PairType,
@@ -144,6 +145,51 @@ def test_minimal_degenerations_of_invalid_diagram():
         diags = enumerate_diagrams(pt, prm)
         covers = minimal_degenerations(g, pt, prm)
         assert covers and covers == brute_force_covers(g, diags), text
+
+
+def test_invalid_diagram_above_every_valid_one_has_no_covers():
+    """An invalid diagram with a profile field above its column's top in the
+    index lies below no valid diagram: the AND of its slices is empty."""
+    for pt, prm, text in [
+        (PairType.AII, PairParams(6), "6"),
+        (PairType.BDI, params_for(PairType.BDI, 6, 3, 3), "ababab"),
+    ]:
+        g = parse(text)
+        assert not is_valid(g, pt, prm)
+        diags = enumerate_diagrams(pt, prm)
+        profile = closure._truncation_profile(g)
+        tops = [max(column) for column in zip(*map(closure._truncation_profile, diags))]
+        assert any(v > top for v, top in zip(profile, tops)), text
+        assert minimal_degenerations(g, pt, prm) == [] == brute_force_covers(g, diags), text
+
+
+def test_index_of_zero_pair_and_single_orbit_pair():
+    """Profiles of width 0 (the zero pair) and a pair with one orbit: the
+    only diagram has nothing above it."""
+    for pt, prm in [
+        (PairType.AI, PairParams(0)),
+        (PairType.BDI, params_for(PairType.BDI, 0, 0, 0)),
+        (PairType.AI, PairParams(1)),
+        (PairType.BDI, params_for(PairType.BDI, 2, 1, 1)),
+    ]:
+        (only,) = enumerate_diagrams(pt, prm)
+        index = closure._closure_index(pt, prm, DEFAULT_BOUND)
+        assert index.up(0) == 0
+        assert minimal_degenerations(only, pt, prm) == []
+        assert closure_hasse(pt, prm).edges == ()
+    assert closure._truncation_profile(AbDiagram(())) == ()
+
+
+def test_hasse_over_several_machine_words():
+    """CI 10 has more than 64 orbits, so every bitset spans several words;
+    its Hasse edges are the transitive reduction of leq taken pair by pair."""
+    pt, prm = PairType.CI, PairParams(10)
+    diags = enumerate_diagrams(pt, prm)
+    assert len(diags) > 64
+    less = {(x, y) for x in diags for y in diags if x != y and leq(x, y, pt)}
+    reduction = {(x, y) for x, y in less
+                 if not any((x, z) in less and (z, y) in less for z in diags)}
+    assert {(e.lower, e.upper) for e in closure_hasse(pt, prm).edges} == reduction
 
 
 def test_minimal_degenerations_shape_mismatch():

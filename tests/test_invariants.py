@@ -15,7 +15,7 @@ from nilcomm.diagrams import (
     params_for,
     parse,
 )
-from nilcomm.errors import EmptyDiagram, UnrealizableDiagram
+from nilcomm.errors import UnrealizableDiagram
 from nilcomm.invariants import (
     ambient_dims,
     centralizer_pairs,
@@ -29,6 +29,7 @@ from nilcomm.invariants import (
     is_almost_distinguished,
     is_distinguished,
     is_even,
+    orbit_class,
     orbit_invariants,
 )
 
@@ -42,8 +43,7 @@ def test_defect_examples():
     assert defect(parse("ababa/aba/bab/b"), PairType.BDI) == 1
     assert defect(parse("ababa/aba/bab/a"), PairType.BDI) == 1
     assert defect(parse("2,2,1,1"), PairType.AII) == 1
-    with pytest.raises(EmptyDiagram):
-        defect(AbDiagram(()), PairType.AI)
+    assert defect(AbDiagram(()), PairType.AI) == 0
 
 
 def test_centralizer_pairs_bdi():
@@ -201,9 +201,9 @@ def _almost_distinguished_by_type(diagram, pair_type):
 
 def test_distinguished_iff_zero_defect_enumerations():
     """Distinguished (defect 0) and almost-distinguished (p(e,0) a torus), as
-    defined on the descriptors, agree with the paper's per-type
-    characterizations on every valid diagram with n <= 12, the empty
-    diagram of each zero pair included."""
+    defined on the descriptors and as orbit_class reads them off one build,
+    agree with the paper's per-type characterizations on every valid diagram
+    with n <= 12, the empty diagram of each zero pair included."""
     checked = 0
     for n in range(0, 13):
         for pt, prm in pairs_of_size(n):
@@ -211,8 +211,8 @@ def test_distinguished_iff_zero_defect_enumerations():
                 assert is_distinguished(d, pt) == _distinguished_by_type(d, pt), (pt, d)
                 assert is_almost_distinguished(d, pt) == _almost_distinguished_by_type(d, pt), (
                     pt, d)
-                if d.rows:
-                    assert is_almost_distinguished(d, pt) == (defect(d, pt) == dim_p0(d, pt))
+                assert is_almost_distinguished(d, pt) == (defect(d, pt) == dim_p0(d, pt))
+                assert orbit_class(d, pt) == (defect(d, pt), is_almost_distinguished(d, pt))
                 if pt in (PairType.AIII, PairType.CII, PairType.DIII):
                     assert is_almost_distinguished(d, pt) == is_distinguished(d, pt)
                 checked += 1
