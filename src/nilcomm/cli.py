@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selflarge", help="self-large verdicts for a diagram or a pair")
     p.add_argument("type", type=_pair_type)
-    p.add_argument("target", help="a diagram, or n (with p q for signature types)")
+    p.add_argument("target", help="a diagram, or n (with p q for signature types); "
+                   "a one-row diagram takes a trailing comma, as in 4,")
     p.add_argument("rest", type=int, nargs="*")
     p.set_defaults(func=_cmd_selflarge)
 

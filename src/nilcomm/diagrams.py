@@ -239,7 +239,8 @@ class AbDiagram:
 
 
 def parse(text: str) -> AbDiagram:
-    """Parse diagram text: ``"aba/a/b"`` (ab rows) or ``"4,2,1"`` (partition)."""
+    """Parse diagram text: ``"aba/a/b"`` (ab rows) or ``"4,2,1"`` (partition).
+    A partition may end in one comma, so ``"4,"`` is the one-row diagram 4."""
     text = text.strip()
     if not text:
         return AbDiagram(())
@@ -258,7 +259,7 @@ def parse(text: str) -> AbDiagram:
             pos += len(chunk) + 1
         return AbDiagram.from_rows(rows)
     try:
-        parts = [int(chunk) for chunk in text.split(",")]
+        parts = [int(chunk) for chunk in text.removesuffix(",").split(",")]
     except ValueError as exc:
         raise DiagramSyntaxError(f"not a partition: {text!r}") from exc
     if any(d <= 0 for d in parts):

@@ -2,13 +2,18 @@
 
 Linear systems are lists of sparse rows (dicts column -> coefficient) with int
 or Fraction values.  Elimination is fraction-free: each row enters with its
-zero entries dropped, its denominators cleared and its content (the gcd of its
-entries) divided out, and every row operation is an integer combination
-followed by the same division, in the manner of Bareiss.  A row with a single
-entry sets its column to zero, so it is settled first and that column is
-removed from every other row.  Every rank and kernel dimension is exact, and
-``rref_pivots`` divides by the pivots only at the end, so its rows are exact
-Fractions.
+zero entries dropped, its denominators cleared, its content (the gcd of its
+entries) divided out and its leftmost entry made positive, and every row
+operation is an integer combination followed by the same division, in the
+manner of Bareiss.  A row equal to an earlier one (as the rows of a
+commutator and of a form often are, up to sign) is dropped on entry.  A row
+with a single entry sets its column to zero, so it is settled first and that
+column is removed from every other row; the other rows are eliminated
+shortest first.  The pivot of a row is its leftmost column, so the pivot
+columns and the reduced echelon form do not depend on the order of the rows.
+Every rank and kernel dimension is exact, ``nullspace`` builds coprime integer
+vectors from the integer reduced rows, and ``rref_pivots`` divides by the
+pivots only at the end, so its rows are exact Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(raw) -> dict[int, int]:
-    """The primitive integer row with the same kernel as ``raw``."""
+    """The primitive integer row with the same kernel as ``raw``, its
+    leftmost entry positive."""
     row = {k: v for k, v in raw.items() if v}
     if not row:
         return row
@@ -38,6 +44,8 @@ def _integer_row(raw) -> dict[int, int]:
         den = lcm(*(v.denominator for v in row.values()))
         row = {k: int(v * den) for k, v in row.items()}
         g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
@@ -59,17 +67,25 @@ def _combine(cur: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]
 
 def echelon_pivots(rows) -> dict[int, dict[int, int]]:
     """Forward elimination; returns pivot-column -> primitive integer row
-    (not inter-reduced)."""
+    (not inter-reduced).  Rows repeated up to sign are eliminated once."""
     pivots: dict[int, dict[int, int]] = {}
+    seen = set()
     rest = []
     for raw in rows:
         row = _integer_row(raw)
+        if not row:
+            continue
+        key = frozenset(row.items())
+        if key in seen:
+            continue
+        seen.add(key)
         if len(row) == 1:
             (c,) = row
-            pivots[c] = {c: 1}
-        elif row:
+            pivots[c] = row
+        else:
             rest.append(row)
     settled = set(pivots)
+    rest.sort(key=len)
     for cur in rest:
         if not settled.isdisjoint(cur):
             cur = {k: v for k, v in cur.items() if k not in settled}
@@ -92,9 +108,9 @@ def kernel_dim(rows, ncols: int) -> int:
     return ncols - rank(rows)
 
 
-def rref_pivots(rows) -> dict[int, SparseRow]:
-    """Gauss-Jordan: pivot rows fully reduced against each other, pivot
-    coefficient scaled to 1."""
+def _reduced_pivots(rows) -> dict[int, dict[int, int]]:
+    """Integer reduced echelon form: pivot column -> primitive integer row
+    that is zero in every other pivot column, in increasing column order."""
     pivots = echelon_pivots(rows)
     cols = sorted(pivots)
     for c in reversed(cols):
@@ -102,34 +118,28 @@ def rref_pivots(rows) -> dict[int, SparseRow]:
         for c2, other in pivots.items():
             if c2 < c and c in other:
                 pivots[c2] = _combine(other, row, c)
-    return {c: {k: Fraction(v, pivots[c][c]) for k, v in pivots[c].items()} for c in cols}
+    return {c: pivots[c] for c in cols}
 
 
-def nullspace(rows, ncols: int) -> list[SparseRow]:
-    """Basis of the right kernel, one sparse vector per free column, scaled to
-    coprime integers."""
-    pivots = rref_pivots(rows)
+def rref_pivots(rows) -> dict[int, SparseRow]:
+    """Gauss-Jordan: pivot rows fully reduced against each other, pivot
+    coefficient scaled to 1."""
+    return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
+            for c, row in _reduced_pivots(rows).items()}
+
+
+def nullspace(rows, ncols: int) -> list[dict[int, int]]:
+    """Basis of the right kernel, one sparse vector per free column f, scaled
+    to coprime integers with a positive entry at f."""
+    pivots = _reduced_pivots(rows)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        vec: SparseRow = {f: Fraction(1)}
-        for c, row in pivots.items():
-            if f in row:
-                vec[c] = -row[f]
-        basis.append(scale_to_integers(vec))
+        hits = [(c, row) for c, row in pivots.items() if f in row]
+        scale = lcm(*(row[c] for c, row in hits))
+        vec = {f: scale}
+        for c, row in hits:
+            vec[c] = -row[f] * (scale // row[c])
+        basis.append(_primitive(vec))
     return basis
-
-
-def scale_to_integers(vec: SparseRow) -> SparseRow:
-    denom = 1
-    for v in vec.values():
-        v = Fraction(v)
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    scaled = {k: int(Fraction(v) * denom) for k, v in vec.items()}
-    g = 0
-    for v in scaled.values():
-        g = gcd(g, v)
-    if g > 1:
-        scaled = {k: v // g for k, v in scaled.items()}
-    return scaled

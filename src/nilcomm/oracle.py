@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Optional
 
-from . import invariants, linalg
+from . import closure, invariants, linalg
 from .diagrams import (
     AbDiagram,
     DEFAULT_BOUND,
@@ -596,6 +596,23 @@ def jordan_type(matrix: Matrix) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
+def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
+    """rank(P_a e^k) then rank(P_b e^k) for k = 0 .. n-1, with P_a = (I + D)/2
+    and P_b = (I - D)/2, or rank(e^k) for the types without D: the layout of
+    ``closure._truncation_profile``, whose fields the closure order compares."""
+    x = _sparse(real.e)
+    signs = (None,) if real.d_matrix is None else (1, -1)
+    ranks = []
+    power = {(k, k): 1 for k in range(real.n)}
+    for _k in range(real.n):
+        rows = _lines(power)[1]
+        for sign in signs:
+            ranks.append(linalg.rank([dict(row) for r, row in rows.items()
+                                      if sign is None or real.d_matrix[r][r] == sign]))
+        power = _mul(power, x)
+    return tuple(ranks)
+
+
 def _dominates_strictly(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """lam > mu in dominance order of partitions of the same size."""
     if lam == mu or sum(lam) != sum(mu):
@@ -675,7 +692,16 @@ def commuting_witness(
 # -- the self-large refutation test ----------------------------------------------
 
 
-def selflarge_test_7_4(real: MatrixRealization, seed: int = 0) -> bool:
+def is_abelian(basis: list[Matrix]) -> bool:
+    """Whether [x, y] = 0 for all x, y in span(basis), testing pairs of basis
+    elements up to the first nonzero bracket.  On ``p_e0_basis`` this decides
+    exactly whether p(e,0) is a torus: an abelian p(e,0) is an abelian ideal
+    of the reductive g(e,0) = k(e,0) + p(e,0), so it lies in its centre."""
+    sparse = [_sparse(x) for x in basis]
+    return not any(_bracket(x, y) for i, x in enumerate(sparse) for y in sparse[:i])
+
+
+def selflarge_test_7_4(real: MatrixRealization) -> bool:
     """True when the refutation applies: p(e,0) acts on g(f,-1) without fixed
     vectors and p(e,1) is nonzero; then the orbit is not self-large.  The
     precondition (almost-distinguished, not distinguished) is checked with the
@@ -683,7 +709,7 @@ def selflarge_test_7_4(real: MatrixRealization, seed: int = 0) -> bool:
     p0 = p_e0_basis(real)
     if not p0:
         raise NotAlmostDistinguished("orbit is distinguished")
-    if defect_oracle(real, seed=seed) != len(p0):
+    if not is_abelian(p0):
         raise NotAlmostDistinguished("p(e,0) contains nonzero nilpotent elements")
     fm1 = g_f_minus1_basis(real)
     fixed = fixed_space_dim(p0, fm1)
@@ -696,8 +722,9 @@ def selflarge_test_7_4(real: MatrixRealization, seed: int = 0) -> bool:
 def certify(bound: int, seed: int = 0) -> tuple[int, list[str]]:
     """Every candidate diagram of every pair with n <= bound is realizable
     exactly when it is valid, and on each realization the Jordan type of e,
-    dim p^e, dim p(e,0) (descriptor and graded count), dim p(e,1) and the
-    defect equal the oracle's.  Returns (realizations checked, failure lines).
+    the truncation profile of the closure order, dim p^e, dim p(e,0)
+    (descriptor and graded count), dim p(e,1) and the defect equal the
+    oracle's.  Returns (realizations checked, failure lines).
     A bound above DEFAULT_BOUND raises BoundExceeded before any pair is swept."""
     if bound > DEFAULT_BOUND:
         raise BoundExceeded(f"n={bound} exceeds bound {DEFAULT_BOUND}")
@@ -719,6 +746,7 @@ def certify(bound: int, seed: int = 0) -> tuple[int, list[str]]:
                 p0 = dim_graded(real, 0, -1)
                 checks = [
                     ("jordan type", d.partition, jordan_type(real.e)),
+                    ("truncation profile", closure._truncation_profile(d), truncation_ranks(real)),
                     ("dim p^e", invariants.dim_p_cent(d, pt, prm), dim_p_cent_oracle(real)),
                     ("dim p(e,0)", invariants.dim_p0(d, pt), p0),
                     ("graded dim p(e,0)", invariants.dim_p_graded(d, pt, 0), p0),

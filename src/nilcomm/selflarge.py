@@ -7,8 +7,8 @@ classical families the verdict is combinatorial: distinguished orbits (defect
 torus) whose (paired) row lengths differ pairwise by at least two; for BDI/CI
 exactly the almost-distinguished orbits.  For AIII/CII/DIII every
 almost-distinguished orbit is distinguished.  The matrix oracle provides an
-equivalent criterion (p(e,0) a torus and p(e,1) = 0) that the test suite
-checks against these rules pair by pair.
+equivalent criterion (p(e,0) a torus, decided exactly by [p(e,0), p(e,0)] = 0,
+and p(e,1) = 0) that the test suite checks against these rules pair by pair.
 """
 
 from __future__ import annotations
@@ -66,14 +66,14 @@ def is_self_large(diagram: AbDiagram, pair_type: PairType) -> SelfLargeVerdict:
 
 
 def verify_self_large_criterion(
-    diagram: AbDiagram, pair_type: PairType, params: PairParams, seed: int = 0
+    diagram: AbDiagram, pair_type: PairType, params: PairParams
 ) -> bool:
     """Oracle evaluation of the two-part criterion: p(e,0) = 0, or p(e,0) is a
-    torus and p(e,1) = 0."""
+    torus ([p(e,0), p(e,0)] = 0) and p(e,1) = 0."""
     real = oracle.realize(diagram, pair_type, params)
-    dim_p0 = oracle.dim_graded(real, 0, -1)
-    if dim_p0 == 0:
+    p0 = oracle.p_e0_basis(real)
+    if not p0:
         return True
-    if oracle.defect_oracle(real, seed=seed) != dim_p0:
+    if not oracle.is_abelian(p0):
         return False  # p(e,0) contains nonzero nilpotents
     return oracle.dim_graded(real, 1, -1) == 0

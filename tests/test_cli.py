@@ -89,6 +89,15 @@ def test_selflarge_single_and_enumeration(capsys):
     assert len(out.splitlines()) == 5  # all partitions of 4
 
 
+def test_selflarge_one_row_diagram(capsys):
+    """A bare integer is n; with a trailing comma it is the one-row diagram."""
+    code, out, _ = run(capsys, "selflarge", "AI", "4,")
+    assert (code, out) == (0, "4: True (Distinguished)\n")
+    code, out, _ = run(capsys, "--format", "json", "selflarge", "AI", "3,")
+    assert code == 0
+    assert json.loads(out) == [{"orbit": "3", "self_large": True, "reason": "Distinguished"}]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "enumerate", "XX", "3")[0] == 2
     assert run(capsys, "invariants", "AI", "abc")[0] == 2

@@ -36,6 +36,7 @@ def test_parse_partition():
     d = parse("4,2,1")
     assert d.partition == (4, 2, 1)
     assert not d.is_ab
+    assert parse("4,") == parse("4") and parse("4,2,1,") == d
 
 
 def test_parse_rejects_non_alternating():
@@ -52,6 +53,9 @@ def test_parse_rejects_garbage():
         parse("0,1")
     with pytest.raises(DiagramSyntaxError):
         parse("ab//a")
+    for text in ("4,,", ",", ",4", "ab,"):
+        with pytest.raises(DiagramSyntaxError):
+            parse(text)
 
 
 def test_empty_diagram():

@@ -118,6 +118,39 @@ def test_nullspace_vectors_are_in_kernel():
                 assert sum(Fraction(c) * vec.get(j, 0) for j, c in row.items()) == 0
 
 
-def test_scale_to_integers():
-    vec = {0: Fraction(1, 2), 3: Fraction(-3, 4)}
-    assert linalg.scale_to_integers(vec) == {0: 2, 3: -3}
+@given(sparse_systems(), st.randoms(use_true_random=False), st.integers(min_value=1, max_value=3))
+def test_row_order_repeats_and_signs_do_not_matter(system, rng, copies):
+    """Shuffled, repeated and negated rows give the same rank, reduced rows
+    and kernel basis, and the basis has int entries."""
+    rows, ncols = system
+    varied = [{k: sign * v for k, v in row.items()}
+              for row in rows for _ in range(rng.randint(1, copies))
+              for sign in [rng.choice((1, -1))]]
+    rng.shuffle(varied)
+    assert linalg.rank(varied) == linalg.rank(rows)
+    rref = linalg.rref_pivots(varied)
+    assert rref == linalg.rref_pivots(rows) and list(rref) == list(linalg.rref_pivots(rows))
+    basis = linalg.nullspace(varied, ncols)
+    assert basis == linalg.nullspace(rows, ncols)
+    assert all(type(v) is int for vec in basis for v in vec.values())
+
+
+def test_repeated_rows_are_not_eliminated_again(monkeypatch):
+    calls = []
+    combine = linalg._combine
+    monkeypatch.setattr(linalg, "_combine", lambda *args: calls.append(args) or combine(*args))
+
+    def combine_calls(rows) -> int:
+        calls.clear()
+        linalg.rank(rows)
+        return len(calls)
+
+    rng = random.Random(3)
+    rows = [{j: rng.randint(-4, 4) for j in range(9) if rng.random() < 0.5} for _ in range(12)]
+    alone = combine_calls(rows)
+    assert alone > 0
+    for k in (2, 5):
+        repeated = [dict(row) for row in rows for _ in range(k)]
+        negated = rows + [{c: -v for c, v in row.items()} for row in rows for _ in range(k - 1)]
+        assert combine_calls(repeated) == alone
+        assert combine_calls(negated) == alone

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import dense_reference as dense
 import nilcomm
 
-from nilcomm import linalg, oracle
+from nilcomm import closure, invariants, linalg, oracle
 from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
@@ -307,6 +307,33 @@ def test_selflarge_test_applies():
     zero_orbit = oracle.realize(parse("1,1,1"), PairType.AI, PairParams(3))
     with pytest.raises(NotAlmostDistinguished):
         oracle.selflarge_test_7_4(zero_orbit)
+
+
+def test_torus_test_matches_sampled_rank_and_combinatorics():
+    """[p(e,0), p(e,0)] = 0 exactly when the sampled rank of p(e,0) is its
+    dimension, and exactly when the orbit is almost-distinguished."""
+    for n in range(9):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                p0 = oracle.p_e0_basis(real)
+                torus = oracle.is_abelian(p0)
+                assert torus == (oracle.defect_oracle(real) == len(p0)), (pt, prm, d.text())
+                assert torus == invariants.is_almost_distinguished(d, pt), (pt, prm, d.text())
+
+
+def test_certify_checks_the_truncation_profile(monkeypatch):
+    profile = closure._truncation_profile
+
+    def last_field_raised(diagram):
+        fields = profile(diagram)
+        return fields[:-1] + (fields[-1] + 1,) if fields else fields
+
+    monkeypatch.setattr(closure, "_truncation_profile", last_field_raised)
+    checked, failures = oracle.certify(4)
+    assert checked > 0 and failures
+    assert all("truncation profile mismatch" in line for line in failures)
+    assert "AI PairParams(n=3, signature=None): truncation profile mismatch '2,1'" in failures
 
 
 def test_defect_oracle_deterministic():
