@@ -141,6 +141,9 @@ def _cmd_selflarge(args) -> int:
     except ValueError:
         diagram = parse_diagram(args.target)
     if diagram is not None:
+        if args.rest:
+            extra = " ".join(map(str, args.rest))
+            raise ValueError(f"a diagram takes no numbers after it, got {extra}")
         if _valid_params(args.type, diagram) is None:
             return 2
         verdicts = [selflarge.is_self_large(diagram, args.type)]

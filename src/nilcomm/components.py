@@ -106,15 +106,6 @@ class ComponentsReport:
     def count_max(self) -> int:
         return len(self.components) + len(self.unresolved)
 
-    @property
-    def orbit_count(self) -> int:
-        return (
-            len(self.components)
-            + len(self.eliminated)
-            + len(self.unresolved)
-            + len(self.non_candidates)
-        )
-
     def to_json(self) -> dict:
         return {
             "pair": self.pair_type.value,

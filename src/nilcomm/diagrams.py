@@ -172,12 +172,6 @@ class AbDiagram:
     def from_rows(cls, pairs) -> "AbDiagram":
         return cls(tuple((int(d), s) for d, s in pairs))
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "AbDiagram":
-        if "partition" in obj:
-            return cls.from_partition(obj["partition"])
-        return cls.from_rows((r["len"], r["start"]) for r in obj["rows"])
-
     # -- basic views -------------------------------------------------------
 
     @property
@@ -220,7 +214,7 @@ class AbDiagram:
             raise WrongType("signature is only defined for ab-diagrams")
         return self.letter_counts()
 
-    # -- text and JSON -----------------------------------------------------
+    # -- text --------------------------------------------------------------
 
     def text(self) -> str:
         if not self.rows:
@@ -228,11 +222,6 @@ class AbDiagram:
         if self.is_ab:
             return "/".join(_row_letters(d, s) for d, s in self.rows)
         return ",".join(str(d) for d, _ in self.rows)
-
-    def to_json(self) -> dict:
-        if self.is_ab:
-            return {"rows": [{"len": d, "start": s} for d, s in self.rows]}
-        return {"partition": [d for d, _ in self.rows]}
 
     def __str__(self) -> str:
         return self.text()
@@ -283,34 +272,35 @@ class Violation:
         return f"{self.kind}: {self.message}"
 
 
+# The pair type of the centralizer block that the rows of one length d carry,
+# by the pair's type: (block for odd d, block for even d).
+BLOCK_TYPE = {
+    PairType.AI: (PairType.AI, PairType.AI),
+    PairType.AII: (PairType.AII, PairType.AII),
+    PairType.AIII: (PairType.AIII, PairType.AIII),
+    PairType.BDI: (PairType.BDI, PairType.CI),
+    PairType.CI: (PairType.CI, PairType.BDI),
+    PairType.DIII: (PairType.DIII, PairType.CII),
+    PairType.CII: (PairType.CII, PairType.DIII),
+}
+
+
 def _parity_rules(pair_type: PairType, d: int, m: int, a: int, b: int) -> Optional[str]:
     """Return the violated per-length rule, or None.
 
-    The rules mirror which reductive pair the length-d block of the
-    centralizer must carry: a length with J-square -1 on its block forces
-    a_d = b_d, a symplectic block with J-square +1 forces a_d, b_d even,
-    and AII forces even multiplicities.
+    The rule is that of the length-d block of the centralizer (BLOCK_TYPE):
+    an AII block needs m_d even, a block with J-square -1 (CI, DIII) needs
+    a_d = b_d, and a symplectic block with J-square +1 (CII) needs a_d and
+    b_d even.
     """
-    odd = d % 2 == 1
-    if pair_type is PairType.AII:
-        if m % 2 != 0:
-            return f"m_{d}={m} must be even"
-    elif pair_type is PairType.BDI:
-        if not odd and a != b:
-            return f"even length needs a_{d}=b_{d}, got ({a},{b})"
-    elif pair_type is PairType.CI:
-        if odd and a != b:
-            return f"odd length needs a_{d}=b_{d}, got ({a},{b})"
-    elif pair_type is PairType.DIII:
-        if odd and a != b:
-            return f"odd length needs a_{d}=b_{d}, got ({a},{b})"
-        if not odd and (a % 2 != 0 or b % 2 != 0):
-            return f"even length needs even a_{d} and b_{d}, got ({a},{b})"
-    elif pair_type is PairType.CII:
-        if odd and (a % 2 != 0 or b % 2 != 0):
-            return f"odd length needs even a_{d} and b_{d}, got ({a},{b})"
-        if not odd and a != b:
-            return f"even length needs a_{d}=b_{d}, got ({a},{b})"
+    block = BLOCK_TYPE[pair_type][d % 2 == 0]
+    parity = "odd" if d % 2 else "even"
+    if block is PairType.AII and m % 2 != 0:
+        return f"m_{d}={m} must be even"
+    if block in (PairType.CI, PairType.DIII) and a != b:
+        return f"{parity} length needs a_{d}=b_{d}, got ({a},{b})"
+    if block is PairType.CII and (a % 2 != 0 or b % 2 != 0):
+        return f"{parity} length needs even a_{d} and b_{d}, got ({a},{b})"
     return None
 
 
@@ -449,36 +439,3 @@ def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagra
     choices = functools.partial(_letter_choices, pair_type)
     return tuple(d for part in partitions(params.n) for d in _lettered(part, choices, want_a, want_a))
 
-
-# -- column truncation and common rows ---------------------------------------
-
-
-def flip(letter: str) -> str:
-    return "b" if letter == "a" else "a"
-
-
-def truncate_columns(diagram: AbDiagram, k: int) -> AbDiagram:
-    """Remove the first k columns.  Rows shorter than k disappear; a surviving
-    row keeps its alternation, so its start letter flips when k is odd."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return diagram
-    rows = []
-    for d, s in diagram.rows:
-        if d > k:
-            rows.append((d - k, s if s is None or k % 2 == 0 else flip(s)))
-    return AbDiagram(tuple(rows))
-
-
-def strip_common_rows(d1: AbDiagram, d2: AbDiagram) -> tuple[AbDiagram, AbDiagram]:
-    """Remove the maximal multiset of rows common to both diagrams (equal
-    length, and equal start letter for ab-diagrams)."""
-    rows2 = list(d2.rows)
-    keep1 = []
-    for row in d1.rows:
-        if row in rows2:
-            rows2.remove(row)
-        else:
-            keep1.append(row)
-    return AbDiagram(tuple(keep1)), AbDiagram(tuple(rows2))

@@ -49,10 +49,6 @@ class NotNilpotent(NilcommError):
     """Jordan type is only defined for nilpotent matrices."""
 
 
-class NotAlmostDistinguished(NilcommError):
-    """Test applies only to almost-distinguished, non-distinguished orbits."""
-
-
 class UnknownCase(NilcommError):
     """Unrecognized exceptional case label."""
 

@@ -39,6 +39,8 @@ REAL_FORM = {
 
 @dataclass(frozen=True)
 class ExceptionalOrbitRecord:
+    """One orbit of a table; the tables list exactly the almost-distinguished orbits."""
+
     case: str
     orbit: int
     pair: str
@@ -48,10 +50,6 @@ class ExceptionalOrbitRecord:
     @property
     def distinguished(self) -> bool:
         return self.defect == 0
-
-    @property
-    def almost_distinguished(self) -> bool:
-        return True  # the tables list exactly the almost-distinguished orbits
 
 
 # orbit, centralizer pair, defect, optional note

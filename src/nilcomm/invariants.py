@@ -2,12 +2,13 @@
 
 The centralizer of the standard triple of an orbit decomposes, one reductive
 symmetric pair per occupied row length; which pair occurs is dictated by the
-pair type and the parity of the length.  Defect and dim p(e,0) read off these
-descriptors, and the two orbit classes of the paper are stated by their
-definitions on them: an orbit is distinguished when its defect is 0 (p(e,0)
-holds no nonzero semisimple element), and almost-distinguished when p(e,0) is
-a torus, i.e. every block's p-part is as large as its rank.  The ambient
-dimensions are those of the zero orbit, whose cells all have weight 0.
+pair type and the parity of the length (``diagrams.BLOCK_TYPE``).  Defect and
+dim p(e,0) read off these descriptors, and the two orbit classes of the paper
+are stated by their definitions on them: an orbit is distinguished when its
+defect is 0 (p(e,0) holds no nonzero semisimple element), and
+almost-distinguished when p(e,0) is a torus, i.e. every block's p-part is as
+large as its rank.  The ambient dimensions are those of the zero orbit, whose
+cells all have weight 0.
 
 dim p^e is one graded count for every pair type: dim p^e = sum over i >= 0 of
 dim p(e,i) = dim p(i,h) - dim k(i+2,h).  The centralizer g^e lies in the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagrams import AbDiagram, PairParams, PairType, _expected_letters, validate
+from .diagrams import BLOCK_TYPE, AbDiagram, PairParams, PairType, _expected_letters, validate
 from .errors import UnrealizableDiagram
 
 
@@ -74,31 +75,20 @@ class PairDescriptor(NamedTuple):
             return a * b
         raise ValueError(self.kind)
 
-    def label(self) -> str:
-        m, a, b = self.m, self.a, self.b
-        names = {
-            "gl_so": (f"gl_{m}", f"so_{m}"),
-            "gl_sp": (f"gl_{m}", f"sp_{m}"),
-            "gl_glgl": (f"gl_{m}", f"gl_{a} + gl_{b}"),
-            "so_soso": (f"so_{m}", f"so_{a} x so_{b}"),
-            "sp_gl": (f"sp_{m}", f"gl_{m // 2}"),
-            "so_gl": (f"so_{m}", f"gl_{m // 2}"),
-            "sp_spsp": (f"sp_{m}", f"sp_{a} x sp_{b}"),
-        }
-        g, k = names[self.kind]
-        return f"({g}, {k})"
 
-
-_DESCRIPTOR_KIND = {
-    # pair type -> (kind for odd d, kind for even d)
-    PairType.AI: ("gl_so", "gl_so"),
-    PairType.AII: ("gl_sp", "gl_sp"),
-    PairType.AIII: ("gl_glgl", "gl_glgl"),
-    PairType.BDI: ("so_soso", "sp_gl"),
-    PairType.CI: ("sp_gl", "so_soso"),
-    PairType.DIII: ("so_gl", "sp_spsp"),
-    PairType.CII: ("sp_spsp", "so_gl"),
+# the kind of the descriptor of each block pair type (diagrams.BLOCK_TYPE)
+_KIND = {
+    PairType.AI: "gl_so",
+    PairType.AII: "gl_sp",
+    PairType.AIII: "gl_glgl",
+    PairType.BDI: "so_soso",
+    PairType.CI: "sp_gl",
+    PairType.DIII: "so_gl",
+    PairType.CII: "sp_spsp",
 }
+
+# pair type -> (kind for odd d, kind for even d)
+_DESCRIPTOR_KIND = {pt: tuple(_KIND[block] for block in blocks) for pt, blocks in BLOCK_TYPE.items()}
 
 
 def centralizer_pairs(diagram: AbDiagram, pair_type: PairType) -> tuple[PairDescriptor, ...]:
@@ -155,12 +145,6 @@ def orbit_class(diagram: AbDiagram, pair_type: PairType) -> tuple[int, bool]:
     orbit is distinguished when the defect is 0."""
     pairs = centralizer_pairs(diagram, pair_type)
     return _defect(pairs, pair_type), _is_torus(pairs)
-
-
-def is_even(diagram: AbDiagram) -> bool:
-    """All eigenvalues of ad h are even, i.e. all row lengths share a parity."""
-    parities = {d % 2 for d, _s in diagram.rows}
-    return len(parities) <= 1
 
 
 def _cells(diagram: AbDiagram) -> list[tuple[int, int]]:
@@ -230,13 +214,6 @@ def dim_p_graded(diagram: AbDiagram, pair_type: PairType, i: int) -> int:
     return p_i - k_next
 
 
-def dim_k_graded(diagram: AbDiagram, pair_type: PairType, i: int) -> int:
-    """dim k(e,i) for i >= 0."""
-    k_i, _p_i = _theta_dims(diagram, pair_type, i, i)
-    _k_next, p_next = _theta_dims(diagram, pair_type, i + 2, i + 2)
-    return k_i - p_next
-
-
 @dataclass(frozen=True)
 class AmbientDims:
     dim_p: int
@@ -289,7 +266,6 @@ class OrbitInvariants:
     dim_p0: int
     distinguished: bool
     almost: bool
-    even: bool
     component_dim: int
 
     def to_json(self) -> dict:
@@ -314,6 +290,5 @@ def orbit_invariants(
         dim_p0=dim_p0(diagram, pair_type),
         distinguished=is_distinguished(diagram, pair_type),
         almost=is_almost_distinguished(diagram, pair_type),
-        even=is_even(diagram),
         component_dim=component_dim(diagram, pair_type, params),
     )

@@ -11,17 +11,13 @@ with a single entry sets its column to zero, so it is settled first and that
 column is removed from every other row; the other rows are eliminated
 shortest first.  The pivot of a row is its leftmost column, so the pivot
 columns and the reduced echelon form do not depend on the order of the rows.
-Every rank and kernel dimension is exact, ``nullspace`` builds coprime integer
-vectors from the integer reduced rows, and ``rref_pivots`` divides by the
-pivots only at the end, so its rows are exact Fractions.
+Every rank and kernel dimension is exact, and ``nullspace`` builds coprime
+integer vectors from the integer reduced rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-SparseRow = dict[int, Fraction]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -119,13 +115,6 @@ def _reduced_pivots(rows) -> dict[int, dict[int, int]]:
             if c2 < c and c in other:
                 pivots[c2] = _combine(other, row, c)
     return {c: pivots[c] for c in cols}
-
-
-def rref_pivots(rows) -> dict[int, SparseRow]:
-    """Gauss-Jordan: pivot rows fully reduced against each other, pivot
-    coefficient scaled to 1."""
-    return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
-            for c, row in _reduced_pivots(rows).items()}
 
 
 def nullspace(rows, ncols: int) -> list[dict[int, int]]:

@@ -22,8 +22,13 @@ Each of e, h, f, the form T and D has at most one nonzero entry in each row
 and each column, and T is a signed permutation (one entry +-1 in each row and
 column), so T^-1 = T^t.  They are built, checked and multiplied as sparse
 matrices {(r, c): value} without zero entries, at O(n) per product; a
-realization stores them as dense tuples for its callers.  ``certify`` checks
-the formulas of ``invariants`` against them on every diagram up to a bound.
+realization stores them as dense tuples for its callers.
+
+The oracle serves two clients.  ``certify`` checks the formulas of
+``invariants`` on every diagram up to a bound against the exact kernel
+dimensions (dim p^e, dim p(e,i)), the Jordan type, the truncation ranks and
+the sampled defect.  The self-large criterion of ``selflarge`` reads the
+sparse basis of p(e,0), its torus test ``is_abelian`` and dim p(e,1).
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .diagrams import (
 from .errors import (
     BoundExceeded,
     NoAdjacentLengths,
-    NotAlmostDistinguished,
     NotNilpotent,
     OracleCheckFailed,
     SizeMismatch,
@@ -390,9 +394,9 @@ def _check_realization(real: MatrixRealization) -> None:
 # -- graded linear systems ------------------------------------------------------
 
 
-def _system(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Optional[int]):
-    """Linear system of the x in g with [m, x] = 0, ad h-weight ``degree`` and
-    theta(x) = sigma x; no weight or involution condition when None.
+def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
+    """Linear system of the x in g with [e, x] = 0, theta(x) = sigma x and ad
+    h-weight ``degree``; no weight condition when ``degree`` is None.
 
     Only the unknowns x_rc that the grading (h_r - h_c = degree) and a
     diagonal involution (d_r d_c = sigma) leave free are kept; every other
@@ -403,9 +407,7 @@ def _system(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Op
     increasing r*n + c order, and sparse rows over their indices.
     """
     n, hd = real.n, real.h_diagonal
-    dd = None
-    if real.d_matrix is not None and sigma is not None:
-        dd = [real.d_matrix[k][k] for k in range(n)]
+    dd = None if real.d_matrix is None else [real.d_matrix[k][k] for k in range(n)]
     unknowns = [
         (r, c)
         for r in range(n)
@@ -415,17 +417,17 @@ def _system(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Op
     # form rows x^T T + form_sigma T x: membership in g for the BD/C types,
     # theta for AI/AII (AIII has no form); the A types carry the trace row
     form_sigma = 1 if real.d_matrix is not None else sigma
-    t = real.form if form_sigma is not None else None
+    t = real.form
     trace_row = real.pair_type in A_TYPES
-    m_col, m_row = _lines(_sparse(m))
+    e_col, e_row = _lines(_sparse(real.e))
     t_col, t_row = _lines(_sparse(t)) if t is not None else ({}, {})
     eqs: dict[int, dict[int, int]] = {}
     for u, (r, c) in enumerate(unknowns):
-        # [m, x]_ic gains m_ir x_rc; [m, x]_rj gains -x_rc m_cj
-        for i, v in m_col.get(r, ()):
+        # [e, x]_ic gains e_ir x_rc; [e, x]_rj gains -x_rc e_cj
+        for i, v in e_col.get(r, ()):
             row = eqs.setdefault(i * n + c, {})
             row[u] = row.get(u, 0) + v
-        for j, v in m_row.get(c, ()):
+        for j, v in e_row.get(c, ()):
             row = eqs.setdefault(r * n + j, {})
             row[u] = row.get(u, 0) - v
         if t is not None:
@@ -442,14 +444,14 @@ def _system(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Op
     return unknowns, [row for row in rows if row]
 
 
-def _kernel_dim(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Optional[int]) -> int:
-    unknowns, rows = _system(real, m, degree, sigma)
+def _kernel_dim(real: MatrixRealization, degree: Optional[int], sigma: int) -> int:
+    unknowns, rows = _system(real, degree, sigma)
     return linalg.kernel_dim(rows, len(unknowns))
 
 
-def _kernel(real: MatrixRealization, m: Matrix, degree: Optional[int], sigma: Optional[int]):
+def _kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
     """Basis of the solution space as sparse matrices {(r, c): value}."""
-    unknowns, rows = _system(real, m, degree, sigma)
+    unknowns, rows = _system(real, degree, sigma)
     return [
         {unknowns[u]: v for u, v in vec.items()}
         for vec in linalg.nullspace(rows, len(unknowns))
@@ -477,71 +479,24 @@ def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
 # -- centralizer dimensions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedDims:
-    """Eigenspace dimensions of the centralizer: pieces[i] = (dim k(e,i),
-    dim p(e,i)); plus dim g(f,-1) and the fixed space of p(e,0) acting on it."""
-
-    pieces: tuple[tuple[int, int, int], ...]
-    dim_g_f_minus1: int
-    dim_fixed_f_minus1: int
-
-    @property
-    def dim_p_cent(self) -> int:
-        return sum(p for _i, _k, p in self.pieces)
-
-    @property
-    def dim_k_cent(self) -> int:
-        return sum(k for _i, k, _p in self.pieces)
-
-
 def dim_p_cent_oracle(real: MatrixRealization) -> int:
     """dim p^e as an exact kernel dimension, over every ad h-weight."""
-    return _kernel_dim(real, real.e, None, -1)
+    return _kernel_dim(real, None, -1)
 
 
 def dim_graded(real: MatrixRealization, degree: int, sigma: int) -> int:
     """dim of the theta-eigenspace of g(e, degree); sigma=+1 for k, -1 for p."""
-    return _kernel_dim(real, real.e, degree, sigma)
+    return _kernel_dim(real, degree, sigma)
+
+
+def p_e0_sparse(real: MatrixRealization) -> list[dict]:
+    """Basis of p(e,0) as sparse matrices {(r, c): value}."""
+    return _kernel(real, 0, -1)
 
 
 def p_e0_basis(real: MatrixRealization) -> list[Matrix]:
-    return [_dense(real.n, x) for x in _kernel(real, real.e, 0, -1)]
-
-
-def g_f_minus1_basis(real: MatrixRealization) -> list[Matrix]:
-    return [_dense(real.n, x) for x in _kernel(real, real.f, -1, None)]
-
-
-def fixed_space_dim(acting: list[Matrix], module: list[Matrix]) -> int:
-    """dim of the joint kernel of ad(b) for b in acting, inside span(module)."""
-    if not module:
-        return 0
-    if not acting:
-        return len(module)
-    sparse_module = [_sparse(c) for c in module]
-    rows = []
-    for b in acting:
-        rows.extend(_bracket_rows(_sparse(b), sparse_module))
-    return linalg.kernel_dim(rows, len(module))
-
-
-def centralizer_dims(real: MatrixRealization) -> GradedDims:
-    """All graded centralizer dimensions plus the degree -1 data."""
-    max_len = real.diagram.rows[0][0] if real.diagram.rows else 1
-    pieces = []
-    for i in range(0, 2 * max_len - 1):
-        dk = dim_graded(real, i, 1)
-        dp = dim_graded(real, i, -1)
-        if dk or dp or i == 0:
-            pieces.append((i, dk, dp))
-    p0 = p_e0_basis(real)
-    fm1 = g_f_minus1_basis(real)
-    return GradedDims(
-        pieces=tuple(pieces),
-        dim_g_f_minus1=len(fm1),
-        dim_fixed_f_minus1=fixed_space_dim(p0, fm1),
-    )
+    """Basis of p(e,0) as dense matrices."""
+    return [_dense(real.n, x) for x in p_e0_sparse(real)]
 
 
 # -- randomized defect ----------------------------------------------------------
@@ -550,7 +505,7 @@ def centralizer_dims(real: MatrixRealization) -> GradedDims:
 def defect_oracle(real: MatrixRealization, seed: int = 0, coeff_bound: int = 10) -> int:
     """Rank of p(e,0): centralizer dimension in p(e,0) of a random element,
     with three agreeing seeded trials."""
-    basis = _kernel(real, real.e, 0, -1)
+    basis = p_e0_sparse(real)
     m = len(basis)
     if m == 0:
         return 0
@@ -689,31 +644,16 @@ def commuting_witness(
     return witness
 
 
-# -- the self-large refutation test ----------------------------------------------
+# -- the torus test ---------------------------------------------------------------
 
 
-def is_abelian(basis: list[Matrix]) -> bool:
-    """Whether [x, y] = 0 for all x, y in span(basis), testing pairs of basis
-    elements up to the first nonzero bracket.  On ``p_e0_basis`` this decides
-    exactly whether p(e,0) is a torus: an abelian p(e,0) is an abelian ideal
-    of the reductive g(e,0) = k(e,0) + p(e,0), so it lies in its centre."""
-    sparse = [_sparse(x) for x in basis]
-    return not any(_bracket(x, y) for i, x in enumerate(sparse) for y in sparse[:i])
-
-
-def selflarge_test_7_4(real: MatrixRealization) -> bool:
-    """True when the refutation applies: p(e,0) acts on g(f,-1) without fixed
-    vectors and p(e,1) is nonzero; then the orbit is not self-large.  The
-    precondition (almost-distinguished, not distinguished) is checked with the
-    oracle's own computations."""
-    p0 = p_e0_basis(real)
-    if not p0:
-        raise NotAlmostDistinguished("orbit is distinguished")
-    if not is_abelian(p0):
-        raise NotAlmostDistinguished("p(e,0) contains nonzero nilpotent elements")
-    fm1 = g_f_minus1_basis(real)
-    fixed = fixed_space_dim(p0, fm1)
-    return fixed == 0 and dim_graded(real, 1, -1) > 0
+def is_abelian(basis: list[dict]) -> bool:
+    """Whether [x, y] = 0 for all x, y in the span of the sparse matrices,
+    testing pairs of basis elements up to the first nonzero bracket.  On
+    ``p_e0_sparse`` this decides exactly whether p(e,0) is a torus: an abelian
+    p(e,0) is an abelian ideal of the reductive g(e,0) = k(e,0) + p(e,0), so
+    it lies in its centre."""
+    return not any(_bracket(x, y) for i, x in enumerate(basis) for y in basis[:i])
 
 
 # -- the certification sweep --------------------------------------------------------
@@ -725,7 +665,10 @@ def certify(bound: int, seed: int = 0) -> tuple[int, list[str]]:
     the truncation profile of the closure order, dim p^e, dim p(e,0)
     (descriptor and graded count), dim p(e,1) and the defect equal the
     oracle's.  Returns (realizations checked, failure lines).
-    A bound above DEFAULT_BOUND raises BoundExceeded before any pair is swept."""
+    A negative bound raises ValueError, and a bound above DEFAULT_BOUND
+    BoundExceeded, before any pair is swept."""
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
     if bound > DEFAULT_BOUND:
         raise BoundExceeded(f"n={bound} exceeds bound {DEFAULT_BOUND}")
     checked, failures = 0, []

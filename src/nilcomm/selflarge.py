@@ -71,7 +71,7 @@ def verify_self_large_criterion(
     """Oracle evaluation of the two-part criterion: p(e,0) = 0, or p(e,0) is a
     torus ([p(e,0), p(e,0)] = 0) and p(e,1) = 0."""
     real = oracle.realize(diagram, pair_type, params)
-    p0 = oracle.p_e0_basis(real)
+    p0 = oracle.p_e0_sparse(real)
     if not p0:
         return True
     if not oracle.is_abelian(p0):

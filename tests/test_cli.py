@@ -98,6 +98,15 @@ def test_selflarge_one_row_diagram(capsys):
     assert json.loads(out) == [{"orbit": "3", "self_large": True, "reason": "Distinguished"}]
 
 
+def test_selflarge_rejects_numbers_after_a_diagram(capsys):
+    assert run(capsys, "selflarge", "AI", "3,1", "7") == (
+        2, "", "error: a diagram takes no numbers after it, got 7\n")
+    assert run(capsys, "selflarge", "AI", "4,", "7") == (
+        2, "", "error: a diagram takes no numbers after it, got 7\n")
+    assert run(capsys, "selflarge", "BDI", "aba/a/b", "5", "3", "2") == (
+        2, "", "error: a diagram takes no numbers after it, got 5 3 2\n")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "enumerate", "XX", "3")[0] == 2
     assert run(capsys, "invariants", "AI", "abc")[0] == 2
@@ -145,6 +154,10 @@ def test_verify_cert_bound_checked_before_the_sweep(capsys, monkeypatch):
         oracle.certify(31)
     code, out, err = run(capsys, "verify", "--cert-bound", "31")
     assert (code, out, err) == (2, "", "error: n=31 exceeds bound 30\n")
+    with pytest.raises(ValueError, match="bound must be non-negative, got -1"):
+        oracle.certify(-1)
+    code, out, err = run(capsys, "verify", "--cert-bound", "-1")
+    assert (code, out, err) == (2, "", "error: bound must be non-negative, got -1\n")
 
 
 def test_python_m_nilcomm():

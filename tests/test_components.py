@@ -63,7 +63,9 @@ def test_every_orbit_reported_once():
         (PairType.AIII, PairParams(6, (4, 2))),
     ]:
         report = classify_components(pt, prm)
-        assert report.orbit_count == len(enumerate_diagrams(pt, prm))
+        reported = (report.components + report.eliminated + report.unresolved
+                    + report.non_candidates)
+        assert len(reported) == len(enumerate_diagrams(pt, prm))
 
 
 def test_component_dims():

@@ -11,14 +11,13 @@ from nilcomm.diagrams import (
     PairParams,
     PairType,
     _enumerate_cached,
+    _parity_rules,
     candidates,
     enumerate_diagrams,
     pairs_of_size,
     params_for,
     parse,
     partitions,
-    strip_common_rows,
-    truncate_columns,
     validate,
     is_valid,
 )
@@ -73,20 +72,6 @@ def test_canonical_row_order():
     assert d.text() == "aba/a/b"
 
 
-def test_json_round_trip():
-    for text in ["aba/a/b", "4,2,1", "abab/ba"]:
-        d = parse(text)
-        assert AbDiagram.from_json(d.to_json()) == d
-    assert parse("aba/a/b").to_json() == {
-        "rows": [
-            {"len": 3, "start": "a"},
-            {"len": 1, "start": "a"},
-            {"len": 1, "start": "b"},
-        ]
-    }
-    assert parse("4,2,1").to_json() == {"partition": [4, 2, 1]}
-
-
 def test_validate_bdi_example():
     # Legal degenerate-looking BDI diagram with an a/b pair at length 1.
     d = parse("aba/a/b")
@@ -112,6 +97,46 @@ def test_validate_signature_mismatch():
     d = parse("ab/a")  # counts (2, 1)
     v = validate(d, PairType.AIII, params_for(PairType.AIII, 3, 1, 2))
     assert [x.kind for x in v] == ["SignatureMismatch"]
+
+
+def _parity_rules_by_type(pair_type, d, m, a, b):
+    """The per-length rules stated type by type, one branch per pair type
+    and parity of d."""
+    odd = d % 2 == 1
+    if pair_type is PairType.AII:
+        if m % 2 != 0:
+            return f"m_{d}={m} must be even"
+    elif pair_type is PairType.BDI:
+        if not odd and a != b:
+            return f"even length needs a_{d}=b_{d}, got ({a},{b})"
+    elif pair_type is PairType.CI:
+        if odd and a != b:
+            return f"odd length needs a_{d}=b_{d}, got ({a},{b})"
+    elif pair_type is PairType.DIII:
+        if odd and a != b:
+            return f"odd length needs a_{d}=b_{d}, got ({a},{b})"
+        if not odd and (a % 2 != 0 or b % 2 != 0):
+            return f"even length needs even a_{d} and b_{d}, got ({a},{b})"
+    elif pair_type is PairType.CII:
+        if odd and (a % 2 != 0 or b % 2 != 0):
+            return f"odd length needs even a_{d} and b_{d}, got ({a},{b})"
+        if not odd and a != b:
+            return f"even length needs a_{d}=b_{d}, got ({a},{b})"
+    return None
+
+
+def test_block_rules_match_the_rules_by_type():
+    """The rule of each length's centralizer block (BLOCK_TYPE) is the
+    type-by-type rule, message for message, for d, m <= 8 and every split."""
+    checked = 0
+    for pt in PairType:
+        for d in range(1, 9):
+            for m in range(1, 9):
+                for a in range(m + 1):
+                    want = _parity_rules_by_type(pt, d, m, a, m - a)
+                    assert _parity_rules(pt, d, m, a, m - a) == want, (pt, d, m, a)
+                    checked += want is not None
+    assert checked > 0
 
 
 def test_partitions_of_small_n():
@@ -319,47 +344,6 @@ def test_print_parse_round_trip_on_enumerations():
         for pair_type, params in pairs_of_size(n):
             for d in enumerate_diagrams(pair_type, params):
                 assert parse(d.text()) == d
-
-
-def test_truncate_plain():
-    assert truncate_columns(parse("3,1"), 1).n == 2
-    g = parse("4,2,1")
-    assert truncate_columns(g, 0) == g
-
-
-def test_truncate_ab_letters_shift():
-    t = truncate_columns(parse("abab/a/b"), 1)
-    assert t.letter_counts() == (1, 2)
-    assert t.rows == ((3, "b"),)
-
-
-@given(st.lists(st.integers(min_value=1, max_value=9), min_size=0, max_size=6),
-       st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5),
-       st.data())
-def test_truncate_composition(lengths, j, k, data):
-    letters = data.draw(st.lists(st.sampled_from("ab"), min_size=len(lengths), max_size=len(lengths)))
-    d = AbDiagram.from_rows(zip(lengths, letters))
-    once = truncate_columns(d, j + k)
-    twice = truncate_columns(truncate_columns(d, j), k)
-    assert once.letter_counts() == twice.letter_counts()
-    assert once.n == twice.n
-
-
-def test_strip_common_rows_plain():
-    g1, g2 = strip_common_rows(parse("3,2,1"), parse("3,3"))
-    assert (g1.partition, g2.partition) == ((2, 1), (3,))
-
-
-def test_strip_common_rows_none_common():
-    g1, g2 = strip_common_rows(parse("aba/a/b"), parse("ababa"))
-    assert g1 == parse("aba/a/b")
-    assert g2 == parse("ababa")
-
-
-def test_strip_common_rows_ab():
-    g1, g2 = strip_common_rows(parse("ababa/aba/bab/b"), parse("ababa/ababa/b/b"))
-    assert g1 == parse("aba/bab")
-    assert g2 == parse("ababa/b")
 
 
 @given(st.text(max_size=12))

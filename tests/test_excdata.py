@@ -22,7 +22,7 @@ def test_load_case_ei():
 def test_load_case_eviii_orbit85():
     rec = next(r for r in excdata.load_case("EVIII") if r.orbit == 85)
     assert rec.pair == "(T1, 0)" and rec.defect == 1
-    assert not rec.distinguished and rec.almost_distinguished
+    assert not rec.distinguished
 
 
 def test_eiv_erratum_note():

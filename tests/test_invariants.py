@@ -21,14 +21,12 @@ from nilcomm.invariants import (
     centralizer_pairs,
     component_dim,
     defect,
-    dim_k_graded,
     dim_orbit,
     dim_p0,
     dim_p_cent,
     dim_p_graded,
     is_almost_distinguished,
     is_distinguished,
-    is_even,
     orbit_class,
     orbit_invariants,
 )
@@ -50,8 +48,6 @@ def test_centralizer_pairs_bdi():
     desc = {d.d: d for d in centralizer_pairs(G5, PairType.BDI)}
     assert desc[3].kind == "so_soso" and (desc[3].m, desc[3].a, desc[3].b) == (1, 1, 0)
     assert desc[1].kind == "so_soso" and (desc[1].a, desc[1].b) == (1, 1)
-    assert desc[3].label() == "(so_1, so_1 x so_0)"
-    assert desc[1].label() == "(so_2, so_1 x so_1)"
 
 
 def test_centralizer_pairs_ai_and_ci():
@@ -139,8 +135,8 @@ def test_ambient_dims_certified_against_oracle():
         real = oracle.realize(zero, pt, prm)
         assert oracle.dim_p_cent_oracle(real) == amb.dim_p
         assert oracle.defect_oracle(real) == amb.rank_p
-        gd = oracle.centralizer_dims(real)
-        assert gd.dim_k_cent == amb.dim_k
+        # dim k^e summed over the centralizer's weights 0 .. 2 (longest row - 1)
+        assert sum(oracle.dim_graded(real, i, 1) for i in range(2 * zero.rows[0][0] - 1)) == amb.dim_k
 
 
 def test_dim_orbit_and_component_dim():
@@ -157,12 +153,6 @@ def test_dim_orbit_and_component_dim():
     assert component_dim(parse("abab"), PairType.CI, PairParams(4)) == ambient_dims(
         PairType.CI, PairParams(4)
     ).dim_p
-
-
-def test_even_orbits():
-    assert is_even(G5)
-    assert is_even(parse("abab/ab"))
-    assert not is_even(parse("2,1"))
 
 
 def _distinguished_by_type(diagram, pair_type):
@@ -255,7 +245,6 @@ def test_graded_dims_match_oracle_spot():
         real = oracle.realize(d, pt, prm)
         for i in range(0, 5):
             assert dim_p_graded(d, pt, i) == oracle.dim_graded(real, i, -1)
-            assert dim_k_graded(d, pt, i) == oracle.dim_graded(real, i, 1)
 
 
 def test_orbit_invariants_json():
@@ -269,4 +258,3 @@ def test_orbit_invariants_json():
         "almost": True,
         "component_dim": 5,
     }
-    assert inv.even is True
