@@ -6,8 +6,8 @@ format is text, json or dot (closure-graph only).  Exit codes: 0 success,
 1 failed verification or violated claim, 2 usage error.
 
 Configuration can also come from a JSON file named by $NILCOMM_CONFIG with
-keys "bound", "seed", "format", read on every call; a flag given on the
-command line overrides it.
+keys "bound" and "format", read on every call; a flag given on the command
+line overrides it, and every other key is ignored.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
     """Certify the combinatorial layer against the matrix oracle
     (``oracle.certify``), check the embedded exceptional tables, and run the
     verified-rank-bound grid."""
-    checked, failures = oracle.certify(args.cert_bound, args.seed)
+    checked, failures = oracle.certify(args.cert_bound)
     print(f"oracle certification: {checked} realizations checked, "
           f"{len(failures)} failures (bound {args.cert_bound})")
     for f in failures:
@@ -211,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["text", "json", "dot"], default="text")
     parser.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                         help="enumeration size bound")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized rank oracle")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the orbit diagrams of a pair")
@@ -263,7 +261,7 @@ def main(argv=None) -> int:
     config = _load_config()
     # the config's values go first, as flags: the parser checks them, and a
     # flag on the command line overrides them
-    flags = [f"--{key}={config[key]}" for key in ("format", "bound", "seed") if key in config]
+    flags = [f"--{key}={config[key]}" for key in ("format", "bound") if key in config]
     try:
         args = build_parser().parse_args(flags + (sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:

@@ -182,10 +182,10 @@ def is_reduction(
     """g1 < g2 with defect drop equal to centralizer drop."""
     if not lt(g1, g2, pair_type):
         raise NotComparable(f"{g1.text()!r} is not strictly below {g2.text()!r}")
-    return _is_tight(g1, g2, pair_type, params)
+    return is_tight(g1, g2, pair_type, params)
 
 
-def _is_tight(g1: AbDiagram, g2: AbDiagram, pair_type: PairType, params: PairParams) -> bool:
+def is_tight(g1: AbDiagram, g2: AbDiagram, pair_type: PairType, params: PairParams) -> bool:
     """Defect drop equals centralizer drop; the caller knows g1 < g2."""
     return centralizer_drop(g1, g2, pair_type, params) == reduction_order(g1, g2, pair_type)
 
@@ -199,7 +199,7 @@ def find_reduction(
     """A minimal degeneration that is a reduction, if one exists.  When any
     reduction exists, one exists among the covers, so this search is complete."""
     for g2 in minimal_degenerations(diagram, pair_type, params, bound):
-        if _is_tight(diagram, g2, pair_type, params):
+        if is_tight(diagram, g2, pair_type, params):
             return g2
     return None
 

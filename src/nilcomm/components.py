@@ -3,7 +3,9 @@
 Every irreducible component of the nilpotent commuting variety is generated
 by an almost-distinguished orbit (p(e,0) a torus); distinguished orbits
 (defect 0) give the components of full dimension.  A strange-component
-candidate, almost-distinguished but not distinguished, is eliminated by a
+candidate, almost-distinguished but not distinguished, is a component when no
+valid diagram lies above it, as C_e in C_e' forces e <= e' and the C_e cover
+the variety (the zero orbit of BDI (1,1)).  Otherwise it is eliminated by a
 reduction (a larger orbit whose subvariety contains its own) or, in the A
 cases, by a commuting witness that the nilpotent part of the centralizer
 escapes the orbit closure.  What survives is reported unresolved, never hidden.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .closure import find_reduction
+from .closure import is_tight, minimal_degenerations
 from .diagrams import (
     AbDiagram,
     PairParams,
@@ -54,14 +56,6 @@ class CandidateStatus:
         return out
 
 
-def _adjacent_lengths(diagram: AbDiagram) -> Optional[tuple[int, int]]:
-    lengths = sorted({d for d, _s in diagram.rows})
-    for lo, hi in zip(lengths, lengths[1:]):
-        if hi - lo == 1:
-            return lo, hi
-    return None
-
-
 def candidate_status(
     diagram: AbDiagram,
     pair_type: PairType,
@@ -76,13 +70,16 @@ def candidate_status(
         return CandidateStatus(diagram, NON_CANDIDATE, cdim)
     if delta == 0:
         return CandidateStatus(diagram, COMPONENT, cdim)
-    target = find_reduction(diagram, pair_type, params, bound)
+    covers = minimal_degenerations(diagram, pair_type, params, bound)
+    if not covers:
+        return CandidateStatus(diagram, COMPONENT, cdim)
+    target = next((g2 for g2 in covers if is_tight(diagram, g2, pair_type, params)), None)
     if target is not None:
         return CandidateStatus(
             diagram, ELIMINATED_BY_REDUCTION, cdim, reduction_target=target
         )
     if pair_type in (PairType.AI, PairType.AII):
-        adj = _adjacent_lengths(diagram)
+        adj = diagram.adjacent_lengths()
         if adj is not None:
             return CandidateStatus(diagram, ELIMINATED_BY_WITNESS, cdim, witness_lengths=adj)
     return CandidateStatus(diagram, UNRESOLVED, cdim)

@@ -199,6 +199,11 @@ class AbDiagram:
                 m[2] += 1
         return {d: tuple(v) for d, v in sorted(out.items(), reverse=True)}
 
+    def adjacent_lengths(self) -> Optional[tuple[int, int]]:
+        """The smallest two row lengths that differ by one, or None."""
+        lengths = sorted({d for d, _s in self.rows})
+        return next(((lo, hi) for lo, hi in zip(lengths, lengths[1:]) if hi - lo == 1), None)
+
     def letter_counts(self) -> tuple[int, int]:
         """Total (a, b) cell counts; (0, 0) for plain diagrams."""
         na = nb = 0

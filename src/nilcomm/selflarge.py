@@ -39,18 +39,6 @@ class SelfLargeVerdict:
         }
 
 
-def _paired_lengths(diagram: AbDiagram, pair_type: PairType) -> list[int]:
-    lengths = [d for d, _s in diagram.rows]
-    if pair_type is PairType.AII:
-        return lengths[0::2]  # rows come in equal pairs for almost-distinguished
-    return lengths
-
-
-def _all_gaps_at_least_two(diagram: AbDiagram, pair_type: PairType) -> bool:
-    lengths = sorted(set(_paired_lengths(diagram, pair_type)), reverse=True)
-    return all(hi - lo >= 2 for hi, lo in zip(lengths, lengths[1:]))
-
-
 def is_self_large(diagram: AbDiagram, pair_type: PairType) -> SelfLargeVerdict:
     """Combinatorial verdict, with the reason recorded."""
     if is_distinguished(diagram, pair_type):
@@ -58,7 +46,7 @@ def is_self_large(diagram: AbDiagram, pair_type: PairType) -> SelfLargeVerdict:
     if not is_almost_distinguished(diagram, pair_type):
         return SelfLargeVerdict(diagram, False, DATA_TABLE)
     if pair_type in (PairType.AI, PairType.AII):
-        if _all_gaps_at_least_two(diagram, pair_type):
+        if diagram.adjacent_lengths() is None:
             return SelfLargeVerdict(diagram, True, TORUS_AND_NO_DEGREE_ONE)
         return SelfLargeVerdict(diagram, False, ADJACENT_LENGTH_WITNESS)
     # BDI or CI: for AIII, CII and DIII almost-distinguished is distinguished

@@ -81,3 +81,12 @@ def jordan_type(a):
         ranks.append(mat_rank(power))
     longer = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
     return tuple(sum(1 for c in longer if c > i) for i in range(longer[0] if longer else 0))
+
+
+def theta(real, x):
+    """The involution of an oracle realization applied to x: conjugation by
+    its sign matrix D, or for AI/AII (no D) x -> -T^-1 x^t T, where T^-1 = T^t
+    since the form T is a signed permutation."""
+    if real.d_matrix is not None:
+        return mat_mul(mat_mul(real.d_matrix, x), real.d_matrix)
+    return mat_scale(-1, mat_mul(mat_mul(transpose(real.form), transpose(x)), real.form))

@@ -167,7 +167,7 @@ def test_criterion_7_witness_suite():
                 w = oracle.commuting_witness(real)
                 if dense.commutator(real.e, w) != zero(real.n):
                     failures.append(("commutation", pt.value, d.text()))
-                if real.theta(w) != dense.mat_scale(-1, w):
+                if dense.theta(real, w) != dense.mat_scale(-1, w):
                     failures.append(("theta sign", pt.value, d.text()))
                 wt = AbDiagram.from_partition(oracle.jordan_type(w))
                 if not closure.lt(d if not d.is_ab else d, wt, PairType.AI):

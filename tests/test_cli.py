@@ -171,7 +171,7 @@ def test_python_m_nilcomm():
 
 def test_config_file(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "json", "bound": 10}))
+    cfg.write_text(json.dumps({"format": "json", "bound": 10, "seed": 3}))
     monkeypatch.setenv("NILCOMM_CONFIG", str(cfg))
     code, out, _ = run(capsys, "invariants", "AI", "2,1")
     assert code == 0

@@ -49,6 +49,15 @@ def test_candidate_status_examples():
     assert candidate_status(parse("abab"), PairType.CI, PairParams(4)).status == COMPONENT
 
 
+def test_almost_distinguished_orbit_with_nothing_above_is_a_component():
+    """BDI (1,1) has a single orbit, a/b, of defect 1; it generates the whole
+    variety, a point."""
+    report = classify_components(PairType.BDI, params_for(PairType.BDI, 2, 1, 1))
+    assert [(c.diagram, c.component_dim) for c in report.components] == [(parse("a/b"), 0)]
+    assert not report.unresolved
+    assert (report.count_min, report.count_max) == (1, 1)
+
+
 def test_zero_pair():
     report = classify_components(PairType.AI, PairParams(0))
     assert len(report.components) == 1

@@ -147,7 +147,7 @@ def test_witness_ai_21():
     w = oracle.commuting_witness(real)
     assert oracle.jordan_type(w) == (3,)
     assert dense.commutator(real.e, w) == dense.freeze(dense.zeros(3))
-    assert real.theta(w) == dense.mat_scale(-1, w)
+    assert dense.theta(real, w) == dense.mat_scale(-1, w)
 
 
 def test_witness_aii_2211():
@@ -243,12 +243,16 @@ from nilcomm.errors import OracleCheckFailed
 if __debug__:
     raise SystemExit("expected python -O")
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
+oracle._sample = lambda rng, basis: {(0, 2): 1, (1, 3): 1}
 for tampered, check in [
     (dataclasses.replace(real, h=tuple(tuple(2 * v for v in row) for row in real.h)),
      oracle._check_realization),
     (dataclasses.replace(real, form=tuple(tuple(2 * v for v in row) for row in real.form)),
      oracle._check_realization),
     (dataclasses.replace(real, e=tuple(zip(*real.e))), oracle.commuting_witness),
+    # a sampler that only draws a nilpotent with an abelian centralizer
+    (oracle.realize(parse("a/a/b/b"), PairType.AIII, PairParams(4, (2, 2))),
+     oracle.defect_oracle),
 ]:
     try:
         check(tampered)
@@ -271,6 +275,7 @@ def test_oracle_checks_survive_python_O():
         "identity fails: [h, e] = 2e",
         "identity fails: form T is a signed permutation",
         "identity fails: [e, w] = 0",
+        "no Cartan subspace certified in 20 samples of p(e,0)",
     ]
 
 
@@ -343,15 +348,18 @@ def test_selflarge_test_applies():
 
 
 def test_torus_test_matches_sampled_rank_and_combinatorics():
-    """[p(e,0), p(e,0)] = 0 exactly when the sampled rank of p(e,0) is its
-    dimension, and exactly when the orbit is almost-distinguished."""
-    for n in range(9):
+    """The certified rank of p(e,0) is the defect, [p(e,0), p(e,0)] = 0
+    exactly when that rank is dim p(e,0), and exactly when the orbit is
+    almost-distinguished, on every valid diagram with n <= 10."""
+    for n in range(11):
         for pt, prm in pairs_of_size(n):
             for d in enumerate_diagrams(pt, prm):
                 real = oracle.realize(d, pt, prm)
                 p0 = oracle.p_e0_sparse(real)
                 torus = oracle.is_abelian(p0)
-                assert torus == (oracle.defect_oracle(real) == len(p0)), (pt, prm, d.text())
+                rank = oracle.defect_oracle(real)
+                assert rank == invariants.defect(d, pt), (pt, prm, d.text())
+                assert torus == (rank == len(p0)), (pt, prm, d.text())
                 assert torus == invariants.is_almost_distinguished(d, pt), (pt, prm, d.text())
 
 
@@ -371,8 +379,18 @@ def test_certify_checks_the_truncation_profile(monkeypatch):
 
 def test_defect_oracle_deterministic():
     real = oracle.realize(parse("aba/a/b"), PairType.BDI, params_for(PairType.BDI, 5, 3, 2))
-    assert oracle.defect_oracle(real, seed=5) == oracle.defect_oracle(real, seed=5)
-    assert oracle.defect_oracle(real, seed=1) == oracle.defect_oracle(real, seed=2) == 1
+    assert oracle.defect_oracle(real) == oracle.defect_oracle(real) == 1
+
+
+def test_cartan_certificate_rejects_an_abelian_centralizer_of_a_nilpotent():
+    """On AIII a/a/b/b, p(e,0) is all of p, and x = E_02 + E_13 has an
+    abelian centralizer of dimension 4 on which the trace form vanishes; the
+    rank is 2."""
+    real = oracle.realize(parse("a/a/b/b"), PairType.AIII, PairParams(4, (2, 2)))
+    z = oracle._centralizer({(0, 2): 1, (1, 3): 1}, oracle.p_e0_sparse(real))
+    assert len(z) == 4 and oracle.is_abelian(z)
+    assert not oracle._is_cartan(z)
+    assert oracle.defect_oracle(real) == 2
 
 
 def test_graded_pieces_sum_to_centralizer():
@@ -438,7 +456,7 @@ def _reference_maps(real):
         "e": rows_of(lambda x: dense.commutator(real.e, x)),
         "f": rows_of(lambda x: dense.commutator(real.f, x)),
         "h": rows_of(lambda x: dense.commutator(real.h, x)),
-        "theta": rows_of(real.theta),
+        "theta": rows_of(lambda x: dense.theta(real, x)),
     }
     if real.pair_type in oracle.A_TYPES:
         maps["g"] = rows_of(lambda x: ((dense.trace(x),),))
