@@ -126,8 +126,8 @@ Row = tuple[int, Optional[str]]
 def _row_letters(length: int, start: Optional[str]) -> str:
     if start is None:
         return ""
-    other = "b" if start == "a" else "a"
-    return "".join(start if i % 2 == 0 else other for i in range(length))
+    pair = "ab" if start == "a" else "ba"
+    return pair * (length // 2) + start * (length % 2)
 
 
 def row_letter_counts(length: int, start: str) -> tuple[int, int]:

@@ -14,6 +14,12 @@ one weight and every other entry is zero by a single-entry condition.  The
 unknowns keep their row-major order, so bases come out as from the full
 system over all n^2 entries.
 
+The system of a realization over every weight is eliminated once per sign,
+and dim p^e and every dim p(e,i) are read off that echelon form: rows of
+different weights share no column, so elimination never combines them, and
+dim p(e,w) = (unknowns of weight w) - (pivot columns of weight w).  A lone
+``dim_graded`` eliminates only its own block.
+
 For the types whose involution J squares to -Id, J = sqrt(-1) * D with D an
 integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
 whole computation stays rational.  The realization stores D and the sign xi.
@@ -35,7 +41,8 @@ sparse basis of p(e,0), its torus test ``is_abelian`` and dim p(e,1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from typing import Optional
@@ -91,6 +98,8 @@ class MatrixRealization:
     xi: Optional[int]
     partners: tuple[int, ...]
     alphas: Optional[tuple[int, ...]]
+    # sigma -> {ad h-weight: kernel dimension}, filled by _graded_dims
+    _graded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def h_diagonal(self) -> tuple[int, ...]:
@@ -441,9 +450,19 @@ def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
     return unknowns, [row for row in rows if row]
 
 
-def _kernel_dim(real: MatrixRealization, degree: Optional[int], sigma: int) -> int:
-    unknowns, rows = _system(real, degree, sigma)
-    return linalg.kernel_dim(rows, len(unknowns))
+def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
+    """{ad h-weight w: dim of the sigma-eigenspace of g(e, w)}, from one
+    elimination of the system over every weight, memoised on ``real``."""
+    dims = real._graded.get(sigma)
+    if dims is None:
+        unknowns, rows = _system(real, None, sigma)
+        hd = real.h_diagonal
+        weights = [hd[r] - hd[c] for r, c in unknowns]
+        dims = Counter(weights)
+        for u in linalg.echelon_pivots(rows):
+            dims[weights[u]] -= 1
+        real._graded[sigma] = dims
+    return dims
 
 
 def _kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
@@ -478,12 +497,17 @@ def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
 
 def dim_p_cent_oracle(real: MatrixRealization) -> int:
     """dim p^e as an exact kernel dimension, over every ad h-weight."""
-    return _kernel_dim(real, None, -1)
+    return sum(_graded_dims(real, -1).values())
 
 
 def dim_graded(real: MatrixRealization, degree: int, sigma: int) -> int:
-    """dim of the theta-eigenspace of g(e, degree); sigma=+1 for k, -1 for p."""
-    return _kernel_dim(real, degree, sigma)
+    """dim of the theta-eigenspace of g(e, degree); sigma=+1 for k, -1 for p;
+    read off the elimination over every weight once that has run."""
+    dims = real._graded.get(sigma)
+    if dims is not None:
+        return dims[degree]
+    unknowns, rows = _system(real, degree, sigma)
+    return linalg.kernel_dim(rows, len(unknowns))
 
 
 def p_e0_sparse(real: MatrixRealization) -> list[dict]:
@@ -611,27 +635,20 @@ def _row_restriction(real: MatrixRealization, idx, rows: set[int]) -> dict:
     return m
 
 
-def find_adjacent_rows(diagram: AbDiagram) -> Optional[tuple[int, int]]:
-    """First pair of row indices (i1, i2) with len(i1) + 1 = len(i2)."""
-    for i2, (d2, _s2) in enumerate(diagram.rows):
-        for i1, (d1, _s1) in enumerate(diagram.rows):
-            if d1 + 1 == d2:
-                return i1, i2
-    return None
-
-
 def commuting_witness(
     real: MatrixRealization, i1: Optional[int] = None, i2: Optional[int] = None
 ) -> Matrix:
     """A nilpotent element of p^e with a strictly larger diagram, built from
-    two rows of adjacent lengths (types AI and AII only)."""
+    two rows of adjacent lengths (types AI and AII only): by default the
+    first rows of the two lengths that ``AbDiagram.adjacent_lengths`` names."""
     if real.pair_type not in (PairType.AI, PairType.AII):
         raise WrongType("witness construction applies to AI and AII")
     if i1 is None or i2 is None:
-        found = find_adjacent_rows(real.diagram)
-        if found is None:
+        lengths = real.diagram.adjacent_lengths()
+        if lengths is None:
             raise NoAdjacentLengths("no two rows with lengths differing by one")
-        i1, i2 = found
+        row_lengths = [d for d, _s in real.diagram.rows]
+        i1, i2 = (row_lengths.index(d) for d in lengths)
     lam1 = real.diagram.rows[i1][0]
     lam2 = real.diagram.rows[i2][0]
     if lam1 + 1 != lam2:
@@ -698,11 +715,12 @@ def certify(bound: int) -> tuple[int, list[str]]:
                 if real is None or d not in valid:
                     continue
                 checked += 1
+                p_cent = dim_p_cent_oracle(real)  # eliminates every weight once
                 p0 = dim_graded(real, 0, -1)
                 checks = [
                     ("jordan type", d.partition, jordan_type(real.e)),
                     ("truncation profile", closure._truncation_profile(d), truncation_ranks(real)),
-                    ("dim p^e", invariants.dim_p_cent(d, pt, prm), dim_p_cent_oracle(real)),
+                    ("dim p^e", invariants.dim_p_cent(d, pt, prm), p_cent),
                     ("dim p(e,0)", invariants.dim_p0(d, pt), p0),
                     ("graded dim p(e,0)", invariants.dim_p_graded(d, pt, 0), p0),
                     ("dim p(e,1)", invariants.dim_p_graded(d, pt, 1), dim_graded(real, 1, -1)),

@@ -161,7 +161,7 @@ def test_criterion_7_witness_suite():
             for d in enumerate_diagrams(pt, prm):
                 if not invariants.is_almost_distinguished(d, pt):
                     continue
-                if oracle.find_adjacent_rows(d) is None:
+                if d.adjacent_lengths() is None:
                     continue
                 real = oracle.realize(d, pt, prm)
                 w = oracle.commuting_witness(real)

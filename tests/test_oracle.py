@@ -95,7 +95,7 @@ def test_jordan_type_matches_dense_reference():
             for diagram in enumerate_diagrams(pt, prm):
                 real = oracle.realize(diagram, pt, prm)
                 matrices = [real.e, real.f]
-                if pt in (PairType.AI, PairType.AII) and oracle.find_adjacent_rows(diagram):
+                if pt in (PairType.AI, PairType.AII) and diagram.adjacent_lengths():
                     matrices.append(oracle.commuting_witness(real))
                 for m in matrices:
                     assert oracle.jordan_type(m) == dense.jordan_type(m), (pt, prm, diagram.text())
@@ -154,6 +154,16 @@ def test_witness_aii_2211():
     real = oracle.realize(parse("2,2,1,1"), PairType.AII, PairParams(6))
     w = oracle.commuting_witness(real)
     assert oracle.jordan_type(w) == (3, 3)
+
+
+def test_witness_uses_the_rows_the_report_names():
+    """By default the witness takes the first rows of the two lengths that
+    adjacent_lengths names (the report's witness lengths), not the longest
+    adjacent pair."""
+    real = oracle.realize(parse("4,3,2"), PairType.AI, PairParams(9))
+    assert real.diagram.adjacent_lengths() == (2, 3)
+    assert oracle.commuting_witness(real) == oracle.commuting_witness(real, 2, 1)
+    assert oracle.commuting_witness(real) != oracle.commuting_witness(real, 1, 0)
 
 
 # one realization of each type, and the identity that fails first when one of
@@ -497,19 +507,61 @@ def test_graded_systems_match_full_reference():
     for n in range(0, 7):
         for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
-                real = oracle.realize(diagram, pt, prm)
+                # a copy starts with an empty memo, so each block is first
+                # eliminated alone
+                real = dataclasses.replace(oracle.realize(diagram, pt, prm))
                 maps = _reference_maps(real)
                 label = (pt, prm, diagram.text())
                 span = 2 * (diagram.rows[0][0] if diagram.rows else 1)
-                for degree in range(-span, span + 1):
-                    for sigma in (1, -1):
-                        rows = _reference_rows(maps, "e", degree, sigma)
-                        assert oracle.dim_graded(real, degree, sigma) == \
-                            linalg.kernel_dim(rows, n * n), (label, degree, sigma)
+                graded = {
+                    (degree, sigma): linalg.kernel_dim(
+                        _reference_rows(maps, "e", degree, sigma), n * n)
+                    for degree in range(-span, span + 1) for sigma in (1, -1)
+                }
+                for (degree, sigma), dim in graded.items():
+                    assert oracle.dim_graded(real, degree, sigma) == dim, (label, degree, sigma)
                 rows = _reference_rows(maps, "e", None, -1)
                 assert oracle.dim_p_cent_oracle(real) == linalg.kernel_dim(rows, n * n), label
+                oracle._graded_dims(real, 1)
+                # now read off the elimination over every weight
+                for (degree, sigma), dim in graded.items():
+                    assert oracle.dim_graded(real, degree, sigma) == dim, (label, degree, sigma)
                 rows = _reference_rows(maps, "e", 0, -1)
                 assert oracle.p_e0_basis(real) == _reference_basis(rows, n), label
+
+
+def test_graded_dims_match_each_weight_block():
+    """The one elimination over every weight gives the kernel dimension of
+    each weight block, and they sum to the kernel dimension of the whole
+    system, for both signs on every valid diagram with n <= 8."""
+    for n in range(0, 9):
+        for pt, prm in pairs_of_size(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                real = oracle.realize(diagram, pt, prm)
+                hd = real.h_diagonal
+                weights = {a - b for a in hd for b in hd}
+                for sigma in (1, -1):
+                    label = (pt, prm, diagram.text(), sigma)
+                    dims = oracle._graded_dims(real, sigma)
+                    for w in weights | set(dims):
+                        unknowns, rows = oracle._system(real, w, sigma)
+                        assert dims[w] == linalg.kernel_dim(rows, len(unknowns)), (label, w)
+                    unknowns, rows = oracle._system(real, None, sigma)
+                    assert sum(dims.values()) == linalg.kernel_dim(rows, len(unknowns)), label
+
+
+def test_replaced_realization_starts_with_an_empty_memo():
+    """A copy made after the memo is filled computes its dimensions from its
+    own matrices: with e = 0 its centralizer is all of p."""
+    real = dataclasses.replace(oracle.realize(parse("2,1"), PairType.AI, PairParams(3)))
+    assert oracle.dim_p_cent_oracle(real) == 3
+    assert set(real._graded) == {-1}
+    copy = dataclasses.replace(real, e=dense.freeze(dense.zeros(3)))
+    assert copy._graded == {}
+    rows = _reference_rows(_reference_maps(copy), "e", None, -1)
+    assert oracle.dim_p_cent_oracle(copy) == linalg.kernel_dim(rows, 9) == 5
+    assert oracle.dim_graded(copy, 0, -1) == 1
+    assert oracle.dim_p_cent_oracle(real) == 3
 
 
 # -- row matching --------------------------------------------------------------------
