@@ -104,10 +104,10 @@ def kernel_dim(rows, ncols: int) -> int:
     return ncols - rank(rows)
 
 
-def _reduced_pivots(rows) -> dict[int, dict[int, int]]:
-    """Integer reduced echelon form: pivot column -> primitive integer row
-    that is zero in every other pivot column, in increasing column order."""
-    pivots = echelon_pivots(rows)
+def _reduced(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Integer reduced echelon form of the rows of ``echelon_pivots``: pivot
+    column -> primitive integer row that is zero in every other pivot column,
+    in increasing column order."""
     cols = sorted(pivots)
     for c in reversed(cols):
         row = pivots[c]
@@ -120,9 +120,16 @@ def _reduced_pivots(rows) -> dict[int, dict[int, int]]:
 def nullspace(rows, ncols: int) -> list[dict[int, int]]:
     """Basis of the right kernel, one sparse vector per free column f, scaled
     to coprime integers with a positive entry at f."""
-    pivots = _reduced_pivots(rows)
+    return echelon_nullspace(echelon_pivots(rows), range(ncols))
+
+
+def echelon_nullspace(pivots: dict[int, dict[int, int]], columns) -> list[dict[int, int]]:
+    """``nullspace`` of the rows from ``echelon_pivots`` over the increasing
+    ``columns``, which hold every column of those rows (a block of columns
+    that no other row meets may be passed alone); reduces ``pivots`` in place."""
+    pivots = _reduced(pivots)
     basis = []
-    for f in range(ncols):
+    for f in columns:
         if f in pivots:
             continue
         hits = [(c, row) for c, row in pivots.items() if f in row]

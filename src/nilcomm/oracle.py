@@ -17,8 +17,10 @@ system over all n^2 entries.
 The system of a realization over every weight is eliminated once per sign,
 and dim p^e and every dim p(e,i) are read off that echelon form: rows of
 different weights share no column, so elimination never combines them, and
-dim p(e,w) = (unknowns of weight w) - (pivot columns of weight w).  A lone
-``dim_graded`` eliminates only its own block.
+dim p(e,w) = (unknowns of weight w) - (pivot columns of weight w).  For
+sigma = -1 its weight-0 rows, reduced, give the basis of p(e,0) that the
+defect samples, as the weight-0 system alone would.  A lone ``dim_graded`` or
+``p_e0_sparse`` eliminates only its own block.
 
 For the types whose involution J squares to -Id, J = sqrt(-1) * D with D an
 integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
@@ -26,9 +28,9 @@ whole computation stays rational.  The realization stores D and the sign xi.
 
 Each of e, h, f, the form T and D has at most one nonzero entry in each row
 and each column, and T is a signed permutation (one entry +-1 in each row and
-column), so T^-1 = T^t.  They are built, checked and multiplied as sparse
-matrices {(r, c): value} without zero entries, at O(n) per product; a
-realization stores them as dense tuples for its callers.
+column), so T^-1 = T^t.  They are built, checked, multiplied and stored as
+sparse matrices {(r, c): value} without zero entries, at O(n) per product;
+the dense tuples a realization hands its callers are views built on access.
 
 The oracle serves two clients.  ``certify`` checks the formulas of
 ``invariants`` on every diagram up to a bound against the exact kernel
@@ -44,7 +46,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
 from typing import Optional
 
 from . import closure, invariants, linalg
@@ -77,12 +78,14 @@ class MatrixRealization:
     """Integer matrices realizing a diagram for a classical symmetric pair.
 
     ``basis[k] = (i, a)`` tags basis vector e^a.v_i (row i of the diagram,
-    power a).  ``form`` is the Gram matrix of the bilinear form, a signed
-    permutation (``realize`` checks it, and theta relies on it): for BD/C
-    types it cuts out g, for AI/AII it cuts out k.  ``d_matrix`` is the
-    diagonal sign matrix of the involution: the involution datum J is
-    d_matrix itself when xi = +1 and sqrt(-1) * d_matrix when xi = -1;
-    conjugation by J is conjugation by d_matrix either way.
+    power a).  e, h, f, T and D are stored as the sparse matrices that
+    ``realize`` builds (so a realization cannot be hashed); ``e``, ``h``,
+    ``f``, ``form`` and ``d_matrix`` are dense views built on each access.
+    T is the Gram matrix of the bilinear form, a signed permutation
+    (``realize`` checks it, and theta relies on it): for BD/C types it cuts
+    out g, for AI/AII it cuts out k.  D is the diagonal sign matrix of the
+    involution: the involution datum J is D itself when xi = +1 and
+    sqrt(-1) * D when xi = -1; conjugation by J is conjugation by D either way.
     """
 
     pair_type: PairType
@@ -90,32 +93,35 @@ class MatrixRealization:
     diagram: AbDiagram
     n: int
     basis: tuple[tuple[int, int], ...]
-    e: Matrix
-    h: Matrix
-    f: Matrix
-    form: Optional[Matrix]
-    d_matrix: Optional[Matrix]
+    e_map: dict
+    h_map: dict
+    f_map: dict
+    t_map: Optional[dict]
+    d_map: Optional[dict]
     xi: Optional[int]
     partners: tuple[int, ...]
     alphas: Optional[tuple[int, ...]]
-    # sigma -> {ad h-weight: kernel dimension}, filled by _graded_dims
+    # sigma -> ({ad h-weight: kernel dimension}, basis of p(e,0) for
+    # sigma = -1, else None), filled by _graded_dims
     _graded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    e = property(lambda self: _dense(self.n, self.e_map))
+    h = property(lambda self: _dense(self.n, self.h_map))
+    f = property(lambda self: _dense(self.n, self.f_map))
+    form = property(lambda self: _dense(self.n, self.t_map))
+    d_matrix = property(lambda self: _dense(self.n, self.d_map))
 
     @property
     def h_diagonal(self) -> tuple[int, ...]:
-        return tuple(self.h[k][k] for k in range(self.n))
+        return tuple(self.h_map.get((k, k), 0) for k in range(self.n))
 
 
 # -- sparse matrices -------------------------------------------------------------
 
 
-def _sparse(m: Optional[Matrix]) -> Optional[dict]:
-    if m is None:
+def _dense(n: int, x: Optional[dict]) -> Optional[Matrix]:
+    if x is None:
         return None
-    return {(r, c): row[c] for r, row in enumerate(m) for c in compress(range(len(row)), row)}
-
-
-def _dense(n: int, x: dict) -> Matrix:
     rows = [[0] * n for _ in range(n)]
     for (r, c), v in x.items():
         rows[r][c] = v
@@ -371,11 +377,11 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
         diagram=diagram,
         n=n,
         basis=basis,
-        e=_dense(n, e),
-        h=_dense(n, h),
-        f=_dense(n, f),
-        form=None if t is None else _dense(n, t),
-        d_matrix=None if d is None else _dense(n, d),
+        e_map=e,
+        h_map=h,
+        f_map=f,
+        t_map=t,
+        d_map=d,
         xi=pair_type.involution_square,
         partners=tuple(partners),
         alphas=alphas,
@@ -391,9 +397,9 @@ def _require(holds: bool, identity: str) -> None:
 
 
 def _check_realization(real: MatrixRealization) -> None:
-    """Check every identity on the stored matrices, read once each."""
-    matrices = map(_sparse, (real.e, real.h, real.f, real.form, real.d_matrix))
-    for holds, identity in _identities(real.pair_type, real.n, real.xi, *matrices):
+    """Check every identity on the stored matrices."""
+    for holds, identity in _identities(real.pair_type, real.n, real.xi, real.e_map, real.h_map,
+                                       real.f_map, real.t_map, real.d_map):
         _require(holds, identity)
 
 
@@ -413,7 +419,7 @@ def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
     increasing r*n + c order, and sparse rows over their indices.
     """
     n, hd = real.n, real.h_diagonal
-    dd = None if real.d_matrix is None else [real.d_matrix[k][k] for k in range(n)]
+    dd = None if real.d_map is None else [real.d_map[k, k] for k in range(n)]
     unknowns = [
         (r, c)
         for r in range(n)
@@ -422,11 +428,11 @@ def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
     ]
     # form rows x^T T + form_sigma T x: membership in g for the BD/C types,
     # theta for AI/AII (AIII has no form); the A types carry the trace row
-    form_sigma = 1 if real.d_matrix is not None else sigma
-    t = real.form
+    form_sigma = 1 if real.d_map is not None else sigma
+    t = real.t_map
     trace_row = real.pair_type in A_TYPES
-    e_col, e_row = _lines(_sparse(real.e))
-    t_col, t_row = _lines(_sparse(t)) if t is not None else ({}, {})
+    e_col, e_row = _lines(real.e_map)
+    t_col, t_row = _lines(t) if t is not None else ({}, {})
     eqs: dict[int, dict[int, int]] = {}
     for u, (r, c) in enumerate(unknowns):
         # [e, x]_ic gains e_ir x_rc; [e, x]_rj gains -x_rc e_cj
@@ -452,26 +458,25 @@ def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
 
 def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
     """{ad h-weight w: dim of the sigma-eigenspace of g(e, w)}, from one
-    elimination of the system over every weight, memoised on ``real``."""
-    dims = real._graded.get(sigma)
-    if dims is None:
+    elimination of the system over every weight, memoised on ``real``; for
+    sigma = -1 the memo also keeps the basis of p(e,0), from the weight-0
+    rows of that echelon form."""
+    if sigma not in real._graded:
         unknowns, rows = _system(real, None, sigma)
         hd = real.h_diagonal
         weights = [hd[r] - hd[c] for r, c in unknowns]
         dims = Counter(weights)
-        for u in linalg.echelon_pivots(rows):
+        pivots = linalg.echelon_pivots(rows)
+        for u in pivots:
             dims[weights[u]] -= 1
-        real._graded[sigma] = dims
-    return dims
-
-
-def _kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
-    """Basis of the solution space as sparse matrices {(r, c): value}."""
-    unknowns, rows = _system(real, degree, sigma)
-    return [
-        {unknowns[u]: v for u, v in vec.items()}
-        for vec in linalg.nullspace(rows, len(unknowns))
-    ]
+        basis = None
+        if sigma == -1:
+            block = {u: row for u, row in pivots.items() if weights[u] == 0}
+            zero = [u for u, w in enumerate(weights) if w == 0]
+            basis = [{unknowns[u]: v for u, v in vec.items()}
+                     for vec in linalg.echelon_nullspace(block, zero)]
+        real._graded[sigma] = dims, basis
+    return real._graded[sigma][0]
 
 
 def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
@@ -503,16 +508,20 @@ def dim_p_cent_oracle(real: MatrixRealization) -> int:
 def dim_graded(real: MatrixRealization, degree: int, sigma: int) -> int:
     """dim of the theta-eigenspace of g(e, degree); sigma=+1 for k, -1 for p;
     read off the elimination over every weight once that has run."""
-    dims = real._graded.get(sigma)
-    if dims is not None:
-        return dims[degree]
+    if sigma in real._graded:
+        return real._graded[sigma][0][degree]
     unknowns, rows = _system(real, degree, sigma)
     return linalg.kernel_dim(rows, len(unknowns))
 
 
 def p_e0_sparse(real: MatrixRealization) -> list[dict]:
-    """Basis of p(e,0) as sparse matrices {(r, c): value}."""
-    return _kernel(real, 0, -1)
+    """Basis of p(e,0) as sparse matrices {(r, c): value}, kept from the
+    elimination over every weight once that has run."""
+    if -1 in real._graded:
+        return real._graded[-1][1]
+    unknowns, rows = _system(real, 0, -1)
+    return [{unknowns[u]: v for u, v in vec.items()}
+            for vec in linalg.nullspace(rows, len(unknowns))]
 
 
 def p_e0_basis(real: MatrixRealization) -> list[Matrix]:
@@ -552,6 +561,7 @@ def defect_oracle(real: MatrixRealization) -> int:
     """Rank of p(e,0), exactly (Kostant-Rallis): dim z_{p(e,0)}(x) for the
     first sample x, from a fixed generator, whose centralizer is certified a
     Cartan subspace; OracleCheckFailed when none of the samples is."""
+    _graded_dims(real, -1)  # the elimination over every weight keeps the basis
     basis = p_e0_sparse(real)
     if not basis:
         return 0
@@ -568,10 +578,12 @@ def defect_oracle(real: MatrixRealization) -> int:
 
 def jordan_type(matrix: Matrix) -> tuple[int, ...]:
     """Partition of a nilpotent matrix from the rank sequence of its powers."""
-    n = len(matrix)
-    if n == 0:
-        return ()
-    x = _sparse(matrix)
+    x = {(r, c): v for r, row in enumerate(matrix) for c, v in enumerate(row) if v}
+    return _jordan_type(len(matrix), x)
+
+
+def _jordan_type(n: int, x: dict) -> tuple[int, ...]:
+    """``jordan_type`` of the n x n sparse matrix x."""
     ranks = [n]
     power = x
     while ranks[-1] > 0:
@@ -591,15 +603,15 @@ def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
     """rank(P_a e^k) then rank(P_b e^k) for k = 0 .. n-1, with P_a = (I + D)/2
     and P_b = (I - D)/2, or rank(e^k) for the types without D: the layout of
     ``closure._truncation_profile``, whose fields the closure order compares."""
-    x = _sparse(real.e)
-    signs = (None,) if real.d_matrix is None else (1, -1)
+    x = real.e_map
+    signs = (None,) if real.d_map is None else (1, -1)
     ranks = []
     power = {(k, k): 1 for k in range(real.n)}
     for _k in range(real.n):
         rows = _lines(power)[1]
         for sign in signs:
             ranks.append(linalg.rank([dict(row) for r, row in rows.items()
-                                      if sign is None or real.d_matrix[r][r] == sign]))
+                                      if sign is None or real.d_map[r, r] == sign]))
         power = _mul(power, x)
     return tuple(ranks)
 
@@ -662,9 +674,8 @@ def commuting_witness(
     idx = {tag: k for k, tag in enumerate(real.basis)}
     w = _add(*[(1, _partial_shift(real, idx, *pair)) for pair in pairs],
              (1, _row_restriction(real, idx, others)))
-    _require(not _bracket(_sparse(real.e), w), "[e, w] = 0")
-    theta_w = _theta(w, _sparse(real.d_matrix), _sparse(real.form))
-    _require(theta_w == _add((-1, w)), "theta(w) = -w")
+    _require(not _bracket(real.e_map, w), "[e, w] = 0")
+    _require(_theta(w, real.d_map, real.t_map) == _add((-1, w)), "theta(w) = -w")
     witness = _dense(real.n, w)
     _require(
         _dominates_strictly(jordan_type(witness), real.diagram.partition),
@@ -718,7 +729,7 @@ def certify(bound: int) -> tuple[int, list[str]]:
                 p_cent = dim_p_cent_oracle(real)  # eliminates every weight once
                 p0 = dim_graded(real, 0, -1)
                 checks = [
-                    ("jordan type", d.partition, jordan_type(real.e)),
+                    ("jordan type", d.partition, _jordan_type(real.n, real.e_map)),
                     ("truncation profile", closure._truncation_profile(d), truncation_ranks(real)),
                     ("dim p^e", invariants.dim_p_cent(d, pt, prm), p_cent),
                     ("dim p(e,0)", invariants.dim_p0(d, pt), p0),

@@ -75,10 +75,10 @@ def test_criterion_3_rank_bounds_zero_unresolved():
 
 def test_criterion_4_oracle_equivalence():
     start = time.perf_counter()
-    checked, failures = oracle.certify(8)
+    checked, failures = oracle.certify(10)
     elapsed = time.perf_counter() - start
-    ok = not failures and checked > 700 and elapsed < 300
-    report(4, "combinatorics equals matrix oracle (n <= 8)", ok,
+    ok = not failures and checked > 1900 and elapsed < 300
+    report(4, "combinatorics equals matrix oracle (n <= 10)", ok,
            f"{checked} diagrams, {elapsed:.1f}s" + (f"; {failures[:3]}" if failures else ""))
 
 

@@ -90,8 +90,8 @@ def test_dim_p_cent_rejects_invalid_diagrams():
 
 
 def test_dim_p_cent_matches_oracle_n9_n10():
-    """The graded count equals the oracle's kernel dimension beyond the
-    n <= 8 sweep of the acceptance criteria."""
+    """The graded count equals the oracle's kernel dimension at n = 9 and
+    10, the top of the sweep of acceptance criterion 4."""
     checked = 0
     for n in (9, 10):
         for pt, prm in pairs_of_size(n):

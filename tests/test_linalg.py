@@ -28,7 +28,7 @@ def rref(rows):
     """The integer reduced echelon form that ``nullspace`` reads, each row
     divided by its pivot entry."""
     return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
-            for c, row in linalg._reduced_pivots(rows).items()}
+            for c, row in linalg._reduced(linalg.echelon_pivots(rows)).items()}
 
 
 def dense_rref_reference(rows, ncols):

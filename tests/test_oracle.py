@@ -166,8 +166,12 @@ def test_witness_uses_the_rows_the_report_names():
     assert oracle.commuting_witness(real) != oracle.commuting_witness(real, 1, 0)
 
 
+def _scaled(c, x):
+    return {pos: c * v for pos, v in x.items()}
+
+
 # one realization of each type, and the identity that fails first when one of
-# its matrices is doubled
+# its stored matrices is doubled
 TAMPER_CASES = [
     ("2,1", PairType.AI, PairParams(3)),
     ("2,2,1,1", PairType.AII, PairParams(6)),
@@ -178,20 +182,20 @@ TAMPER_CASES = [
     ("aba/bab", PairType.DIII, PairParams(6)),
 ]
 FIRST_FAILURE = {
-    "e": "[e, f] = h",
-    "h": "[h, e] = 2e",
-    "f": "[e, f] = h",
-    "form": "form T is a signed permutation",
-    "d_matrix": "theta(e) = -e",
+    "e_map": "[e, f] = h",
+    "h_map": "[h, e] = 2e",
+    "f_map": "[e, f] = h",
+    "t_map": "form T is a signed permutation",
+    "d_map": "theta(e) = -e",
 }
 
 
 def test_tampered_realization_fails_its_checks():
     real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
-    bad_h = dataclasses.replace(real, h=dense.mat_scale(2, real.h))
+    bad_h = dataclasses.replace(real, h_map=_scaled(2, real.h_map))
     with pytest.raises(OracleCheckFailed, match=r"\[h, e\] = 2e"):
         oracle._check_realization(bad_h)
-    bad_e = dataclasses.replace(real, e=dense.transpose(real.e))
+    bad_e = dataclasses.replace(real, e_map={(c, r): v for (r, c), v in real.e_map.items()})
     with pytest.raises(OracleCheckFailed, match=r"\[e, w\] = 0"):
         oracle.commuting_witness(bad_e)
     tampered = 0
@@ -202,7 +206,7 @@ def test_tampered_realization_fails_its_checks():
             m = getattr(real, field)
             if m is None:
                 continue
-            bad = dataclasses.replace(real, **{field: dense.mat_scale(2, m)})
+            bad = dataclasses.replace(real, **{field: _scaled(2, m)})
             with pytest.raises(OracleCheckFailed) as exc:
                 oracle._check_realization(bad)
             assert str(exc.value) == f"identity fails: {identity}", (pt, field)
@@ -223,7 +227,8 @@ def test_form_checks_name_their_identity():
         (cross, "D^t T D = xi T"),
     ]:
         with pytest.raises(OracleCheckFailed) as exc:
-            oracle._check_realization(dataclasses.replace(real, form=form))
+            t_map = {(r, c): v for r, row in enumerate(form) for c, v in enumerate(row) if v}
+            oracle._check_realization(dataclasses.replace(real, t_map=t_map))
         assert str(exc.value) == f"identity fails: {identity}"
 
 
@@ -255,11 +260,12 @@ if __debug__:
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
 oracle._sample = lambda rng, basis: {(0, 2): 1, (1, 3): 1}
 for tampered, check in [
-    (dataclasses.replace(real, h=tuple(tuple(2 * v for v in row) for row in real.h)),
+    (dataclasses.replace(real, h_map={pos: 2 * v for pos, v in real.h_map.items()}),
      oracle._check_realization),
-    (dataclasses.replace(real, form=tuple(tuple(2 * v for v in row) for row in real.form)),
+    (dataclasses.replace(real, t_map={pos: 2 * v for pos, v in real.t_map.items()}),
      oracle._check_realization),
-    (dataclasses.replace(real, e=tuple(zip(*real.e))), oracle.commuting_witness),
+    (dataclasses.replace(real, e_map={(c, r): v for (r, c), v in real.e_map.items()}),
+     oracle.commuting_witness),
     # a sampler that only draws a nilpotent with an abelian centralizer
     (oracle.realize(parse("a/a/b/b"), PairType.AIII, PairParams(4, (2, 2))),
      oracle.defect_oracle),
@@ -551,17 +557,77 @@ def test_graded_dims_match_each_weight_block():
 
 
 def test_replaced_realization_starts_with_an_empty_memo():
-    """A copy made after the memo is filled computes its dimensions from its
-    own matrices: with e = 0 its centralizer is all of p."""
+    """A copy made after the memo is filled computes its dimensions and its
+    p(e,0) basis from its own matrices: with e = 0 its centralizer is all of
+    p."""
     real = dataclasses.replace(oracle.realize(parse("2,1"), PairType.AI, PairParams(3)))
     assert oracle.dim_p_cent_oracle(real) == 3
     assert set(real._graded) == {-1}
-    copy = dataclasses.replace(real, e=dense.freeze(dense.zeros(3)))
+    dims, basis = real._graded[-1]
+    assert sum(dims.values()) == 3 and oracle.p_e0_sparse(real) is basis
+    copy = dataclasses.replace(real, e_map={})
+    assert copy.e == dense.freeze(dense.zeros(3))
     assert copy._graded == {}
     rows = _reference_rows(_reference_maps(copy), "e", None, -1)
     assert oracle.dim_p_cent_oracle(copy) == linalg.kernel_dim(rows, 9) == 5
-    assert oracle.dim_graded(copy, 0, -1) == 1
+    assert oracle.dim_graded(copy, 0, -1) == len(oracle.p_e0_sparse(copy)) == 1
     assert oracle.dim_p_cent_oracle(real) == 3
+
+
+def _systems_built(monkeypatch):
+    """Record (degree, sigma) of every system the oracle builds."""
+    built = []
+    system = oracle._system
+
+    def counted(real, degree, sigma):
+        built.append((degree, sigma))
+        return system(real, degree, sigma)
+
+    monkeypatch.setattr(oracle, "_system", counted)
+    return built
+
+
+def test_the_p_system_over_every_weight_is_built_once(monkeypatch):
+    """The defect and dim p^e, asked in either order, and every realization
+    of certify build the sigma = -1 system over every weight once and no
+    weight-0 system of their own; a lone p_e0_sparse or dim_graded builds
+    only the system of its weight."""
+    built = _systems_built(monkeypatch)
+    args = (parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
+    for first, second in [(oracle.defect_oracle, oracle.dim_p_cent_oracle),
+                          (oracle.dim_p_cent_oracle, oracle.defect_oracle)]:
+        real = dataclasses.replace(oracle.realize(*args))
+        built.clear()
+        first(real)
+        second(real)
+        oracle.dim_graded(real, 0, -1)
+        oracle.dim_graded(real, 1, -1)
+        oracle.p_e0_sparse(real)
+        assert built == [(None, -1)], first
+    oracle.realize.cache_clear()
+    built.clear()
+    checked, failures = oracle.certify(6)
+    assert not failures
+    assert built == [(None, -1)] * checked
+    for lone, want in [(oracle.p_e0_sparse, (0, -1)),
+                       (lambda real: oracle.dim_graded(real, 1, -1), (1, -1))]:
+        built.clear()
+        lone(dataclasses.replace(oracle.realize(*args)))
+        assert built == [want]
+
+
+def test_p_e0_basis_of_the_full_pass_equals_the_lone_one():
+    """Same vectors in the same order on every valid diagram with n <= 8."""
+    checked = 0
+    for n in range(9):
+        for pt, prm in pairs_of_size(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                lone = oracle.p_e0_sparse(dataclasses.replace(oracle.realize(diagram, pt, prm)))
+                real = dataclasses.replace(oracle.realize(diagram, pt, prm))
+                oracle.dim_p_cent_oracle(real)
+                assert oracle.p_e0_sparse(real) == lone, (pt, prm, diagram.text())
+                checked += 1
+    assert checked == 790
 
 
 # -- row matching --------------------------------------------------------------------
