@@ -7,7 +7,8 @@ format is text, json or dot (closure-graph only).  Exit codes: 0 success,
 
 Configuration can also come from a JSON file named by $NILCOMM_CONFIG with
 keys "bound" and "format", read on every call; a flag given on the command
-line overrides it, and every other key is ignored.
+line overrides it, and every other key is ignored.  A config file that cannot
+be read, or that holds no JSON object, is a usage error.
 """
 
 from __future__ import annotations
@@ -34,11 +35,22 @@ from .errors import ClaimViolated, NilcommError
 
 
 def _load_config() -> dict:
+    """The JSON object in the file named by $NILCOMM_CONFIG, or {} when it is
+    unset; raises ValueError, naming the file, when the file cannot be read
+    or holds anything else."""
     path = os.environ.get("NILCOMM_CONFIG")
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"config file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path}: not a JSON object")
+    return config
 
 
 def _pair_type(name: str) -> PairType:
@@ -258,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    config = _load_config()
+    try:
+        config = _load_config()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # the config's values go first, as flags: the parser checks them, and a
     # flag on the command line overrides them
     flags = [f"--{key}={config[key]}" for key in ("format", "bound") if key in config]

@@ -10,17 +10,17 @@ almost-distinguished when p(e,0) is a torus, i.e. every block's p-part is as
 large as its rank.  The ambient dimensions are those of the zero orbit, whose
 cells all have weight 0.
 
-dim p^e is one graded count for every pair type: dim p^e = sum over i >= 0 of
-dim p(e,i) = dim p(i,h) - dim k(i+2,h).  The centralizer g^e lies in the
-nonnegative ad h-weights, and by sl2 theory ad e maps g(i,h) onto g(i+2,h) for
-i >= -1; as e lies in p it maps p(i,h) onto k(i+2,h) (Kostant-Rallis).  The
-dimensions of p(j,h) and k(j,h) are counted on the cells of the diagram, so
-no matrix is built here; the test suite certifies every count against the
-exact matrix oracle.
+dim p^e = dim p - dim K.e, and dim K.e = dim G.e / 2 for e in p
+(Kostant-Rallis), with dim G.e a closed form in the partition.  The graded
+dimensions dim p(e,i) = dim p(i,h) - dim k(i+2,h), i >= 0, hold because ad e
+maps p(i,h) onto k(i+2,h); the dimensions of p(j,h) and k(j,h) are counted
+on ordered pairs of row kinds (length, start letter), so no matrix is built
+here.  The test suite certifies every count against the exact matrix oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -31,10 +31,10 @@ from .errors import UnrealizableDiagram
 
 class PairDescriptor(NamedTuple):
     """One reductive symmetric pair in the centralizer decomposition: the
-    block attached to row length d, with sizes (m, a, b) taken from the
-    diagram."""
+    block attached to row length d, of pair type ``kind``
+    (``diagrams.BLOCK_TYPE``), with sizes (m, a, b) taken from the diagram."""
 
-    kind: str  # 'gl_so' | 'gl_sp' | 'gl_glgl' | 'so_soso' | 'sp_gl' | 'so_gl' | 'sp_spsp'
+    kind: PairType
     d: int
     m: int
     a: int = 0
@@ -43,61 +43,37 @@ class PairDescriptor(NamedTuple):
     @property
     def rank(self) -> int:
         """Dimension of a maximal torus in the (-1)-eigenspace of the pair."""
-        if self.kind == "gl_so":
+        if self.kind is PairType.AI:
             return self.m
-        if self.kind in ("gl_sp", "sp_gl"):
+        if self.kind in (PairType.AII, PairType.CI):
             return self.m // 2
-        if self.kind in ("gl_glgl", "so_soso"):
+        if self.kind in (PairType.AIII, PairType.BDI):
             return min(self.a, self.b)
-        if self.kind == "so_gl":
+        if self.kind is PairType.DIII:
             return self.m // 4
-        if self.kind == "sp_spsp":
-            return min(self.a, self.b) // 2
-        raise ValueError(self.kind)
+        return min(self.a, self.b) // 2  # CII
 
     @property
     def dim_p_part(self) -> int:
         """Dimension of the (-1)-eigenspace of the pair."""
         m, a, b = self.m, self.a, self.b
-        if self.kind == "gl_so":
+        if self.kind is PairType.AI:
             return m * (m + 1) // 2
-        if self.kind == "gl_sp":
+        if self.kind is PairType.AII:
             return m * (m - 1) // 2
-        if self.kind == "gl_glgl":
+        if self.kind is PairType.AIII:
             return 2 * a * b
-        if self.kind == "so_soso":
-            return a * b
-        if self.kind == "sp_gl":
+        if self.kind is PairType.CI:
             return m * m // 4 + m // 2
-        if self.kind == "so_gl":
+        if self.kind is PairType.DIII:
             return m * m // 4 - m // 2
-        if self.kind == "sp_spsp":
-            return a * b
-        raise ValueError(self.kind)
-
-
-# the kind of the descriptor of each block pair type (diagrams.BLOCK_TYPE)
-_KIND = {
-    PairType.AI: "gl_so",
-    PairType.AII: "gl_sp",
-    PairType.AIII: "gl_glgl",
-    PairType.BDI: "so_soso",
-    PairType.CI: "sp_gl",
-    PairType.DIII: "so_gl",
-    PairType.CII: "sp_spsp",
-}
-
-# pair type -> (kind for odd d, kind for even d)
-_DESCRIPTOR_KIND = {pt: tuple(_KIND[block] for block in blocks) for pt, blocks in BLOCK_TYPE.items()}
+        return a * b  # BDI, CII
 
 
 def centralizer_pairs(diagram: AbDiagram, pair_type: PairType) -> tuple[PairDescriptor, ...]:
     """The reductive symmetric pair attached to each occupied length."""
-    out = []
-    for d, (m, a, b) in diagram.multiplicities().items():
-        kind = _DESCRIPTOR_KIND[pair_type][0 if d % 2 else 1]
-        out.append(PairDescriptor(kind, d, m, a, b))
-    return tuple(out)
+    return tuple(PairDescriptor(BLOCK_TYPE[pair_type][d % 2 == 0], d, m, a, b)
+                 for d, (m, a, b) in diagram.multiplicities().items())
 
 
 def _trace_cut(pairs: tuple[PairDescriptor, ...], pair_type: PairType) -> int:
@@ -147,71 +123,52 @@ def orbit_class(diagram: AbDiagram, pair_type: PairType) -> tuple[int, bool]:
     return _defect(pairs, pair_type), _is_torus(pairs)
 
 
-def _cells(diagram: AbDiagram) -> list[tuple[int, int]]:
-    """(weight, involution sign) of every basis cell; sign is 1 for plain rows."""
-    out = []
-    for d, s in diagram.rows:
-        base = 1 if s in (None, "a") else -1
-        for a in range(d):
-            out.append((2 * a - d + 1, base * (-1) ** a))
-    return out
-
-
-def _theta_dims(diagram: AbDiagram, pair_type: PairType, lo: int, hi: int) -> tuple[int, int]:
-    """(dim k, dim p) of the ambient algebra summed over the ad h-weights
-    lo <= j <= hi, counted on cells of the diagram."""
-    cells = _cells(diagram)
-    cut = 1 if (lo <= 0 <= hi and cells) else 0  # remove the trace direction of gl
-    if pair_type is PairType.AIII:
-        nk = np = 0
-        for mu_k, d_k in cells:
-            for mu_l, d_l in cells:
-                if lo <= mu_k - mu_l <= hi:
-                    if d_k * d_l == 1:
-                        nk += 1
-                    else:
-                        np += 1
-        return (nk - cut, np)
-    if pair_type in (PairType.AI, PairType.AII):
-        # theta permutes the matrix-unit basis; its fixed elements are the
-        # units E_{k, dual(k)}, of weight 2*mu_k, all with sign -1 (AI) or +1
-        # (AII)
-        total = 0
-        for mu_k, _ in cells:
-            for mu_l, _ in cells:
-                if lo <= mu_k - mu_l <= hi:
-                    total += 1
-        fixed = sum(1 for mu, _ in cells if lo <= 2 * mu <= hi)
-        if pair_type is PairType.AI:
-            nk, np = (total - fixed) // 2, (total + fixed) // 2
-        else:
-            nk, np = (total + fixed) // 2, (total - fixed) // 2
-        return (nk, np - cut)
-    # orthogonal/symplectic: g is spanned by cell pairs (k < l, resp. k <= l)
-    # of weight mu_k + mu_l; the involution sign of a pair is xi~ d_k d_l where
-    # xi~ = +1 when J^2 = Id and -1 when J^2 = -Id
-    sym = pair_type.form_sign == -1  # symplectic: pairs k <= l
-    xi_tilde = pair_type.involution_square
-    nk = np = 0
-    for idx_k, (mu_k, d_k) in enumerate(cells):
-        for idx_l, (mu_l, d_l) in enumerate(cells):
-            if idx_l < idx_k or (idx_l == idx_k and not sym):
+def _theta_dims(diagram: AbDiagram, pair_type: PairType, w: int) -> tuple[int, int]:
+    """(dim k, dim p) of the ambient algebra at ad h-weight w, counted on
+    ordered pairs of row kinds (length, start letter).  A row of length d has
+    cells of weight 2i - d + 1 and sign b (-1)^i, i < d, where b = -1 for a
+    row starting with b and 1 otherwise.  gl is spanned by the units of cell
+    pairs (k, l), of weight mu_k - mu_l; rows of lengths d1, d2 meet at
+    weight w in min(d1, d2, d1 - t, d2 + t) pairs with i1 - i2 = t =
+    (w + d1 - d2)/2, all of sign b1 b2 (-1)^t.  so and sp are spanned by the
+    unordered cell pairs (k < l, resp. k <= l) of weight mu_k + mu_l; reading
+    the second row backwards turns this into the same count, with the sign
+    times (-1)^(d2 - 1)."""
+    kinds = Counter(diagram.rows)
+    form = pair_type.form_sign
+    same = other = 0  # ordered cell pairs of weight w whose signs agree, differ
+    for (d1, s1), m1 in kinds.items():
+        for (d2, s2), m2 in kinds.items():
+            t, odd = divmod(w + d1 - d2, 2)
+            count = min(d1, d2, d1 - t, d2 + t)
+            if odd or count <= 0:
                 continue
-            if not lo <= mu_k + mu_l <= hi:
-                continue
-            if xi_tilde * d_k * d_l == 1:
-                nk += 1
+            if ((s1 == "b") + (s2 == "b") + t + (d2 - 1 if form else 0)) % 2:
+                other += m1 * m2 * count
             else:
-                np += 1
-    return (nk, np)
+                same += m1 * m2 * count
+    # the cells of weight w / 2: the theta-fixed units of AI/AII, the
+    # diagonal pairs k = l of so/sp (all of sign +1)
+    half, odd = divmod(w, 2)
+    diag = 0 if odd else sum(m for (d, _), m in kinds.items() if abs(half) < d and (half + d) % 2)
+    cut = 1 if (w == 0 and kinds) else 0  # remove the trace direction of gl
+    if pair_type is PairType.AIII:
+        return (same - cut, other)
+    if pair_type in (PairType.AI, PairType.AII):
+        # theta permutes the units; it fixes those of the cells of weight
+        # w / 2, with sign -1 (AI) or +1 (AII)
+        total, fixed = same + other, (diag if pair_type is PairType.AII else -diag)
+        return ((total + fixed) // 2, (total - fixed) // 2 - cut)
+    # the sign of a pair is xi~ d_k d_l, where xi~ = +1 when J^2 = Id and -1
+    # when J^2 = -Id
+    plus, minus = (same - form * diag) // 2, other // 2
+    return (plus, minus) if pair_type.involution_square == 1 else (minus, plus)
 
 
 def dim_p_graded(diagram: AbDiagram, pair_type: PairType, i: int) -> int:
     """dim p(e,i) for i >= 0: the raising map is onto, so the kernel dimension
     is dim p(i,h) - dim k(i+2,h)."""
-    _k_i, p_i = _theta_dims(diagram, pair_type, i, i)
-    k_next, _p_next = _theta_dims(diagram, pair_type, i + 2, i + 2)
-    return p_i - k_next
+    return _theta_dims(diagram, pair_type, i)[1] - _theta_dims(diagram, pair_type, i + 2)[0]
 
 
 @dataclass(frozen=True)
@@ -232,21 +189,25 @@ def ambient_dims(pair_type: PairType, params: PairParams) -> AmbientDims:
         zero = AbDiagram(((1, "a"),) * a + ((1, "b"),) * b)
     else:
         zero = AbDiagram(((1, None),) * params.n)
-    dim_k, dim_p = _theta_dims(zero, pair_type, 0, 0)
+    dim_k, dim_p = _theta_dims(zero, pair_type, 0)
     return AmbientDims(dim_p, defect(zero, pair_type), dim_k)
 
 
 @lru_cache(maxsize=4096)
 def dim_p_cent(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
-    """dim p^e as one graded count: the sum over i >= 0 of dim p(e,i) =
-    dim p(i,h) - dim k(i+2,h), since g^e has nonnegative weights and ad e maps
-    p(i,h) onto k(i+2,h).  Weights never exceed 2n.  Raises
+    """dim p^e = dim p - dim K.e, and dim K.e = dim G.e / 2 (Kostant-Rallis).
+    For gl_n, dim G.e = n^2 - sum_j (2j + 1) lambda_j over the rows sorted by
+    decreasing length, j >= 0; for so_n (sp_n) it is half of that after
+    subtracting (adding) n - #odd rows (Collingwood-McGovern 6.1).  Raises
     UnrealizableDiagram, naming the violations, for an invalid diagram."""
     violations = validate(diagram, pair_type, params)
     if violations:
         raise UnrealizableDiagram("; ".join(str(v) for v in violations))
-    top = 2 * diagram.n
-    return _theta_dims(diagram, pair_type, 0, top)[1] - _theta_dims(diagram, pair_type, 2, top)[0]
+    n, lengths = diagram.n, diagram.partition
+    orbit = n * n - sum((2 * j + 1) * d for j, d in enumerate(lengths))
+    if pair_type.form_sign:
+        orbit = (orbit - pair_type.form_sign * (n - sum(d % 2 for d in lengths))) // 2
+    return ambient_dims(pair_type, params).dim_p - orbit // 2
 
 
 def dim_orbit(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:

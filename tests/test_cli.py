@@ -203,6 +203,20 @@ def test_config_file_read_on_every_call(capsys, tmp_path, monkeypatch):
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    ('{"format": ', "Expecting value: line 1 column 12 (char 11)"),
+    ('"format"', "not a JSON object"),
+], ids=["missing", "malformed", "not-an-object"])
+def test_config_file_errors_are_usage_errors(capsys, tmp_path, monkeypatch, content, reason):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    monkeypatch.setenv("NILCOMM_CONFIG", str(cfg))
+    code, out, err = run(capsys, "enumerate", "AI", "3")
+    assert (code, out, err) == (2, "", f"error: config file {cfg}: {reason}\n")
+
+
 def test_invalid_diagrams_rejected_with_reasons(capsys):
     code, out, err = run(capsys, "invariants", "BDI", "ab/ab")
     assert code == 2 and not out

@@ -46,15 +46,15 @@ def test_defect_examples():
 
 def test_centralizer_pairs_bdi():
     desc = {d.d: d for d in centralizer_pairs(G5, PairType.BDI)}
-    assert desc[3].kind == "so_soso" and (desc[3].m, desc[3].a, desc[3].b) == (1, 1, 0)
-    assert desc[1].kind == "so_soso" and (desc[1].a, desc[1].b) == (1, 1)
+    assert desc[3].kind is PairType.BDI and (desc[3].m, desc[3].a, desc[3].b) == (1, 1, 0)
+    assert desc[1].kind is PairType.BDI and (desc[1].a, desc[1].b) == (1, 1)
 
 
 def test_centralizer_pairs_ai_and_ci():
     desc = centralizer_pairs(parse("2,1"), PairType.AI)
-    assert [(x.kind, x.m) for x in desc] == [("gl_so", 1), ("gl_so", 1)]
+    assert [(x.kind, x.m) for x in desc] == [(PairType.AI, 1), (PairType.AI, 1)]
     desc = centralizer_pairs(parse("abab"), PairType.CI)
-    assert [(x.kind, x.d, x.m) for x in desc] == [("so_soso", 4, 1)]
+    assert [(x.kind, x.d, x.m) for x in desc] == [(PairType.BDI, 4, 1)]
 
 
 def test_dim_p0_examples():
@@ -72,10 +72,23 @@ def test_distinguished_examples():
 
 
 def test_dim_p_cent_closed_forms():
+    """Kostant-Rallis on every pair with n <= 30, beyond certify's reach: the
+    zero orbit has dim p^e = dim p, AI (n) has n - 1 and the one-row CI
+    diagram abab... has n / 2."""
     assert dim_p_cent(parse("2,1"), PairType.AI, PairParams(3)) == 3
-    for n in (1, 4, 7):
-        assert dim_p_cent(parse(str(n)), PairType.AI, PairParams(n)) == n - 1
     assert dim_p_cent(G5, PairType.BDI, BDI_5) == 3
+    for n in range(0, 31):
+        for pt, prm in pairs_of_size(n):
+            if pt.uses_letters:
+                a, b = prm.signature or (n // 2, n // 2)
+                zero = AbDiagram(((1, "a"),) * a + ((1, "b"),) * b)
+            else:
+                zero = AbDiagram(((1, None),) * n)
+            assert dim_p_cent(zero, pt, prm) == _textbook_ambient_dims(pt, prm)[0], (pt, prm)
+        if n:
+            assert dim_p_cent(parse(str(n)), PairType.AI, PairParams(n)) == n - 1
+        if n and n % 2 == 0:
+            assert dim_p_cent(parse("ab" * (n // 2)), PairType.CI, PairParams(n)) == n // 2
 
 
 def test_dim_p_cent_rejects_invalid_diagrams():
@@ -231,20 +244,20 @@ def test_ambient_dims_equal_textbook_closed_forms():
             assert (amb.dim_p, amb.rank_p, amb.dim_k) == _textbook_ambient_dims(pt, prm), (pt, prm)
 
 
-def test_graded_dims_match_oracle_spot():
-    cases = [
-        ("2,1", PairType.AI, PairParams(3)),
-        ("3,1", PairType.AI, PairParams(4)),
-        ("2,2,1,1", PairType.AII, PairParams(6)),
-        ("aba/a/b", PairType.BDI, BDI_5),
-        ("abab/ba", PairType.CI, PairParams(6)),
-        ("ab/ba/a/b", PairType.AIII, PairParams(6, (3, 3))),
-    ]
-    for text, pt, prm in cases:
-        d = parse(text)
-        real = oracle.realize(d, pt, prm)
-        for i in range(0, 5):
-            assert dim_p_graded(d, pt, i) == oracle.dim_graded(real, i, -1)
+def test_graded_dims_match_oracle_to_n7():
+    """The row-kind count of dim p(e,i), i <= 4, equals the oracle's on every
+    valid diagram with n <= 7: weights up to i + 2 = 6, beyond the i <= 1
+    that certify checks."""
+    checked = 0
+    for n in range(0, 8):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                oracle.dim_p_cent_oracle(real)  # eliminates every weight once
+                for i in range(0, 5):
+                    assert dim_p_graded(d, pt, i) == oracle.dim_graded(real, i, -1), (pt, d, i)
+                checked += 1
+    assert checked == 457
 
 
 def test_orbit_invariants_json():
