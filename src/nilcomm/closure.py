@@ -182,12 +182,24 @@ def is_reduction(
     """g1 < g2 with defect drop equal to centralizer drop."""
     if not lt(g1, g2, pair_type):
         raise NotComparable(f"{g1.text()!r} is not strictly below {g2.text()!r}")
-    return is_tight(g1, g2, pair_type, params)
-
-
-def is_tight(g1: AbDiagram, g2: AbDiagram, pair_type: PairType, params: PairParams) -> bool:
-    """Defect drop equals centralizer drop; the caller knows g1 < g2."""
     return centralizer_drop(g1, g2, pair_type, params) == reduction_order(g1, g2, pair_type)
+
+
+def first_reduction(
+    diagram: AbDiagram,
+    covers: list[AbDiagram],
+    pair_type: PairType,
+    params: PairParams,
+    delta: int,
+) -> Optional[AbDiagram]:
+    """The first of the covers of a diagram of defect delta that is a
+    reduction: its centralizer drop equals its defect drop.  The diagram's
+    own dim p^e is computed once, not once per cover."""
+    cent = dim_p_cent(diagram, pair_type, params)
+    for g2 in covers:
+        if cent - dim_p_cent(g2, pair_type, params) == delta - defect(g2, pair_type):
+            return g2
+    return None
 
 
 def find_reduction(
@@ -198,10 +210,8 @@ def find_reduction(
 ) -> Optional[AbDiagram]:
     """A minimal degeneration that is a reduction, if one exists.  When any
     reduction exists, one exists among the covers, so this search is complete."""
-    for g2 in minimal_degenerations(diagram, pair_type, params, bound):
-        if is_tight(diagram, g2, pair_type, params):
-            return g2
-    return None
+    covers = minimal_degenerations(diagram, pair_type, params, bound)
+    return first_reduction(diagram, covers, pair_type, params, defect(diagram, pair_type))
 
 
 # -- the non-reducible motifs (BDI and CI) ------------------------------------
@@ -321,9 +331,10 @@ def closure_hasse(
     diagrams = enumerate_diagrams(pair_type, params, bound)
     edges = []
     for g1 in diagrams:
+        cent1, delta1 = dim_p_cent(g1, pair_type, params), defect(g1, pair_type)
         for g2 in minimal_degenerations(g1, pair_type, params, bound):
-            s = centralizer_drop(g1, g2, pair_type, params)
-            delta = reduction_order(g1, g2, pair_type)
+            s = cent1 - dim_p_cent(g2, pair_type, params)
+            delta = delta1 - defect(g2, pair_type)
             edges.append(
                 DegenerationEdge(
                     lower=g1, upper=g2, s=s, delta=delta, is_reduction=(s == delta)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .closure import is_tight, minimal_degenerations
+from .closure import first_reduction, minimal_degenerations
 from .diagrams import (
     AbDiagram,
     PairParams,
@@ -26,7 +26,7 @@ from .diagrams import (
     DEFAULT_BOUND,
 )
 from .errors import ClaimViolated
-from .invariants import ambient_dims, orbit_class
+from .invariants import ambient_dims, component_dim, orbit_class
 
 COMPONENT = "Component"
 ELIMINATED_BY_REDUCTION = "EliminatedByReduction"
@@ -64,7 +64,7 @@ def candidate_status(
 ) -> CandidateStatus:
     """Classify a single orbit."""
     delta, almost = orbit_class(diagram, pair_type)
-    cdim = ambient_dims(pair_type, params).dim_p - delta  # component_dim
+    cdim = component_dim(pair_type, params, delta)
     # distinguished implies almost-distinguished; most orbits are neither
     if not almost:
         return CandidateStatus(diagram, NON_CANDIDATE, cdim)
@@ -73,7 +73,7 @@ def candidate_status(
     covers = minimal_degenerations(diagram, pair_type, params, bound)
     if not covers:
         return CandidateStatus(diagram, COMPONENT, cdim)
-    target = next((g2 for g2 in covers if is_tight(diagram, g2, pair_type, params)), None)
+    target = first_reduction(diagram, covers, pair_type, params, delta)
     if target is not None:
         return CandidateStatus(
             diagram, ELIMINATED_BY_REDUCTION, cdim, reduction_target=target

@@ -23,6 +23,7 @@ number can no longer be met.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -150,17 +151,30 @@ class AbDiagram:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
-        for length, start in self.rows:
+        """One scan checks the rows and whether they are in canonical order
+        already, as enumeration builds them; only rows out of order are
+        sorted."""
+        rows = tuple(self.rows)
+        plain = lettered = False
+        canonical = True
+        last, last_start = math.inf, None
+        for length, start in rows:
             if length <= 0:
                 raise ValueError(f"row lengths must be positive, got {length}")
-            if start not in (None, "a", "b"):
+            if start is None:
+                plain = True
+            elif start == "a" or start == "b":
+                lettered = True
+            else:
                 raise ValueError(f"bad start letter {start!r}")
-        kinds = {start is None for _, start in self.rows}
-        if len(kinds) > 1:
+            if length > last or (length == last and start == "a" and last_start == "b"):
+                canonical = False
+            last, last_start = length, start
+        if plain and lettered:
             raise ValueError("cannot mix plain and lettered rows")
-        object.__setattr__(
-            self, "rows", tuple(sorted(self.rows, key=lambda r: (-r[0], r[1] or "")))
-        )
+        if not canonical:
+            rows = tuple(sorted(rows, key=lambda r: (-r[0], r[1] or "")))
+        object.__setattr__(self, "rows", rows)
 
     # -- construction ------------------------------------------------------
 
@@ -188,16 +202,13 @@ class AbDiagram:
         return tuple(d for d, _ in self.rows)
 
     def multiplicities(self) -> dict[int, tuple[int, int, int]]:
-        """Map occupied length d to (m_d, a_d, b_d); for plain rows a_d=b_d=0."""
-        out: dict[int, list[int]] = {}
+        """Map occupied length d to (m_d, a_d, b_d), by decreasing d; for
+        plain rows a_d=b_d=0."""
+        out: dict[int, tuple[int, int, int]] = {}
         for d, s in self.rows:
-            m = out.setdefault(d, [0, 0, 0])
-            m[0] += 1
-            if s == "a":
-                m[1] += 1
-            elif s == "b":
-                m[2] += 1
-        return {d: tuple(v) for d, v in sorted(out.items(), reverse=True)}
+            m, a, b = out.get(d, (0, 0, 0))
+            out[d] = (m + 1, a + (s == "a"), b + (s == "b"))
+        return out
 
     def adjacent_lengths(self) -> Optional[tuple[int, int]]:
         """The smallest two row lengths that differ by one, or None."""

@@ -3,9 +3,10 @@
 The centralizer of the standard triple of an orbit decomposes, one reductive
 symmetric pair per occupied row length; which pair occurs is dictated by the
 pair type and the parity of the length (``diagrams.BLOCK_TYPE``).  Defect and
-dim p(e,0) read off these descriptors, and the two orbit classes of the paper
-are stated by their definitions on them: an orbit is distinguished when its
-defect is 0 (p(e,0) holds no nonzero semisimple element), and
+dim p(e,0) are sums over the occupied lengths of one cached term each, a
+function of (pair type, d, m_d, a_d, b_d) only, and the two orbit classes of
+the paper are stated by their definitions on them: an orbit is distinguished
+when its defect is 0 (p(e,0) holds no nonzero semisimple element), and
 almost-distinguished when p(e,0) is a torus, i.e. every block's p-part is as
 large as its rank.  The ambient dimensions are those of the zero orbit, whose
 cells all have weight 0.
@@ -23,87 +24,57 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .diagrams import BLOCK_TYPE, AbDiagram, PairParams, PairType, _expected_letters, validate
 from .errors import UnrealizableDiagram
 
 
-class PairDescriptor(NamedTuple):
-    """One reductive symmetric pair in the centralizer decomposition: the
-    block attached to row length d, of pair type ``kind``
-    (``diagrams.BLOCK_TYPE``), with sizes (m, a, b) taken from the diagram."""
-
-    kind: PairType
-    d: int
-    m: int
-    a: int = 0
-    b: int = 0
-
-    @property
-    def rank(self) -> int:
-        """Dimension of a maximal torus in the (-1)-eigenspace of the pair."""
-        if self.kind is PairType.AI:
-            return self.m
-        if self.kind in (PairType.AII, PairType.CI):
-            return self.m // 2
-        if self.kind in (PairType.AIII, PairType.BDI):
-            return min(self.a, self.b)
-        if self.kind is PairType.DIII:
-            return self.m // 4
-        return min(self.a, self.b) // 2  # CII
-
-    @property
-    def dim_p_part(self) -> int:
-        """Dimension of the (-1)-eigenspace of the pair."""
-        m, a, b = self.m, self.a, self.b
-        if self.kind is PairType.AI:
-            return m * (m + 1) // 2
-        if self.kind is PairType.AII:
-            return m * (m - 1) // 2
-        if self.kind is PairType.AIII:
-            return 2 * a * b
-        if self.kind is PairType.CI:
-            return m * m // 4 + m // 2
-        if self.kind is PairType.DIII:
-            return m * m // 4 - m // 2
-        return a * b  # BDI, CII
+@lru_cache(maxsize=4096)
+def _length_term(pair_type: PairType, d: int, m: int, a: int, b: int) -> tuple[int, int]:
+    """(rank, dim of the p-part) of the centralizer block of the m rows of
+    length d, a_d = a of them starting with a and b_d = b with b; the block's
+    pair type is ``BLOCK_TYPE[pair_type]`` at the parity of d.  The rank is
+    the dimension of a maximal torus in the p-part."""
+    kind = BLOCK_TYPE[pair_type][d % 2 == 0]
+    if kind is PairType.AI:
+        return m, m * (m + 1) // 2
+    if kind is PairType.AII:
+        return m // 2, m * (m - 1) // 2
+    if kind is PairType.AIII:
+        return min(a, b), 2 * a * b
+    if kind is PairType.BDI:
+        return min(a, b), a * b
+    if kind is PairType.CI:
+        return m // 2, m * m // 4 + m // 2
+    if kind is PairType.DIII:
+        return m // 4, m * m // 4 - m // 2
+    return min(a, b) // 2, a * b  # CII
 
 
-def centralizer_pairs(diagram: AbDiagram, pair_type: PairType) -> tuple[PairDescriptor, ...]:
-    """The reductive symmetric pair attached to each occupied length."""
-    return tuple(PairDescriptor(BLOCK_TYPE[pair_type][d % 2 == 0], d, m, a, b)
-                 for d, (m, a, b) in diagram.multiplicities().items())
-
-
-def _trace_cut(pairs: tuple[PairDescriptor, ...], pair_type: PairType) -> int:
-    """1 where the ambient gl-centralizer carries one extra central torus
-    dimension inside p, which the trace condition removes: AI/AII with rows
-    (the identity is theta-negative there).  For AIII the identity lies in k,
-    and a diagram without rows has no gl-centre."""
-    return 1 if pairs and pair_type in (PairType.AI, PairType.AII) else 0
-
-
-def _defect(pairs: tuple[PairDescriptor, ...], pair_type: PairType) -> int:
-    return sum(desc.rank for desc in pairs) - _trace_cut(pairs, pair_type)
-
-
-def _is_torus(pairs: tuple[PairDescriptor, ...]) -> bool:
-    """Every descriptor block's p-part equals its rank.  This is dim p(e,0)
-    == defect, as the AI/AII trace correction cancels."""
-    return all(desc.dim_p_part == desc.rank for desc in pairs)
+def _p0(diagram: AbDiagram, pair_type: PairType) -> tuple[int, int]:
+    """(rank, dim) of p(e,0): the per-length terms summed over the occupied
+    lengths, less 1 for AI/AII with rows, where the ambient gl-centralizer
+    carries one extra central torus dimension inside p that the trace
+    condition removes (the identity is theta-negative there).  For AIII the
+    identity lies in k, and a diagram without rows has no gl-centre."""
+    rank = dim = 0
+    for d, (m, a, b) in diagram.multiplicities().items():
+        r, p = _length_term(pair_type, d, m, a, b)
+        rank += r
+        dim += p
+    cut = 1 if diagram.rows and pair_type in (PairType.AI, PairType.AII) else 0
+    return rank - cut, dim - cut
 
 
 def defect(diagram: AbDiagram, pair_type: PairType) -> int:
     """Rank of p(e,0); 0 for the empty diagram, the only orbit of a zero
     pair."""
-    return _defect(centralizer_pairs(diagram, pair_type), pair_type)
+    return _p0(diagram, pair_type)[0]
 
 
 def dim_p0(diagram: AbDiagram, pair_type: PairType) -> int:
-    """dim p(e,0), summed over the centralizer descriptors."""
-    pairs = centralizer_pairs(diagram, pair_type)
-    return sum(desc.dim_p_part for desc in pairs) - _trace_cut(pairs, pair_type)
+    """dim p(e,0), summed over the centralizer blocks."""
+    return _p0(diagram, pair_type)[1]
 
 
 def is_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
@@ -111,16 +82,18 @@ def is_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
     return defect(diagram, pair_type) == 0
 
 
+def orbit_class(diagram: AbDiagram, pair_type: PairType) -> tuple[int, bool]:
+    """(defect, almost-distinguished); the orbit is distinguished when the
+    defect is 0, and almost-distinguished when p(e,0) is a torus: every
+    block's p-part is as large as its rank.  No p-part is smaller than its
+    rank, so that is dim p(e,0) == defect."""
+    rank, dim = _p0(diagram, pair_type)
+    return rank, rank == dim
+
+
 def is_almost_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
     """p(e,0) is a torus."""
-    return _is_torus(centralizer_pairs(diagram, pair_type))
-
-
-def orbit_class(diagram: AbDiagram, pair_type: PairType) -> tuple[int, bool]:
-    """(defect, almost-distinguished) from one build of the descriptors; the
-    orbit is distinguished when the defect is 0."""
-    pairs = centralizer_pairs(diagram, pair_type)
-    return _defect(pairs, pair_type), _is_torus(pairs)
+    return orbit_class(diagram, pair_type)[1]
 
 
 def _theta_dims(diagram: AbDiagram, pair_type: PairType, w: int) -> tuple[int, int]:
@@ -214,9 +187,10 @@ def dim_orbit(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> in
     return ambient_dims(pair_type, params).dim_p - dim_p_cent(diagram, pair_type, params)
 
 
-def component_dim(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
-    """dim of the commuting-variety subvariety generated by the orbit."""
-    return ambient_dims(pair_type, params).dim_p - defect(diagram, pair_type)
+def component_dim(pair_type: PairType, params: PairParams, delta: int) -> int:
+    """dim of the commuting-variety subvariety generated by an orbit of
+    defect delta."""
+    return ambient_dims(pair_type, params).dim_p - delta
 
 
 @dataclass(frozen=True)
@@ -244,12 +218,13 @@ class OrbitInvariants:
 def orbit_invariants(
     diagram: AbDiagram, pair_type: PairType, params: PairParams
 ) -> OrbitInvariants:
+    delta, almost = orbit_class(diagram, pair_type)
     return OrbitInvariants(
-        defect=defect(diagram, pair_type),
+        defect=delta,
         dim_p_cent=dim_p_cent(diagram, pair_type, params),
         dim_orbit=dim_orbit(diagram, pair_type, params),
         dim_p0=dim_p0(diagram, pair_type),
-        distinguished=is_distinguished(diagram, pair_type),
-        almost=is_almost_distinguished(diagram, pair_type),
-        component_dim=component_dim(diagram, pair_type, params),
+        distinguished=delta == 0,
+        almost=almost,
+        component_dim=component_dim(pair_type, params, delta),
     )

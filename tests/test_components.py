@@ -1,5 +1,7 @@
-from nilcomm import oracle
-from nilcomm.closure import is_reduction
+from collections import Counter
+
+from nilcomm import closure, components, invariants, oracle
+from nilcomm.closure import find_reduction, is_reduction, minimal_degenerations
 from nilcomm.components import (
     COMPONENT,
     ELIMINATED_BY_REDUCTION,
@@ -153,3 +155,36 @@ def test_report_json_and_text():
     text = report.render_text()
     assert "reduction -> 5" in text
     assert "witness on lengths" in text
+
+
+def test_reduction_loop_reads_the_lower_class_once(monkeypatch):
+    """find_reduction and candidate_status sum the lower diagram's per-length
+    terms once per call and ask for its dim p^e at most once, not once per
+    cover they try (every valid diagram, n <= 10)."""
+    folds, cents = Counter(), Counter()
+    fold, cent = invariants._p0, closure.dim_p_cent
+
+    def counted_fold(diagram, pair_type):
+        folds[diagram] += 1
+        return fold(diagram, pair_type)
+
+    def counted_cent(diagram, pair_type, params):
+        cents[diagram] += 1
+        return cent(diagram, pair_type, params)
+
+    monkeypatch.setattr(invariants, "_p0", counted_fold)
+    monkeypatch.setattr(closure, "dim_p_cent", counted_cent)
+    most = 0
+    for n in range(1, 11):
+        for pt, prm in pairs_of_size(n):
+            ambient_dims(pt, prm)  # reads the zero orbit's class, uncounted
+            for d in enumerate_diagrams(pt, prm):
+                minimal_degenerations(d, pt, prm)  # builds the closure index, uncounted
+                for search in (find_reduction, components.candidate_status):
+                    folds.clear()
+                    cents.clear()
+                    search(d, pt, prm)
+                    assert folds[d] == 1 and cents[d] <= 1, (search.__name__, pt, prm, d.text())
+                    most = max(most, sum(folds.values()))
+    # some search tried at least two covers before it stopped
+    assert most >= 3

@@ -72,6 +72,46 @@ def test_canonical_row_order():
     assert d.text() == "aba/a/b"
 
 
+def test_every_row_order_builds_the_canonical_diagram():
+    """Every permutation of the rows of every candidate with n <= 6 builds a
+    diagram equal to the candidate, with the candidate's canonical rows."""
+    checked = 0
+    for n in range(0, 7):
+        for pair_type in (PairType.AI, PairType.AIII):
+            for d in candidates(pair_type, n):
+                assert d.rows == tuple(sorted(d.rows, key=lambda r: (-r[0], r[1] or "")))
+                for rows in set(itertools.permutations(d.rows)):
+                    built = AbDiagram(rows)
+                    assert built == d and built.rows == d.rows, rows
+                    checked += 1
+    assert checked == 793
+
+
+def test_rows_given_as_a_list_are_stored_as_a_tuple():
+    d = AbDiagram([(1, "b"), (3, "a")])
+    assert d.rows == ((3, "a"), (1, "b")) and isinstance(d.rows, tuple)
+    d = AbDiagram([(3, None), (1, None)])
+    assert d.rows == ((3, None), (1, None)) and isinstance(d.rows, tuple)
+    assert hash(d) == hash(parse("3,1"))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(0, None)], "row lengths must be positive, got 0"),
+    ([(2, "a"), (-1, "b")], "row lengths must be positive, got -1"),
+    ([(2, "c")], "bad start letter 'c'"),
+    ([(1, "b"), (3, "ab")], "bad start letter 'ab'"),
+    ([(1, "a"), (1, None)], "cannot mix plain and lettered rows"),
+    ([(2, None), (3, "b")], "cannot mix plain and lettered rows"),
+    # every row's length and letter are checked before the kinds are compared
+    ([(1, "a"), (1, None), (0, "b")], "row lengths must be positive, got 0"),
+    ([(1, None), (1, "a"), (2, "x")], "bad start letter 'x'"),
+])
+def test_bad_rows_are_rejected_with_their_reason(rows, message):
+    with pytest.raises(ValueError) as info:
+        AbDiagram(rows)
+    assert str(info.value) == message
+
+
 def test_validate_bdi_example():
     # Legal degenerate-looking BDI diagram with an a/b pair at length 1.
     d = parse("aba/a/b")

@@ -3,8 +3,13 @@ replayed through ``cli.main`` and its exit code, stdout and stderr must match
 the recorded ones byte for byte.  The usage errors that argparse reports
 itself are recorded as Python 3.11 words them.
 
-Regenerate the recorded outputs (only after checking that a change of output
-is intended) with:
+Golden classification table: tests/golden/classification.json holds, for
+every pair with 1 <= n <= 12, its components, each eliminated orbit with its
+reduction target or witness lengths, and its unresolved orbits;
+``classify_components`` must reproduce it.
+
+Regenerate the recorded outputs and the table (only after checking that a
+change of output is intended) with:
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
@@ -19,9 +24,12 @@ from pathlib import Path
 import pytest
 
 from nilcomm.cli import main
+from nilcomm.components import classify_components
+from nilcomm.diagrams import pairs_of_size
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
+TABLE = GOLDEN / "classification.json"
 
 
 def _replay(argv):
@@ -47,6 +55,27 @@ def test_golden_transcript(case, monkeypatch):
     assert err == _recorded(case["name"], "stderr")
 
 
+def _classification_table():
+    """One line per pair: [type, n, signature or None, components,
+    eliminated as [orbit, reduction target or witness lengths], unresolved]."""
+    lines = []
+    for n in range(1, 13):
+        for pair_type, params in pairs_of_size(n):
+            report = classify_components(pair_type, params)
+            lines.append([
+                pair_type.value, n, params.signature and list(params.signature),
+                [c.diagram.text() for c in report.components],
+                [[c.diagram.text(), c.reduction_target.text() if c.reduction_target
+                  else list(c.witness_lengths)] for c in report.eliminated],
+                [c.diagram.text() for c in report.unresolved],
+            ])
+    return "[\n" + ",\n".join(json.dumps(line, separators=(",", ":")) for line in lines) + "\n]\n"
+
+
+def test_golden_classification_table():
+    assert _classification_table() == TABLE.read_text(encoding="utf-8")
+
+
 def _update():
     os.environ["COLUMNS"] = "80"
     os.environ.pop("NILCOMM_CONFIG", None)
@@ -61,6 +90,7 @@ def _update():
                 path.unlink()
     text = "[\n" + ",\n".join(json.dumps(case) for case in CASES) + "\n]\n"
     (GOLDEN / "commands.json").write_text(text, encoding="utf-8")
+    TABLE.write_text(_classification_table(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ import sys
 import pytest
 
 import nilcomm
-from nilcomm import oracle
+from nilcomm import invariants, oracle
 from nilcomm.diagrams import (
+    BLOCK_TYPE,
     AbDiagram,
     PairParams,
     PairType,
@@ -18,7 +19,6 @@ from nilcomm.diagrams import (
 from nilcomm.errors import UnrealizableDiagram
 from nilcomm.invariants import (
     ambient_dims,
-    centralizer_pairs,
     component_dim,
     defect,
     dim_orbit,
@@ -44,17 +44,23 @@ def test_defect_examples():
     assert defect(AbDiagram(()), PairType.AI) == 0
 
 
-def test_centralizer_pairs_bdi():
-    desc = {d.d: d for d in centralizer_pairs(G5, PairType.BDI)}
-    assert desc[3].kind is PairType.BDI and (desc[3].m, desc[3].a, desc[3].b) == (1, 1, 0)
-    assert desc[1].kind is PairType.BDI and (desc[1].a, desc[1].b) == (1, 1)
+def test_length_terms_bdi():
+    """G5 = aba/a/b: the length-3 block (one a-row) is a BDI block without
+    rank, the length-1 block (one a-row, one b-row) a BDI block of rank 1."""
+    assert BLOCK_TYPE[PairType.BDI] == (PairType.BDI, PairType.CI)
+    assert G5.multiplicities() == {3: (1, 1, 0), 1: (2, 1, 1)}
+    assert invariants._length_term(PairType.BDI, 3, 1, 1, 0) == (0, 0)
+    assert invariants._length_term(PairType.BDI, 1, 2, 1, 1) == (1, 1)
 
 
-def test_centralizer_pairs_ai_and_ci():
-    desc = centralizer_pairs(parse("2,1"), PairType.AI)
-    assert [(x.kind, x.m) for x in desc] == [(PairType.AI, 1), (PairType.AI, 1)]
-    desc = centralizer_pairs(parse("abab"), PairType.CI)
-    assert [(x.kind, x.d, x.m) for x in desc] == [(PairType.BDI, 4, 1)]
+def test_length_terms_ai_and_ci():
+    """AI 2,1: two AI blocks with m = 1; CI abab: one BDI block (even length)
+    with a_4 = 1, b_4 = 0."""
+    assert parse("2,1").multiplicities() == {2: (1, 0, 0), 1: (1, 0, 0)}
+    assert [invariants._length_term(PairType.AI, d, 1, 0, 0) for d in (2, 1)] == [(1, 1)] * 2
+    assert BLOCK_TYPE[PairType.CI][True] is PairType.BDI
+    assert parse("abab").multiplicities() == {4: (1, 1, 0)}
+    assert invariants._length_term(PairType.CI, 4, 1, 1, 0) == (0, 0)
 
 
 def test_dim_p0_examples():
@@ -155,15 +161,15 @@ def test_ambient_dims_certified_against_oracle():
 def test_dim_orbit_and_component_dim():
     assert ambient_dims(PairType.BDI, BDI_5).dim_p == 6
     assert dim_orbit(G5, PairType.BDI, BDI_5) == 3
-    assert component_dim(G5, PairType.BDI, BDI_5) == 5
-    assert component_dim(parse("2,1"), PairType.AI, PairParams(3)) == 4
+    assert component_dim(PairType.BDI, BDI_5, defect(G5, PairType.BDI)) == 5
+    assert component_dim(PairType.AI, PairParams(3), defect(parse("2,1"), PairType.AI)) == 4
     assert dim_orbit(AbDiagram(()), PairType.AI, PairParams(0)) == 0
     n = 6
     assert dim_orbit(parse("6"), PairType.AI, PairParams(n)) == ambient_dims(
         PairType.AI, PairParams(n)
     ).dim_p - (n - 1)
     # distinguished orbits generate full-dimensional subvarieties
-    assert component_dim(parse("abab"), PairType.CI, PairParams(4)) == ambient_dims(
+    assert component_dim(PairType.CI, PairParams(4), defect(parse("abab"), PairType.CI)) == ambient_dims(
         PairType.CI, PairParams(4)
     ).dim_p
 
@@ -204,7 +210,7 @@ def _almost_distinguished_by_type(diagram, pair_type):
 
 def test_distinguished_iff_zero_defect_enumerations():
     """Distinguished (defect 0) and almost-distinguished (p(e,0) a torus), as
-    defined on the descriptors and as orbit_class reads them off one build,
+    summed from the per-length terms and as orbit_class reads them off one sum,
     agree with the paper's per-type characterizations on every valid diagram
     with n <= 12, the empty diagram of each zero pair included."""
     checked = 0
