@@ -49,6 +49,8 @@ class PairType(Enum):
     CII = "CII"    # (sp_n, sp_p x sp_q), n, p, q even
     DIII = "DIII"  # (so_n, gl_{n/2}), n even
 
+    __hash__ = object.__hash__  # members are singletons compared by identity: a C-level hash
+
     @property
     def uses_letters(self) -> bool:
         return self not in (PairType.AI, PairType.AII)

@@ -68,17 +68,13 @@ def echelon_pivots(rows) -> dict[int, dict[int, int]]:
     seen = set()
     rest = []
     for raw in rows:
-        row = _integer_row(raw)
-        if not row:
-            continue
-        key = frozenset(row.items())
-        if key in seen:
-            continue
-        seen.add(key)
+        # a single nonzero entry sets its column c to zero: pivot {c: 1}
+        row = {c: 1} if len(raw) == 1 and raw[c := next(iter(raw))] else _integer_row(raw)
         if len(row) == 1:
             (c,) = row
             pivots[c] = row
-        else:
+        elif row and (key := frozenset(row.items())) not in seen:
+            seen.add(key)
             rest.append(row)
     settled = set(pivots)
     rest.sort(key=len)

@@ -139,10 +139,13 @@ def _lines(x: dict):
     return cols, rows
 
 
-def _mul(a: dict, b: dict) -> dict:
-    b_rows: dict[int, list] = {}
-    for (k, c), w in b.items():
-        b_rows.setdefault(k, []).append((c, w))
+def _indexed(*xs):
+    """Each sparse matrix (or None) with the row index ``_mul`` takes of it."""
+    return [None if x is None else (x, _lines(x)[1]) for x in xs]
+
+
+def _mul(a: dict, b_rows: dict) -> dict:
+    """a times the sparse matrix whose row index is ``b_rows``."""
     out: dict[tuple[int, int], int] = {}
     for (r, k), v in a.items():
         for c, w in b_rows.get(k, ()):
@@ -163,16 +166,17 @@ def _transpose(x: dict) -> dict:
     return {(c, r): v for (r, c), v in x.items()}
 
 
-def _bracket(a: dict, b: dict) -> dict:
-    return _add((1, _mul(a, b)), (-1, _mul(b, a)))
+def _bracket(a, b) -> dict:
+    """[a, b] of ``_indexed`` matrices."""
+    return _add((1, _mul(a[0], b[1])), (-1, _mul(b[0], a[1])))
 
 
-def _theta(x: dict, d: Optional[dict], t: Optional[dict]) -> dict:
-    """The involution: conjugation by D, or for AI/AII (no D) x -> -T^-1 x^t T
-    with T^-1 = T^t, as T is a signed permutation."""
+def _theta(x, d, t) -> dict:
+    """The involution on ``_indexed`` matrices: conjugation by D, or for AI/AII
+    (no D) x -> -T^-1 x^t T with T^-1 = T^t, as T is a signed permutation."""
     if d is not None:
-        return _mul(_mul(d, x), d)
-    return _add((-1, _mul(_transpose(_mul(x, t)), t)))
+        return _mul(_mul(d[0], x[1]), d[1])
+    return _add((-1, _mul(_transpose(_mul(x[0], t[1])), t[1])))
 
 
 def _is_signed_permutation(t: dict, n: int) -> bool:
@@ -183,27 +187,30 @@ def _is_signed_permutation(t: dict, n: int) -> bool:
 def _identities(pair_type: PairType, n: int, xi, e, h, f, t, d):
     """Every identity of a realization, as lazily computed (holds, identity)
     pairs on sparse matrices; t or d is None where there is no form or no
-    diagonal involution.  T comes first because theta inverts it as T^t."""
+    diagonal involution.  T comes first because theta inverts it as T^t.
+    Each matrix is indexed once, for every product it is the right factor of."""
     if t is not None:
         yield _is_signed_permutation(t, n), "form T is a signed permutation"
-    yield _bracket(h, e) == _add((2, e)), "[h, e] = 2e"
-    yield _bracket(h, f) == _add((-2, f)), "[h, f] = -2f"
-    yield _bracket(e, f) == h, "[e, f] = h"
-    yield _theta(e, d, t) == _add((-1, e)), "theta(e) = -e"
-    yield _theta(h, d, t) == h, "theta(h) = h"
-    yield _theta(f, d, t) == _add((-1, f)), "theta(f) = -f"
+    ie, ih, i_f, it, i_d = _indexed(e, h, f, t, d)
+    yield _bracket(ih, ie) == _add((2, e)), "[h, e] = 2e"
+    yield _bracket(ih, i_f) == _add((-2, f)), "[h, f] = -2f"
+    yield _bracket(ie, i_f) == h, "[e, f] = h"
+    yield _theta(ie, i_d, it) == _add((-1, e)), "theta(e) = -e"
+    yield _theta(ih, i_d, it) == h, "theta(h) = h"
+    yield _theta(i_f, i_d, it) == _add((-1, f)), "theta(f) = -f"
     if t is not None:
         eta = 1 if d is not None else -1
         eps = pair_type.form_sign if d is not None else (1 if pair_type is PairType.AI else -1)
         yield _transpose(t) == _add((eps, t)), "T^t = eps T"
         # form compatibility: Phi(e.u, v) = -eta Phi(u, e.v), same for f; h skew
-        yield not _add((1, _mul(_transpose(e), t)), (eta, _mul(t, e))), "e^t T = -eta T e"
-        yield not _add((1, _mul(_transpose(f), t)), (eta, _mul(t, f))), "f^t T = -eta T f"
-        yield not _add((1, _mul(_transpose(h), t)), (1, _mul(t, h))), "h^t T = -T h"
+        for (x, x_rows), sign, identity in ((ie, eta, "e^t T = -eta T e"),
+                                            (i_f, eta, "f^t T = -eta T f"),
+                                            (ih, 1, "h^t T = -T h")):
+            yield not _add((1, _mul(_transpose(x), it[1])), (sign, _mul(t, x_rows))), identity
     if d is not None:
-        yield _mul(d, d) == {(k, k): 1 for k in range(n)}, "D^2 = I"
+        yield _mul(d, i_d[1]) == {(k, k): 1 for k in range(n)}, "D^2 = I"
         if t is not None:
-            yield _mul(_mul(_transpose(d), t), d) == _add((xi, t)), "D^t T D = xi T"
+            yield _mul(_mul(_transpose(d), it[1]), i_d[1]) == _add((xi, t)), "D^t T D = xi T"
 
 
 # -- building the triple -------------------------------------------------------
@@ -225,12 +232,8 @@ def _triple_matrices(diagram: AbDiagram):
     return tuple(basis), idx, e, h, f
 
 
-def _sign(start: Optional[str]) -> int:
-    return 1 if start == "a" else -1
-
-
 def _d_matrix(diagram: AbDiagram, idx) -> dict:
-    return {(k, k): _sign(diagram.rows[i][1]) * (-1) ** a for (i, a), k in idx.items()}
+    return {(k, k): (-1) ** (a + (diagram.rows[i][1] != "a")) for (i, a), k in idx.items()}
 
 
 def _couple(t: dict, idx, i, j, length, eps):
@@ -275,19 +278,19 @@ def _matchable(pair_type: PairType, length: int, na: int, nb: int, memo: dict) -
     return memo[key]
 
 
-def _match_rows(pair_type: PairType, length: int, row_ids, letters):
-    """Pair up the rows of one length so each pair carries an admissible
-    coupling; self-pairing is a one-row coupling.  Returns the matching or
-    None.  Each row in turn takes the first admissible partner (itself, then
-    the later rows in order) that leaves the other rows matchable.  The
-    coupling test depends on the two start letters only through their
-    product, so ``_matchable`` decides the rest from its letter counts."""
-    count = {"a": 0, "b": 0}
-    for i in row_ids:
-        count[letters[i]] += 1
+@lru_cache(maxsize=1024)
+def _match_rows(pair_type: PairType, length: int, na: int, nb: int):
+    """Pair up rows 0 .. na+nb-1 of one length, na a-rows then nb b-rows, so
+    each pair carries an admissible coupling (a self-pair is a one-row one):
+    the (row, partner) pairs, or None.  Each row in turn takes the first
+    admissible partner (itself, then the later rows in order) that leaves the
+    other rows matchable; the coupling test depends on the two start letters
+    only through their product, so ``_matchable`` decides from the counts."""
+    letters = "a" * na + "b" * nb
+    count = {"a": na, "b": nb}
     memo: dict = {}
     matching = []
-    rest = list(row_ids)
+    rest = list(range(na + nb))
     while rest:
         first = rest.pop(0)
         count[letters[first]] -= 1
@@ -303,7 +306,7 @@ def _match_rows(pair_type: PairType, length: int, row_ids, letters):
         if other != first:
             rest.remove(other)
         count["a"], count["b"] = left
-    return matching
+    return tuple(matching)
 
 
 @lru_cache(maxsize=1024)
@@ -316,34 +319,30 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
         raise SizeMismatch(f"diagram has {diagram.n} cells, pair has n={params.n}")
     if diagram.rows and diagram.is_ab != pair_type.uses_letters:
         raise WrongType(f"representation does not match {pair_type.value}")
-    by_length: dict[int, list[int]] = {}
-    for i, (length, _s) in enumerate(diagram.rows):
-        by_length.setdefault(length, []).append(i)
-    matchings = {}
-    if pair_type is PairType.AII:
-        for length, ids in by_length.items():
-            if len(ids) % 2 != 0:
-                raise UnrealizableDiagram(
-                    f"no symplectic pairing: odd number of rows of length {length}"
-                )
-    elif pair_type not in A_TYPES:
-        letters = {i: s for i, (_d, s) in enumerate(diagram.rows)}
-        for length, ids in sorted(by_length.items(), reverse=True):
-            matching = _match_rows(pair_type, length, tuple(ids), letters)
+    # (length, first row, rows, matching) per row length, longest first: the
+    # rows of one length are contiguous in canonical order, a-rows first
+    blocks, nrows, a_cells = [], 0, 0
+    for length, (m, na, nb) in diagram.multiplicities().items():
+        matching = None
+        if pair_type is PairType.AII and m % 2:
+            raise UnrealizableDiagram(
+                f"no symplectic pairing: odd number of rows of length {length}")
+        if pair_type not in A_TYPES:
+            matching = _match_rows(pair_type, length, na, nb)
             if matching is None:
-                raise UnrealizableDiagram(
-                    f"no admissible coupling of the rows of length {length}"
-                )
-            matchings[length] = matching
-    if pair_type.has_signature and diagram.letter_counts() != params.signature:
+                raise UnrealizableDiagram(f"no admissible coupling of the rows of length {length}")
+        blocks.append((length, nrows, m, matching))
+        nrows += m
+        a_cells += na * ((length + 1) // 2) + nb * (length // 2)
+    cells = (a_cells, params.n - a_cells)  # diagram.letter_counts() of an ab-diagram
+    if pair_type.has_signature and cells != params.signature:
         raise UnrealizableDiagram(
-            f"involution eigenspace dimensions {diagram.letter_counts()} "
+            f"involution eigenspace dimensions {cells} "
             f"do not match the signature {params.signature}"
         )
 
     basis, idx, e, h, f = _triple_matrices(diagram)
     n = len(basis)
-    nrows = len(diagram.rows)
     t = d = alphas = None
     partners = list(range(nrows))
     if pair_type is PairType.AI:
@@ -354,8 +353,9 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
     elif pair_type is PairType.AII:
         alpha = [0] * nrows
         t = {}
-        for length, ids in by_length.items():
-            for i1, i2 in zip(ids[0::2], ids[1::2]):
+        for length, first, m, _matching in blocks:
+            for i1 in range(first, first + m, 2):
+                i2 = i1 + 1
                 partners[i1], partners[i2] = i2, i1
                 alpha[i1], alpha[i2] = 1, -1
                 for a in range(length):
@@ -366,8 +366,8 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
         d = _d_matrix(diagram, idx)
         if pair_type is not PairType.AIII:
             t = {}
-            for length, matching in matchings.items():
-                for i, j in matching:
+            for length, first, _m, matching in blocks:
+                for i, j in ((first + i, first + j) for i, j in matching):
                     partners[i], partners[j] = j, i
                     _couple(t, idx, i, j, length, pair_type.form_sign)
 
@@ -585,12 +585,12 @@ def jordan_type(matrix: Matrix) -> tuple[int, ...]:
 def _jordan_type(n: int, x: dict) -> tuple[int, ...]:
     """``jordan_type`` of the n x n sparse matrix x."""
     ranks = [n]
-    power = x
+    power, x_rows = x, _lines(x)[1]
     while ranks[-1] > 0:
         if len(ranks) > n:
             raise NotNilpotent("matrix is not nilpotent")
         ranks.append(linalg.rank([dict(row) for row in _lines(power)[1].values()]))
-        power = _mul(power, x)
+        power = _mul(power, x_rows)
     blocks = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []
     for size in range(len(blocks), 0, -1):
@@ -603,7 +603,7 @@ def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
     """rank(P_a e^k) then rank(P_b e^k) for k = 0 .. n-1, with P_a = (I + D)/2
     and P_b = (I - D)/2, or rank(e^k) for the types without D: the layout of
     ``closure._truncation_profile``, whose fields the closure order compares."""
-    x = real.e_map
+    x_rows = _lines(real.e_map)[1]
     signs = (None,) if real.d_map is None else (1, -1)
     ranks = []
     power = {(k, k): 1 for k in range(real.n)}
@@ -612,7 +612,7 @@ def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
         for sign in signs:
             ranks.append(linalg.rank([dict(row) for r, row in rows.items()
                                       if sign is None or real.d_map[r, r] == sign]))
-        power = _mul(power, x)
+        power = _mul(power, x_rows)
     return tuple(ranks)
 
 
@@ -674,8 +674,9 @@ def commuting_witness(
     idx = {tag: k for k, tag in enumerate(real.basis)}
     w = _add(*[(1, _partial_shift(real, idx, *pair)) for pair in pairs],
              (1, _row_restriction(real, idx, others)))
-    _require(not _bracket(real.e_map, w), "[e, w] = 0")
-    _require(_theta(w, real.d_map, real.t_map) == _add((-1, w)), "theta(w) = -w")
+    ie, iw, i_d, it = _indexed(real.e_map, w, real.d_map, real.t_map)
+    _require(not _bracket(ie, iw), "[e, w] = 0")
+    _require(_theta(iw, i_d, it) == _add((-1, w)), "theta(w) = -w")
     witness = _dense(real.n, w)
     _require(
         _dominates_strictly(jordan_type(witness), real.diagram.partition),
@@ -693,7 +694,8 @@ def is_abelian(basis: list[dict]) -> bool:
     ``p_e0_sparse`` this decides exactly whether p(e,0) is a torus: an abelian
     p(e,0) is an abelian ideal of the reductive g(e,0) = k(e,0) + p(e,0), so
     it lies in its centre."""
-    return not any(_bracket(x, y) for i, x in enumerate(basis) for y in basis[:i])
+    indexed = _indexed(*basis)
+    return not any(_bracket(x, y) for i, x in enumerate(indexed) for y in indexed[:i])
 
 
 # -- the certification sweep --------------------------------------------------------

@@ -8,12 +8,18 @@ every pair with 1 <= n <= 12, its components, each eliminated orbit with its
 reduction target or witness lengths, and its unresolved orbits;
 ``classify_components`` must reproduce it.
 
+Golden realization digest: the sha256 of one line per candidate diagram of
+every pair with n <= 8 (8,668 of them), naming what ``oracle.realize`` gave:
+the error class and message of a rejection, or the sorted sparse maps,
+partners and alphas of a realization.
+
 Regenerate the recorded outputs and the table (only after checking that a
 change of output is intended) with:
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
 
+import hashlib
 import io
 import json
 import os
@@ -25,7 +31,9 @@ import pytest
 
 from nilcomm.cli import main
 from nilcomm.components import classify_components
-from nilcomm.diagrams import pairs_of_size
+from nilcomm.diagrams import candidates, pairs_of_size
+from nilcomm.errors import NilcommError
+from nilcomm.oracle import realize
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
@@ -74,6 +82,32 @@ def _classification_table():
 
 def test_golden_classification_table():
     assert _classification_table() == TABLE.read_text(encoding="utf-8")
+
+
+REALIZATION_DIGEST = "68929b735b9ebf18e82946f4dbc193368f9be57ce16ad0fdc20c20041796dd91"
+
+
+def _realization_listing():
+    lines = []
+    for n in range(9):
+        for pair_type, params in pairs_of_size(n):
+            for diagram in candidates(pair_type, n):
+                head = f"{pair_type.value} {params} {diagram.text()!r}: "
+                try:
+                    real = realize(diagram, pair_type, params)
+                except NilcommError as exc:
+                    lines.append(head + f"{type(exc).__name__}: {exc}")
+                    continue
+                maps = [None if m is None else sorted(m.items())
+                        for m in (real.e_map, real.h_map, real.f_map, real.t_map, real.d_map)]
+                lines.append(head + repr((maps, real.partners, real.alphas)))
+    return lines
+
+
+def test_golden_realization_digest():
+    lines = _realization_listing()
+    assert len(lines) == 8668
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REALIZATION_DIGEST
 
 
 def _update():

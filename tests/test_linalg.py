@@ -161,3 +161,22 @@ def test_repeated_rows_are_not_eliminated_again(monkeypatch):
         negated = rows + [{c: -v for c, v in row.items()} for row in rows for _ in range(k - 1)]
         assert combine_calls(repeated) == alone
         assert combine_calls(negated) == alone
+
+
+def test_single_entry_rows_pin_their_column():
+    """A row with one nonzero entry, negative, Fraction or repeated up to
+    sign, is the pivot {c: 1}; a lone zero entry is no row at all.  Rank and
+    kernel agree with the dense reference."""
+    single = [{0: -3}, {2: Fraction(-5, 7)}, {2: Fraction(5, 7)}, {4: 0}, {0: 3}, {0: -3},
+              {5: 10**6}, {1: 0, 5: Fraction(1, 3)}]
+    other = [{1: 2, 3: -4}, {0: 1, 1: 1, 4: -1}]
+    ncols = 6
+    assert linalg.echelon_pivots(single) == {c: {c: 1} for c in (0, 2, 5)}
+    for rows in (single, single + other, other + single[::-1]):
+        pivots = linalg.echelon_pivots(rows)
+        assert all(pivots[c] == {c: 1} for c in (0, 2, 5))
+        assert linalg.rank(rows) == dense_rank_reference(rows, ncols)
+        reference = dense_rref_reference(rows, ncols)
+        assert rref(rows) == reference
+        assert linalg.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
+    assert linalg.echelon_pivots([{3: 0}, {}]) == {}

@@ -252,27 +252,33 @@ def test_every_form_is_a_signed_permutation():
 OPTIMIZED_CHECKS = """
 import dataclasses
 from nilcomm import oracle
-from nilcomm.diagrams import PairParams, PairType, parse
-from nilcomm.errors import OracleCheckFailed
+from nilcomm.diagrams import PairParams, PairType, params_for, parse
+from nilcomm.errors import OracleCheckFailed, UnrealizableDiagram
 
 if __debug__:
     raise SystemExit("expected python -O")
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
+bdi = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
 oracle._sample = lambda rng, basis: {(0, 2): 1, (1, 3): 1}
 for tampered, check in [
     (dataclasses.replace(real, h_map={pos: 2 * v for pos, v in real.h_map.items()}),
      oracle._check_realization),
     (dataclasses.replace(real, t_map={pos: 2 * v for pos, v in real.t_map.items()}),
      oracle._check_realization),
+    (dataclasses.replace(bdi, d_map={pos: 2 * v for pos, v in bdi.d_map.items()}),
+     oracle._check_realization),
     (dataclasses.replace(real, e_map={(c, r): v for (r, c), v in real.e_map.items()}),
      oracle.commuting_witness),
+    # the two BDI rows abab of length 4 have no admissible coupling
+    (parse("abab/abab"),
+     lambda d: oracle.realize(d, PairType.BDI, params_for(PairType.BDI, 8, 4, 4))),
     # a sampler that only draws a nilpotent with an abelian centralizer
     (oracle.realize(parse("a/a/b/b"), PairType.AIII, PairParams(4, (2, 2))),
      oracle.defect_oracle),
 ]:
     try:
         check(tampered)
-    except OracleCheckFailed as exc:
+    except (OracleCheckFailed, UnrealizableDiagram) as exc:
         print(exc)
     else:
         raise SystemExit("tampered realization passed")
@@ -290,7 +296,9 @@ def test_oracle_checks_survive_python_O():
     assert proc.stdout.splitlines() == [
         "identity fails: [h, e] = 2e",
         "identity fails: form T is a signed permutation",
+        "identity fails: theta(e) = -e",
         "identity fails: [e, w] = 0",
+        "no admissible coupling of the rows of length 4",
         "no Cartan subspace certified in 20 samples of p(e,0)",
     ]
 
@@ -661,20 +669,23 @@ def test_pair_admissible_symmetric_in_letters():
 
 
 def test_match_rows_equals_backtracking_search():
-    """Same matching, or None, on every ab-diagram with n <= 8."""
+    """Same matching, or None, on every ab-diagram with n <= 8, given in every
+    letter order: the matching of the rows of one length, offset by the
+    block's first row, is the search's on the canonical rows."""
     checked = 0
     for pt in FORM_TYPES:
         for n in range(1, 9):
             for part in partitions(n):
                 for letters in itertools.product("ab", repeat=len(part)):
-                    by_length = {}
-                    for i, length in enumerate(part):
-                        by_length.setdefault(length, []).append(i)
-                    named = dict(enumerate(letters))
-                    for length, ids in by_length.items():
-                        want = _backtracking_match(pt, length, tuple(ids), named)
-                        assert oracle._match_rows(pt, length, tuple(ids), named) == want, \
-                            (pt, part, letters, length)
+                    diagram = AbDiagram.from_rows(zip(part, letters))
+                    named = {i: s for i, (_d, s) in enumerate(diagram.rows)}
+                    for length, (_m, na, nb) in diagram.multiplicities().items():
+                        ids = tuple(i for i, (d, _s) in enumerate(diagram.rows) if d == length)
+                        want = _backtracking_match(pt, length, ids, named)
+                        got = oracle._match_rows(pt, length, na, nb)
+                        if got is not None:
+                            got = [(ids[0] + i, ids[0] + j) for i, j in got]
+                        assert got == want, (pt, part, letters, length)
                         checked += 1
     assert checked > 9000
 
@@ -690,9 +701,10 @@ def test_match_rows_polynomial_on_unmatchable_rows(monkeypatch):
         return matchable(*args)
 
     monkeypatch.setattr(oracle, "_matchable", counted)
+    oracle._match_rows.cache_clear()
     k = 12
     letters = {i: "a" if i < k + 2 else "b" for i in range(2 * k + 2)}
-    assert oracle._match_rows(PairType.CI, 1, tuple(letters), letters) is None
+    assert oracle._match_rows(PairType.CI, 1, k + 2, k) is None
     assert 0 < len(calls) <= 3 * (k + 3) ** 2
     diagram = AbDiagram.from_rows([(1, letters[i]) for i in letters])
     with pytest.raises(UnrealizableDiagram, match="rows of length 1"):
