@@ -3,16 +3,20 @@
 The order is tested column by column: Gamma1 <= Gamma2 when every truncation
 Gamma1^(k) has at most as many cells (plain case) or at most as many a's and
 b's (ab case) as Gamma2^(k).  These counts form one flat truncation profile
-per diagram, and the order is the componentwise order of profiles.
+per diagram, and the order is the componentwise order of profiles.  A row's
+counts depend only on its length and start letter and are cached as one
+integer with a fixed-width field per entry; a diagram's profile is the sum
+of its rows' integers, unpacked once.
 
 Covers are computed poset-theoretically inside the full enumeration of valid
 diagrams, never from local move tables.  Each pair gets one cached index of
 its diagrams, bit-sliced by profile field: for each field k and value v >= 1
-one integer bitset ge[k][v] of the diagrams whose field k is at least v.  The
-diagrams at or above a profile are then the AND of ge[k][profile[k]] over
-its nonzero fields, with no scan of the other profiles.  The covers of a
-diagram are up & ~OR(up[j] for j in up): what lies above it but above
-nothing else above it.
+one integer bitset ge[k][v] of the diagrams whose field k is at least v,
+made at C level by translating the field's byte column (its value in each
+diagram) to a binary numeral.  The diagrams at or above a profile are the
+AND of ge[k][profile[k]] over its nonzero fields, with no scan of the other
+profiles.  The covers of a diagram are up & ~OR(up[j] for j in up): what
+lies above it but above nothing else above it.
 
 A cover (or any degeneration) Gamma1 < Gamma2 is a *reduction* when the drop
 in defect equals the drop in centralizer dimension; finding one eliminates
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 import operator
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -35,7 +40,28 @@ from .diagrams import (
     DEFAULT_BOUND,
 )
 from .errors import NotComparable, ShapeMismatch, WrongType
-from .invariants import defect, dim_p_cent
+from .invariants import _dim_p_cent, defect, dim_p_cent
+
+
+@lru_cache(maxsize=1024)
+def _row_profile(length: int, start: Optional[str], size: int) -> int:
+    """One row's truncation profile, packed in fields of size bytes (_layout)."""
+    width = 1 if start is None else 2
+    counts = [0] * (width * length + width)
+    for k in range(length - 1, -1, -1):
+        # depth k counts what depth k + 1 counts plus the cell in column k,
+        # a b when k is even for a b-row and odd for an a-row
+        counts[width * k:width * k + width] = counts[width * k + width:width * k + 2 * width]
+        counts[width * k + (start is not None and (start == "a") != (k % 2 == 0))] += 1
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+
+
+@lru_cache(maxsize=256)
+def _layout(n: int, width: int) -> tuple[int, struct.Struct]:
+    """(field bytes, unpacker) of n-cell profiles, with count i the field at
+    byte size * i, little-endian; 1, 2, 4 or 8 bytes hold any count <= n."""
+    size = next(size for size in (1, 2, 4, 8) if n >> 8 * size == 0)
+    return size, struct.Struct(f"<{width * n}{'BHIQ'[size.bit_length() - 1]}")
 
 
 def _truncation_profile(diagram: AbDiagram) -> tuple[int, ...]:
@@ -43,15 +69,9 @@ def _truncation_profile(diagram: AbDiagram) -> tuple[int, ...]:
     count per depth for plain rows, the a-count then the b-count per depth
     for ab rows.  Depths past the longest row are zero, so diagrams of one
     size have profiles of one length."""
-    width = 2 if diagram.is_ab else 1
-    counts = [0] * (width * diagram.n)
-    for d, s in diagram.rows:
-        for k in range(d):
-            # the cell in column k is a b when k is even for a b-row, odd for an a-row
-            counts[width * k + (s is not None and (s == "a") != (k % 2 == 0))] += 1
-    for i in range(len(counts) - width - 1, -1, -1):
-        counts[i] += counts[i + width]
-    return tuple(counts)
+    rows = diagram.rows
+    size, codec = _layout(sum(d for d, _ in rows), 2 if rows and rows[0][1] else 1)
+    return codec.unpack(sum(_row_profile(d, s, size) for d, s in rows).to_bytes(codec.size, "little"))
 
 
 def _check_comparable(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> None:
@@ -99,23 +119,12 @@ class _ClosureIndex:
         self.position = {g: i for i, g in enumerate(diagrams)}
         self.profiles = [_truncation_profile(g) for g in diagrams]
         self._all = (1 << len(diagrams)) - 1
-        # per field, the diagrams holding each nonzero value; profiles are
-        # suffix sums, so the fields past a diagram's longest row are zero
-        buckets: list[dict[int, int]] = [{} for _ in self.profiles[0]] if diagrams else []
-        for j, profile in enumerate(self.profiles):
-            bit = 1 << j
-            for k, v in enumerate(profile):
-                if v:
-                    column = buckets[k]
-                    column[v] = column.get(v, 0) | bit
-        self.ge: list[list[int]] = []
-        for column in buckets:
-            slices = [self._all] * (max(column, default=0) + 1)
-            acc = 0
-            for v in range(len(slices) - 1, 0, -1):
-                acc |= column.get(v, 0)
-                slices[v] = acc
-            self.ge.append(slices)
+        # a byte column lists the last diagram first, so bit j of its numeral
+        # is diagram j; a pair whose diagrams can be listed has n < 256
+        self.ge: list[list[int]] = [
+            [self._all] + [int(column.translate(b"0" * v + b"1" * (256 - v)), 2)
+                           for v in range(1, max(column) + 1)]
+            for column in map(bytes, zip(*reversed(self.profiles)))]
         self._up: list[Optional[int]] = [None] * len(diagrams)
 
     def _at_or_above(self, profile: tuple[int, ...]) -> int:
@@ -192,12 +201,12 @@ def first_reduction(
     params: PairParams,
     delta: int,
 ) -> Optional[AbDiagram]:
-    """The first of the covers of a diagram of defect delta that is a
+    """The first of the covers of a valid diagram of defect delta that is a
     reduction: its centralizer drop equals its defect drop.  The diagram's
     own dim p^e is computed once, not once per cover."""
-    cent = dim_p_cent(diagram, pair_type, params)
+    cent = _dim_p_cent(diagram, pair_type, params)
     for g2 in covers:
-        if cent - dim_p_cent(g2, pair_type, params) == delta - defect(g2, pair_type):
+        if cent - _dim_p_cent(g2, pair_type, params) == delta - defect(g2, pair_type):
             return g2
     return None
 
@@ -209,8 +218,10 @@ def find_reduction(
     bound: int = DEFAULT_BOUND,
 ) -> Optional[AbDiagram]:
     """A minimal degeneration that is a reduction, if one exists.  When any
-    reduction exists, one exists among the covers, so this search is complete."""
+    reduction exists, one exists among the covers, so this search is complete.
+    Raises UnrealizableDiagram for an invalid diagram of the pair's shape."""
     covers = minimal_degenerations(diagram, pair_type, params, bound)
+    dim_p_cent(diagram, pair_type, params)  # validates the caller's diagram
     return first_reduction(diagram, covers, pair_type, params, defect(diagram, pair_type))
 
 
@@ -236,14 +247,8 @@ def matches_irreducible_motif(diagram: AbDiagram, pair_type: PairType) -> bool:
     mults = diagram.multiplicities()
 
     def mono_letter(d: int) -> Optional[str]:
-        if d not in mults:
-            return None
-        _m, a, b = mults[d]
-        if a and not b:
-            return "a"
-        if b and not a:
-            return "b"
-        return None
+        _m, a, b = mults.get(d, (0, 0, 0))
+        return "a" if a and not b else "b" if b and not a else None
 
     for d, (m, a, b) in mults.items():
         if min(a, b) == 0:
@@ -331,9 +336,9 @@ def closure_hasse(
     diagrams = enumerate_diagrams(pair_type, params, bound)
     edges = []
     for g1 in diagrams:
-        cent1, delta1 = dim_p_cent(g1, pair_type, params), defect(g1, pair_type)
+        cent1, delta1 = _dim_p_cent(g1, pair_type, params), defect(g1, pair_type)
         for g2 in minimal_degenerations(g1, pair_type, params, bound):
-            s = cent1 - dim_p_cent(g2, pair_type, params)
+            s = cent1 - _dim_p_cent(g2, pair_type, params)
             delta = delta1 - defect(g2, pair_type)
             edges.append(
                 DegenerationEdge(

@@ -66,20 +66,12 @@ class PairType(Enum):
     @property
     def form_sign(self) -> Optional[int]:
         """Symmetry of the ambient bilinear form: +1 orthogonal, -1 symplectic."""
-        if self in (PairType.BDI, PairType.DIII):
-            return 1
-        if self in (PairType.CI, PairType.CII):
-            return -1
-        return None
+        return {"BDI": 1, "DIII": 1, "CI": -1, "CII": -1}.get(self.value)
 
     @property
     def involution_square(self) -> Optional[int]:
         """Sign xi with J^2 = xi * Id for the types defined by a matrix J."""
-        if self in (PairType.AIII, PairType.BDI, PairType.CII):
-            return 1
-        if self in (PairType.CI, PairType.DIII):
-            return -1
-        return None
+        return {"AIII": 1, "BDI": 1, "CII": 1, "CI": -1, "DIII": -1}.get(self.value)
 
 
 @dataclass(frozen=True)
@@ -387,36 +379,40 @@ def pairs_of_size(n: int, types=PairType) -> Iterator[tuple[PairType, PairParams
             yield pt, PairParams(n)
 
 
-def _every_split(d: int, m: int) -> list[tuple[int, int]]:
-    """Every (a_d, b_d) split of m rows of length d, a-count decreasing."""
-    return [(a, m - a) for a in range(m, -1, -1)]
-
-
 @functools.lru_cache(maxsize=1024)
-def _letter_choices(pair_type: PairType, d: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Admissible (a_d, b_d) splits of m rows of length d, a-count decreasing;
-    cached, as every partition of every pair asks again."""
-    return tuple(s for s in _every_split(d, m) if _parity_rules(pair_type, d, m, *s) is None)
+def _blocks(pair_type: Optional[PairType], d: int, m: int) -> tuple[tuple[tuple, int], ...]:
+    """The m rows of length d for each (a_d, b_d) split that the pair type
+    admits (every split for None), a-count decreasing, with the a-count of
+    their odd cells; cached, as every partition of every pair asks again."""
+    return tuple((((d, "a"),) * a + ((d, "b"),) * (m - a), d % 2 * a) for a in range(m, -1, -1)
+                 if pair_type is None or _parity_rules(pair_type, d, m, a, m - a) is None)
 
 
-def _lettered(part: tuple[int, ...], choices, lo: int, hi: int) -> list[AbDiagram]:
-    """The ab-diagrams of shape part whose (a_d, b_d) split of each length d
-    is one of choices(d, m_d) and which have between lo and hi cells a, each
-    once, in the order of the splits (the shortest length varying fastest).
+@functools.lru_cache(maxsize=4096)
+def _shape(part: tuple[int, ...]) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(odd rows, sum of floor(d/2) over the rows, (d, m_d) by decreasing d)
+    of a partition; cached, as every signature of a size asks again."""
+    odd = sum(d % 2 for d in part)
+    return odd, (sum(part) - odd) // 2, tuple({d: part.count(d) for d in part}.items())
+
+
+def _lettered(part: tuple[int, ...], pair_type: Optional[PairType], lo: int, hi: int):
+    """The ab-diagrams of shape part whose rows of each length d are one of
+    _blocks(pair_type, d, m_d) and which have between lo and hi cells a,
+    each once, in the order of the splits (the shortest length varying
+    fastest).
 
     The lengths are walked in order, carrying the a-count of the rows chosen
     so far plus floor(d/2) for each row still to come; a prefix is dropped
     as soon as the odd rows left can no longer bring that count into
     [lo, hi], so only the diagrams that are kept are built."""
-    left = sum(d % 2 for d in part)  # odd rows after the current length
-    count = (sum(part) - left) // 2
+    left, count, lengths = _shape(part)  # odd rows after the current length
     if not lo - left <= count <= hi:
         return []
     prefixes = [((), count)]
-    for d, m in {d: part.count(d) for d in part}.items():
-        odd = d % 2
-        left -= odd * m
-        blocks = [(((d, "a"),) * a + ((d, "b"),) * b, odd * a) for a, b in choices(d, m)]
+    for d, m in lengths:
+        left -= d % 2 * m
+        blocks = _blocks(pair_type, d, m)
         prefixes = [(rows + block, k + a) for rows, k in prefixes for block, a in blocks
                     if lo - left <= k + a <= hi]
     return [AbDiagram(rows) for rows, _ in prefixes]
@@ -427,7 +423,7 @@ def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
     each exactly once: plain partitions, or every letter split of each length."""
     for part in partitions(n):
         if pair_type.uses_letters:
-            yield from _lettered(part, _every_split, 0, n)
+            yield from _lettered(part, None, 0, n)
         else:
             yield AbDiagram.from_partition(part)
 
@@ -445,15 +441,13 @@ def enumerate_diagrams(
 
 @functools.lru_cache(maxsize=1024)
 def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagram, ...]:
-    """The valid diagrams of one pair.  _letter_choices applies the parity
-    rules: a partition of a plain type is kept when every length has an
-    admissible split of its rows, and for lettered pairs the walk of _lettered
-    also applies the pair's a-count, so every diagram built is kept.  The
-    cache holds 1,024 pairs: every pair with n <= 27."""
+    """The valid diagrams of one pair.  _blocks applies the parity rules: a
+    partition of a plain type is kept when every length has an admissible
+    split of its rows, and for lettered pairs the walk of _lettered also
+    applies the pair's a-count, so every diagram built is kept.  The cache
+    holds 1,024 pairs: every pair with n <= 27."""
     if not pair_type.uses_letters:
         return tuple(AbDiagram.from_partition(part) for part in partitions(params.n)
-                     if all(_letter_choices(pair_type, d, part.count(d)) for d in set(part)))
+                     if all(_blocks(pair_type, d, m) for d, m in _shape(part)[2]))
     want_a = _expected_letters(pair_type, params)[0]
-    choices = functools.partial(_letter_choices, pair_type)
-    return tuple(d for part in partitions(params.n) for d in _lettered(part, choices, want_a, want_a))
-
+    return tuple(g for part in partitions(params.n) for g in _lettered(part, pair_type, want_a, want_a))

@@ -166,16 +166,24 @@ def ambient_dims(pair_type: PairType, params: PairParams) -> AmbientDims:
     return AmbientDims(dim_p, defect(zero, pair_type), dim_k)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def dim_p_cent(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
-    """dim p^e = dim p - dim K.e, and dim K.e = dim G.e / 2 (Kostant-Rallis).
-    For gl_n, dim G.e = n^2 - sum_j (2j + 1) lambda_j over the rows sorted by
-    decreasing length, j >= 0; for so_n (sp_n) it is half of that after
-    subtracting (adding) n - #odd rows (Collingwood-McGovern 6.1).  Raises
-    UnrealizableDiagram, naming the violations, for an invalid diagram."""
+    """dim p^e (_dim_p_cent); UnrealizableDiagram, naming the violations,
+    for an invalid diagram."""
     violations = validate(diagram, pair_type, params)
     if violations:
         raise UnrealizableDiagram("; ".join(str(v) for v in violations))
+    return _dim_p_cent(diagram, pair_type, params)
+
+
+@lru_cache(maxsize=4096)
+def _dim_p_cent(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
+    """dim p^e = dim p - dim K.e, and dim K.e = dim G.e / 2 (Kostant-Rallis).
+    For gl_n, dim G.e = n^2 - sum_j (2j + 1) lambda_j over the rows sorted by
+    decreasing length, j >= 0; for so_n (sp_n) it is half of that after
+    subtracting (adding) n - #odd rows (Collingwood-McGovern 6.1).  The
+    diagram is not validated: the closure order reads it for enumerated
+    diagrams only."""
     n, lengths = diagram.n, diagram.partition
     orbit = n * n - sum((2 * j + 1) * d for j, d in enumerate(lengths))
     if pair_type.form_sign:

@@ -46,6 +46,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from . import closure, invariants, linalg
@@ -128,20 +129,18 @@ def _dense(n: int, x: Optional[dict]) -> Optional[Matrix]:
     return tuple(map(tuple, rows))
 
 
-def _lines(x: dict):
-    """Nonzero entries of a sparse matrix by column and by row: cols[k] lists
-    (i, x_ik), rows[k] lists (j, x_kj)."""
-    cols: dict[int, list] = {}
+def _rows(x: dict) -> dict:
+    """Nonzero entries of a sparse matrix by row: rows[k] lists (j, x_kj).
+    Those of its transpose are its entries by column."""
     rows: dict[int, list] = {}
     for (i, k), v in x.items():
-        cols.setdefault(k, []).append((i, v))
         rows.setdefault(i, []).append((k, v))
-    return cols, rows
+    return rows
 
 
 def _indexed(*xs):
     """Each sparse matrix (or None) with the row index ``_mul`` takes of it."""
-    return [None if x is None else (x, _lines(x)[1]) for x in xs]
+    return [None if x is None else (x, _rows(x)) for x in xs]
 
 
 def _mul(a: dict, b_rows: dict) -> dict:
@@ -431,8 +430,8 @@ def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
     form_sigma = 1 if real.d_map is not None else sigma
     t = real.t_map
     trace_row = real.pair_type in A_TYPES
-    e_col, e_row = _lines(real.e_map)
-    t_col, t_row = _lines(t) if t is not None else ({}, {})
+    e_col, e_row = _rows(_transpose(real.e_map)), _rows(real.e_map)
+    t_col, t_row = (_rows(_transpose(t)), _rows(t)) if t is not None else ({}, {})
     eqs: dict[int, dict[int, int]] = {}
     for u, (r, c) in enumerate(unknowns):
         # [e, x]_ic gains e_ir x_rc; [e, x]_rj gains -x_rc e_cj
@@ -482,7 +481,7 @@ def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
 def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
     """Rows of the linear map c -> [x, sum_k c_k module[k]] on sparse
     matrices, one row per matrix position in row-major order."""
-    x_col, x_row = _lines(x)
+    x_col, x_row = _rows(_transpose(x)), _rows(x)
     eqs: dict[tuple[int, int], dict[int, int]] = {}
     for k, b in enumerate(module):
         comm: dict[tuple[int, int], int] = {}
@@ -585,11 +584,11 @@ def jordan_type(matrix: Matrix) -> tuple[int, ...]:
 def _jordan_type(n: int, x: dict) -> tuple[int, ...]:
     """``jordan_type`` of the n x n sparse matrix x."""
     ranks = [n]
-    power, x_rows = x, _lines(x)[1]
+    power, x_rows = x, _rows(x)
     while ranks[-1] > 0:
         if len(ranks) > n:
             raise NotNilpotent("matrix is not nilpotent")
-        ranks.append(linalg.rank([dict(row) for row in _lines(power)[1].values()]))
+        ranks.append(linalg.rank([dict(row) for row in _rows(power).values()]))
         power = _mul(power, x_rows)
     blocks = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []
@@ -603,12 +602,12 @@ def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
     """rank(P_a e^k) then rank(P_b e^k) for k = 0 .. n-1, with P_a = (I + D)/2
     and P_b = (I - D)/2, or rank(e^k) for the types without D: the layout of
     ``closure._truncation_profile``, whose fields the closure order compares."""
-    x_rows = _lines(real.e_map)[1]
+    x_rows = _rows(real.e_map)
     signs = (None,) if real.d_map is None else (1, -1)
     ranks = []
     power = {(k, k): 1 for k in range(real.n)}
     for _k in range(real.n):
-        rows = _lines(power)[1]
+        rows = _rows(power)
         for sign in signs:
             ranks.append(linalg.rank([dict(row) for r, row in rows.items()
                                       if sign is None or real.d_map[r, r] == sign]))
@@ -618,15 +617,9 @@ def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
 
 def _dominates_strictly(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """lam > mu in dominance order of partitions of the same size."""
-    if lam == mu or sum(lam) != sum(mu):
-        return False
-    acc_l = acc_m = 0
-    for k in range(max(len(lam), len(mu))):
-        acc_l += lam[k] if k < len(lam) else 0
-        acc_m += mu[k] if k < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return True
+    pad = (0,) * max(len(lam), len(mu))
+    sums = zip(accumulate(lam + pad), accumulate(mu + pad))
+    return lam != mu and sum(lam) == sum(mu) and all(a >= b for a, b in sums)
 
 
 def _partial_shift(real: MatrixRealization, idx, i1: int, i2: int) -> dict:

@@ -20,6 +20,7 @@ from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
     PairType,
+    candidates,
     enumerate_diagrams,
     is_valid,
     pairs_of_size,
@@ -151,6 +152,70 @@ def test_truncation_profiles_injective():
             diags = enumerate_diagrams(pt, prm)
             profiles = {closure._truncation_profile(d) for d in diags}
             assert len(profiles) == len(diags)
+
+
+def per_cell_profile(diagram):
+    """The truncation profile cell by cell: the cell in column c, of letter
+    a or b, counts in every truncation Gamma^(k) with k <= c."""
+    width = 2 if diagram.is_ab else 1
+    counts = [0] * (width * diagram.n)
+    for d, s in diagram.rows:
+        for c in range(d):
+            letter = 0 if s is None else ("ab".index(s) + c) % 2
+            for k in range(c + 1):
+                counts[width * k + letter] += 1
+    return tuple(counts)
+
+
+def test_truncation_profile_matches_per_cell_loop():
+    """Every candidate of every type with n <= 10, valid or not."""
+    checked = 0
+    for n in range(0, 11):
+        for pt in PairType:
+            for d in candidates(pt, n):
+                assert closure._truncation_profile(d) == per_cell_profile(d), (pt, d.text())
+                checked += 1
+    assert checked == 6353
+
+
+def test_profile_and_leq_exact_past_one_byte_fields():
+    """With n >= 256 a count no longer fits one byte, and with n >= 65536 not
+    two: the fields widen, and neither the profile nor the order wraps a
+    count around."""
+    plain = PairType.AI
+    for pt, low, high in [
+        (plain, AbDiagram.from_partition([1] * 300), AbDiagram.from_partition([300])),
+        (PairType.AIII, AbDiagram.from_rows([(1, "a")] * 150 + [(1, "b")] * 150),
+         AbDiagram.from_rows([(300, "a")])),
+        (plain, AbDiagram.from_partition([1] * 70_000), AbDiagram.from_partition([2] * 35_000)),
+    ]:
+        for d in (low, high):
+            assert closure._truncation_profile(d) == per_cell_profile(d), (d.n, d.rows[0])
+        assert leq(low, high, pt) and not leq(high, low, pt)
+    assert closure._truncation_profile(AbDiagram.from_partition([300]))[:3] == (300, 299, 298)
+    assert closure._truncation_profile(AbDiagram.from_partition([2] * 35_000))[:3] == (
+        70_000, 35_000, 0)
+
+
+def bucket_slices(profiles):
+    """ge[k][v], built per field from the diagrams holding each value."""
+    everything = (1 << len(profiles)) - 1
+    slices = []
+    for column in zip(*profiles):
+        ge = [everything]
+        for v in range(1, max(column) + 1):
+            ge.append(sum(1 << j for j, value in enumerate(column) if value >= v))
+        slices.append(ge)
+    return slices
+
+
+def test_index_slices_match_bucket_build():
+    """The byte-column slices of every pair with n <= 10 equal a plain
+    per-value build from the profiles."""
+    for n in range(0, 11):
+        for pt, prm in pairs_of_size(n):
+            index = closure._ClosureIndex(pt, enumerate_diagrams(pt, prm))
+            assert index.ge == bucket_slices(index.profiles), (pt, prm)
 
 
 def test_minimal_degenerations_ai():

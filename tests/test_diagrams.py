@@ -281,6 +281,40 @@ def test_enumeration_order_is_candidate_order():
             assert enumerate_diagrams(pair_type, params) == want, (pair_type, params)
 
 
+def reference_letterings(n):
+    """Each partition of n in turn with every per-length (a_d, b_d) split,
+    the a-count decreasing and the shortest length varying fastest, bucketed
+    by letter counts in that order."""
+    buckets = {}
+    for part in partitions(n):
+        lengths = sorted(set(part), reverse=True)
+        splits = [[(d, a, part.count(d) - a) for a in range(part.count(d), -1, -1)]
+                  for d in lengths]
+        for choice in itertools.product(*splits):
+            d = AbDiagram(tuple(row for length, a, b in choice
+                                for row in [(length, "a")] * a + [(length, "b")] * b))
+            buckets.setdefault(d.letter_counts(), []).append(d)
+    return buckets
+
+
+def test_enumeration_unchanged_to_n14():
+    """Every pair with n <= 14 enumerates, in order, the valid diagrams of a
+    reference walk over all partitions and letterings."""
+    pairs = 0
+    for n in range(0, 15):
+        buckets = reference_letterings(n)
+        for pair_type, params in pairs_of_size(n):
+            if pair_type.uses_letters:
+                signature = params.signature or (n // 2, n // 2)
+                walk = buckets.get(signature, [])
+            else:
+                walk = [AbDiagram.from_partition(part) for part in partitions(n)]
+            want = [d for d in walk if is_valid(d, pair_type, params)]
+            assert enumerate_diagrams(pair_type, params) == want, (pair_type, params)
+            pairs += 1
+    assert pairs == 315
+
+
 def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
     """On a cold cache, every AbDiagram built while enumerating a pair is one
     of the diagrams returned (every pair, n <= 10)."""

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 import nilcomm
-from nilcomm import invariants, oracle
+from nilcomm import closure, components, invariants, oracle
+from nilcomm.closure import find_reduction
 from nilcomm.diagrams import (
     BLOCK_TYPE,
     AbDiagram,
@@ -15,6 +16,7 @@ from nilcomm.diagrams import (
     pairs_of_size,
     params_for,
     parse,
+    validate,
 )
 from nilcomm.errors import UnrealizableDiagram
 from nilcomm.invariants import (
@@ -106,6 +108,41 @@ def test_dim_p_cent_rejects_invalid_diagrams():
     with pytest.raises(UnrealizableDiagram) as exc:
         dim_p_cent(parse("ab/ab"), PairType.BDI, bdi_22)
     assert str(exc.value) == "ParityViolation: even length needs a_2=b_2, got (2,0)"
+
+
+def test_find_reduction_rejects_invalid_diagrams_with_the_reasons():
+    """The reduction search on the caller's own diagram raises what
+    dim_p_cent raises: the validator's reasons."""
+    bdi_22 = PairParams(4, (2, 2))
+    with pytest.raises(UnrealizableDiagram) as exc:
+        find_reduction(parse("ab/ab"), PairType.BDI, bdi_22)
+    assert str(exc.value) == "ParityViolation: even length needs a_2=b_2, got (2,0)"
+    g, aii_6 = parse("3,2,1"), PairParams(6)
+    reasons = "; ".join(str(v) for v in validate(g, PairType.AII, aii_6))
+    assert reasons.count("ParityViolation") == 3
+    for search in (dim_p_cent, find_reduction):
+        with pytest.raises(UnrealizableDiagram) as exc:
+            search(g, PairType.AII, aii_6)
+        assert str(exc.value) == reasons
+
+
+def test_classification_never_validates_enumerated_diagrams(monkeypatch):
+    """Covers in the reduction search and the vertices of the Hasse diagram
+    are enumerated, so they read the closed form of dim p^e unvalidated."""
+    pairs = [(pt, prm) for n in range(1, 9) for pt, prm in pairs_of_size(n)]
+    want = [(components.classify_components(pt, prm), closure.closure_hasse(pt, prm))
+            for pt, prm in pairs]
+    invariants._dim_p_cent.cache_clear()
+    invariants.dim_p_cent.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("an enumerated diagram was validated again")
+
+    monkeypatch.setattr(invariants, "validate", refuse)
+    got = [(components.classify_components(pt, prm), closure.closure_hasse(pt, prm))
+           for pt, prm in pairs]
+    assert got == want
+    assert invariants._dim_p_cent.cache_info().currsize > 0
 
 
 def test_dim_p_cent_matches_oracle_n9_n10():
