@@ -9,14 +9,17 @@ integer with a fixed-width field per entry; a diagram's profile is the sum
 of its rows' integers, unpacked once.
 
 Covers are computed poset-theoretically inside the full enumeration of valid
-diagrams, never from local move tables.  Each pair gets one cached index of
-its diagrams, bit-sliced by profile field: for each field k and value v >= 1
-one integer bitset ge[k][v] of the diagrams whose field k is at least v,
-made at C level by translating the field's byte column (its value in each
-diagram) to a binary numeral.  The diagrams at or above a profile are the
-AND of ge[k][profile[k]] over its nonzero fields, with no scan of the other
-profiles.  The covers of a diagram are up & ~OR(up[j] for j in up): what
-lies above it but above nothing else above it.
+diagrams, never from local move tables.  Each pair gets one cached index:
+for each profile field k and value v >= 1 the bitset ge[k][v] of the
+diagrams whose field k is at least v, made at C level from the field's byte
+column, so the diagrams at or above a profile are the AND of the slices of
+its nonzero fields.  Enumeration order is a linear extension of the order,
+larger diagrams first: a strict profile inequality forces dominance of the
+partitions, hence an earlier partition in reverse-lexicographic order, and
+two diagrams of one partition have equal totals at every depth, so, the
+profile being injective, they are never strictly comparable.  So the last
+diagram above a diagram is a cover, and one scan finds all covers: take the
+last diagram left, clear what lies at or above it; one AND per cover.
 
 A cover (or any degeneration) Gamma1 < Gamma2 is a *reduction* when the drop
 in defect equals the drop in centralizer dimension; finding one eliminates
@@ -95,39 +98,32 @@ def lt(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
     return g1 != g2 and leq(g1, g2, pair_type)
 
 
-def _bits(mask: int):
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _ClosureIndex:
     """The closure order on the valid diagrams of one pair, bit-sliced.
 
-    ``ge[k][v]`` is the bitset of the diagrams whose profile field k is at
-    least v; ``ge[k][0]`` is every diagram, and a value above the column's
-    top matches none.  Bit j of ``up(i)`` is set when diagram j lies strictly
-    above diagram i: the AND of ``ge[k][profile_i[k]]`` over the nonzero
-    fields, with bit i cleared, kept once computed.
-    """
+    ``blob`` holds the packed profiles in one-byte fields, last diagram
+    first, so field k's byte column is ``blob[k::width]``.  ``ge[k][v]`` is
+    the bitset of the diagrams whose field k is at least v; a value above
+    the column's top matches none.  Bit j of ``up(i)`` is set when diagram
+    j lies strictly above diagram i."""
 
     def __init__(self, pair_type: PairType, diagrams: list[AbDiagram]):
         self.pair_type = pair_type
         self.diagrams = diagrams
         self.position = {g: i for i, g in enumerate(diagrams)}
-        self.profiles = [_truncation_profile(g) for g in diagrams]
         self._all = (1 << len(diagrams)) - 1
-        # a byte column lists the last diagram first, so bit j of its numeral
-        # is diagram j; a pair whose diagrams can be listed has n < 256
+        self.width = (2 if pair_type.uses_letters else 1) * (diagrams[0].n if diagrams else 0)
+        # a pair whose diagrams can be listed has n < 256: a count fits one
+        # byte; a byte column lists the last diagram first, so bit j of its
+        # numeral is diagram j
+        self.blob = b"".join(sum(_row_profile(d, s, 1) for d, s in g.rows).to_bytes(self.width, "little")
+                             for g in reversed(diagrams))
         self.ge: list[list[int]] = [
             [self._all] + [int(column.translate(b"0" * v + b"1" * (256 - v)), 2)
                            for v in range(1, max(column) + 1)]
-            for column in map(bytes, zip(*reversed(self.profiles)))]
-        self._up: list[Optional[int]] = [None] * len(diagrams)
+            for column in (self.blob[k::self.width] for k in range(self.width))]
 
-    def _at_or_above(self, profile: tuple[int, ...]) -> int:
+    def _at_or_above(self, profile) -> int:
         mask = self._all
         for slices, v in zip(self.ge, profile):
             if v:
@@ -137,10 +133,19 @@ class _ClosureIndex:
         return mask
 
     def up(self, i: int) -> int:
-        mask = self._up[i]
-        if mask is None:
-            mask = self._up[i] = self._at_or_above(self.profiles[i]) & ~(1 << i)
-        return mask
+        start = (len(self.diagrams) - 1 - i) * self.width
+        return self._at_or_above(self.blob[start:start + self.width]) & ~(1 << i)
+
+    def minimal(self, up: int) -> list[int]:
+        """Positions of the minimal diagrams of the set up, increasing: the
+        highest position left is minimal (enumeration order lists larger
+        diagrams first), and what lies at or above it is no longer minimal."""
+        found = []
+        while up:
+            j = up.bit_length() - 1
+            found.append(j)
+            up &= ~(self.up(j) | 1 << j)
+        return found[::-1]
 
     def covers(self, diagram: AbDiagram) -> list[AbDiagram]:
         i = self.position.get(diagram)
@@ -150,10 +155,7 @@ class _ClosureIndex:
             if self.diagrams:
                 _check_comparable(diagram, self.diagrams[0], self.pair_type)
             up = self._at_or_above(_truncation_profile(diagram))
-        above = 0
-        for j in _bits(up):
-            above |= self.up(j)
-        return [self.diagrams[j] for j in _bits(up & ~above)]
+        return [self.diagrams[j] for j in self.minimal(up)]
 
 
 @lru_cache(maxsize=4)
@@ -332,22 +334,14 @@ class ClosureGraph:
 def closure_hasse(
     pair_type: PairType, params: PairParams, bound: int = DEFAULT_BOUND
 ) -> ClosureGraph:
-    """Vertices are all valid diagrams, edges the covers with (s, delta)."""
-    diagrams = enumerate_diagrams(pair_type, params, bound)
+    """Vertices are all valid diagrams, edges the covers with (s, delta);
+    each vertex's (dim p^e, defect) is computed once, by its position."""
+    index = _closure_index(pair_type, params, bound)
+    diagrams = index.diagrams
+    values = [(_dim_p_cent(g, pair_type, params), defect(g, pair_type)) for g in diagrams]
     edges = []
-    for g1 in diagrams:
-        cent1, delta1 = _dim_p_cent(g1, pair_type, params), defect(g1, pair_type)
-        for g2 in minimal_degenerations(g1, pair_type, params, bound):
-            s = cent1 - _dim_p_cent(g2, pair_type, params)
-            delta = delta1 - defect(g2, pair_type)
-            edges.append(
-                DegenerationEdge(
-                    lower=g1, upper=g2, s=s, delta=delta, is_reduction=(s == delta)
-                )
-            )
-    return ClosureGraph(
-        pair_type=pair_type,
-        params=params,
-        vertices=tuple(diagrams),
-        edges=tuple(edges),
-    )
+    for i, (cent, delta) in enumerate(values):
+        for j in index.minimal(index.up(i)):
+            s, drop = cent - values[j][0], delta - values[j][1]
+            edges.append(DegenerationEdge(diagrams[i], diagrams[j], s, drop, s == drop))
+    return ClosureGraph(pair_type, params, tuple(diagrams), tuple(edges))

@@ -9,11 +9,13 @@ the variety (the zero orbit of BDI (1,1)).  Otherwise it is eliminated by a
 reduction (a larger orbit whose subvariety contains its own) or, in the A
 cases, by a commuting witness that the nilpotent part of the centralizer
 escapes the orbit closure.  What survives is reported unresolved, never hidden.
+Only candidates are built: a walk over torus row blocks yields them with
+their defects, and the closure order is read for those of positive defect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .closure import first_reduction, minimal_degenerations
@@ -21,12 +23,11 @@ from .diagrams import (
     AbDiagram,
     PairParams,
     PairType,
-    enumerate_diagrams,
     params_for,
     DEFAULT_BOUND,
 )
 from .errors import ClaimViolated
-from .invariants import ambient_dims, component_dim, orbit_class
+from .invariants import almost_distinguished, ambient_dims, component_dim, orbit_class
 
 COMPONENT = "Component"
 ELIMINATED_BY_REDUCTION = "EliminatedByReduction"
@@ -65,12 +66,9 @@ def candidate_status(
     """Classify a single orbit."""
     delta, almost = orbit_class(diagram, pair_type)
     cdim = component_dim(pair_type, params, delta)
-    # distinguished implies almost-distinguished; most orbits are neither
     if not almost:
         return CandidateStatus(diagram, NON_CANDIDATE, cdim)
-    if delta == 0:
-        return CandidateStatus(diagram, COMPONENT, cdim)
-    covers = minimal_degenerations(diagram, pair_type, params, bound)
+    covers = minimal_degenerations(diagram, pair_type, params, bound) if delta else []
     if not covers:
         return CandidateStatus(diagram, COMPONENT, cdim)
     target = first_reduction(diagram, covers, pair_type, params, delta)
@@ -93,7 +91,6 @@ class ComponentsReport:
     components: tuple[CandidateStatus, ...]
     eliminated: tuple[CandidateStatus, ...]
     unresolved: tuple[CandidateStatus, ...]
-    non_candidates: tuple[CandidateStatus, ...] = field(repr=False)
 
     @property
     def count_min(self) -> int:
@@ -149,21 +146,17 @@ class ComponentsReport:
 def classify_components(
     pair_type: PairType, params: PairParams, bound: int = DEFAULT_BOUND
 ) -> ComponentsReport:
-    """Classify every orbit of the pair and assemble the report."""
-    buckets = {COMPONENT: [], ELIMINATED_BY_REDUCTION: [], ELIMINATED_BY_WITNESS: [],
-               UNRESOLVED: [], NON_CANDIDATE: []}
-    for diagram in enumerate_diagrams(pair_type, params, bound):
-        st = candidate_status(diagram, pair_type, params, bound)
+    """Classify the pair's candidates in enumeration order and assemble the
+    report; only the candidates of positive defect read the closure order."""
+    buckets = {COMPONENT: [], ELIMINATED_BY_REDUCTION: [], ELIMINATED_BY_WITNESS: [], UNRESOLVED: []}
+    dim_p = ambient_dims(pair_type, params).dim_p
+    for diagram, delta in almost_distinguished(pair_type, params, bound):
+        st = (candidate_status(diagram, pair_type, params, bound) if delta
+              else CandidateStatus(diagram, COMPONENT, dim_p))
         buckets[st.status].append(st)
-    return ComponentsReport(
-        pair_type=pair_type,
-        params=params,
-        dim_p=ambient_dims(pair_type, params).dim_p,
-        components=tuple(buckets[COMPONENT]),
-        eliminated=tuple(buckets[ELIMINATED_BY_REDUCTION] + buckets[ELIMINATED_BY_WITNESS]),
-        unresolved=tuple(buckets[UNRESOLVED]),
-        non_candidates=tuple(buckets[NON_CANDIDATE]),
-    )
+    eliminated = buckets[ELIMINATED_BY_REDUCTION] + buckets[ELIMINATED_BY_WITNESS]
+    return ComponentsReport(pair_type, params, dim_p, tuple(buckets[COMPONENT]),
+                            tuple(eliminated), tuple(buckets[UNRESOLVED]))
 
 
 # -- the verified parameter grids ------------------------------------------------

@@ -118,6 +118,7 @@ def params_for(pair_type: PairType, n: int, p: Optional[int] = None, q: Optional
 Row = tuple[int, Optional[str]]
 
 
+@functools.lru_cache(maxsize=1024)
 def _row_letters(length: int, start: Optional[str]) -> str:
     if start is None:
         return ""
@@ -380,12 +381,15 @@ def pairs_of_size(n: int, types=PairType) -> Iterator[tuple[PairType, PairParams
 
 
 @functools.lru_cache(maxsize=1024)
-def _blocks(pair_type: Optional[PairType], d: int, m: int) -> tuple[tuple[tuple, int], ...]:
+def _blocks(pair_type: Optional[PairType], d: int, m: int) -> tuple[tuple[tuple, int, int], ...]:
     """The m rows of length d for each (a_d, b_d) split that the pair type
     admits (every split for None), a-count decreasing, with the a-count of
-    their odd cells; cached, as every partition of every pair asks again."""
-    return tuple((((d, "a"),) * a + ((d, "b"),) * (m - a), d % 2 * a) for a in range(m, -1, -1)
-                 if pair_type is None or _parity_rules(pair_type, d, m, a, m - a) is None)
+    their odd cells and weight 0; plain rows, once, for AI and AII.  Cached,
+    as every partition of every pair asks again."""
+    splits = tuple((((d, "a"),) * a + ((d, "b"),) * (m - a), d % 2 * a, 0) for a in range(m, -1, -1)
+                   if pair_type is None or _parity_rules(pair_type, d, m, a, m - a) is None)
+    plain = splits and pair_type is not None and not pair_type.uses_letters
+    return ((((d, None),) * m, 0, 0),) if plain else splits
 
 
 @functools.lru_cache(maxsize=4096)
@@ -396,11 +400,12 @@ def _shape(part: tuple[int, ...]) -> tuple[int, int, tuple[tuple[int, int], ...]
     return odd, (sum(part) - odd) // 2, tuple({d: part.count(d) for d in part}.items())
 
 
-def _lettered(part: tuple[int, ...], pair_type: Optional[PairType], lo: int, hi: int):
-    """The ab-diagrams of shape part whose rows of each length d are one of
-    _blocks(pair_type, d, m_d) and which have between lo and hi cells a,
-    each once, in the order of the splits (the shortest length varying
-    fastest).
+def _lettered(part: tuple[int, ...], pair_type: Optional[PairType], lo: int, hi: int, table):
+    """(diagram, weight) for each diagram of shape part whose rows of each
+    length d are one block of table(pair_type, d, m_d) and which has between
+    lo and hi cells a, in the order of the blocks (the shortest length
+    varying fastest); a table entry is (rows, a-count of their odd cells,
+    weight), and a diagram's weight is the sum of its blocks' weights.
 
     The lengths are walked in order, carrying the a-count of the rows chosen
     so far plus floor(d/2) for each row still to come; a prefix is dropped
@@ -409,23 +414,39 @@ def _lettered(part: tuple[int, ...], pair_type: Optional[PairType], lo: int, hi:
     left, count, lengths = _shape(part)  # odd rows after the current length
     if not lo - left <= count <= hi:
         return []
-    prefixes = [((), count)]
+    prefixes = [((), count, 0)]
     for d, m in lengths:
         left -= d % 2 * m
-        blocks = _blocks(pair_type, d, m)
-        prefixes = [(rows + block, k + a) for rows, k in prefixes for block, a in blocks
+        blocks = table(pair_type, d, m)
+        prefixes = [(rows + block, k + a, w + t) for rows, k, w in prefixes for block, a, t in blocks
                     if lo - left <= k + a <= hi]
-    return [AbDiagram(rows) for rows, _ in prefixes]
+        if not prefixes:
+            return []
+    return [(AbDiagram(rows), w) for rows, _, w in prefixes]
 
 
 def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
     """Every diagram with n cells of the kind the type uses, valid or not,
-    each exactly once: plain partitions, or every letter split of each length."""
-    for part in partitions(n):
-        if pair_type.uses_letters:
-            yield from _lettered(part, None, 0, n)
-        else:
-            yield AbDiagram.from_partition(part)
+    each exactly once: every partition (AI admits all), or every letter
+    split of each length."""
+    kind = None if pair_type.uses_letters else PairType.AI
+    return (g for part in partitions(n) for g, _ in _lettered(part, kind, 0, n, _blocks))
+
+
+def _check_size(pair_type: PairType, params: PairParams, bound: int) -> None:
+    """ValueError unless the parameters fit the type, BoundExceeded past the bound."""
+    params.check(pair_type)
+    if params.n > bound:
+        raise BoundExceeded(f"n={params.n} exceeds bound {bound}")
+
+
+def _walk(pair_type: PairType, params: PairParams, table) -> Iterator[tuple[AbDiagram, int]]:
+    """_lettered over the partitions of n, in order, with the pair's a-count
+    (any for plain rows): with _blocks, every valid diagram of the pair."""
+    want_a = _expected_letters(pair_type, params)[0]
+    lo, hi = (want_a, want_a) if pair_type.uses_letters else (0, params.n)
+    for part in partitions(params.n):
+        yield from _lettered(part, pair_type, lo, hi, table)
 
 
 def enumerate_diagrams(
@@ -433,21 +454,12 @@ def enumerate_diagrams(
 ) -> list[AbDiagram]:
     """All valid diagrams for (pair_type, params), canonical, deterministic
     graded-lexicographic order (partition first, then letters)."""
-    params.check(pair_type)
-    if params.n > bound:
-        raise BoundExceeded(f"n={params.n} exceeds bound {bound}")
+    _check_size(pair_type, params, bound)
     return list(_enumerate_cached(pair_type, params))
 
 
 @functools.lru_cache(maxsize=1024)
 def _enumerate_cached(pair_type: PairType, params: PairParams) -> tuple[AbDiagram, ...]:
-    """The valid diagrams of one pair.  _blocks applies the parity rules: a
-    partition of a plain type is kept when every length has an admissible
-    split of its rows, and for lettered pairs the walk of _lettered also
-    applies the pair's a-count, so every diagram built is kept.  The cache
-    holds 1,024 pairs: every pair with n <= 27."""
-    if not pair_type.uses_letters:
-        return tuple(AbDiagram.from_partition(part) for part in partitions(params.n)
-                     if all(_blocks(pair_type, d, m) for d, m in _shape(part)[2]))
-    want_a = _expected_letters(pair_type, params)[0]
-    return tuple(g for part in partitions(params.n) for g in _lettered(part, pair_type, want_a, want_a))
+    """The valid diagrams of one pair.  The cache holds 1,024 pairs: every
+    pair with n <= 27."""
+    return tuple(g for g, _ in _walk(pair_type, params, _blocks))

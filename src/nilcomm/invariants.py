@@ -25,7 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import BLOCK_TYPE, AbDiagram, PairParams, PairType, _expected_letters, validate
+from .diagrams import (BLOCK_TYPE, DEFAULT_BOUND, AbDiagram, PairParams, PairType, _blocks,
+                       _check_size, _expected_letters, _walk, validate)
 from .errors import UnrealizableDiagram
 
 
@@ -94,6 +95,26 @@ def orbit_class(diagram: AbDiagram, pair_type: PairType) -> tuple[int, bool]:
 def is_almost_distinguished(diagram: AbDiagram, pair_type: PairType) -> bool:
     """p(e,0) is a torus."""
     return orbit_class(diagram, pair_type)[1]
+
+
+@lru_cache(maxsize=1024)
+def _torus_blocks(pair_type: PairType, d: int, m: int) -> tuple[tuple[tuple, int, int], ...]:
+    """The row blocks of _blocks(pair_type, d, m) whose centralizer block is a
+    torus (its p-part as large as its rank), weighted by that rank."""
+    terms = ((rows, odd_a, _length_term(pair_type, d, m, a := rows.count((d, "a")), m - a))
+             for rows, odd_a, _ in _blocks(pair_type, d, m))
+    return tuple((rows, odd_a, rank) for rows, odd_a, (rank, dim) in terms if rank == dim)
+
+
+def almost_distinguished(pair_type: PairType, params: PairParams,
+                         bound: int = DEFAULT_BOUND) -> list[tuple[AbDiagram, int]]:
+    """(diagram, defect) of the almost-distinguished orbits of the pair, in
+    enumeration order: p(e,0) is a torus when every block is one (the trace
+    cut takes 1 from both sums), so the enumeration walk over torus blocks
+    builds them alone and sums their ranks.  Checked as enumerate_diagrams."""
+    _check_size(pair_type, params, bound)
+    cut = 1 if params.n and not pair_type.uses_letters else 0
+    return [(g, rank - cut) for g, rank in _walk(pair_type, params, _torus_blocks)]
 
 
 def _theta_dims(diagram: AbDiagram, pair_type: PairType, w: int) -> tuple[int, int]:

@@ -219,3 +219,14 @@ def test_criterion_8_self_large():
     if 22 not in eii:
         failures.append("EII orbit 22")
     report(8, "self-large classification", not failures, str(failures[:3]))
+
+
+def test_closure_graph_of_a_large_pair_under_ceiling():
+    """The Hasse diagram of AIII (10,10), 6,064 orbits, finds one cover per
+    scan step."""
+    start = time.perf_counter()
+    graph = closure.closure_hasse(PairType.AIII, PairParams(20, (10, 10)))
+    elapsed = time.perf_counter() - start
+    ok = (len(graph.vertices), len(graph.edges)) == (6064, 22952) and elapsed < 3.0
+    report("closure-graph", "AIII 20 (10,10) Hasse diagram", ok,
+           f"{len(graph.edges)} edges, {elapsed:.2f}s")

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -211,11 +213,51 @@ def bucket_slices(profiles):
 
 def test_index_slices_match_bucket_build():
     """The byte-column slices of every pair with n <= 10 equal a plain
-    per-value build from the profiles."""
+    per-value build from the diagrams' profiles."""
     for n in range(0, 11):
         for pt, prm in pairs_of_size(n):
-            index = closure._ClosureIndex(pt, enumerate_diagrams(pt, prm))
-            assert index.ge == bucket_slices(index.profiles), (pt, prm)
+            diags = enumerate_diagrams(pt, prm)
+            index = closure._ClosureIndex(pt, diags)
+            profiles = [closure._truncation_profile(d) for d in diags]
+            assert index.ge == bucket_slices(profiles), (pt, prm)
+
+
+@functools.lru_cache(maxsize=None)
+def pairwise_above(pt, prm):
+    """Bit j of entry i is set when diagram j's profile is at least diagram
+    i's, j != i: the order taken pair by pair."""
+    profiles = [closure._truncation_profile(d) for d in enumerate_diagrams(pt, prm)]
+    return tuple(sum(1 << j for j, q in enumerate(profiles) if j != i and all(map(operator.le, p, q)))
+                 for i, p in enumerate(profiles))
+
+
+PAIRS_TO_14 = [pair for n in range(0, 15) for pair in pairs_of_size(n)]
+
+
+def test_covers_equal_reference_transitive_reduction():
+    """On every pair with n <= 14 the covers of each diagram are what lies
+    above it and above nothing else above it, in the pairwise order, listed
+    in enumeration order."""
+    for pt, prm in PAIRS_TO_14:
+        diags = enumerate_diagrams(pt, prm)
+        above = pairwise_above(pt, prm)
+        for i, g in enumerate(diags):
+            through = 0
+            for j in range(len(diags)):
+                if above[i] >> j & 1:
+                    through |= above[j]
+            want = [diags[j] for j in range(len(diags)) if (above[i] & ~through) >> j & 1]
+            assert minimal_degenerations(g, pt, prm) == want, (pt, prm, g.text())
+
+
+def test_enumeration_order_is_a_linear_extension():
+    """On every pair with n <= 14 the profile is injective, and everything
+    above a diagram is listed before it: the order the cover scan relies on."""
+    for pt, prm in PAIRS_TO_14:
+        diags = enumerate_diagrams(pt, prm)
+        assert len(set(map(closure._truncation_profile, diags))) == len(diags), (pt, prm)
+        for i, bits in enumerate(pairwise_above(pt, prm)):
+            assert bits >> i == 0, (pt, prm, diags[i].text())
 
 
 def test_minimal_degenerations_ai():

@@ -1,6 +1,8 @@
 from collections import Counter
 
-from nilcomm import closure, components, invariants, oracle
+import pytest
+
+from nilcomm import closure, components, diagrams, invariants, oracle
 from nilcomm.closure import find_reduction, is_reduction, minimal_degenerations
 from nilcomm.components import (
     COMPONENT,
@@ -21,6 +23,7 @@ from nilcomm.diagrams import (
     params_for,
     parse,
 )
+from nilcomm.errors import BoundExceeded
 from nilcomm.invariants import ambient_dims, is_distinguished
 
 
@@ -74,9 +77,22 @@ def test_every_orbit_reported_once():
         (PairType.AIII, PairParams(6, (4, 2))),
     ]:
         report = classify_components(pt, prm)
-        reported = (report.components + report.eliminated + report.unresolved
-                    + report.non_candidates)
-        assert len(reported) == len(enumerate_diagrams(pt, prm))
+        reported = [c.diagram for c in report.components + report.eliminated + report.unresolved]
+        diags = enumerate_diagrams(pt, prm)
+        non_candidates = [d for d in diags if not invariants.orbit_class(d, pt)[1]]
+        assert len(set(reported)) == len(reported)
+        assert len(reported) + len(non_candidates) == len(diags)
+
+
+def test_classification_checks_the_bound_before_any_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a partition was walked")
+
+    monkeypatch.setattr(diagrams, "_lettered", refuse)
+    with pytest.raises(BoundExceeded, match="^n=31 exceeds bound 30$"):
+        classify_components(PairType.AI, PairParams(31))
+    with pytest.raises(BoundExceeded, match="^n=12 exceeds bound 10$"):
+        classify_components(PairType.BDI, params_for(PairType.BDI, 12, 6, 6), bound=10)
 
 
 def test_component_dims():

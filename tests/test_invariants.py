@@ -20,6 +20,7 @@ from nilcomm.diagrams import (
 )
 from nilcomm.errors import UnrealizableDiagram
 from nilcomm.invariants import (
+    almost_distinguished,
     ambient_dims,
     component_dim,
     defect,
@@ -143,6 +144,17 @@ def test_classification_never_validates_enumerated_diagrams(monkeypatch):
            for pt, prm in pairs]
     assert got == want
     assert invariants._dim_p_cent.cache_info().currsize > 0
+
+
+def test_candidate_walk_equals_filtered_enumeration():
+    """The walk over torus blocks builds exactly the almost-distinguished
+    diagrams of every pair with n <= 16, in enumeration order, each with its
+    defect."""
+    for n in range(0, 17):
+        for pt, prm in pairs_of_size(n):
+            want = [(d, delta) for d in enumerate_diagrams(pt, prm)
+                    for delta, almost in [orbit_class(d, pt)] if almost]
+            assert almost_distinguished(pt, prm) == want, (pt, prm)
 
 
 def test_dim_p_cent_matches_oracle_n9_n10():
