@@ -43,7 +43,7 @@ from .diagrams import (
     DEFAULT_BOUND,
 )
 from .errors import NotComparable, ShapeMismatch, WrongType
-from .invariants import _dim_p_cent, defect, dim_p_cent
+from .invariants import _dim_p_cent, ambient_dims, defect, dim_p_cent
 
 
 @lru_cache(maxsize=1024)
@@ -293,33 +293,35 @@ class DegenerationEdge:
 
 @dataclass(frozen=True)
 class ClosureGraph:
-    pair_type: PairType
-    params: PairParams
+    """The Hasse diagram of a pair: its valid diagrams in enumeration order,
+    each vertex's (dim of orbit, defect) at the same position, and its
+    covers.  The renderings read these values and name each vertex once."""
+
     vertices: tuple[AbDiagram, ...]
+    values: tuple[tuple[int, int], ...]
     edges: tuple[DegenerationEdge, ...]
 
     def to_dot(self) -> str:
+        names = {v: v.text() for v in self.vertices}
         lines = ["digraph closure {", "  rankdir=BT;"]
-        from .invariants import orbit_invariants
-
-        for v in self.vertices:
-            inv = orbit_invariants(v, self.pair_type, self.params)
-            label = f"{v.text() or 'zero'}\\n(dim {inv.dim_orbit}, delta {inv.defect})"
-            lines.append(f'  "{v.text()}" [label="{label}"];')
+        for v, (dim, delta) in zip(self.vertices, self.values):
+            label = f"{names[v] or 'zero'}\\n(dim {dim}, delta {delta})"
+            lines.append(f'  "{names[v]}" [label="{label}"];')
         for e in self.edges:
             style = ' [color=red, penwidth=2, label="reduction"]' if e.is_reduction else ""
-            lines.append(f'  "{e.lower.text()}" -> "{e.upper.text()}"{style};')
+            lines.append(f'  "{names[e.lower]}" -> "{names[e.upper]}"{style};')
         lines.append("}")
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        names = {v: v.text() for v in self.vertices}
         return json.dumps(
             {
-                "vertices": [v.text() for v in self.vertices],
+                "vertices": list(names.values()),
                 "edges": [
                     {
-                        "lower": e.lower.text(),
-                        "upper": e.upper.text(),
+                        "lower": names[e.lower],
+                        "upper": names[e.upper],
                         "s": e.s,
                         "delta": e.delta,
                         "reduction": e.is_reduction,
@@ -335,7 +337,8 @@ def closure_hasse(
     pair_type: PairType, params: PairParams, bound: int = DEFAULT_BOUND
 ) -> ClosureGraph:
     """Vertices are all valid diagrams, edges the covers with (s, delta);
-    each vertex's (dim p^e, defect) is computed once, by its position."""
+    each vertex's (dim p^e, defect) is computed once, by its position, and
+    kept as (dim of orbit, defect)."""
     index = _closure_index(pair_type, params, bound)
     diagrams = index.diagrams
     values = [(_dim_p_cent(g, pair_type, params), defect(g, pair_type)) for g in diagrams]
@@ -344,4 +347,6 @@ def closure_hasse(
         for j in index.minimal(index.up(i)):
             s, drop = cent - values[j][0], delta - values[j][1]
             edges.append(DegenerationEdge(diagrams[i], diagrams[j], s, drop, s == drop))
-    return ClosureGraph(pair_type, params, tuple(diagrams), tuple(edges))
+    dim_p = ambient_dims(pair_type, params).dim_p
+    return ClosureGraph(tuple(diagrams), tuple((dim_p - cent, delta) for cent, delta in values),
+                        tuple(edges))

@@ -27,13 +27,12 @@ from .diagrams import (
     DEFAULT_BOUND,
 )
 from .errors import ClaimViolated
-from .invariants import almost_distinguished, ambient_dims, component_dim, orbit_class
+from .invariants import almost_distinguished, ambient_dims, component_dim
 
 COMPONENT = "Component"
 ELIMINATED_BY_REDUCTION = "EliminatedByReduction"
 ELIMINATED_BY_WITNESS = "EliminatedByWitness"
 UNRESOLVED = "Unresolved"
-NON_CANDIDATE = "NonCandidate"
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,17 @@ class CandidateStatus:
 
 def candidate_status(
     diagram: AbDiagram,
+    delta: int,
     pair_type: PairType,
     params: PairParams,
     bound: int = DEFAULT_BOUND,
 ) -> CandidateStatus:
-    """Classify a single orbit."""
-    delta, almost = orbit_class(diagram, pair_type)
+    """Classify an almost-distinguished orbit of defect delta, as
+    almost_distinguished yields it.  It is a component when delta is 0 or
+    no valid diagram lies above it; otherwise its covers are searched for a
+    reduction, then (AI, AII) a commuting witness, and it is unresolved when
+    neither exists."""
     cdim = component_dim(pair_type, params, delta)
-    if not almost:
-        return CandidateStatus(diagram, NON_CANDIDATE, cdim)
     covers = minimal_degenerations(diagram, pair_type, params, bound) if delta else []
     if not covers:
         return CandidateStatus(diagram, COMPONENT, cdim)
@@ -151,8 +152,7 @@ def classify_components(
     buckets = {COMPONENT: [], ELIMINATED_BY_REDUCTION: [], ELIMINATED_BY_WITNESS: [], UNRESOLVED: []}
     dim_p = ambient_dims(pair_type, params).dim_p
     for diagram, delta in almost_distinguished(pair_type, params, bound):
-        st = (candidate_status(diagram, pair_type, params, bound) if delta
-              else CandidateStatus(diagram, COMPONENT, dim_p))
+        st = candidate_status(diagram, delta, pair_type, params, bound)
         buckets[st.status].append(st)
     eliminated = buckets[ELIMINATED_BY_REDUCTION] + buckets[ELIMINATED_BY_WITNESS]
     return ComponentsReport(pair_type, params, dim_p, tuple(buckets[COMPONENT]),
@@ -181,17 +181,13 @@ def verified_grid() -> list[tuple[PairType, PairParams]]:
     return grid
 
 
-def rank_bound_check(
-    pair_type: Optional[PairType] = None, bound: int = 16
-) -> list[tuple[PairType, PairParams, int]]:
-    """Run the classification over the verified grid (restricted to one family
-    when pair_type is given); raise ClaimViolated on the first pair with an
-    unresolved candidate.  Returns (pair, params, number of components)."""
+def rank_bound_check() -> list[tuple[PairType, PairParams, int]]:
+    """Run the classification over the verified grid; raise ClaimViolated on
+    the first pair with an unresolved candidate.  Returns (pair, params,
+    number of components)."""
     results = []
     for grid_type, params in verified_grid():
-        if pair_type is not None and grid_type is not pair_type:
-            continue
-        report = classify_components(grid_type, params, bound=bound)
+        report = classify_components(grid_type, params)
         if report.unresolved:
             orbit = report.unresolved[0].diagram
             raise ClaimViolated(

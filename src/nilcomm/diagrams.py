@@ -126,14 +126,6 @@ def _row_letters(length: int, start: Optional[str]) -> str:
     return pair * (length // 2) + start * (length % 2)
 
 
-def row_letter_counts(length: int, start: str) -> tuple[int, int]:
-    """Number of (a, b) cells in one alternating row."""
-    half, odd = divmod(length, 2)
-    if start == "a":
-        return half + odd, half
-    return half, half + odd
-
-
 @dataclass(frozen=True)
 class AbDiagram:
     """An (ab)-Young diagram in canonical form.
@@ -211,14 +203,15 @@ class AbDiagram:
         return next(((lo, hi) for lo, hi in zip(lengths, lengths[1:]) if hi - lo == 1), None)
 
     def letter_counts(self) -> tuple[int, int]:
-        """Total (a, b) cell counts; (0, 0) for plain diagrams."""
-        na = nb = 0
+        """Total (a, b) cell counts; (0, 0) for plain diagrams.  An
+        alternating row of length d holds ceil(d/2) cells of its start
+        letter and floor(d/2) of the other."""
+        na = cells = 0
         for d, s in self.rows:
             if s is not None:
-                ca, cb = row_letter_counts(d, s)
-                na += ca
-                nb += cb
-        return na, nb
+                cells += d
+                na += (d + (s == "a")) // 2
+        return na, cells - na
 
     def signature(self) -> tuple[int, int]:
         if not self.is_ab:

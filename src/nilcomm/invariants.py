@@ -22,7 +22,7 @@ here.  The test suite certifies every count against the exact matrix oracle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .diagrams import (BLOCK_TYPE, DEFAULT_BOUND, AbDiagram, PairParams, PairType, _blocks,
@@ -233,27 +233,19 @@ class OrbitInvariants:
     component_dim: int
 
     def to_json(self) -> dict:
-        return {
-            "defect": self.defect,
-            "dim_p_cent": self.dim_p_cent,
-            "dim_orbit": self.dim_orbit,
-            "dim_p0": self.dim_p0,
-            "distinguished": self.distinguished,
-            "almost": self.almost,
-            "component_dim": self.component_dim,
-        }
+        return asdict(self)
 
 
 def orbit_invariants(
     diagram: AbDiagram, pair_type: PairType, params: PairParams
 ) -> OrbitInvariants:
-    delta, almost = orbit_class(diagram, pair_type)
+    delta, p0 = _p0(diagram, pair_type)
     return OrbitInvariants(
         defect=delta,
         dim_p_cent=dim_p_cent(diagram, pair_type, params),
         dim_orbit=dim_orbit(diagram, pair_type, params),
-        dim_p0=dim_p0(diagram, pair_type),
+        dim_p0=p0,
         distinguished=delta == 0,
-        almost=almost,
+        almost=delta == p0,
         component_dim=component_dim(pair_type, params, delta),
     )

@@ -4,6 +4,7 @@ All comparisons are exact (integer equality); the only tolerances are the
 stated runtime ceilings.
 """
 
+import json
 import time
 
 import dense_reference as dense
@@ -223,10 +224,12 @@ def test_criterion_8_self_large():
 
 def test_closure_graph_of_a_large_pair_under_ceiling():
     """The Hasse diagram of AIII (10,10), 6,064 orbits, finds one cover per
-    scan step."""
+    scan step and renders from its own vertex values, in both formats."""
     start = time.perf_counter()
     graph = closure.closure_hasse(PairType.AIII, PairParams(20, (10, 10)))
+    dot, js = graph.to_dot(), graph.to_json()
     elapsed = time.perf_counter() - start
-    ok = (len(graph.vertices), len(graph.edges)) == (6064, 22952) and elapsed < 3.0
+    ok = ((len(graph.vertices), len(graph.edges)) == (6064, 22952)
+          and dot.count(" -> ") == len(json.loads(js)["edges"]) == 22952 and elapsed < 3.0)
     report("closure-graph", "AIII 20 (10,10) Hasse diagram", ok,
            f"{len(graph.edges)} edges, {elapsed:.2f}s")

@@ -30,7 +30,7 @@ from nilcomm.diagrams import (
     parse,
 )
 from nilcomm.errors import NotComparable, ShapeMismatch, WrongType
-from nilcomm.invariants import dim_orbit, is_almost_distinguished, is_distinguished
+from nilcomm.invariants import dim_orbit, is_almost_distinguished, is_distinguished, orbit_invariants
 
 BDI_66 = params_for(PairType.BDI, 12, 6, 6)
 BDI_75 = params_for(PairType.BDI, 12, 7, 5)
@@ -489,6 +489,21 @@ def test_hasse_outputs():
     assert "reduction" in dot  # (2,1) -> (3) is a reduction
     js = g.to_json()
     assert '"2,1"' in js
+
+
+def test_hasse_labels_are_the_orbit_invariants():
+    """Every vertex label of the rendered Hasse diagram names the orbit's
+    dimension and defect as orbit_invariants computes them (n <= 8)."""
+    for n in range(0, 9):
+        for pt, prm in pairs_of_size(n):
+            graph = closure_hasse(pt, prm)
+            labels = [line for line in graph.to_dot().splitlines() if "[label=" in line]
+            want = []
+            for v in graph.vertices:
+                inv = orbit_invariants(v, pt, prm)
+                label = f"{v.text() or 'zero'}\\n(dim {inv.dim_orbit}, delta {inv.defect})"
+                want.append(f'  "{v.text()}" [label="{label}"];')
+            assert labels == want, (pt, prm)
 
 
 def test_delta_bounded_by_s_on_covers():

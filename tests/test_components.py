@@ -8,7 +8,6 @@ from nilcomm.components import (
     COMPONENT,
     ELIMINATED_BY_REDUCTION,
     ELIMINATED_BY_WITNESS,
-    NON_CANDIDATE,
     UNRESOLVED,
     candidate_status,
     classify_components,
@@ -24,7 +23,7 @@ from nilcomm.diagrams import (
     parse,
 )
 from nilcomm.errors import BoundExceeded
-from nilcomm.invariants import ambient_dims, is_distinguished
+from nilcomm.invariants import almost_distinguished, ambient_dims, is_distinguished
 
 
 def test_ai_n5_report():
@@ -45,13 +44,16 @@ def test_ai_n6_has_unresolved():
 
 
 def test_candidate_status_examples():
-    assert candidate_status(parse("4,2"), PairType.AI, PairParams(6)).status == UNRESOLVED
-    st = candidate_status(parse("3,1"), PairType.AI, PairParams(4))
+    assert candidate_status(parse("4,2"), 1, PairType.AI, PairParams(6)).status == UNRESOLVED
+    st = candidate_status(parse("3,1"), 1, PairType.AI, PairParams(4))
     assert st.status == ELIMINATED_BY_REDUCTION
-    st = candidate_status(parse("2,2,1,1"), PairType.AII, PairParams(6))
+    st = candidate_status(parse("2,2,1,1"), 1, PairType.AII, PairParams(6))
     assert st.status == ELIMINATED_BY_WITNESS and st.witness_lengths == (1, 2)
-    assert candidate_status(parse("2,2,2,2"), PairType.AII, PairParams(8)).status == NON_CANDIDATE
-    assert candidate_status(parse("abab"), PairType.CI, PairParams(4)).status == COMPONENT
+    assert candidate_status(parse("abab"), 0, PairType.CI, PairParams(4)).status == COMPONENT
+    # a valid orbit whose p(e,0) is not a torus is never a candidate
+    g = parse("2,2,2,2")
+    assert g in enumerate_diagrams(PairType.AII, PairParams(8))
+    assert g not in [d for d, _ in almost_distinguished(PairType.AII, PairParams(8))]
 
 
 def test_almost_distinguished_orbit_with_nothing_above_is_a_component():
@@ -174,9 +176,10 @@ def test_report_json_and_text():
 
 
 def test_reduction_loop_reads_the_lower_class_once(monkeypatch):
-    """find_reduction and candidate_status sum the lower diagram's per-length
-    terms once per call and ask for its dim p^e at most once, not once per
-    cover they try (every valid diagram, n <= 10)."""
+    """find_reduction sums the lower diagram's per-length terms once per call
+    and asks for its dim p^e at most once, not once per cover it tries
+    (every valid diagram, n <= 10); candidate_status, given the defect by
+    the walk, sums them never (every almost-distinguished orbit)."""
     folds, cents = Counter(), Counter()
     fold, cent = invariants._p0, closure.dim_p_cent
 
@@ -196,11 +199,16 @@ def test_reduction_loop_reads_the_lower_class_once(monkeypatch):
             ambient_dims(pt, prm)  # reads the zero orbit's class, uncounted
             for d in enumerate_diagrams(pt, prm):
                 minimal_degenerations(d, pt, prm)  # builds the closure index, uncounted
-                for search in (find_reduction, components.candidate_status):
-                    folds.clear()
-                    cents.clear()
-                    search(d, pt, prm)
-                    assert folds[d] == 1 and cents[d] <= 1, (search.__name__, pt, prm, d.text())
-                    most = max(most, sum(folds.values()))
+                folds.clear()
+                cents.clear()
+                find_reduction(d, pt, prm)
+                assert folds[d] == 1 and cents[d] <= 1, (pt, prm, d.text())
+                most = max(most, sum(folds.values()))
+            for d, delta in almost_distinguished(pt, prm):
+                folds.clear()
+                cents.clear()
+                components.candidate_status(d, delta, pt, prm)
+                assert folds[d] == 0 and cents[d] == 0, (pt, prm, d.text())
+                most = max(most, sum(folds.values()))
     # some search tried at least two covers before it stopped
     assert most >= 3

@@ -129,10 +129,12 @@ def test_find_reduction_rejects_invalid_diagrams_with_the_reasons():
 
 def test_classification_never_validates_enumerated_diagrams(monkeypatch):
     """Covers in the reduction search and the vertices of the Hasse diagram
-    are enumerated, so they read the closed form of dim p^e unvalidated."""
+    are enumerated, so they read the closed form of dim p^e unvalidated, and
+    the Hasse diagram renders from its own vertex values."""
     pairs = [(pt, prm) for n in range(1, 9) for pt, prm in pairs_of_size(n)]
     want = [(components.classify_components(pt, prm), closure.closure_hasse(pt, prm))
             for pt, prm in pairs]
+    renders = [(graph.to_dot(), graph.to_json()) for _, graph in want]
     invariants._dim_p_cent.cache_clear()
     invariants.dim_p_cent.cache_clear()
 
@@ -143,6 +145,7 @@ def test_classification_never_validates_enumerated_diagrams(monkeypatch):
     got = [(components.classify_components(pt, prm), closure.closure_hasse(pt, prm))
            for pt, prm in pairs]
     assert got == want
+    assert [(graph.to_dot(), graph.to_json()) for _, graph in got] == renders
     assert invariants._dim_p_cent.cache_info().currsize > 0
 
 
