@@ -288,7 +288,10 @@ class DegenerationEdge:
     upper: AbDiagram
     s: int
     delta: int
-    is_reduction: bool
+
+    @property
+    def is_reduction(self) -> bool:
+        return self.s == self.delta
 
 
 @dataclass(frozen=True)
@@ -345,8 +348,8 @@ def closure_hasse(
     edges = []
     for i, (cent, delta) in enumerate(values):
         for j in index.minimal(index.up(i)):
-            s, drop = cent - values[j][0], delta - values[j][1]
-            edges.append(DegenerationEdge(diagrams[i], diagrams[j], s, drop, s == drop))
+            edges.append(DegenerationEdge(diagrams[i], diagrams[j], cent - values[j][0],
+                                          delta - values[j][1]))
     dim_p = ambient_dims(pair_type, params).dim_p
     return ClosureGraph(tuple(diagrams), tuple((dim_p - cent, delta) for cent, delta in values),
                         tuple(edges))

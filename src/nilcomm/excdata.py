@@ -448,9 +448,15 @@ def consistency_report() -> list[str]:
             problems.append(
                 f"{case}: component count {rep.count_min}..{rep.count_max}, tables say {lo}..{hi}"
             )
-        ndist = sum(1 for r in load_case(case) if r.distinguished)
+        records = load_case(case)
+        ndist = sum(1 for r in records if r.distinguished)
         if lo == hi and ndist != lo:
             problems.append(f"{case}: {ndist} defect-0 rows vs component count {lo}")
+        extras, nots = SELFLARGE_EXTRAS.get(case, ()), NOT_SELFLARGE.get(case, ())
+        positive = sorted(r.orbit for r in records if not r.distinguished)
+        if sorted(extras + nots) != positive:
+            problems.append(f"{case}: self-large {extras} and not {nots} "
+                            f"do not split the positive-defect orbits {tuple(positive)}")
     for red in _REDUCTIONS:
         if red.source_defect - red.target_defect != red.target_dim - red.source_dim:
             problems.append(f"{red.case} {red.source}->{red.target}: reduction equality fails")

@@ -256,56 +256,32 @@ def _pair_admissible(pair_type: PairType, length: int, s1: str, s2: str) -> bool
         pair_type, len(basis), pair_type.involution_square, e, h, f, t, _d_matrix(diag, idx)))
 
 
-def _matchable(pair_type: PairType, length: int, na: int, nb: int, memo: dict) -> bool:
-    """Can na rows starting with a and nb rows starting with b, all of one
-    length, be paired up by admissible couplings?  Memoised on the counts."""
-    if not na and not nb:
-        return True
-    key = (na, nb)
-    if key not in memo:
-        # some row must be coupled: take an a-row when there is one
-        s = "a" if na else "b"
-        na1, nb1 = (na - 1, nb) if na else (na, nb - 1)
-        memo[key] = (
-            (_pair_admissible(pair_type, length, s, "")
-             and _matchable(pair_type, length, na1, nb1, memo))
-            or (na1 > 0 and _pair_admissible(pair_type, length, s, "a")
-                and _matchable(pair_type, length, na1 - 1, nb1, memo))
-            or (nb1 > 0 and _pair_admissible(pair_type, length, s, "b")
-                and _matchable(pair_type, length, na1, nb1 - 1, memo))
-        )
-    return memo[key]
-
-
 @lru_cache(maxsize=1024)
 def _match_rows(pair_type: PairType, length: int, na: int, nb: int):
     """Pair up rows 0 .. na+nb-1 of one length, na a-rows then nb b-rows, so
     each pair carries an admissible coupling (a self-pair is a one-row one):
-    the (row, partner) pairs, or None.  Each row in turn takes the first
-    admissible partner (itself, then the later rows in order) that leaves the
-    other rows matchable; the coupling test depends on the two start letters
-    only through their product, so ``_matchable`` decides from the counts."""
-    letters = "a" * na + "b" * nb
-    count = {"a": na, "b": nb}
-    memo: dict = {}
-    matching = []
-    rest = list(range(na + nb))
-    while rest:
-        first = rest.pop(0)
-        count[letters[first]] -= 1
-        for other in [first] + rest:
-            s = "" if other == first else letters[other]
-            left = (count["a"] - (s == "a"), count["b"] - (s == "b"))
-            if (_pair_admissible(pair_type, length, letters[first], s)
-                    and _matchable(pair_type, length, *left, memo)):
-                break
-        else:
-            return None
-        matching.append((first, other))
-        if other != first:
-            rest.remove(other)
-        count["a"], count["b"] = left
-    return tuple(matching)
+    the (row, partner) pairs, or None.
+
+    The coupling test depends on the start letters only through their
+    product, and a one-row one not at all, so three tests decide: a row
+    alone, two a-rows, an a-row with a b-row.  If a row may couple with
+    itself, every row is a self-pair.  Otherwise neighbours pair as (k, k+1)
+    when rows of one letter couple and na and nb are even, or cross pairs
+    also couple and na + nb is even; else a-row k pairs with b-row na + k
+    when cross pairs couple and na == nb; else no perfect matching exists.
+    Each is the matching in which every row in turn takes the first
+    admissible partner (itself, then the later rows in order) that leaves
+    the other rows matchable."""
+    alone = _pair_admissible(pair_type, length, "a", "")
+    same = _pair_admissible(pair_type, length, "a", "a")
+    cross = _pair_admissible(pair_type, length, "a", "b")
+    if alone:
+        return tuple((k, k) for k in range(na + nb))
+    if same and (na % 2 == nb % 2 == 0 or cross and (na + nb) % 2 == 0):
+        return tuple((k, k + 1) for k in range(0, na + nb, 2))
+    if cross and na == nb:
+        return tuple((k, na + k) for k in range(na))
+    return None
 
 
 @lru_cache(maxsize=1024)
@@ -640,24 +616,17 @@ def _row_restriction(real: MatrixRealization, idx, rows: set[int]) -> dict:
     return m
 
 
-def commuting_witness(
-    real: MatrixRealization, i1: Optional[int] = None, i2: Optional[int] = None
-) -> Matrix:
+def commuting_witness(real: MatrixRealization) -> Matrix:
     """A nilpotent element of p^e with a strictly larger diagram, built from
-    two rows of adjacent lengths (types AI and AII only): by default the
-    first rows of the two lengths that ``AbDiagram.adjacent_lengths`` names."""
+    two rows of adjacent lengths (types AI and AII only): the first rows of
+    the two lengths that ``AbDiagram.adjacent_lengths`` names."""
     if real.pair_type not in (PairType.AI, PairType.AII):
         raise WrongType("witness construction applies to AI and AII")
-    if i1 is None or i2 is None:
-        lengths = real.diagram.adjacent_lengths()
-        if lengths is None:
-            raise NoAdjacentLengths("no two rows with lengths differing by one")
-        row_lengths = [d for d, _s in real.diagram.rows]
-        i1, i2 = (row_lengths.index(d) for d in lengths)
-    lam1 = real.diagram.rows[i1][0]
-    lam2 = real.diagram.rows[i2][0]
-    if lam1 + 1 != lam2:
-        raise NoAdjacentLengths(f"rows have lengths {lam1}, {lam2}")
+    lengths = real.diagram.adjacent_lengths()
+    if lengths is None:
+        raise NoAdjacentLengths("no two rows with lengths differing by one")
+    row_lengths = [d for d, _s in real.diagram.rows]
+    i1, i2 = (row_lengths.index(d) for d in lengths)
     pairs = [(i1, i2)]
     if real.pair_type is PairType.AII:
         if real.alphas[i1] != real.alphas[i2]:

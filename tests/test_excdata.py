@@ -119,6 +119,17 @@ def test_consistency_report_clean():
     assert excdata.consistency_report() == []
 
 
+def test_consistency_report_checks_the_selflarge_split(monkeypatch):
+    """SELFLARGE_EXTRAS and NOT_SELFLARGE split each case's positive-defect
+    orbits: an orbit in both lists, or in neither, is a problem."""
+    monkeypatch.setitem(excdata.NOT_SELFLARGE, "EV", (50, 81))
+    monkeypatch.delitem(excdata.NOT_SELFLARGE, "EIV")
+    assert excdata.consistency_report() == [
+        "EIV: self-large () and not () do not split the positive-defect orbits (1,)",
+        "EV: self-large (81,) and not (50, 81) do not split the positive-defect orbits (50, 81)",
+    ]
+
+
 def test_known_discrepancy_notes_present():
     assert any("absent" in r.note for r in excdata.reductions("EII"))
     assert any("absent" in r.note for r in excdata.reductions("EV") if r.source == 50)

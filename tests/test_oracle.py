@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import os
 import subprocess
@@ -157,13 +158,28 @@ def test_witness_aii_2211():
 
 
 def test_witness_uses_the_rows_the_report_names():
-    """By default the witness takes the first rows of the two lengths that
+    """The witness takes the first rows of the two lengths that
     adjacent_lengths names (the report's witness lengths), not the longest
     adjacent pair."""
     real = oracle.realize(parse("4,3,2"), PairType.AI, PairParams(9))
     assert real.diagram.adjacent_lengths() == (2, 3)
-    assert oracle.commuting_witness(real) == oracle.commuting_witness(real, 2, 1)
-    assert oracle.commuting_witness(real) != oracle.commuting_witness(real, 1, 0)
+    witness = oracle.commuting_witness(real)
+    assert witness == oracle._dense(real.n, _shift_map(real, 2, 1))
+    assert witness != oracle._dense(real.n, _shift_map(real, 1, 0))
+
+
+def _shift_map(real, low, high):
+    """Row ``low`` one step up into row ``high`` (one longer), row ``high``
+    back onto row ``low``, and e on every other row."""
+    idx = {tag: k for k, tag in enumerate(real.basis)}
+    w = {}
+    for i, (length, _s) in enumerate(real.diagram.rows):
+        if i not in (low, high):
+            w.update({(idx[i, a + 1], idx[i, a]): 1 for a in range(length - 1)})
+    for a in range(real.diagram.rows[low][0]):
+        w[idx[high, a + 1], idx[low, a]] = 1
+        w[idx[low, a], idx[high, a]] = 1
+    return w
 
 
 def _scaled(c, x):
@@ -662,16 +678,21 @@ def _backtracking_match(pair_type, length, row_ids, letters):
 
 
 def test_pair_admissible_symmetric_in_letters():
+    """The premise of ``_match_rows``: a two-row coupling depends on the
+    start letters only through their product, a one-row one not at all."""
     for pt in FORM_TYPES:
-        for length in range(1, 13):
-            assert oracle._pair_admissible(pt, length, "a", "b") == \
-                oracle._pair_admissible(pt, length, "b", "a"), (pt, length)
+        for length in range(1, 25):
+            admissible = functools.partial(oracle._pair_admissible, pt, length)
+            assert admissible("a", "a") == admissible("b", "b"), (pt, length)
+            assert admissible("a", "b") == admissible("b", "a"), (pt, length)
+            assert admissible("a", "") == admissible("b", ""), (pt, length)
 
 
 def test_match_rows_equals_backtracking_search():
     """Same matching, or None, on every ab-diagram with n <= 8, given in every
     letter order: the matching of the rows of one length, offset by the
-    block's first row, is the search's on the canonical rows."""
+    block's first row, is the search's on the canonical rows.  Then on every
+    block of na a-rows and nb b-rows with 1 <= na + nb <= 10 and length <= 16."""
     checked = 0
     for pt in FORM_TYPES:
         for n in range(1, 9):
@@ -688,25 +709,36 @@ def test_match_rows_equals_backtracking_search():
                         assert got == want, (pt, part, letters, length)
                         checked += 1
     assert checked > 9000
+    for pt in FORM_TYPES:
+        for length in range(1, 17):
+            for na in range(11):
+                for nb in range(max(1 - na, 0), 11 - na):
+                    letters = "a" * na + "b" * nb
+                    want = _backtracking_match(pt, length, tuple(range(na + nb)), letters)
+                    got = oracle._match_rows(pt, length, na, nb)
+                    assert (None if got is None else list(got)) == want, (pt, length, na, nb)
+                    checked += 1
+    assert checked > 9000 + 4 * 16 * 65
 
 
 def test_match_rows_polynomial_on_unmatchable_rows(monkeypatch):
-    """CI with k+2 a-rows and k b-rows of length 1 has no matching; the
-    count recursion decides it in O(k^2) calls."""
+    """CI with k+2 a-rows and k b-rows of length 1 has no matching;
+    ``_match_rows`` decides it from at most three coupling tests."""
     calls = []
-    matchable = oracle._matchable
+    admissible = oracle._pair_admissible
 
     def counted(*args):
-        calls.append(args[2:4])
-        return matchable(*args)
+        calls.append(args)
+        return admissible(*args)
 
-    monkeypatch.setattr(oracle, "_matchable", counted)
-    oracle._match_rows.cache_clear()
+    monkeypatch.setattr(oracle, "_pair_admissible", counted)
+    for k in (12, 500):
+        calls.clear()
+        oracle._match_rows.cache_clear()
+        assert oracle._match_rows(PairType.CI, 1, k + 2, k) is None
+        assert 0 < len(calls) <= 3, k
     k = 12
-    letters = {i: "a" if i < k + 2 else "b" for i in range(2 * k + 2)}
-    assert oracle._match_rows(PairType.CI, 1, k + 2, k) is None
-    assert 0 < len(calls) <= 3 * (k + 3) ** 2
-    diagram = AbDiagram.from_rows([(1, letters[i]) for i in letters])
+    diagram = AbDiagram.from_rows([(1, "a")] * (k + 2) + [(1, "b")] * k)
     with pytest.raises(UnrealizableDiagram, match="rows of length 1"):
         oracle.realize(diagram, PairType.CI, PairParams(2 * k + 2))
 
