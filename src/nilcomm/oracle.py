@@ -11,13 +11,14 @@ Each system is graded: its unknowns are only the entries x_rc of the
 requested ad h-weight h_r - h_c and, for a diagonal involution, of the
 requested sign d_r d_c, since every commutation, form and trace row lies in
 one weight and every other entry is zero by a single-entry condition.  The
-unknowns keep their row-major order, so bases come out as from the full
-system over all n^2 entries.
+form rows are not written but solved: they tie each unknown to one partner
+or pin it to zero, and only the kept unknowns, in row-major order, enter the
+elimination, so bases come out as from the full system over all n^2 entries.
 
 The system of a realization over every weight is eliminated once per sign,
 and dim p^e and every dim p(e,i) are read off that echelon form: rows of
 different weights share no column, so elimination never combines them, and
-dim p(e,w) = (unknowns of weight w) - (pivot columns of weight w).  For
+dim p(e,w) = (kept unknowns of weight w) - (pivot columns of weight w).  For
 sigma = -1 its weight-0 rows, reduced, give the basis of p(e,0) that the
 defect samples, as the weight-0 system alone would.  A lone ``dim_graded`` or
 ``p_e0_sparse`` eliminates only its own block.
@@ -27,10 +28,11 @@ integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
 whole computation stays rational.  The realization stores D and the sign xi.
 
 Each of e, h, f, the form T and D has at most one nonzero entry in each row
-and each column, and T is a signed permutation (one entry +-1 in each row and
-column), so T^-1 = T^t.  They are built, checked, multiplied and stored as
-sparse matrices {(r, c): value} without zero entries, at O(n) per product;
-the dense tuples a realization hands its callers are views built on access.
+and each column.  They are built, checked and stored as sparse matrices
+{(r, c): value} without zero entries; the dense tuples a realization hands
+its callers are views built on access.  Once T is checked to be a signed
+permutation, T[r, pi r] = t_r = +-1, and h and D to be diagonal, every
+product with T, h or D is a relabeling or a scaling of entries.
 
 The oracle serves two clients.  ``certify`` checks the formulas of
 ``invariants`` on every diagram up to a bound against the exact kernel
@@ -170,46 +172,46 @@ def _bracket(a, b) -> dict:
     return _add((1, _mul(a[0], b[1])), (-1, _mul(b[0], a[1])))
 
 
-def _theta(x, d, t) -> dict:
-    """The involution on ``_indexed`` matrices: conjugation by D, or for AI/AII
-    (no D) x -> -T^-1 x^t T with T^-1 = T^t, as T is a signed permutation."""
+def _theta(x: dict, d: Optional[dict], t: Optional[dict]) -> dict:
+    """The involution: conjugation by the diagonal D, d_r d_c x_rc at (r, c);
+    for AI/AII (no D) x -> -T^-1 x^t T = -T^t x^t T, which puts -t_r t_c x_rc
+    at (pi c, pi r) for the signed permutation T[r, pi r] = t_r."""
     if d is not None:
-        return _mul(_mul(d[0], x[1]), d[1])
-    return _add((-1, _mul(_transpose(_mul(x[0], t[1])), t[1])))
-
-
-def _is_signed_permutation(t: dict, n: int) -> bool:
-    return (len(t) == n == len({r for r, _c in t}) == len({c for _r, c in t})
-            and all(v in (1, -1) for v in t.values()))
+        return {(r, c): w for (r, c), v in x.items() if (w := d.get((r, r), 0) * d.get((c, c), 0) * v)}
+    perm = {r: (c, v) for (r, c), v in t.items()}
+    return {(perm[c][0], perm[r][0]): -perm[r][1] * perm[c][1] * v for (r, c), v in x.items()}
 
 
 def _identities(pair_type: PairType, n: int, xi, e, h, f, t, d):
     """Every identity of a realization, as lazily computed (holds, identity)
     pairs on sparse matrices; t or d is None where there is no form or no
-    diagonal involution.  T comes first because theta inverts it as T^t.
-    Each matrix is indexed once, for every product it is the right factor of."""
+    diagonal involution.  The structure comes first, T a signed permutation
+    and then h and D diagonal, so that every later product with T, h or D is
+    read as a relabeling or a scaling of entries; only [e, f] = h multiplies."""
     if t is not None:
-        yield _is_signed_permutation(t, n), "form T is a signed permutation"
-    ie, ih, i_f, it, i_d = _indexed(e, h, f, t, d)
-    yield _bracket(ih, ie) == _add((2, e)), "[h, e] = 2e"
-    yield _bracket(ih, i_f) == _add((-2, f)), "[h, f] = -2f"
-    yield _bracket(ie, i_f) == h, "[e, f] = h"
-    yield _theta(ie, i_d, it) == _add((-1, e)), "theta(e) = -e"
-    yield _theta(ih, i_d, it) == h, "theta(h) = h"
-    yield _theta(i_f, i_d, it) == _add((-1, f)), "theta(f) = -f"
+        rows, cols = tuple(zip(*t)) or ((), ())
+        yield (len(t) == n and set(rows) == set(cols) == set(range(n))
+               and set(t.values()) <= {1, -1}), "form T is a signed permutation"
+    yield set(h) | set(d or ()) <= set(zip(range(n), range(n))), "h and D are diagonal"
+    for x, w, identity in ((e, 2, "[h, e] = 2e"), (f, -2, "[h, f] = -2f")):
+        yield all(h.get((r, r), 0) - h.get((c, c), 0) == w for r, c in x), identity
+    yield _bracket(*_indexed(e, f)) == h, "[e, f] = h"
+    for x, sign, identity in ((e, -1, "theta(e) = -e"), (h, 1, "theta(h) = h"),
+                              (f, -1, "theta(f) = -f")):
+        yield _theta(x, d, t) == _add((sign, x)), identity
     if t is not None:
         eta = 1 if d is not None else -1
         eps = pair_type.form_sign if d is not None else (1 if pair_type is PairType.AI else -1)
         yield _transpose(t) == _add((eps, t)), "T^t = eps T"
-        # form compatibility: Phi(e.u, v) = -eta Phi(u, e.v), same for f; h skew
-        for (x, x_rows), sign, identity in ((ie, eta, "e^t T = -eta T e"),
-                                            (i_f, eta, "f^t T = -eta T f"),
-                                            (ih, 1, "h^t T = -T h")):
-            yield not _add((1, _mul(_transpose(x), it[1])), (sign, _mul(t, x_rows))), identity
+        # form compatibility: Phi(e.u, v) = -eta Phi(u, e.v), same for f; h skew.
+        # x^t T = -sign T x is T^t x^t T = -sign x, that is theta_T(x) = sign x
+        for x, sign, identity in ((e, eta, "e^t T = -eta T e"), (f, eta, "f^t T = -eta T f"),
+                                  (h, 1, "h^t T = -T h")):
+            yield _theta(x, None, t) == _add((sign, x)), identity
     if d is not None:
-        yield _mul(d, i_d[1]) == {(k, k): 1 for k in range(n)}, "D^2 = I"
+        yield len(d) == n and set(d.values()) <= {1, -1}, "D^2 = I"
         if t is not None:
-            yield _mul(_mul(_transpose(d), it[1]), i_d[1]) == _add((xi, t)), "D^t T D = xi T"
+            yield all(d[r, r] * d[c, c] == xi for r, c in t), "D^t T D = xi T"
 
 
 # -- building the triple -------------------------------------------------------
@@ -346,21 +348,9 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
                     partners[i], partners[j] = j, i
                     _couple(t, idx, i, j, length, pair_type.form_sign)
 
-    real = MatrixRealization(
-        pair_type=pair_type,
-        params=params,
-        diagram=diagram,
-        n=n,
-        basis=basis,
-        e_map=e,
-        h_map=h,
-        f_map=f,
-        t_map=t,
-        d_map=d,
-        xi=pair_type.involution_square,
-        partners=tuple(partners),
-        alphas=alphas,
-    )
+    real = MatrixRealization(pair_type=pair_type, params=params, diagram=diagram, n=n, basis=basis,
+                             e_map=e, h_map=h, f_map=f, t_map=t, d_map=d,
+                             xi=pair_type.involution_square, partners=tuple(partners), alphas=alphas)
     _check_realization(real)
     return real
 
@@ -387,48 +377,57 @@ def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
 
     Only the unknowns x_rc that the grading (h_r - h_c = degree) and a
     diagonal involution (d_r d_c = sigma) leave free are kept; every other
-    unknown would be pinned to zero by a row of its own.  Each commutation,
-    form and trace row lies in a single ad h-weight, so the kept rows only
-    meet kept unknowns, and the kernel dimension is len(unknowns) -
-    rank(rows).  Returns (unknowns, rows): the free positions (r, c) in
-    increasing r*n + c order, and sparse rows over their indices.
+    unknown would be pinned to zero by a row of its own.  The form rows
+    x^t T + s T x = 0 (g for the BD/C types, s = 1; theta for AI/AII, s =
+    sigma; AIII has none) are solved: the one at (c, pi r) reads t_r x_rc +
+    s t_c x_p = 0, p = (pi c, pi r) being of the same weight and sign.  So the
+    larger of each pair of partners is kept, x_small = -s t_r t_c x_large,
+    and x_rc = 0 when p = (r, c) and t_r + s t_c != 0, or p is not an
+    unknown.  The commutation rows and the A types' trace row are written
+    over the kept unknowns.  The full system's form rows pivot on their
+    smaller column, so its free columns and nullspace vectors are the kept
+    system's, expanded through the ties.  Returns (columns, rows): for each
+    kept unknown, in increasing r*n + c order, the (position (r, c),
+    coefficient) pairs of the entries it stands for, itself first with
+    coefficient 1; and sparse rows over the column indices.
     """
     n, hd = real.n, real.h_diagonal
     dd = None if real.d_map is None else [real.d_map[k, k] for k in range(n)]
-    unknowns = [
-        (r, c)
-        for r in range(n)
-        for c in range(n)
-        if (degree is None or hd[r] - hd[c] == degree) and (dd is None or dd[r] * dd[c] == sigma)
-    ]
-    # form rows x^T T + form_sigma T x: membership in g for the BD/C types,
-    # theta for AI/AII (AIII has no form); the A types carry the trace row
-    form_sigma = 1 if real.d_map is not None else sigma
-    t = real.t_map
+    unknowns = [(r, c) for r in range(n) for c in range(n)
+                if (degree is None or hd[r] - hd[c] == degree) and (dd is None or dd[r] * dd[c] == sigma)]
+    if real.t_map is None:
+        columns = [[(pos, 1)] for pos in unknowns]
+    else:
+        s = 1 if real.d_map is not None else sigma
+        perm = {r: (c, v) for (r, c), v in real.t_map.items()}
+        index = {pos: u for u, pos in enumerate(unknowns)}
+        columns, tied = [], {}
+        for u, (r, c) in enumerate(unknowns):
+            (pc, tc), (pr, tr) = perm[c], perm[r]
+            k = index.get((pc, pr))
+            if k is None or k == u and tr + s * tc:
+                continue
+            if k > u:
+                tied[k] = ((r, c), -s * tr * tc)
+            else:
+                columns.append([((r, c), 1)] + ([tied.pop(u)] if k < u else []))
     trace_row = real.pair_type in A_TYPES
     e_col, e_row = _rows(_transpose(real.e_map)), _rows(real.e_map)
-    t_col, t_row = (_rows(_transpose(t)), _rows(t)) if t is not None else ({}, {})
     eqs: dict[int, dict[int, int]] = {}
-    for u, (r, c) in enumerate(unknowns):
-        # [e, x]_ic gains e_ir x_rc; [e, x]_rj gains -x_rc e_cj
-        for i, v in e_col.get(r, ()):
-            row = eqs.setdefault(i * n + c, {})
-            row[u] = row.get(u, 0) + v
-        for j, v in e_row.get(c, ()):
-            row = eqs.setdefault(r * n + j, {})
-            row[u] = row.get(u, 0) - v
-        if t is not None:
-            # (x^T T)_cj gains x_rc T_rj; (T x)_ic gains T_ir x_rc
-            for j, v in t_row.get(r, ()):
-                row = eqs.setdefault(n * n + c * n + j, {})
-                row[u] = row.get(u, 0) + v
-            for i, v in t_col.get(r, ()):
-                row = eqs.setdefault(n * n + i * n + c, {})
-                row[u] = row.get(u, 0) + form_sigma * v
-        if trace_row and r == c:
-            eqs.setdefault(2 * n * n, {})[u] = 1
-    rows = [{u: v for u, v in row.items() if v} for row in eqs.values()]
-    return unknowns, [row for row in rows if row]
+    for k, column in enumerate(columns):
+        for (r, c), coef in column:
+            # [e, x]_ic gains e_ir x_rc; [e, x]_rj gains -x_rc e_cj
+            for i, v in e_col.get(r, ()):
+                row = eqs.setdefault(i * n + c, {})
+                row[k] = row.get(k, 0) + coef * v
+            for j, v in e_row.get(c, ()):
+                row = eqs.setdefault(r * n + j, {})
+                row[k] = row.get(k, 0) - coef * v
+            if trace_row and r == c:
+                row = eqs.setdefault(n * n, {})
+                row[k] = row.get(k, 0) + coef
+    rows = [{k: v for k, v in row.items() if v} for row in eqs.values()]
+    return columns, [row for row in rows if row]
 
 
 def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
@@ -437,18 +436,18 @@ def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
     sigma = -1 the memo also keeps the basis of p(e,0), from the weight-0
     rows of that echelon form."""
     if sigma not in real._graded:
-        unknowns, rows = _system(real, None, sigma)
+        columns, rows = _system(real, None, sigma)
         hd = real.h_diagonal
-        weights = [hd[r] - hd[c] for r, c in unknowns]
+        weights = [hd[r] - hd[c] for ((r, c), _coef), *_tied in columns]
         dims = Counter(weights)
         pivots = linalg.echelon_pivots(rows)
-        for u in pivots:
-            dims[weights[u]] -= 1
+        for k in pivots:
+            dims[weights[k]] -= 1
         basis = None
         if sigma == -1:
-            block = {u: row for u, row in pivots.items() if weights[u] == 0}
-            zero = [u for u, w in enumerate(weights) if w == 0]
-            basis = [{unknowns[u]: v for u, v in vec.items()}
+            block = {k: row for k, row in pivots.items() if weights[k] == 0}
+            zero = [k for k, w in enumerate(weights) if w == 0]
+            basis = [{pos: coef * v for k, v in vec.items() for pos, coef in columns[k]}
                      for vec in linalg.echelon_nullspace(block, zero)]
         real._graded[sigma] = dims, basis
     return real._graded[sigma][0]
@@ -485,8 +484,8 @@ def dim_graded(real: MatrixRealization, degree: int, sigma: int) -> int:
     read off the elimination over every weight once that has run."""
     if sigma in real._graded:
         return real._graded[sigma][0][degree]
-    unknowns, rows = _system(real, degree, sigma)
-    return linalg.kernel_dim(rows, len(unknowns))
+    columns, rows = _system(real, degree, sigma)
+    return linalg.kernel_dim(rows, len(columns))
 
 
 def p_e0_sparse(real: MatrixRealization) -> list[dict]:
@@ -494,9 +493,9 @@ def p_e0_sparse(real: MatrixRealization) -> list[dict]:
     elimination over every weight once that has run."""
     if -1 in real._graded:
         return real._graded[-1][1]
-    unknowns, rows = _system(real, 0, -1)
-    return [{unknowns[u]: v for u, v in vec.items()}
-            for vec in linalg.nullspace(rows, len(unknowns))]
+    columns, rows = _system(real, 0, -1)
+    return [{pos: coef * v for k, v in vec.items() for pos, coef in columns[k]}
+            for vec in linalg.nullspace(rows, len(columns))]
 
 
 def p_e0_basis(real: MatrixRealization) -> list[Matrix]:
@@ -636,15 +635,11 @@ def commuting_witness(real: MatrixRealization) -> Matrix:
     idx = {tag: k for k, tag in enumerate(real.basis)}
     w = _add(*[(1, _partial_shift(real, idx, *pair)) for pair in pairs],
              (1, _row_restriction(real, idx, others)))
-    ie, iw, i_d, it = _indexed(real.e_map, w, real.d_map, real.t_map)
-    _require(not _bracket(ie, iw), "[e, w] = 0")
-    _require(_theta(iw, i_d, it) == _add((-1, w)), "theta(w) = -w")
-    witness = _dense(real.n, w)
-    _require(
-        _dominates_strictly(jordan_type(witness), real.diagram.partition),
-        "Jordan type of w strictly dominates the diagram",
-    )
-    return witness
+    _require(not _bracket(*_indexed(real.e_map, w)), "[e, w] = 0")
+    _require(_theta(w, None, real.t_map) == _add((-1, w)), "theta(w) = -w")
+    _require(_dominates_strictly(_jordan_type(real.n, w), real.diagram.partition),
+             "Jordan type of w strictly dominates the diagram")
+    return _dense(real.n, w)
 
 
 # -- the torus test ---------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Dense reference arithmetic for the tests, written apart from nilcomm: n x n
-matrices as tuples of tuples, products by the textbook triple loop, and rank
-by Gaussian elimination over Fraction.  The oracle multiplies sparse
-matrices; the tests check it against these."""
+matrices as tuples of tuples, products row by row (row i of ab is the sum of
+a_it times row t of b), and rank by Gaussian elimination over Fraction.  The
+oracle multiplies sparse matrices, or relabels and scales entries; the tests
+check it against these."""
 
 from fractions import Fraction
 
@@ -20,8 +21,15 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return freeze([[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)])
+    m = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * m
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return freeze(out)
 
 
 def mat_add(a, b):

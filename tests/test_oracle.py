@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,6 +249,96 @@ def test_form_checks_name_their_identity():
         assert str(exc.value) == f"identity fails: {identity}"
 
 
+def test_form_indices_outside_the_basis_fail_the_permutation_check():
+    """A T with n entries +-1 in distinct rows and columns is no signed
+    permutation when an index lies outside range(n)."""
+    real = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
+    t_map = dict(real.t_map)
+    t_map[9, 9] = t_map.pop((4, 4))
+    with pytest.raises(OracleCheckFailed) as exc:
+        oracle._check_realization(dataclasses.replace(real, t_map=t_map))
+    assert str(exc.value) == "identity fails: form T is a signed permutation"
+
+
+def test_non_diagonal_h_or_d_fails_the_structure_check():
+    ai = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
+    bdi = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
+    for tampered in [dataclasses.replace(ai, h_map={**ai.h_map, (0, 1): 1}),
+                     dataclasses.replace(ai, h_map={**ai.h_map, (3, 3): 1}),
+                     dataclasses.replace(bdi, h_map={**bdi.h_map, (2, 0): -1}),
+                     dataclasses.replace(bdi, d_map={**bdi.d_map, (0, 1): 1}),
+                     dataclasses.replace(bdi, d_map={**bdi.d_map, (9, 9): 1})]:
+        with pytest.raises(OracleCheckFailed) as exc:
+            oracle._check_realization(tampered)
+        assert str(exc.value) == "identity fails: h and D are diagonal"
+
+
+def _dense_identities(real):
+    """(holds, identity) for the identities of a realization in the oracle's
+    order, computed from its dense views by generic dense products, without
+    the oracle's check that h and D are diagonal."""
+    e, h, f, t, d, n = real.e, real.h, real.f, real.form, real.d_matrix, real.n
+    mul, scale, tr = dense.mat_mul, dense.mat_scale, dense.transpose
+    if t is not None:
+        yield all(sorted(map(abs, line)) == [0] * (n - 1) + [1]
+                  for line in t + tr(t)), "form T is a signed permutation"
+    yield dense.commutator(h, e) == scale(2, e), "[h, e] = 2e"
+    yield dense.commutator(h, f) == scale(-2, f), "[h, f] = -2f"
+    yield dense.commutator(e, f) == h, "[e, f] = h"
+    yield dense.theta(real, e) == scale(-1, e), "theta(e) = -e"
+    yield dense.theta(real, h) == h, "theta(h) = h"
+    yield dense.theta(real, f) == scale(-1, f), "theta(f) = -f"
+    if t is not None:
+        eta = 1 if d is not None else -1
+        eps = real.pair_type.form_sign if d is not None else (
+            1 if real.pair_type is PairType.AI else -1)
+        yield tr(t) == scale(eps, t), "T^t = eps T"
+        for x, sign, identity in ((e, eta, "e^t T = -eta T e"), (f, eta, "f^t T = -eta T f"),
+                                  (h, 1, "h^t T = -T h")):
+            yield dense.is_zero_matrix(
+                dense.mat_add(mul(tr(x), t), scale(sign, mul(t, x)))), identity
+    if d is not None:
+        yield mul(d, d) == dense.identity(n), "D^2 = I"
+        if t is not None:
+            yield mul(mul(tr(d), t), d) == scale(real.xi, t), "D^t T D = xi T"
+
+
+TAMPERINGS = {
+    "doubled": lambda x: {(r, c): 2 * v for (r, c), v in x.items()},
+    "transposed": lambda x: {(c, r): v for (r, c), v in x.items()},
+    "negated": lambda x: {(r, c): -v for (r, c), v in x.items()},
+    "off-diagonal negated": lambda x: {(r, c): v if r == c else -v for (r, c), v in x.items()},
+}
+
+
+def test_tampered_realizations_fail_first_where_the_dense_reference_does():
+    """Each stored map of every valid diagram with n <= 8, tampered each way:
+    the first identity the oracle finds failing (or none) is the first that
+    fails in generic dense arithmetic.  The tamperings keep h and D diagonal,
+    so the oracle's structure check never decides."""
+    tampered = failing = 0
+    for n in range(9):
+        for pt, prm in pairs_of_size(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                real = oracle.realize(diagram, pt, prm)
+                for field in ("e_map", "h_map", "f_map", "t_map", "d_map"):
+                    if getattr(real, field) is None:
+                        continue
+                    for how, tamper in TAMPERINGS.items():
+                        bad = dataclasses.replace(real, **{field: tamper(getattr(real, field))})
+                        want = next((identity for holds, identity in _dense_identities(bad)
+                                     if not holds), None)
+                        try:
+                            oracle._check_realization(bad)
+                            got = None
+                        except OracleCheckFailed as exc:
+                            got = str(exc).removeprefix("identity fails: ")
+                        assert got == want, (pt, prm, diagram.text(), field, how)
+                        tampered += 1
+                        failing += got is not None
+    assert (tampered, failing) == (13748, 7789)
+
+
 def test_every_form_is_a_signed_permutation():
     """T has one entry +-1 in each row and column, so T T^t = I, for every
     valid diagram with n <= 8 of every type with a form."""
@@ -281,6 +372,7 @@ for tampered, check in [
      oracle._check_realization),
     (dataclasses.replace(real, t_map={pos: 2 * v for pos, v in real.t_map.items()}),
      oracle._check_realization),
+    (dataclasses.replace(real, h_map={**real.h_map, (0, 1): 1}), oracle._check_realization),
     (dataclasses.replace(bdi, d_map={pos: 2 * v for pos, v in bdi.d_map.items()}),
      oracle._check_realization),
     (dataclasses.replace(real, e_map={(c, r): v for (r, c), v in real.e_map.items()}),
@@ -312,6 +404,7 @@ def test_oracle_checks_survive_python_O():
     assert proc.stdout.splitlines() == [
         "identity fails: [h, e] = 2e",
         "identity fails: form T is a signed permutation",
+        "identity fails: h and D are diagonal",
         "identity fails: theta(e) = -e",
         "identity fails: [e, w] = 0",
         "no admissible coupling of the rows of length 4",
@@ -472,11 +565,12 @@ def test_realizability_matches_validity_exhaustive_n6():
 # -- the graded systems against the full n^2 system ---------------------------------
 
 
-def _reference_maps(real):
+def _reference_maps(real, acting="ef"):
     """Each linear condition on the full space of n x n matrices x, as rows
-    indexed by the output position: [e, x], [f, x], [h, x], theta(x), and
-    membership in g (x^T T + T x for the BD/C types, the trace for the A
-    types).  Unknown k is the entry x_rc with k = r*n + c."""
+    indexed by the output position: [e, x] and [f, x] (those ``acting``
+    names), [h, x], theta(x), and membership in g (x^T T + T x for the BD/C
+    types, the trace for the A types).  Unknown k is the entry x_rc with
+    k = r*n + c."""
     n = real.n
     units = []
     for r in range(n):
@@ -492,12 +586,9 @@ def _reference_maps(real):
         return [{k: img[i][j] for k, img in enumerate(imgs) if img[i][j]}
                 for i in range(len(imgs[0])) for j in range(len(imgs[0][0]))]
 
-    maps = {
-        "e": rows_of(lambda x: dense.commutator(real.e, x)),
-        "f": rows_of(lambda x: dense.commutator(real.f, x)),
-        "h": rows_of(lambda x: dense.commutator(real.h, x)),
-        "theta": rows_of(lambda x: dense.theta(real, x)),
-    }
+    maps = {m: rows_of(lambda x, b=getattr(real, m): dense.commutator(b, x)) for m in acting + "h"}
+    views = types.SimpleNamespace(d_matrix=real.d_matrix, form=real.form)  # built once
+    maps["theta"] = rows_of(lambda x: dense.theta(views, x))
     if real.pair_type in oracle.A_TYPES:
         maps["g"] = rows_of(lambda x: ((dense.trace(x),),))
     else:
@@ -563,7 +654,9 @@ def test_graded_systems_match_full_reference():
 def test_graded_dims_match_each_weight_block():
     """The one elimination over every weight gives the kernel dimension of
     each weight block, and they sum to the kernel dimension of the whole
-    system, for both signs on every valid diagram with n <= 8."""
+    system, for both signs on every valid diagram with n <= 8.  Each column
+    of a system is one kept unknown with the entries tied to it: distinct
+    positions, of one weight, with coefficients +-1."""
     for n in range(0, 9):
         for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
@@ -574,10 +667,37 @@ def test_graded_dims_match_each_weight_block():
                     label = (pt, prm, diagram.text(), sigma)
                     dims = oracle._graded_dims(real, sigma)
                     for w in weights | set(dims):
-                        unknowns, rows = oracle._system(real, w, sigma)
-                        assert dims[w] == linalg.kernel_dim(rows, len(unknowns)), (label, w)
-                    unknowns, rows = oracle._system(real, None, sigma)
-                    assert sum(dims.values()) == linalg.kernel_dim(rows, len(unknowns)), label
+                        columns, rows = oracle._system(real, w, sigma)
+                        assert dims[w] == linalg.kernel_dim(rows, len(columns)), (label, w)
+                    columns, rows = oracle._system(real, None, sigma)
+                    assert sum(dims.values()) == linalg.kernel_dim(rows, len(columns)), label
+                    tied = [pos for column in columns for pos, _coef in column]
+                    assert len(tied) == len(set(tied)), label
+                    for column in columns:
+                        assert len({hd[r] - hd[c] for (r, c), _coef in column}) == 1, label
+                        assert {coef for _pos, coef in column[1:]} <= {1, -1}, label
+
+
+def test_tied_p_systems_match_full_reference_at_n_7_and_8():
+    """The form rows are solved by ties, not eliminated: for sigma = -1 on
+    every valid diagram with n = 7 and 8 (n <= 6 is checked above, for both
+    signs), the kernel dimension of each ad h-weight and the basis of p(e,0)
+    equal those of the full n^2 system, vector for vector."""
+    checked = 0
+    for n in (7, 8):
+        for pt, prm in pairs_of_size(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                real = dataclasses.replace(oracle.realize(diagram, pt, prm))
+                maps = _reference_maps(real, acting="e")
+                dims = oracle._graded_dims(real, -1)
+                hd = real.h_diagonal
+                for w in {a - b for a in hd for b in hd}:
+                    rows = _reference_rows(maps, "e", w, -1)
+                    assert dims[w] == linalg.kernel_dim(rows, n * n), (pt, prm, diagram.text(), w)
+                rows = _reference_rows(maps, "e", 0, -1)
+                assert oracle.p_e0_basis(real) == _reference_basis(rows, n), (pt, prm, diagram.text())
+                checked += 1
+    assert checked == 496
 
 
 def test_replaced_realization_starts_with_an_empty_memo():

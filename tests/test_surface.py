@@ -3,9 +3,10 @@ a reference somewhere in ``src/nilcomm`` outside its own definition, or in the
 benchmark scripts ``perfbench/*.py``.  A name that only the tests call belongs
 in the tests.
 
-A reference is ``module.name`` (``closure.leq``, ``nc.closure.leq``), a name
-imported from a ``nilcomm`` module and then read, or a name read inside its
-own module.  Attributes of other objects (``edge.is_reduction``) and names
+A reference is ``module.name`` (``closure.leq``, ``nc.closure.leq``), also
+through a name the module was assigned to (``o.jordan_type`` after
+``o, inv = nc.oracle, nc.invariants``), a name imported from a ``nilcomm``
+module and then read, or a name read inside its own module.  Attributes of other objects (``edge.is_reduction``) and names
 that are only stored (a dataclass field) do not count.
 """
 
@@ -31,13 +32,20 @@ ALLOWED = {
 def _uses(tree, own):
     """Yield ((module, name), node) for each reference the tree makes; own is
     the tree's nilcomm module, or None outside the package."""
-    imported = {}
+    imported, aliases = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level == 1 or (node.module or "").startswith("nilcomm.")):
             module = (node.module or "").removeprefix("nilcomm.")
             for alias in node.names:
                 imported[alias.asname or alias.name] = (module, alias.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple) else
+                         zip(target.elts, getattr(node.value, "elts", ())))
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and getattr(value, "attr", None) in MODULES:
+                        aliases[name.id] = value.attr
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id in imported:
@@ -46,7 +54,8 @@ def _uses(tree, own):
                 yield (own, node.id), node
         elif isinstance(node, ast.Attribute):
             base = node.value
-            base = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+            base = aliases.get(base.id, base.id) if isinstance(base, ast.Name) else getattr(
+                base, "attr", None)
             if base in MODULES:
                 yield (base, node.attr), node
 
