@@ -43,7 +43,7 @@ from .diagrams import (
     DEFAULT_BOUND,
 )
 from .errors import NotComparable, ShapeMismatch, WrongType
-from .invariants import _dim_p_cent, ambient_dims, defect, dim_p_cent
+from .invariants import _dim_p_cent, defect, dim_p, dim_p_cent
 
 
 @lru_cache(maxsize=1024)
@@ -92,10 +92,6 @@ def leq(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
     """g1 <= g2 in the degeneration order."""
     _check_comparable(g1, g2, pair_type)
     return all(map(operator.le, _truncation_profile(g1), _truncation_profile(g2)))
-
-
-def lt(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
-    return g1 != g2 and leq(g1, g2, pair_type)
 
 
 class _ClosureIndex:
@@ -175,25 +171,15 @@ def minimal_degenerations(
     return _closure_index(pair_type, params, bound).covers(diagram)
 
 
-def reduction_order(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> int:
-    """Delta = defect(g1) - defect(g2)."""
-    return defect(g1, pair_type) - defect(g2, pair_type)
-
-
-def centralizer_drop(
-    g1: AbDiagram, g2: AbDiagram, pair_type: PairType, params: PairParams
-) -> int:
-    """s = dim p^{g1} - dim p^{g2}."""
-    return dim_p_cent(g1, pair_type, params) - dim_p_cent(g2, pair_type, params)
-
-
 def is_reduction(
     g1: AbDiagram, g2: AbDiagram, pair_type: PairType, params: PairParams
 ) -> bool:
-    """g1 < g2 with defect drop equal to centralizer drop."""
-    if not lt(g1, g2, pair_type):
+    """g1 < g2 with defect drop equal to centralizer drop: s = dim p^{g1} -
+    dim p^{g2} equals delta = defect(g1) - defect(g2)."""
+    if not (g1 != g2 and leq(g1, g2, pair_type)):
         raise NotComparable(f"{g1.text()!r} is not strictly below {g2.text()!r}")
-    return centralizer_drop(g1, g2, pair_type, params) == reduction_order(g1, g2, pair_type)
+    return (dim_p_cent(g1, pair_type, params) - dim_p_cent(g2, pair_type, params)
+            == defect(g1, pair_type) - defect(g2, pair_type))
 
 
 def first_reduction(
@@ -350,6 +336,6 @@ def closure_hasse(
         for j in index.minimal(index.up(i)):
             edges.append(DegenerationEdge(diagrams[i], diagrams[j], cent - values[j][0],
                                           delta - values[j][1]))
-    dim_p = ambient_dims(pair_type, params).dim_p
-    return ClosureGraph(tuple(diagrams), tuple((dim_p - cent, delta) for cent, delta in values),
+    ambient = dim_p(pair_type, params)
+    return ClosureGraph(tuple(diagrams), tuple((ambient - cent, delta) for cent, delta in values),
                         tuple(edges))

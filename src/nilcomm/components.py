@@ -27,7 +27,7 @@ from .diagrams import (
     DEFAULT_BOUND,
 )
 from .errors import ClaimViolated
-from .invariants import almost_distinguished, ambient_dims, component_dim
+from .invariants import almost_distinguished, component_dim, dim_p
 
 COMPONENT = "Component"
 ELIMINATED_BY_REDUCTION = "EliminatedByReduction"
@@ -150,12 +150,12 @@ def classify_components(
     """Classify the pair's candidates in enumeration order and assemble the
     report; only the candidates of positive defect read the closure order."""
     buckets = {COMPONENT: [], ELIMINATED_BY_REDUCTION: [], ELIMINATED_BY_WITNESS: [], UNRESOLVED: []}
-    dim_p = ambient_dims(pair_type, params).dim_p
+    ambient = dim_p(pair_type, params)
     for diagram, delta in almost_distinguished(pair_type, params, bound):
         st = candidate_status(diagram, delta, pair_type, params, bound)
         buckets[st.status].append(st)
     eliminated = buckets[ELIMINATED_BY_REDUCTION] + buckets[ELIMINATED_BY_WITNESS]
-    return ComponentsReport(pair_type, params, dim_p, tuple(buckets[COMPONENT]),
+    return ComponentsReport(pair_type, params, ambient, tuple(buckets[COMPONENT]),
                             tuple(eliminated), tuple(buckets[UNRESOLVED]))
 
 
@@ -189,11 +189,7 @@ def rank_bound_check() -> list[tuple[PairType, PairParams, int]]:
     for grid_type, params in verified_grid():
         report = classify_components(grid_type, params)
         if report.unresolved:
-            orbit = report.unresolved[0].diagram
-            raise ClaimViolated(
-                f"{grid_type.value} {params} has unresolved candidate {orbit.text()!r}",
-                pair=(grid_type, params),
-                orbit=orbit,
-            )
+            raise ClaimViolated(f"{grid_type.value} {params} has unresolved candidate "
+                                f"{report.unresolved[0].diagram.text()!r}")
         results.append((grid_type, params, report.count_min))
     return results

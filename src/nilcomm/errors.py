@@ -59,9 +59,4 @@ class OracleCheckFailed(NilcommError):
 
 
 class ClaimViolated(NilcommError):
-    """A verified-rank-bound claim failed; records the pair and the orbit."""
-
-    def __init__(self, message: str, pair: object = None, orbit: object = None):
-        super().__init__(message)
-        self.pair = pair
-        self.orbit = orbit
+    """A verified-rank-bound claim failed; the message names the pair and orbit."""

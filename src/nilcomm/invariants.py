@@ -8,8 +8,8 @@ function of (pair type, d, m_d, a_d, b_d) only, and the two orbit classes of
 the paper are stated by their definitions on them: an orbit is distinguished
 when its defect is 0 (p(e,0) holds no nonzero semisimple element), and
 almost-distinguished when p(e,0) is a torus, i.e. every block's p-part is as
-large as its rank.  The ambient dimensions are those of the zero orbit, whose
-cells all have weight 0.
+large as its rank.  The ambient dim p is read off the zero orbit, whose cells
+all have weight 0.
 
 dim p^e = dim p - dim K.e, and dim K.e = dim G.e / 2 for e in p
 (Kostant-Rallis), with dim G.e a closed form in the partition.  The graded
@@ -165,26 +165,18 @@ def dim_p_graded(diagram: AbDiagram, pair_type: PairType, i: int) -> int:
     return _theta_dims(diagram, pair_type, i)[1] - _theta_dims(diagram, pair_type, i + 2)[0]
 
 
-@dataclass(frozen=True)
-class AmbientDims:
-    dim_p: int
-    rank_p: int
-    dim_k: int
-
-
 @lru_cache(maxsize=1024)
-def ambient_dims(pair_type: PairType, params: PairParams) -> AmbientDims:
-    """Dimensions of the ambient symmetric pair, read off its zero orbit (n
-    rows of length 1): every cell has weight 0, so the weight-0 count is
-    (dim k, dim p), and rank p is the defect of the zero orbit."""
+def dim_p(pair_type: PairType, params: PairParams) -> int:
+    """dim p of the ambient symmetric pair, read off its zero orbit (n rows
+    of length 1): every cell has weight 0, so the weight-0 count is (dim k,
+    dim p)."""
     params.check(pair_type)
     if pair_type.uses_letters:
         a, b = _expected_letters(pair_type, params)
         zero = AbDiagram(((1, "a"),) * a + ((1, "b"),) * b)
     else:
         zero = AbDiagram(((1, None),) * params.n)
-    dim_k, dim_p = _theta_dims(zero, pair_type, 0)
-    return AmbientDims(dim_p, defect(zero, pair_type), dim_k)
+    return _theta_dims(zero, pair_type, 0)[1]
 
 
 @lru_cache(maxsize=1024)
@@ -209,17 +201,13 @@ def _dim_p_cent(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> 
     orbit = n * n - sum((2 * j + 1) * d for j, d in enumerate(lengths))
     if pair_type.form_sign:
         orbit = (orbit - pair_type.form_sign * (n - sum(d % 2 for d in lengths))) // 2
-    return ambient_dims(pair_type, params).dim_p - orbit // 2
-
-
-def dim_orbit(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> int:
-    return ambient_dims(pair_type, params).dim_p - dim_p_cent(diagram, pair_type, params)
+    return dim_p(pair_type, params) - orbit // 2
 
 
 def component_dim(pair_type: PairType, params: PairParams, delta: int) -> int:
     """dim of the commuting-variety subvariety generated by an orbit of
     defect delta."""
-    return ambient_dims(pair_type, params).dim_p - delta
+    return dim_p(pair_type, params) - delta
 
 
 @dataclass(frozen=True)
@@ -240,10 +228,11 @@ def orbit_invariants(
     diagram: AbDiagram, pair_type: PairType, params: PairParams
 ) -> OrbitInvariants:
     delta, p0 = _p0(diagram, pair_type)
+    cent = dim_p_cent(diagram, pair_type, params)
     return OrbitInvariants(
         defect=delta,
-        dim_p_cent=dim_p_cent(diagram, pair_type, params),
-        dim_orbit=dim_orbit(diagram, pair_type, params),
+        dim_p_cent=cent,
+        dim_orbit=dim_p(pair_type, params) - cent,
         dim_p0=p0,
         distinguished=delta == 0,
         almost=delta == p0,

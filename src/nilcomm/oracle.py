@@ -25,7 +25,7 @@ defect samples, as the weight-0 system alone would.  A lone ``dim_graded`` or
 
 For the types whose involution J squares to -Id, J = sqrt(-1) * D with D an
 integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
-whole computation stays rational.  The realization stores D and the sign xi.
+whole computation stays rational.  The realization stores D, not the sign xi.
 
 Each of e, h, f, the form T and D has at most one nonzero entry in each row
 and each column.  They are built, checked and stored as sparse matrices
@@ -88,11 +88,11 @@ class MatrixRealization:
     (``realize`` checks it, and theta relies on it): for BD/C types it cuts
     out g, for AI/AII it cuts out k.  D is the diagonal sign matrix of the
     involution: the involution datum J is D itself when xi = +1 and
-    sqrt(-1) * D when xi = -1; conjugation by J is conjugation by D either way.
+    sqrt(-1) * D when xi = -1 (xi = ``pair_type.involution_square``);
+    conjugation by J is conjugation by D either way.
     """
 
     pair_type: PairType
-    params: PairParams
     diagram: AbDiagram
     n: int
     basis: tuple[tuple[int, int], ...]
@@ -101,9 +101,7 @@ class MatrixRealization:
     f_map: dict
     t_map: Optional[dict]
     d_map: Optional[dict]
-    xi: Optional[int]
     partners: tuple[int, ...]
-    alphas: Optional[tuple[int, ...]]
     # sigma -> ({ad h-weight: kernel dimension}, basis of p(e,0) for
     # sigma = -1, else None), filled by _graded_dims
     _graded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -182,7 +180,7 @@ def _theta(x: dict, d: Optional[dict], t: Optional[dict]) -> dict:
     return {(perm[c][0], perm[r][0]): -perm[r][1] * perm[c][1] * v for (r, c), v in x.items()}
 
 
-def _identities(pair_type: PairType, n: int, xi, e, h, f, t, d):
+def _identities(pair_type: PairType, n: int, e, h, f, t, d):
     """Every identity of a realization, as lazily computed (holds, identity)
     pairs on sparse matrices; t or d is None where there is no form or no
     diagonal involution.  The structure comes first, T a signed permutation
@@ -211,6 +209,7 @@ def _identities(pair_type: PairType, n: int, xi, e, h, f, t, d):
     if d is not None:
         yield len(d) == n and set(d.values()) <= {1, -1}, "D^2 = I"
         if t is not None:
+            xi = pair_type.involution_square
             yield all(d[r, r] * d[c, c] == xi for r, c in t), "D^t T D = xi T"
 
 
@@ -255,7 +254,7 @@ def _pair_admissible(pair_type: PairType, length: int, s1: str, s2: str) -> bool
     t: dict = {}
     _couple(t, idx, 0, 1 if s2 else 0, length, pair_type.form_sign)
     return all(holds for holds, _identity in _identities(
-        pair_type, len(basis), pair_type.involution_square, e, h, f, t, _d_matrix(diag, idx)))
+        pair_type, len(basis), e, h, f, t, _d_matrix(diag, idx)))
 
 
 @lru_cache(maxsize=1024)
@@ -320,7 +319,7 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
 
     basis, idx, e, h, f = _triple_matrices(diagram)
     n = len(basis)
-    t = d = alphas = None
+    t = d = None
     partners = list(range(nrows))
     if pair_type is PairType.AI:
         t = {}
@@ -328,17 +327,14 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
             for a in range(length):
                 t[idx[(i, a)], idx[(i, length - 1 - a)]] = 1
     elif pair_type is PairType.AII:
-        alpha = [0] * nrows
         t = {}
         for length, first, m, _matching in blocks:
             for i1 in range(first, first + m, 2):
                 i2 = i1 + 1
                 partners[i1], partners[i2] = i2, i1
-                alpha[i1], alpha[i2] = 1, -1
                 for a in range(length):
                     t[idx[(i1, a)], idx[(i2, length - 1 - a)]] = 1
                     t[idx[(i2, a)], idx[(i1, length - 1 - a)]] = -1
-        alphas = tuple(alpha)
     else:
         d = _d_matrix(diagram, idx)
         if pair_type is not PairType.AIII:
@@ -348,9 +344,8 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
                     partners[i], partners[j] = j, i
                     _couple(t, idx, i, j, length, pair_type.form_sign)
 
-    real = MatrixRealization(pair_type=pair_type, params=params, diagram=diagram, n=n, basis=basis,
-                             e_map=e, h_map=h, f_map=f, t_map=t, d_map=d,
-                             xi=pair_type.involution_square, partners=tuple(partners), alphas=alphas)
+    real = MatrixRealization(pair_type=pair_type, diagram=diagram, n=n, basis=basis, e_map=e,
+                             h_map=h, f_map=f, t_map=t, d_map=d, partners=tuple(partners))
     _check_realization(real)
     return real
 
@@ -363,7 +358,7 @@ def _require(holds: bool, identity: str) -> None:
 
 def _check_realization(real: MatrixRealization) -> None:
     """Check every identity on the stored matrices."""
-    for holds, identity in _identities(real.pair_type, real.n, real.xi, real.e_map, real.h_map,
+    for holds, identity in _identities(real.pair_type, real.n, real.e_map, real.h_map,
                                        real.f_map, real.t_map, real.d_map):
         _require(holds, identity)
 
@@ -565,12 +560,14 @@ def _jordan_type(n: int, x: dict) -> tuple[int, ...]:
             raise NotNilpotent("matrix is not nilpotent")
         ranks.append(linalg.rank([dict(row) for row in _rows(power).values()]))
         power = _mul(power, x_rows)
-    blocks = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    parts = []
-    for size in range(len(blocks), 0, -1):
-        count = blocks[size - 1] - (blocks[size] if size < len(blocks) else 0)
-        parts.extend([size] * count)
-    return tuple(sorted(parts, reverse=True))
+    return _partition(ranks)
+
+
+def _partition(ranks) -> tuple[int, ...]:
+    """The Jordan type of a nilpotent x with rank x^k = ranks[k], k >= 0, and
+    x^k = 0 past the end: ranks[k - 1] - ranks[k] blocks have size >= k."""
+    at_least = [r - s for r, s in zip(ranks, [*ranks[1:], 0])] + [0]
+    return tuple(k for k in range(len(ranks), 0, -1) for _ in range(at_least[k - 1] - at_least[k]))
 
 
 def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
@@ -628,7 +625,8 @@ def commuting_witness(real: MatrixRealization) -> Matrix:
     i1, i2 = (row_lengths.index(d) for d in lengths)
     pairs = [(i1, i2)]
     if real.pair_type is PairType.AII:
-        if real.alphas[i1] != real.alphas[i2]:
+        # T pairs row i with partners[i] at sign +1 when partners[i] > i
+        if (real.partners[i1] > i1) != (real.partners[i2] > i2):
             i1 = real.partners[i1]
         pairs = [(i1, i2), (real.partners[i1], real.partners[i2])]
     others = set(range(len(real.diagram.rows))) - {i for pair in pairs for i in pair}
@@ -687,9 +685,11 @@ def certify(bound: int) -> tuple[int, list[str]]:
                 checked += 1
                 p_cent = dim_p_cent_oracle(real)  # eliminates every weight once
                 p0 = dim_graded(real, 0, -1)
+                trunc = truncation_ranks(real)  # rank e^k is the sum of its two sign blocks
+                ranks = trunc if real.d_map is None else list(map(sum, zip(trunc[::2], trunc[1::2])))
                 checks = [
-                    ("jordan type", d.partition, _jordan_type(real.n, real.e_map)),
-                    ("truncation profile", closure._truncation_profile(d), truncation_ranks(real)),
+                    ("jordan type", d.partition, _partition(ranks)),
+                    ("truncation profile", closure._truncation_profile(d), trunc),
                     ("dim p^e", invariants.dim_p_cent(d, pt, prm), p_cent),
                     ("dim p(e,0)", invariants.dim_p0(d, pt), p0),
                     ("graded dim p(e,0)", invariants.dim_p_graded(d, pt, 0), p0),

@@ -8,14 +8,11 @@ from hypothesis import given, strategies as st
 from nilcomm import closure
 from nilcomm.closure import (
     closure_hasse,
-    centralizer_drop,
     find_reduction,
     is_reduction,
     leq,
-    lt,
     matches_irreducible_motif,
     minimal_degenerations,
-    reduction_order,
 )
 from nilcomm.diagrams import (
     DEFAULT_BOUND,
@@ -30,7 +27,8 @@ from nilcomm.diagrams import (
     parse,
 )
 from nilcomm.errors import NotComparable, ShapeMismatch, WrongType
-from nilcomm.invariants import dim_orbit, is_almost_distinguished, is_distinguished, orbit_invariants
+from nilcomm.invariants import (defect, dim_p_cent, is_almost_distinguished, is_distinguished,
+                                orbit_invariants)
 
 BDI_66 = params_for(PairType.BDI, 12, 6, 6)
 BDI_75 = params_for(PairType.BDI, 12, 7, 5)
@@ -359,12 +357,13 @@ def test_bdi_gamma5_cover_includes_regular():
 def test_reduction_examples():
     g5 = parse("aba/a/b")
     assert is_reduction(g5, parse("ababa"), PairType.BDI, params_for(PairType.BDI, 5, 3, 2))
-    assert reduction_order(g5, parse("ababa"), PairType.BDI) == 1
+    assert defect(g5, PairType.BDI) - defect(parse("ababa"), PairType.BDI) == 1
     # s = 1 but no defect drop
     assert not is_reduction(parse("3,2"), parse("4,1"), PairType.AI, PairParams(5))
     # s = 4 while the defect drops by 1
     assert not is_reduction(parse("2,2,1,1"), parse("3,3"), PairType.AII, PairParams(6))
-    assert centralizer_drop(parse("2,2,1,1"), parse("3,3"), PairType.AII, PairParams(6)) == 4
+    assert (dim_p_cent(parse("2,2,1,1"), PairType.AII, PairParams(6))
+            - dim_p_cent(parse("3,3"), PairType.AII, PairParams(6))) == 4
     with pytest.raises(NotComparable):
         is_reduction(parse("3"), parse("2,1"), PairType.AI, PairParams(3))
 
@@ -387,7 +386,7 @@ def test_find_reduction_ci_examples():
 
 
 def test_find_reduction_does_not_recheck_the_order(monkeypatch):
-    """Covers already lie strictly above, so find_reduction needs no lt."""
+    """Covers already lie strictly above, so find_reduction needs no leq."""
     cases = []
     for n in range(1, 9):
         for pt, prm in pairs_of_size(n):
@@ -401,7 +400,6 @@ def test_find_reduction_does_not_recheck_the_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("the order was compared again")
 
-    monkeypatch.setattr(closure, "lt", refuse)
     monkeypatch.setattr(closure, "leq", refuse)
     for d, pt, prm, target in cases:
         assert find_reduction(d, pt, prm) == target, (pt, prm, d.text())
@@ -461,7 +459,7 @@ def test_hasse_bdi_acyclic_unique_max():
     maxima = [v for v in g.vertices if v not in below_something]
     assert maxima == [parse("ababa")]
     for e in g.edges:
-        assert lt(e.lower, e.upper, PairType.BDI)
+        assert e.lower != e.upper and leq(e.lower, e.upper, PairType.BDI)
 
 
 def test_motif_equivalent_to_search_beyond_small_sizes():
@@ -535,4 +533,5 @@ def test_dim_orbit_monotone_along_order():
         for g1 in diags:
             for g2 in diags:
                 if g1 != g2 and leq(g1, g2, pt):
-                    assert dim_orbit(g1, pt, prm) < dim_orbit(g2, pt, prm)
+                    assert (orbit_invariants(g1, pt, prm).dim_orbit
+                            < orbit_invariants(g2, pt, prm).dim_orbit)

@@ -23,7 +23,7 @@ from nilcomm.diagrams import (
     parse,
 )
 from nilcomm.errors import BoundExceeded
-from nilcomm.invariants import almost_distinguished, ambient_dims, is_distinguished
+from nilcomm.invariants import almost_distinguished, dim_p, is_distinguished
 
 
 def test_ai_n5_report():
@@ -104,11 +104,10 @@ def test_component_dims():
         (PairType.BDI, params_for(PairType.BDI, 8, 4, 4)),
     ]:
         report = classify_components(pt, prm)
-        dim_p = ambient_dims(pt, prm).dim_p
         for c in report.components:
-            assert c.component_dim == dim_p
+            assert c.component_dim == dim_p(pt, prm)
         for c in report.eliminated + report.unresolved:
-            assert c.component_dim < dim_p
+            assert c.component_dim < dim_p(pt, prm)
 
 
 def test_eliminations_are_sound():
@@ -196,7 +195,6 @@ def test_reduction_loop_reads_the_lower_class_once(monkeypatch):
     most = 0
     for n in range(1, 11):
         for pt, prm in pairs_of_size(n):
-            ambient_dims(pt, prm)  # reads the zero orbit's class, uncounted
             for d in enumerate_diagrams(pt, prm):
                 minimal_degenerations(d, pt, prm)  # builds the closure index, uncounted
                 folds.clear()

@@ -11,7 +11,8 @@ reduction target or witness lengths, and its unresolved orbits;
 Golden realization digest: the sha256 of one line per candidate diagram of
 every pair with n <= 8 (8,668 of them), naming what ``oracle.realize`` gave:
 the error class and message of a rejection, or the sorted sparse maps,
-partners and alphas of a realization.
+partners and alphas of a realization; the alphas, listed for AII only, are +1
+for a row whose partner comes after it and -1 otherwise.
 
 Regenerate the recorded outputs and the table (only after checking that a
 change of output is intended) with:
@@ -31,7 +32,7 @@ import pytest
 
 from nilcomm.cli import main
 from nilcomm.components import classify_components
-from nilcomm.diagrams import candidates, pairs_of_size
+from nilcomm.diagrams import PairType, candidates, pairs_of_size
 from nilcomm.errors import NilcommError
 from nilcomm.oracle import realize
 
@@ -100,7 +101,9 @@ def _realization_listing():
                     continue
                 maps = [None if m is None else sorted(m.items())
                         for m in (real.e_map, real.h_map, real.f_map, real.t_map, real.d_map)]
-                lines.append(head + repr((maps, real.partners, real.alphas)))
+                alphas = (tuple(1 if j > i else -1 for i, j in enumerate(real.partners))
+                          if pair_type is PairType.AII else None)
+                lines.append(head + repr((maps, real.partners, alphas)))
     return lines
 
 

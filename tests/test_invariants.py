@@ -20,11 +20,11 @@ from nilcomm.diagrams import (
 )
 from nilcomm.errors import UnrealizableDiagram
 from nilcomm.invariants import (
+    _theta_dims,
     almost_distinguished,
-    ambient_dims,
     component_dim,
     defect,
-    dim_orbit,
+    dim_p,
     dim_p0,
     dim_p_cent,
     dim_p_graded,
@@ -88,11 +88,7 @@ def test_dim_p_cent_closed_forms():
     assert dim_p_cent(G5, PairType.BDI, BDI_5) == 3
     for n in range(0, 31):
         for pt, prm in pairs_of_size(n):
-            if pt.uses_letters:
-                a, b = prm.signature or (n // 2, n // 2)
-                zero = AbDiagram(((1, "a"),) * a + ((1, "b"),) * b)
-            else:
-                zero = AbDiagram(((1, None),) * n)
+            zero = _zero_orbit(pt, prm)
             assert dim_p_cent(zero, pt, prm) == _textbook_ambient_dims(pt, prm)[0], (pt, prm)
         if n:
             assert dim_p_cent(parse(str(n)), PairType.AI, PairParams(n)) == n - 1
@@ -189,7 +185,9 @@ def test_classification_layers_do_not_import_oracle():
 
 def test_ambient_dims_certified_against_oracle():
     """dim p equals the kernel dimension of the theta-negative part of g on a
-    zero-orbit realization; rank p equals its randomized defect."""
+    zero-orbit realization; rank p, the zero orbit's defect, equals its
+    randomized defect, and dim k, its weight-0 count, the kernel of the
+    theta-positive part."""
     cases = [
         (PairType.AI, PairParams(4)),
         (PairType.AII, PairParams(6)),
@@ -200,30 +198,28 @@ def test_ambient_dims_certified_against_oracle():
         (PairType.DIII, PairParams(8)),
     ]
     for pt, prm in cases:
-        amb = ambient_dims(pt, prm)
         zero = enumerate_diagrams(pt, prm)[-1]  # the all-ones diagram is last
         assert zero.partition == (1,) * prm.n
         real = oracle.realize(zero, pt, prm)
-        assert oracle.dim_p_cent_oracle(real) == amb.dim_p
-        assert oracle.defect_oracle(real) == amb.rank_p
+        assert oracle.dim_p_cent_oracle(real) == dim_p(pt, prm)
+        assert oracle.defect_oracle(real) == defect(zero, pt)
         # dim k^e summed over the centralizer's weights 0 .. 2 (longest row - 1)
-        assert sum(oracle.dim_graded(real, i, 1) for i in range(2 * zero.rows[0][0] - 1)) == amb.dim_k
+        dim_k = _theta_dims(zero, pt, 0)[0]
+        assert sum(oracle.dim_graded(real, i, 1) for i in range(2 * zero.rows[0][0] - 1)) == dim_k
 
 
 def test_dim_orbit_and_component_dim():
-    assert ambient_dims(PairType.BDI, BDI_5).dim_p == 6
-    assert dim_orbit(G5, PairType.BDI, BDI_5) == 3
+    assert dim_p(PairType.BDI, BDI_5) == 6
+    assert orbit_invariants(G5, PairType.BDI, BDI_5).dim_orbit == 3
     assert component_dim(PairType.BDI, BDI_5, defect(G5, PairType.BDI)) == 5
     assert component_dim(PairType.AI, PairParams(3), defect(parse("2,1"), PairType.AI)) == 4
-    assert dim_orbit(AbDiagram(()), PairType.AI, PairParams(0)) == 0
+    assert orbit_invariants(AbDiagram(()), PairType.AI, PairParams(0)).dim_orbit == 0
     n = 6
-    assert dim_orbit(parse("6"), PairType.AI, PairParams(n)) == ambient_dims(
-        PairType.AI, PairParams(n)
-    ).dim_p - (n - 1)
+    assert orbit_invariants(parse("6"), PairType.AI, PairParams(n)).dim_orbit == dim_p(
+        PairType.AI, PairParams(n)) - (n - 1)
     # distinguished orbits generate full-dimensional subvarieties
-    assert component_dim(PairType.CI, PairParams(4), defect(parse("abab"), PairType.CI)) == ambient_dims(
-        PairType.CI, PairParams(4)
-    ).dim_p
+    assert component_dim(PairType.CI, PairParams(4), defect(parse("abab"), PairType.CI)) == dim_p(
+        PairType.CI, PairParams(4))
 
 
 def _distinguished_by_type(diagram, pair_type):
@@ -280,6 +276,14 @@ def test_distinguished_iff_zero_defect_enumerations():
     assert checked == 4674
 
 
+def _zero_orbit(pair_type, params):
+    """The zero orbit of the pair: n rows of length 1."""
+    if pair_type.uses_letters:
+        a, b = params.signature or (params.n // 2, params.n // 2)
+        return AbDiagram(((1, "a"),) * a + ((1, "b"),) * b)
+    return AbDiagram(((1, None),) * params.n)
+
+
 def _textbook_ambient_dims(pair_type, params):
     """(dim p, rank p, dim k) of each classical pair in closed form."""
     n, (p, q) = params.n, params.signature or (0, 0)
@@ -295,11 +299,13 @@ def _textbook_ambient_dims(pair_type, params):
 
 
 def test_ambient_dims_equal_textbook_closed_forms():
-    """The zero-orbit count equals the closed forms on every pair, n <= 30."""
+    """The zero-orbit count equals the closed forms on every pair, n <= 30:
+    dim p, rank p (the zero orbit's defect) and dim k (its weight-0 count)."""
     for n in range(0, 31):
         for pt, prm in pairs_of_size(n):
-            amb = ambient_dims(pt, prm)
-            assert (amb.dim_p, amb.rank_p, amb.dim_k) == _textbook_ambient_dims(pt, prm), (pt, prm)
+            zero = _zero_orbit(pt, prm)
+            got = (dim_p(pt, prm), defect(zero, pt), _theta_dims(zero, pt, 0)[0])
+            assert got == _textbook_ambient_dims(pt, prm), (pt, prm)
 
 
 def test_graded_dims_match_oracle_to_n7():

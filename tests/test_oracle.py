@@ -300,7 +300,7 @@ def _dense_identities(real):
     if d is not None:
         yield mul(d, d) == dense.identity(n), "D^2 = I"
         if t is not None:
-            yield mul(mul(tr(d), t), d) == scale(real.xi, t), "D^t T D = xi T"
+            yield mul(mul(tr(d), t), d) == scale(real.pair_type.involution_square, t), "D^t T D = xi T"
 
 
 TAMPERINGS = {
