@@ -303,23 +303,17 @@ class ClosureGraph:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        names = {v: v.text() for v in self.vertices}
-        return json.dumps(
-            {
-                "vertices": list(names.values()),
-                "edges": [
-                    {
-                        "lower": names[e.lower],
-                        "upper": names[e.upper],
-                        "s": e.s,
-                        "delta": e.delta,
-                        "reduction": e.is_reduction,
-                    }
-                    for e in self.edges
-                ],
-            },
-            indent=2,
-        )
+        """The text of ``json.dumps(..., indent=2)`` of the vertex names and
+        the edges, written line by line rather than by the indented encoder."""
+        names = {v: json.dumps(v.text()) for v in self.vertices}
+        vertices = ",\n".join(f"    {name}" for name in names.values())
+        edges = ",\n".join(
+            f'    {{\n      "lower": {names[e.lower]},\n      "upper": {names[e.upper]},\n'
+            f'      "s": {e.s},\n      "delta": {e.delta},\n'
+            f'      "reduction": {"true" if e.is_reduction else "false"}\n    }}'
+            for e in self.edges)
+        vertices, edges = (f"[\n{text}\n  ]" if text else "[]" for text in (vertices, edges))
+        return f'{{\n  "vertices": {vertices},\n  "edges": {edges}\n}}'
 
 
 def closure_hasse(

@@ -53,25 +53,34 @@ class PairType(Enum):
 
     @property
     def uses_letters(self) -> bool:
-        return self not in (PairType.AI, PairType.AII)
+        return self not in _PLAIN
 
     @property
     def has_signature(self) -> bool:
-        return self in (PairType.AIII, PairType.BDI, PairType.CII)
+        return self in _SIGNED
 
     @property
     def needs_even_n(self) -> bool:
-        return self in (PairType.AII, PairType.CI, PairType.CII, PairType.DIII)
+        return self in _EVEN_N
 
     @property
     def form_sign(self) -> Optional[int]:
         """Symmetry of the ambient bilinear form: +1 orthogonal, -1 symplectic."""
-        return {"BDI": 1, "DIII": 1, "CI": -1, "CII": -1}.get(self.value)
+        return _FORM_SIGN.get(self)
 
     @property
     def involution_square(self) -> Optional[int]:
         """Sign xi with J^2 = xi * Id for the types defined by a matrix J."""
-        return {"AIII": 1, "BDI": 1, "CII": 1, "CI": -1, "DIII": -1}.get(self.value)
+        return _INVOLUTION_SQUARE.get(self)
+
+
+# the traits of the pair types, read by the properties above as data
+_PLAIN = frozenset({PairType.AI, PairType.AII})
+_SIGNED = frozenset({PairType.AIII, PairType.BDI, PairType.CII})
+_EVEN_N = frozenset({PairType.AII, PairType.CI, PairType.CII, PairType.DIII})
+_FORM_SIGN = {PairType.BDI: 1, PairType.DIII: 1, PairType.CI: -1, PairType.CII: -1}
+_INVOLUTION_SQUARE = {PairType.AIII: 1, PairType.BDI: 1, PairType.CII: 1, PairType.CI: -1,
+                      PairType.DIII: -1}
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,11 @@ integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
 whole computation stays rational.  The realization stores D, not the sign xi.
 
 Each of e, h, f, the form T and D has at most one nonzero entry in each row
-and each column.  They are built, checked and stored as sparse matrices
-{(r, c): value} without zero entries; the dense tuples a realization hands
-its callers are views built on access.  Once T is checked to be a signed
+and each column, and none between two coupled row groups (a row and its
+partner under T).  Each group's block is built and checked once per (pair
+type, length, start letters); a realization places its groups' blocks at
+their rows' offsets and stores sparse matrices {(r, c): value} without zero
+entries, with dense views built on access.  Once T is checked to be a signed
 permutation, T[r, pi r] = t_r = +-1, and h and D to be diagonal, every
 product with T, h or D is a relabeling or a scaling of entries.
 
@@ -82,14 +84,15 @@ class MatrixRealization:
 
     ``basis[k] = (i, a)`` tags basis vector e^a.v_i (row i of the diagram,
     power a).  e, h, f, T and D are stored as the sparse matrices that
-    ``realize`` builds (so a realization cannot be hashed); ``e``, ``h``,
-    ``f``, ``form`` and ``d_matrix`` are dense views built on each access.
-    T is the Gram matrix of the bilinear form, a signed permutation
-    (``realize`` checks it, and theta relies on it): for BD/C types it cuts
-    out g, for AI/AII it cuts out k.  D is the diagonal sign matrix of the
-    involution: the involution datum J is D itself when xi = +1 and
-    sqrt(-1) * D when xi = -1 (xi = ``pair_type.involution_square``);
-    conjugation by J is conjugation by D either way.
+    ``realize`` places from checked group blocks (so a realization cannot be
+    hashed); ``e``, ``h``, ``f``, ``form`` and ``d_matrix`` are dense views
+    built on each access.  T is the Gram matrix of the bilinear form, a
+    signed permutation (checked on every block; theta relies on it): for
+    BD/C types it cuts out g, for AI/AII it cuts out k.  D is the diagonal
+    sign matrix of the involution: the involution datum J is D itself when
+    xi = +1 and sqrt(-1) * D when xi = -1 (xi =
+    ``pair_type.involution_square``); conjugation by J is conjugation by D
+    either way.
     """
 
     pair_type: PairType
@@ -236,25 +239,40 @@ def _d_matrix(diagram: AbDiagram, idx) -> dict:
     return {(k, k): (-1) ** (a + (diagram.rows[i][1] != "a")) for (i, a), k in idx.items()}
 
 
-def _couple(t: dict, idx, i, j, length, eps):
-    """Write the standard coupling of rows i and j (equal length) into t."""
-    for a in range(length):
-        t[idx[(i, a)], idx[(j, length - 1 - a)]] = (-1) ** a
-        if i != j:
-            t[idx[(j, a)], idx[(i, length - 1 - a)]] = eps * (-1) ** (length - 1) * (-1) ** a
-
-
 @lru_cache(maxsize=2048)
+def _group_block(pair_type: PairType, length: int, letters: tuple):
+    """The realization of one coupled row group: a row of the given length
+    alone, or two such rows that T couples, with start letters ``letters``
+    (None for plain rows).  Cell a of the group's row r has local index
+    r * length + a.  Returns the sparse (e, h, f, T, D) on local indices, T
+    None for AIII and D None for AI/AII, once every identity of a
+    realization holds on it; None when one fails.
+
+    T pairs cell a of the first row with cell length-1-a of its partner (the
+    row itself when alone), at +1 for AI/AII, and at (-1)^a for the types
+    with D; the partner's cells take -1 (AII) or eps (-1)^(length-1+a)
+    (eps = ``form_sign``) back."""
+    template = AbDiagram(tuple((length, s) for s in letters))
+    basis, idx, e, h, f = _triple_matrices(template)
+    j = len(letters) - 1  # the partner row
+    t, d = None, _d_matrix(template, idx) if pair_type.uses_letters else None
+    if pair_type is not PairType.AIII:
+        t = {}
+        for a in range(length):
+            first, second = (1, -1) if d is None else (
+                (-1) ** a, pair_type.form_sign * (-1) ** (length - 1 + a))
+            t[idx[0, a], idx[j, length - 1 - a]] = first
+            if j:
+                t[idx[j, a], idx[0, length - 1 - a]] = second
+    if all(holds for holds, _identity in _identities(pair_type, len(basis), e, h, f, t, d)):
+        return e, h, f, t, d
+    return None
+
+
 def _pair_admissible(pair_type: PairType, length: int, s1: str, s2: str) -> bool:
-    """Matrix test on a two-row (or one-row, when s2 is empty) template: does
-    the standard coupling satisfy all the identities of a realization?"""
-    rows = [(length, s1)] + ([(length, s2)] if s2 else [])
-    diag = AbDiagram.from_rows(rows)
-    basis, idx, e, h, f = _triple_matrices(diag)
-    t: dict = {}
-    _couple(t, idx, 0, 1 if s2 else 0, length, pair_type.form_sign)
-    return all(holds for holds, _identity in _identities(
-        pair_type, len(basis), e, h, f, t, _d_matrix(diag, idx)))
+    """Whether the group of a row starting with s1 and, unless s2 is empty,
+    a row starting with s2 (both of the given length) has a checked block."""
+    return _group_block(pair_type, length, (s1, s2) if s2 else (s1,)) is not None
 
 
 @lru_cache(maxsize=1024)
@@ -272,7 +290,8 @@ def _match_rows(pair_type: PairType, length: int, na: int, nb: int):
     when cross pairs couple and na == nb; else no perfect matching exists.
     Each is the matching in which every row in turn takes the first
     admissible partner (itself, then the later rows in order) that leaves
-    the other rows matchable."""
+    the other rows matchable.  The letter premise is not assumed:
+    ``realize`` checks the block of every pair with its actual letters."""
     alone = _pair_admissible(pair_type, length, "a", "")
     same = _pair_admissible(pair_type, length, "a", "a")
     cross = _pair_admissible(pair_type, length, "a", "b")
@@ -285,29 +304,44 @@ def _match_rows(pair_type: PairType, length: int, na: int, nb: int):
     return None
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=128)
 def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> MatrixRealization:
     """Build a matrix realization, or raise UnrealizableDiagram when no sign
     assignment satisfies the invariants (this certifies diagram validity).
-    Every check that can reject the diagram runs before any matrix is built."""
+    Every check that can reject the diagram runs before any block is placed.
+
+    The realization is the block-diagonal sum of its coupled row groups: each
+    row alone for AI and AIII, rows (i, i+1) of one length for AII, and the
+    pairs of ``_match_rows`` for the other types.  Each group's block comes
+    from ``_group_block`` with the rows' actual letters and is placed at the
+    rows' offsets.  Every identity of ``_identities`` is block-local: T a
+    signed permutation and h, D diagonal on disjoint index sets that cover
+    0 .. n-1 sum to the same on 0 .. n-1, and products, brackets, transposes
+    and relabelings of block-diagonal matrices are taken block by block.  So
+    a sum of checked blocks whose groups partition the rows satisfies every
+    identity; ``realize`` requires both premises and does not check the sum
+    again (``certify`` does, as a cross-check of the assembly)."""
     params.check(pair_type)
     if diagram.n != params.n:
         raise SizeMismatch(f"diagram has {diagram.n} cells, pair has n={params.n}")
     if diagram.rows and diagram.is_ab != pair_type.uses_letters:
         raise WrongType(f"representation does not match {pair_type.value}")
-    # (length, first row, rows, matching) per row length, longest first: the
+    # (length, first row, rows, groups) per row length, longest first: the
     # rows of one length are contiguous in canonical order, a-rows first
-    blocks, nrows, a_cells = [], 0, 0
+    lengths, nrows, a_cells = [], 0, 0
     for length, (m, na, nb) in diagram.multiplicities().items():
-        matching = None
-        if pair_type is PairType.AII and m % 2:
-            raise UnrealizableDiagram(
-                f"no symplectic pairing: odd number of rows of length {length}")
-        if pair_type not in A_TYPES:
-            matching = _match_rows(pair_type, length, na, nb)
-            if matching is None:
+        if pair_type is PairType.AII:
+            if m % 2:
+                raise UnrealizableDiagram(
+                    f"no symplectic pairing: odd number of rows of length {length}")
+            groups = tuple((k, k + 1) for k in range(0, m, 2))
+        elif pair_type in A_TYPES:
+            groups = tuple((k, k) for k in range(m))
+        else:
+            groups = _match_rows(pair_type, length, na, nb)
+            if groups is None:
                 raise UnrealizableDiagram(f"no admissible coupling of the rows of length {length}")
-        blocks.append((length, nrows, m, matching))
+        lengths.append((length, nrows, m, groups))
         nrows += m
         a_cells += na * ((length + 1) // 2) + nb * (length // 2)
     cells = (a_cells, params.n - a_cells)  # diagram.letter_counts() of an ab-diagram
@@ -317,37 +351,27 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
             f"do not match the signature {params.signature}"
         )
 
-    basis, idx, e, h, f = _triple_matrices(diagram)
-    n = len(basis)
-    t = d = None
+    rows = diagram.rows
+    starts = [0, *accumulate(length for length, _s in rows)]
+    maps = e, h, f, t, d = ({}, {}, {}, None if pair_type is PairType.AIII else {},
+                            {} if pair_type.uses_letters else None)
     partners = list(range(nrows))
-    if pair_type is PairType.AI:
-        t = {}
-        for i, (length, _s) in enumerate(diagram.rows):
-            for a in range(length):
-                t[idx[(i, a)], idx[(i, length - 1 - a)]] = 1
-    elif pair_type is PairType.AII:
-        t = {}
-        for length, first, m, _matching in blocks:
-            for i1 in range(first, first + m, 2):
-                i2 = i1 + 1
-                partners[i1], partners[i2] = i2, i1
-                for a in range(length):
-                    t[idx[(i1, a)], idx[(i2, length - 1 - a)]] = 1
-                    t[idx[(i2, a)], idx[(i1, length - 1 - a)]] = -1
-    else:
-        d = _d_matrix(diagram, idx)
-        if pair_type is not PairType.AIII:
-            t = {}
-            for length, first, _m, matching in blocks:
-                for i, j in ((first + i, first + j) for i, j in matching):
-                    partners[i], partners[j] = j, i
-                    _couple(t, idx, i, j, length, pair_type.form_sign)
-
-    real = MatrixRealization(pair_type=pair_type, diagram=diagram, n=n, basis=basis, e_map=e,
+    for length, first, m, groups in lengths:
+        _require(sorted(r for pair in groups for r in {*pair}) == list(range(m)),
+                 "the coupled groups partition the rows")
+        for i, j in ((first + i, first + j) for i, j in groups):
+            partners[i], partners[j] = j, i
+            block = _group_block(pair_type, length, (rows[i][1],) if i == j else (rows[i][1], rows[j][1]))
+            _require(block is not None, f"the group of rows {i} and {j} has a checked block")
+            pos = range(starts[i], starts[i] + length)
+            if j != i:
+                pos = [*pos, *range(starts[j], starts[j] + length)]
+            for out, x in zip(maps, block):
+                if x is not None:
+                    out.update({(pos[r], pos[c]): v for (r, c), v in x.items()})
+    basis = tuple((i, a) for i, (length, _s) in enumerate(rows) for a in range(length))
+    return MatrixRealization(pair_type=pair_type, diagram=diagram, n=params.n, basis=basis, e_map=e,
                              h_map=h, f_map=f, t_map=t, d_map=d, partners=tuple(partners))
-    _check_realization(real)
-    return real
 
 
 def _require(holds: bool, identity: str) -> None:
@@ -675,6 +699,7 @@ def certify(bound: int) -> tuple[int, list[str]]:
             for d in candidates(pt, n):
                 try:
                     real = realize(d, pt, prm)
+                    _check_realization(real)  # the assembly from blocks, checked whole
                 except UnrealizableDiagram:
                     real = None
                 if (real is not None) != (d in valid):

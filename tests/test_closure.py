@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import operator
 
 import pytest
@@ -487,6 +488,22 @@ def test_hasse_outputs():
     assert "reduction" in dot  # (2,1) -> (3) is a reduction
     js = g.to_json()
     assert '"2,1"' in js
+
+
+def test_hasse_json_equals_the_indented_dump():
+    """``to_json`` writes, line by line, the text of ``json.dumps(obj,
+    indent=2)`` of the vertex names and the edges, on every pair with n <= 8
+    (those of a single orbit have no edges) and on a graph without vertices."""
+    def dumped(graph):
+        names = {v: v.text() for v in graph.vertices}
+        return json.dumps({"vertices": list(names.values()), "edges": [
+            {"lower": names[e.lower], "upper": names[e.upper], "s": e.s, "delta": e.delta,
+             "reduction": e.is_reduction} for e in graph.edges]}, indent=2)
+
+    graphs = [closure_hasse(pt, prm) for n in range(9) for pt, prm in pairs_of_size(n)]
+    assert sum(not graph.edges for graph in graphs) > 0
+    for graph in graphs + [closure.ClosureGraph((), (), ())]:
+        assert graph.to_json() == dumped(graph)
 
 
 def test_hasse_labels_are_the_orbit_invariants():

@@ -367,6 +367,9 @@ if __debug__:
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
 bdi = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
 oracle._sample = lambda rng, basis: {(0, 2): 1, (1, 3): 1}
+block = oracle._group_block
+oracle._group_block = lambda pt, length, letters: (
+    None if letters == ("b", "b") else block(pt, length, letters))
 for tampered, check in [
     (dataclasses.replace(real, h_map={pos: 2 * v for pos, v in real.h_map.items()}),
      oracle._check_realization),
@@ -383,6 +386,8 @@ for tampered, check in [
     # a sampler that only draws a nilpotent with an abelian centralizer
     (oracle.realize(parse("a/a/b/b"), PairType.AIII, PairParams(4, (2, 2))),
      oracle.defect_oracle),
+    # a b/b coupling that fails while the a/a one that _match_rows tests passes
+    (parse("a/a/b/b"), lambda d: oracle.realize(d, PairType.CII, params_for(PairType.CII, 4, 2, 2))),
 ]:
     try:
         check(tampered)
@@ -409,6 +414,7 @@ def test_oracle_checks_survive_python_O():
         "identity fails: [e, w] = 0",
         "no admissible coupling of the rows of length 4",
         "no Cartan subspace certified in 20 samples of p(e,0)",
+        "identity fails: the group of rows 2 and 3 has a checked block",
     ]
 
 
@@ -877,3 +883,61 @@ def test_realize_rejects_before_building_matrices(monkeypatch):
     ]:
         with pytest.raises(UnrealizableDiagram, match=message):
             oracle.realize(parse(text), pt, prm)
+
+
+# -- assembly from group blocks ----------------------------------------------------
+
+
+def test_assembled_realizations_pass_the_whole_check_at_n_9_to_12():
+    """``realize`` places checked group blocks without checking the sum; the
+    sum passes every identity on every valid diagram with 9 <= n <= 12,
+    beyond the n <= 8 of the golden digest."""
+    checked = 0
+    for n in range(9, 13):
+        for pt, prm in pairs_of_size(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                oracle._check_realization(oracle.realize.__wrapped__(diagram, pt, prm))
+                checked += 1
+    assert checked == 3884
+
+
+def _failing_bb_blocks(monkeypatch):
+    """Let a b/b coupling fail while a/a passes: the letters that the
+    ``_match_rows`` templates do not test."""
+    block = oracle._group_block
+    monkeypatch.setattr(oracle, "_group_block", lambda pt, length, letters: (
+        None if letters == ("b", "b") else block(pt, length, letters)))
+
+
+def test_a_block_failing_for_untested_letters_is_caught(monkeypatch):
+    _failing_bb_blocks(monkeypatch)
+    prm = params_for(PairType.CII, 4, 2, 2)
+    assert oracle._match_rows(PairType.CII, 1, 2, 2) == ((0, 1), (2, 3))
+    with pytest.raises(OracleCheckFailed) as exc:
+        oracle.realize.__wrapped__(parse("a/a/b/b"), PairType.CII, prm)
+    assert str(exc.value) == "identity fails: the group of rows 2 and 3 has a checked block"
+    oracle.realize.__wrapped__(parse("a/a/a/a"), PairType.CII, params_for(PairType.CII, 4, 4, 0))
+
+
+def test_groups_that_miss_or_share_a_row_fail_the_partition_check(monkeypatch):
+    prm = params_for(PairType.CII, 4, 2, 2)
+    for groups in [((0, 1),), ((0, 1), (1, 2), (3, 3)), ((0, 1), (2, 3), (4, 5))]:
+        monkeypatch.setattr(oracle, "_match_rows", lambda *_args, groups=groups: groups)
+        with pytest.raises(OracleCheckFailed) as exc:
+            oracle.realize.__wrapped__(parse("a/a/b/b"), PairType.CII, prm)
+        assert str(exc.value) == "identity fails: the coupled groups partition the rows"
+
+
+def test_certify_checks_every_assembled_realization(monkeypatch):
+    """A block that passes its own check but is placed wrongly, here with h
+    doubled, is caught by the whole check that ``certify`` runs."""
+    block = oracle._group_block
+
+    def doubled_h(pt, length, letters):
+        e, h, f, t, d = block(pt, length, letters)
+        return e, _scaled(2, h), f, t, d
+
+    monkeypatch.setattr(oracle, "_group_block", doubled_h)
+    monkeypatch.setattr(oracle, "realize", oracle.realize.__wrapped__)
+    with pytest.raises(OracleCheckFailed, match=r"\[h, e\] = 2e"):
+        oracle.certify(2)
