@@ -901,16 +901,12 @@ def test_assembled_realizations_pass_the_whole_check_at_n_9_to_12():
     assert checked == 3884
 
 
-def _failing_bb_blocks(monkeypatch):
-    """Let a b/b coupling fail while a/a passes: the letters that the
+def test_a_block_failing_for_untested_letters_is_caught(monkeypatch):
+    """A b/b coupling that fails while a/a passes: letters that the
     ``_match_rows`` templates do not test."""
     block = oracle._group_block
     monkeypatch.setattr(oracle, "_group_block", lambda pt, length, letters: (
         None if letters == ("b", "b") else block(pt, length, letters)))
-
-
-def test_a_block_failing_for_untested_letters_is_caught(monkeypatch):
-    _failing_bb_blocks(monkeypatch)
     prm = params_for(PairType.CII, 4, 2, 2)
     assert oracle._match_rows(PairType.CII, 1, 2, 2) == ((0, 1), (2, 3))
     with pytest.raises(OracleCheckFailed) as exc:
