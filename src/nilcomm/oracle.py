@@ -39,7 +39,7 @@ product with T, h or D is a relabeling or a scaling of entries.
 The oracle serves two clients.  ``certify`` checks the formulas of
 ``invariants`` on every diagram up to a bound against the exact kernel
 dimensions (dim p^e, dim p(e,i)), the Jordan type, the truncation ranks and
-the defect, read off a sample of p(e,0) whose centralizer is certified a
+the defect, dim z_{p(e,0)}(x) for a sample x whose powers in p span that
 Cartan subspace.  The self-large criterion of ``selflarge`` reads the
 sparse basis of p(e,0), its torus test ``is_abelian`` and dim p(e,1).
 """
@@ -235,10 +235,6 @@ def _triple_matrices(diagram: AbDiagram):
     return tuple(basis), idx, e, h, f
 
 
-def _d_matrix(diagram: AbDiagram, idx) -> dict:
-    return {(k, k): (-1) ** (a + (diagram.rows[i][1] != "a")) for (i, a), k in idx.items()}
-
-
 @lru_cache(maxsize=2048)
 def _group_block(pair_type: PairType, length: int, letters: tuple):
     """The realization of one coupled row group: a row of the given length
@@ -255,7 +251,8 @@ def _group_block(pair_type: PairType, length: int, letters: tuple):
     template = AbDiagram(tuple((length, s) for s in letters))
     basis, idx, e, h, f = _triple_matrices(template)
     j = len(letters) - 1  # the partner row
-    t, d = None, _d_matrix(template, idx) if pair_type.uses_letters else None
+    t, d = None, ({(k, k): (-1) ** (a + (letters[i] != "a")) for (i, a), k in idx.items()}
+                  if pair_type.uses_letters else None)
     if pair_type is not PairType.AIII:
         t = {}
         for a in range(length):
@@ -522,47 +519,50 @@ def p_e0_basis(real: MatrixRealization) -> list[Matrix]:
     return [_dense(real.n, x) for x in p_e0_sparse(real)]
 
 
-# -- the defect: a certified Cartan subspace -------------------------------------
+# -- the defect: a Cartan subspace spanned by powers ------------------------------
 
-_SAMPLES = 20  # the first sample is certified on every valid diagram with n <= 10
+_SAMPLES = 20  # 3 of the valid diagrams with n <= 12 need a second, none a third
 
 
 def _sample(rng: random.Random, basis: list[dict]) -> dict:
     return _add(*[(rng.randint(-10, 10), b) for b in basis])
 
 
-def _centralizer(x: dict, basis: list[dict]) -> list[dict]:
-    """Basis of the centralizer of x in the span of the sparse matrices."""
-    return [_add(*[(c, basis[k]) for k, c in vec.items()])
-            for vec in linalg.nullspace(_bracket_rows(x, basis), len(basis))]
-
-
-def _is_cartan(z: list[dict]) -> bool:
-    """Whether z = z_{p(e,0)}(x) is abelian with a nondegenerate trace form,
-    which makes it a Cartan subspace: the nilpotent part of x lies in z and is
-    trace-orthogonal to z, so x is semisimple, and z is an abelian ideal of the
-    reductive z_{g(e,0)}(x), hence central and semisimple.  Abelian alone is
-    not enough: E_02 + E_13 on AIII a/a/b/b has abelian z of dimension 4."""
-    if not is_abelian(z):
-        return False
-    gram = [{j: sum(v * w.get((c, r), 0) for (r, c), v in y.items()) for j, w in enumerate(z)}
-            for y in z]
-    return linalg.rank(gram) == len(z)
+def _kept_powers(real: MatrixRealization, x: dict):
+    """y_j = n x^j - tr(x^j) I for j = 1 .. n, in order, each kept when it lies
+    in p: theta(y_j) = -y_j and, for the BD/C types, y_j^t T = -T y_j."""
+    n, d, t, power, x_rows = real.n, real.d_map, real.t_map, x, _rows(x)
+    for _j in range(n):
+        y = _add((n, power), (-sum(power.get((k, k), 0) for k in range(n)), {(k, k): 1 for k in range(n)}))
+        if _theta(y, d, t) == _add((-1, y)) and (d is None or t is None or _theta(y, None, t) == y):
+            yield y
+        power = _mul(power, x_rows)
 
 
 def defect_oracle(real: MatrixRealization) -> int:
-    """Rank of p(e,0), exactly (Kostant-Rallis): dim z_{p(e,0)}(x) for the
-    first sample x, from a fixed generator, whose centralizer is certified a
-    Cartan subspace; OracleCheckFailed when none of the samples is."""
+    """Rank of p(e,0), exactly (Kostant-Rallis): k = dim z for the first
+    sample x whose kept powers y_j have a Gram matrix tr(y_i y_j) of rank k,
+    z = z_{p(e,0)}(x); OracleCheckFailed when none has.  Each y_j lies in p
+    and commutes with e, h and x, so it lies in z, and the y_j commute:
+    rank(Gram) <= dim span(y) <= dim z = k.  Rank k forces z = span(y),
+    abelian with a nondegenerate trace form, so a Cartan subspace: x is
+    semisimple, its nilpotent part lying in z and trace-orthogonal to z, and
+    z, an abelian ideal of the reductive z_{g(e,0)}(x), is central.  Abelian
+    z is not enough: E_02 + E_13 on AIII a/a/b/b has one of dimension 4."""
     _graded_dims(real, -1)  # the elimination over every weight keeps the basis
     basis = p_e0_sparse(real)
     if not basis:
         return 0
     rng = random.Random(0)
     for _attempt in range(_SAMPLES):
-        z = _centralizer(_sample(rng, basis), basis)
-        if _is_cartan(z):
-            return len(z)
+        x = _sample(rng, basis)
+        k, kept = len(basis) - linalg.rank(_bracket_rows(x, basis)), []
+        for y in _kept_powers(real, x):
+            kept.append(y)
+            if len(kept) >= k and linalg.rank(
+                    [{j: sum(v * b.get((c, r), 0) for (r, c), v in a.items()) for j, b in enumerate(kept)}
+                     for a in kept]) == k:
+                return k
     raise OracleCheckFailed(f"no Cartan subspace certified in {_SAMPLES} samples of p(e,0)")
 
 

@@ -6,6 +6,7 @@ stated runtime ceilings.
 
 import json
 import time
+from collections import Counter
 
 import dense_reference as dense
 from nilcomm import closure, components, excdata, invariants, oracle, selflarge
@@ -81,6 +82,34 @@ def test_criterion_4_oracle_equivalence():
     ok = not failures and checked > 1900 and elapsed < 300
     report(4, "combinatorics equals matrix oracle (n <= 10)", ok,
            f"{checked} diagrams, {elapsed:.1f}s" + (f"; {failures[:3]}" if failures else ""))
+
+
+def test_defect_oracle_equals_the_defect_to_n_12(monkeypatch):
+    """The certified rank of p(e,0) equals ``invariants.defect`` on every
+    valid diagram with 1 <= n <= 12 (4,667 diagrams, realized afresh), under
+    a ceiling.  Samples drawn per diagram: none when p(e,0) = 0, and the
+    second sample is needed three times, first on BDI (5,5) aba/bab/a/a/b/b."""
+    draw, drawn = oracle._sample, []
+
+    def counted(rng, basis):
+        drawn.append(basis)
+        return draw(rng, basis)
+
+    monkeypatch.setattr(oracle, "_sample", counted)
+    samples, mismatches = Counter(), []
+    start = time.perf_counter()
+    for n in range(1, 13):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                drawn.clear()
+                if oracle.defect_oracle(oracle.realize.__wrapped__(d, pt, prm)) != invariants.defect(d, pt):
+                    mismatches.append((pt.value, str(prm), d.text()))
+                samples[len(drawn)] += 1
+    elapsed = time.perf_counter() - start
+    ok = not mismatches and samples == {0: 1947, 1: 2717, 2: 3} and elapsed < 15.0
+    report("defect", "defect oracle equals the defect (n <= 12)", ok,
+           f"{sum(samples.values())} diagrams, samples {dict(sorted(samples.items()))}, "
+           f"{elapsed:.1f}s" + (f"; {mismatches[:3]}" if mismatches else ""))
 
 
 def test_criterion_5_type_a_minimal_degenerations():

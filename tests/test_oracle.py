@@ -2,9 +2,11 @@ import dataclasses
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -521,15 +523,52 @@ def test_defect_oracle_deterministic():
     assert oracle.defect_oracle(real) == oracle.defect_oracle(real) == 1
 
 
-def test_cartan_certificate_rejects_an_abelian_centralizer_of_a_nilpotent():
+def test_power_certificate_rejects_an_abelian_centralizer_of_a_nilpotent():
     """On AIII a/a/b/b, p(e,0) is all of p, and x = E_02 + E_13 has an
-    abelian centralizer of dimension 4 on which the trace form vanishes; the
-    rank is 2."""
+    abelian centralizer of dimension 4, but its kept powers have Gram rank 0,
+    so x is not certified; the rank is 2."""
     real = oracle.realize(parse("a/a/b/b"), PairType.AIII, PairParams(4, (2, 2)))
-    z = oracle._centralizer({(0, 2): 1, (1, 3): 1}, oracle.p_e0_sparse(real))
+    basis = oracle.p_e0_sparse(real)
+    x = {(0, 2): 1, (1, 3): 1}
+    z = [oracle._add(*[(c, basis[k]) for k, c in vec.items()])
+         for vec in linalg.nullspace(oracle._bracket_rows(x, basis), len(basis))]
     assert len(z) == 4 and oracle.is_abelian(z)
-    assert not oracle._is_cartan(z)
+    kept = [oracle._dense(4, y) for y in oracle._kept_powers(real, x)]
+    assert kept and dense.mat_rank([[dense.trace(dense.mat_mul(a, b)) for b in kept] for a in kept]) == 0
     assert oracle.defect_oracle(real) == 2
+
+
+def test_kept_powers_are_the_trace_corrected_powers_in_p():
+    """y_j = n x^j - tr(x^j) I for the first sample x of p(e,0), against dense
+    products on every valid diagram with 1 <= n <= 6: AI and AII keep every
+    power; the types with a sign matrix D, BDI and CI among them, keep the odd
+    powers and an even one only when it vanishes.  Every kept power lies in
+    p: theta(y) = -y and, with both D and a form T, y^t T = -T y."""
+    dropped = Counter()
+    for n in range(1, 7):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                basis = oracle.p_e0_sparse(real)
+                if not basis:
+                    continue
+                x = oracle._sample(random.Random(0), basis)
+                kept = [oracle._dense(n, y) for y in oracle._kept_powers(real, x)]
+                power, expected = dense.identity(n), []
+                for j in range(1, n + 1):
+                    power = dense.mat_mul(power, oracle._dense(n, x))
+                    y = dense.mat_sub(dense.mat_scale(n, power), dense.mat_scale(dense.trace(power), dense.identity(n)))
+                    if real.d_map is None or j % 2 or dense.is_zero_matrix(y):
+                        expected.append(y)
+                    else:
+                        dropped[pt] += 1
+                assert kept == expected, (pt, prm, d.text())
+                for y in kept:
+                    assert dense.theta(real, y) == dense.mat_scale(-1, y)
+                    if real.d_map is not None and real.form is not None:
+                        assert dense.mat_mul(dense.transpose(y), real.form) == dense.mat_scale(
+                            -1, dense.mat_mul(real.form, y))
+    assert {PairType.BDI, PairType.CI} <= set(dropped)
 
 
 def test_graded_pieces_sum_to_centralizer():
@@ -870,17 +909,25 @@ def test_match_rows_polynomial_on_unmatchable_rows(monkeypatch):
 
 
 def test_realize_rejects_before_building_matrices(monkeypatch):
-    def no_matrices(_diagram):
+    def no_matrices(*_args):
         raise AssertionError("matrices built for an unrealizable diagram")
 
-    monkeypatch.setattr(oracle, "_triple_matrices", no_matrices)
-    for text, pt, prm, message in [
+    cases = [
         ("2,1,1", PairType.AII, PairParams(4), "odd number of rows of length 2"),
         ("abab", PairType.BDI, params_for(PairType.BDI, 4, 2, 2), "rows of length 4"),
         ("ab/ab", PairType.BDI, params_for(PairType.BDI, 4, 3, 1), "rows of length 2"),
         ("aba/a/b", PairType.BDI, params_for(PairType.BDI, 5, 2, 3), "signature"),
         ("ab/a/b", PairType.AIII, PairParams(4, (3, 1)), "signature"),
-    ]:
+    ]
+    # the coupling decisions of the tested lengths, which _match_rows caches,
+    # are taken first, so that the test passes alone and in any order
+    for text, pt, _prm, _message in cases:
+        for length, (_m, na, nb) in parse(text).multiplicities().items():
+            if pt not in oracle.A_TYPES:
+                oracle._match_rows(pt, length, na, nb)
+    monkeypatch.setattr(oracle, "_triple_matrices", no_matrices)
+    monkeypatch.setattr(oracle, "_group_block", no_matrices)
+    for text, pt, prm, message in cases:
         with pytest.raises(UnrealizableDiagram, match=message):
             oracle.realize(parse(text), pt, prm)
 
