@@ -31,9 +31,8 @@ from __future__ import annotations
 import json
 import operator
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagrams import (
     AbDiagram,
@@ -265,8 +264,7 @@ def matches_irreducible_motif(diagram: AbDiagram, pair_type: PairType) -> bool:
 # -- Hasse diagram --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegenerationEdge:
+class DegenerationEdge(NamedTuple):
     """A cover g1 < g2 annotated with s = dim p^{g1} - dim p^{g2} and
     delta = defect(g1) - defect(g2); the edge is a reduction when s = delta."""
 
@@ -280,8 +278,7 @@ class DegenerationEdge:
         return self.s == self.delta
 
 
-@dataclass(frozen=True)
-class ClosureGraph:
+class ClosureGraph(NamedTuple):
     """The Hasse diagram of a pair: its valid diagrams in enumeration order,
     each vertex's (dim of orbit, defect) at the same position, and its
     covers.  The renderings read these values and name each vertex once."""

@@ -15,8 +15,7 @@ their defects, and the closure order is read for those of positive defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .closure import first_reduction, minimal_degenerations
 from .diagrams import (
@@ -35,8 +34,7 @@ ELIMINATED_BY_WITNESS = "EliminatedByWitness"
 UNRESOLVED = "Unresolved"
 
 
-@dataclass(frozen=True)
-class CandidateStatus:
+class CandidateStatus(NamedTuple):
     diagram: AbDiagram
     status: str
     component_dim: int
@@ -84,8 +82,7 @@ def candidate_status(
     return CandidateStatus(diagram, UNRESOLVED, cdim)
 
 
-@dataclass(frozen=True)
-class ComponentsReport:
+class ComponentsReport(NamedTuple):
     pair_type: PairType
     params: PairParams
     dim_p: int

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     AlternationError,
@@ -83,21 +82,46 @@ _INVOLUTION_SQUARE = {PairType.AIII: 1, PairType.BDI: 1, PairType.CII: 1, PairTy
                       PairType.DIII: -1}
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value types."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class PairParams:
     """Size parameters of a symmetric pair: matrix size n, plus (p, q) when the
-    type carries a signature."""
+    type carries a signature.  An immutable value, compared and hashed by
+    (n, signature)."""
 
-    n: int
-    signature: Optional[tuple[int, int]] = None
+    __slots__ = ("n", "signature")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if self.signature is not None:
-            p, q = self.signature
-            if p < 0 or q < 0 or p + q != self.n:
-                raise ValueError(f"signature {self.signature} incompatible with n={self.n}")
+    def __init__(self, n: int, signature: Optional[tuple[int, int]] = None):
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        if signature is not None:
+            p, q = signature
+            if p < 0 or q < 0 or p + q != n:
+                raise ValueError(f"signature {signature} incompatible with n={n}")
+        _set(self, "n", n)
+        _set(self, "signature", signature)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.signature == other.signature
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.signature))
+
+    def __repr__(self):
+        return f"PairParams(n={self.n!r}, signature={self.signature!r})"
+
+    def __reduce__(self):
+        return PairParams, (self.n, self.signature)
+
+    __setattr__ = __delattr__ = _frozen
 
     def check(self, pair_type: PairType) -> None:
         """Raise ValueError unless the parameters fit the pair type."""
@@ -135,22 +159,22 @@ def _row_letters(length: int, start: Optional[str]) -> str:
     return pair * (length // 2) + start * (length % 2)
 
 
-@dataclass(frozen=True)
 class AbDiagram:
     """An (ab)-Young diagram in canonical form.
 
     ``rows`` is a tuple of ``(length, start)`` pairs, sorted by decreasing
     length with ``a``-rows before ``b``-rows; ``start`` is None for all rows of
-    a plain partition and a letter for all rows of an ab-diagram.
+    a plain partition and a letter for all rows of an ab-diagram.  An
+    immutable value, compared and hashed by its rows.
     """
 
-    rows: tuple[Row, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[Row, ...]):
         """One scan checks the rows and whether they are in canonical order
         already, as enumeration builds them; only rows out of order are
         sorted."""
-        rows = tuple(self.rows)
+        rows = tuple(rows)
         plain = lettered = False
         canonical = True
         last, last_start = math.inf, None
@@ -170,7 +194,23 @@ class AbDiagram:
             raise ValueError("cannot mix plain and lettered rows")
         if not canonical:
             rows = tuple(sorted(rows, key=lambda r: (-r[0], r[1] or "")))
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __repr__(self):
+        return f"AbDiagram(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return AbDiagram, (self.rows,)
+
+    __setattr__ = __delattr__ = _frozen
 
     # -- construction ------------------------------------------------------
 
@@ -272,8 +312,7 @@ def parse(text: str) -> AbDiagram:
 # -- validity ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One reason a diagram is not valid for a pair: kind is ``SizeMismatch``,
     ``SignatureMismatch`` or ``ParityViolation`` (then ``length`` is set)."""
 

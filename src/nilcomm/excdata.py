@@ -14,8 +14,7 @@ defect = dim of the torus part of the centralizer lying in p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import UnknownCase
 
@@ -37,8 +36,7 @@ REAL_FORM = {
 }
 
 
-@dataclass(frozen=True)
-class ExceptionalOrbitRecord:
+class ExceptionalOrbitRecord(NamedTuple):
     """One orbit of a table; the tables list exactly the almost-distinguished orbits."""
 
     case: str
@@ -245,8 +243,7 @@ _TABLES: dict[str, tuple] = {
 }
 
 
-@dataclass(frozen=True)
-class ExceptionalReduction:
+class ExceptionalReduction(NamedTuple):
     """A source orbit together with a larger orbit witnessing a reduction:
     the defect drop equals the orbit-dimension gain."""
 
@@ -274,8 +271,7 @@ _REDUCTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class ExceptionalWitnessFact:
+class ExceptionalWitnessFact(NamedTuple):
     """An explicit commuting pair: an element of the larger orbit commutes
     with one of the source orbit, so the source generates no component."""
 
@@ -354,8 +350,7 @@ def witness_facts(case: Optional[str] = None) -> tuple[ExceptionalWitnessFact, .
     return tuple(w for w in _WITNESS_FACTS if w.case == case)
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
+class ExceptionalReport(NamedTuple):
     case: str
     real_form: str
     components: tuple[int, ...]

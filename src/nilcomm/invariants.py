@@ -22,8 +22,8 @@ here.  The test suite certifies every count against the exact matrix oracle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .diagrams import (BLOCK_TYPE, DEFAULT_BOUND, AbDiagram, PairParams, PairType, _blocks,
                        _check_size, _expected_letters, _walk, validate)
@@ -210,8 +210,7 @@ def component_dim(pair_type: PairType, params: PairParams, delta: int) -> int:
     return dim_p(pair_type, params) - delta
 
 
-@dataclass(frozen=True)
-class OrbitInvariants:
+class OrbitInvariants(NamedTuple):
     defect: int
     dim_p_cent: int
     dim_orbit: int
@@ -221,7 +220,7 @@ class OrbitInvariants:
     component_dim: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def orbit_invariants(

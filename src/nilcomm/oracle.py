@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -55,6 +54,8 @@ from .diagrams import (
     DEFAULT_BOUND,
     PairParams,
     PairType,
+    _frozen,
+    _set,
     candidates,
     enumerate_diagrams,
     pairs_of_size,
@@ -74,36 +75,39 @@ A_TYPES = (PairType.AI, PairType.AII, PairType.AIII)
 Matrix = tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
 class MatrixRealization:
     """Integer matrices realizing a diagram for a classical symmetric pair.
 
     ``basis[k] = (i, a)`` tags basis vector e^a.v_i (row i of the diagram,
     power a).  e, h, f, T and D are stored as the sparse matrices that
-    ``realize`` places from checked group blocks (so a realization cannot be
-    hashed); ``e``, ``h``, ``f``, ``form`` and ``d_matrix`` are dense views
-    built on each access.  T is the Gram matrix of the bilinear form, a
-    signed permutation (checked on every block; theta relies on it): for
-    BD/C types it cuts out g, for AI/AII it cuts out k.  D is the diagonal
-    sign matrix of the involution: the involution datum J is D itself when
-    xi = +1 and sqrt(-1) * D when xi = -1 (xi =
-    ``pair_type.involution_square``); conjugation by J is conjugation by D
-    either way.
+    ``realize`` places from checked group blocks; ``e``, ``h``, ``f``,
+    ``form`` and ``d_matrix`` are dense views built on each access.  T is the
+    Gram matrix of the bilinear form, a signed permutation (checked on every
+    block; theta relies on it): for BD/C types it cuts out g, for AI/AII it
+    cuts out k.  D is the diagonal sign matrix of the involution: the
+    involution datum J is D itself when xi = +1 and sqrt(-1) * D when xi = -1
+    (xi = ``pair_type.involution_square``); conjugation by J is conjugation
+    by D either way.  The fields cannot be reassigned; each realization
+    starts with its own empty ``_graded``.
     """
 
-    pair_type: PairType
-    diagram: AbDiagram
-    n: int
-    basis: tuple[tuple[int, int], ...]
-    e_map: dict
-    h_map: dict
-    f_map: dict
-    t_map: Optional[dict]
-    d_map: Optional[dict]
-    partners: tuple[int, ...]
-    # sigma -> ({ad h-weight: kernel dimension}, basis of the weight-0
+    # _graded: sigma -> ({ad h-weight: kernel dimension}, basis of the weight-0
     # kernel, of p(e,0) for sigma = -1), filled by _graded_dims
-    _graded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("pair_type", "diagram", "n", "basis", "e_map", "h_map", "f_map", "t_map", "d_map",
+                 "partners", "_graded")
+
+    def __init__(self, pair_type: PairType, diagram: AbDiagram, n: int,
+                 basis: tuple[tuple[int, int], ...], e_map: dict, h_map: dict, f_map: dict,
+                 t_map: Optional[dict], d_map: Optional[dict], partners: tuple[int, ...]):
+        values = (pair_type, diagram, n, basis, e_map, h_map, f_map, t_map, d_map, partners, {})
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"MatrixRealization({fields})"
+
+    __setattr__ = __delattr__ = _frozen
 
     e = property(lambda self: _dense(self.n, self.e_map))
     h = property(lambda self: _dense(self.n, self.h_map))

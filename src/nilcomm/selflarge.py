@@ -13,7 +13,7 @@ and p(e,1) = 0) that the test suite checks against these rules pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .diagrams import AbDiagram, PairParams, PairType
@@ -25,8 +25,7 @@ ADJACENT_LENGTH_WITNESS = "AdjacentLengthWitness"
 DATA_TABLE = "DataTable"
 
 
-@dataclass(frozen=True)
-class SelfLargeVerdict:
+class SelfLargeVerdict(NamedTuple):
     diagram: AbDiagram
     verdict: bool
     reason: str

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 from pathlib import Path
 
@@ -110,6 +112,43 @@ def test_bad_rows_are_rejected_with_their_reason(rows, message):
     with pytest.raises(ValueError) as info:
         AbDiagram(rows)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "n must be non-negative, got -1"),
+    ((3, (1, 1)), "signature (1, 1) incompatible with n=3"),
+    ((2, (-1, 3)), "signature (-1, 3) incompatible with n=2"),
+])
+def test_bad_params_are_rejected_with_their_reason(args, message):
+    with pytest.raises(ValueError) as info:
+        PairParams(*args)
+    assert str(info.value) == message
+
+
+def test_diagrams_and_params_are_immutable_values():
+    """Equal fields give equal objects with equal hashes, whatever the order
+    of the rows given; another type is never equal; no field can be set or
+    deleted; the reprs name the fields; copies and pickles are equal."""
+    d = AbDiagram([(1, "b"), (3, "a"), (1, "a")])
+    same = parse("aba/a/b")
+    assert d == same and not d != same and hash(d) == hash(same) == hash((same.rows,))
+    assert len({d, same}) == 1 and d != parse("ab/ab/a") and d != d.rows and d != "aba/a/b"
+    prm = PairParams(4, (2, 2))
+    assert prm == PairParams(n=4, signature=(2, 2)) and hash(prm) == hash((4, (2, 2)))
+    assert PairParams(3) == PairParams(3, None) and hash(PairParams(3)) == hash((3, None))
+    assert prm != PairParams(4, (3, 1)) and prm != PairParams(4) and prm != (4, (2, 2))
+    for obj, name in ((d, "rows"), (prm, "n"), (prm, "signature"), (d, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert d.rows == ((3, "a"), (1, "a"), (1, "b")) and (prm.n, prm.signature) == (4, (2, 2))
+    assert repr(d) == "AbDiagram(rows=((3, 'a'), (1, 'a'), (1, 'b')))"
+    assert repr(parse("")) == "AbDiagram(rows=())"
+    assert f"{prm}" == repr(prm) == "PairParams(n=4, signature=(2, 2))"
+    assert repr(PairParams(3)) == "PairParams(n=3, signature=None)"
+    for obj in (d, prm, PairParams(0)):
+        assert copy.copy(obj) == obj == pickle.loads(pickle.dumps(obj))
 
 
 def test_validate_bdi_example():
@@ -319,14 +358,14 @@ def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
     """On a cold cache, every AbDiagram built while enumerating a pair is one
     of the diagrams returned (every pair, n <= 10)."""
     built = 0
-    check = AbDiagram.__post_init__
+    init = AbDiagram.__init__
 
-    def counted(self):
+    def counted(self, rows):
         nonlocal built
         built += 1
-        check(self)
+        init(self, rows)
 
-    monkeypatch.setattr(AbDiagram, "__post_init__", counted)
+    monkeypatch.setattr(AbDiagram, "__init__", counted)
     for n in range(0, 11):
         for pair_type, params in pairs_of_size(n):
             _enumerate_cached.cache_clear()

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import os
@@ -190,6 +189,14 @@ def _scaled(c, x):
     return {pos: c * v for pos, v in x.items()}
 
 
+def _rebuilt(real, **changes):
+    """A realization with the fields of ``real``, some of them changed, and
+    its own empty memo, so that it reads the chains of its own e."""
+    fields = {name: getattr(real, name) for name in oracle.MatrixRealization.__slots__
+              if not name.startswith("_")}
+    return oracle.MatrixRealization(**{**fields, **changes})
+
+
 # one realization of each type, and the identity that fails first when one of
 # its stored matrices is doubled
 TAMPER_CASES = [
@@ -212,10 +219,10 @@ FIRST_FAILURE = {
 
 def test_tampered_realization_fails_its_checks():
     real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
-    bad_h = dataclasses.replace(real, h_map=_scaled(2, real.h_map))
+    bad_h = _rebuilt(real, h_map=_scaled(2, real.h_map))
     with pytest.raises(OracleCheckFailed, match=r"\[h, e\] = 2e"):
         oracle._check_realization(bad_h)
-    bad_e = dataclasses.replace(real, e_map={(c, r): v for (r, c), v in real.e_map.items()})
+    bad_e = _rebuilt(real, e_map={(c, r): v for (r, c), v in real.e_map.items()})
     with pytest.raises(OracleCheckFailed, match=r"\[e, w\] = 0"):
         oracle.commuting_witness(bad_e)
     tampered = 0
@@ -226,7 +233,7 @@ def test_tampered_realization_fails_its_checks():
             m = getattr(real, field)
             if m is None:
                 continue
-            bad = dataclasses.replace(real, **{field: _scaled(2, m)})
+            bad = _rebuilt(real, **{field: _scaled(2, m)})
             with pytest.raises(OracleCheckFailed) as exc:
                 oracle._check_realization(bad)
             assert str(exc.value) == f"identity fails: {identity}", (pt, field)
@@ -248,7 +255,7 @@ def test_form_checks_name_their_identity():
     ]:
         with pytest.raises(OracleCheckFailed) as exc:
             t_map = {(r, c): v for r, row in enumerate(form) for c, v in enumerate(row) if v}
-            oracle._check_realization(dataclasses.replace(real, t_map=t_map))
+            oracle._check_realization(_rebuilt(real, t_map=t_map))
         assert str(exc.value) == f"identity fails: {identity}"
 
 
@@ -259,18 +266,18 @@ def test_form_indices_outside_the_basis_fail_the_permutation_check():
     t_map = dict(real.t_map)
     t_map[9, 9] = t_map.pop((4, 4))
     with pytest.raises(OracleCheckFailed) as exc:
-        oracle._check_realization(dataclasses.replace(real, t_map=t_map))
+        oracle._check_realization(_rebuilt(real, t_map=t_map))
     assert str(exc.value) == "identity fails: form T is a signed permutation"
 
 
 def test_non_diagonal_h_or_d_fails_the_structure_check():
     ai = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
     bdi = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
-    for tampered in [dataclasses.replace(ai, h_map={**ai.h_map, (0, 1): 1}),
-                     dataclasses.replace(ai, h_map={**ai.h_map, (3, 3): 1}),
-                     dataclasses.replace(bdi, h_map={**bdi.h_map, (2, 0): -1}),
-                     dataclasses.replace(bdi, d_map={**bdi.d_map, (0, 1): 1}),
-                     dataclasses.replace(bdi, d_map={**bdi.d_map, (9, 9): 1})]:
+    for tampered in [_rebuilt(ai, h_map={**ai.h_map, (0, 1): 1}),
+                     _rebuilt(ai, h_map={**ai.h_map, (3, 3): 1}),
+                     _rebuilt(bdi, h_map={**bdi.h_map, (2, 0): -1}),
+                     _rebuilt(bdi, d_map={**bdi.d_map, (0, 1): 1}),
+                     _rebuilt(bdi, d_map={**bdi.d_map, (9, 9): 1})]:
         with pytest.raises(OracleCheckFailed) as exc:
             oracle._check_realization(tampered)
         assert str(exc.value) == "identity fails: h and D are diagonal"
@@ -328,7 +335,7 @@ def test_tampered_realizations_fail_first_where_the_dense_reference_does():
                     if getattr(real, field) is None:
                         continue
                     for how, tamper in TAMPERINGS.items():
-                        bad = dataclasses.replace(real, **{field: tamper(getattr(real, field))})
+                        bad = _rebuilt(real, **{field: tamper(getattr(real, field))})
                         want = next((identity for holds, identity in _dense_identities(bad)
                                      if not holds), None)
                         try:
@@ -360,13 +367,20 @@ def test_every_form_is_a_signed_permutation():
 
 
 OPTIMIZED_CHECKS = """
-import dataclasses
 from nilcomm import oracle
-from nilcomm.diagrams import PairParams, PairType, params_for, parse
+from nilcomm.diagrams import AbDiagram, PairParams, PairType, params_for, parse
 from nilcomm.errors import OracleCheckFailed, UnrealizableDiagram
 
 if __debug__:
     raise SystemExit("expected python -O")
+
+
+def _rebuilt(real, **changes):
+    fields = {name: getattr(real, name) for name in oracle.MatrixRealization.__slots__
+              if not name.startswith("_")}
+    return oracle.MatrixRealization(**{**fields, **changes})
+
+
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
 two = oracle.realize(parse("2,2"), PairType.AI, PairParams(4))
 bdi = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
@@ -375,18 +389,18 @@ block = oracle._group_block
 oracle._group_block = lambda pt, length, letters: (
     None if letters == ("b", "b") else block(pt, length, letters))
 for tampered, check in [
-    (dataclasses.replace(real, h_map={pos: 2 * v for pos, v in real.h_map.items()}),
+    (_rebuilt(real, h_map={pos: 2 * v for pos, v in real.h_map.items()}),
      oracle._check_realization),
-    (dataclasses.replace(real, t_map={pos: 2 * v for pos, v in real.t_map.items()}),
+    (_rebuilt(real, t_map={pos: 2 * v for pos, v in real.t_map.items()}),
      oracle._check_realization),
-    (dataclasses.replace(real, h_map={**real.h_map, (0, 1): 1}), oracle._check_realization),
-    (dataclasses.replace(bdi, d_map={pos: 2 * v for pos, v in bdi.d_map.items()}),
+    (_rebuilt(real, h_map={**real.h_map, (0, 1): 1}), oracle._check_realization),
+    (_rebuilt(bdi, d_map={pos: 2 * v for pos, v in bdi.d_map.items()}),
      oracle._check_realization),
-    (dataclasses.replace(real, e_map={(c, r): v for (r, c), v in real.e_map.items()}),
+    (_rebuilt(real, e_map={(c, r): v for (r, c), v in real.e_map.items()}),
      oracle.commuting_witness),
     # e with an entry 2, then with two entries in column 0 (and in row 3)
-    (dataclasses.replace(two, e_map={**two.e_map, (1, 0): 2}), oracle.dim_p_cent_oracle),
-    (dataclasses.replace(two, e_map={**two.e_map, (3, 0): 1}), oracle.dim_p_cent_oracle),
+    (_rebuilt(two, e_map={**two.e_map, (1, 0): 2}), oracle.dim_p_cent_oracle),
+    (_rebuilt(two, e_map={**two.e_map, (3, 0): 1}), oracle.dim_p_cent_oracle),
     # the two BDI rows abab of length 4 have no admissible coupling
     (parse("abab/abab"),
      lambda d: oracle.realize(d, PairType.BDI, params_for(PairType.BDI, 8, 4, 4))),
@@ -395,10 +409,15 @@ for tampered, check in [
      oracle.defect_oracle),
     # a b/b coupling that fails while the a/a one that _match_rows tests passes
     (parse("a/a/b/b"), lambda d: oracle.realize(d, PairType.CII, params_for(PairType.CII, 4, 2, 2))),
+    # the value types check their fields in __init__, with no assert
+    ((-1,), lambda args: PairParams(*args)),
+    ((3, (1, 1)), lambda args: PairParams(*args)),
+    (((2, None), (0, None)), AbDiagram),
+    (((2, None), (1, "a")), AbDiagram),
 ]:
     try:
         check(tampered)
-    except (OracleCheckFailed, UnrealizableDiagram) as exc:
+    except (OracleCheckFailed, UnrealizableDiagram, ValueError) as exc:
         print(exc)
     else:
         raise SystemExit("tampered realization passed")
@@ -424,6 +443,10 @@ def test_oracle_checks_survive_python_O():
         "no admissible coupling of the rows of length 4",
         "no Cartan subspace certified in 20 samples of p(e,0)",
         "identity fails: the group of rows 2 and 3 has a checked block",
+        "n must be non-negative, got -1",
+        "signature (1, 1) incompatible with n=3",
+        "row lengths must be positive, got 0",
+        "cannot mix plain and lettered rows",
     ]
 
 
@@ -682,7 +705,7 @@ def test_graded_systems_match_full_reference():
             for diagram in enumerate_diagrams(pt, prm):
                 # a copy starts with an empty memo, so each weight is first
                 # read alone
-                real = dataclasses.replace(oracle.realize(diagram, pt, prm))
+                real = _rebuilt(oracle.realize(diagram, pt, prm))
                 maps = _reference_maps(real)
                 label = (pt, prm, diagram.text())
                 span = 2 * (diagram.rows[0][0] if diagram.rows else 1)
@@ -791,7 +814,7 @@ def test_tied_p_systems_match_full_reference_at_n_7_and_8():
     for n in (7, 8):
         for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
-                real = dataclasses.replace(oracle.realize(diagram, pt, prm))
+                real = _rebuilt(oracle.realize(diagram, pt, prm))
                 maps = _reference_maps(real, acting="e")
                 dims = oracle._graded_dims(real, -1)
                 hd = real.h_diagonal
@@ -819,7 +842,7 @@ def test_chain_reading_of_any_partial_permutation_matches_full_reference():
                 real = oracle.realize(diagram, pt, prm)
                 entries = sorted(real.e_map)
                 sub = dict.fromkeys(rng.sample(entries, rng.randint(0, len(entries))), 1)
-                copy = dataclasses.replace(real, e_map=sub)
+                copy = _rebuilt(real, e_map=sub)
                 if real.t_map is not None:
                     broken += oracle._theta(sub, None, real.t_map) not in (sub, oracle._add((-1, sub)))
                 maps = _reference_maps(copy, acting="e")
@@ -828,10 +851,10 @@ def test_chain_reading_of_any_partial_permutation_matches_full_reference():
                     dims = oracle._graded_dims(copy, sigma)
                     for w in {a - b for a in hd for b in hd}:
                         want = sparse.kernel_dim(_reference_rows(maps, "e", w, sigma), n * n)
-                        lone = oracle.dim_graded(dataclasses.replace(copy), w, sigma)
+                        lone = oracle.dim_graded(_rebuilt(copy), w, sigma)
                         assert dims[w] == lone == want, (pt, prm, diagram.text(), sorted(sub), w, sigma)
                 want = _reference_basis(_reference_rows(maps, "e", 0, -1), n)
-                lone = oracle.p_e0_basis(dataclasses.replace(copy))
+                lone = oracle.p_e0_basis(_rebuilt(copy))
                 assert oracle.p_e0_basis(copy) == lone == want, (pt, prm, diagram.text(), sorted(sub))
                 checked += 1
     assert checked == 294 and broken >= 20, (checked, broken)
@@ -841,14 +864,16 @@ def test_replaced_realization_starts_with_an_empty_memo():
     """A copy made after the memo is filled computes its dimensions and its
     p(e,0) basis from its own matrices: with e = 0 its centralizer is all of
     p."""
-    real = dataclasses.replace(oracle.realize(parse("2,1"), PairType.AI, PairParams(3)))
+    real = _rebuilt(oracle.realize(parse("2,1"), PairType.AI, PairParams(3)))
     assert oracle.dim_p_cent_oracle(real) == 3
     assert set(real._graded) == {-1}
     dims, basis = real._graded[-1]
     assert sum(dims.values()) == 3 and oracle.p_e0_sparse(real) is basis
-    copy = dataclasses.replace(real, e_map={})
+    copy = _rebuilt(real, e_map={})
     assert copy.e == dense.freeze(dense.zeros(3))
     assert copy._graded == {}
+    with pytest.raises(AttributeError):
+        real.e_map = {}  # a field set in place would leave the memo stale
     rows = _reference_rows(_reference_maps(copy), "e", None, -1)
     assert oracle.dim_p_cent_oracle(copy) == sparse.kernel_dim(rows, 9) == 5
     assert oracle.dim_graded(copy, 0, -1) == len(oracle.p_e0_sparse(copy)) == 1
@@ -877,7 +902,7 @@ def test_the_p_system_over_every_weight_is_built_once(monkeypatch):
     args = (parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
     for first, second in [(oracle.defect_oracle, oracle.dim_p_cent_oracle),
                           (oracle.dim_p_cent_oracle, oracle.defect_oracle)]:
-        real = dataclasses.replace(oracle.realize(*args))
+        real = _rebuilt(oracle.realize(*args))
         built.clear()
         first(real)
         second(real)
@@ -893,7 +918,7 @@ def test_the_p_system_over_every_weight_is_built_once(monkeypatch):
     for lone, want in [(oracle.p_e0_sparse, (0, -1)),
                        (lambda real: oracle.dim_graded(real, 1, -1), (1, -1))]:
         built.clear()
-        lone(dataclasses.replace(oracle.realize(*args)))
+        lone(_rebuilt(oracle.realize(*args)))
         assert built == [want]
 
 
@@ -903,8 +928,8 @@ def test_p_e0_basis_of_the_full_pass_equals_the_lone_one():
     for n in range(9):
         for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
-                lone = oracle.p_e0_sparse(dataclasses.replace(oracle.realize(diagram, pt, prm)))
-                real = dataclasses.replace(oracle.realize(diagram, pt, prm))
+                lone = oracle.p_e0_sparse(_rebuilt(oracle.realize(diagram, pt, prm)))
+                real = _rebuilt(oracle.realize(diagram, pt, prm))
                 oracle.dim_p_cent_oracle(real)
                 assert oracle.p_e0_sparse(real) == lone, (pt, prm, diagram.text())
                 checked += 1

@@ -9,10 +9,13 @@ A reference is ``module.name`` (``closure.leq``, ``nc.closure.leq``), also
 through a name the module was assigned to (``o.jordan_type`` after
 ``o, inv = nc.oracle, nc.invariants``), a name imported from a ``nilcomm``
 module and then read, or a name read inside its own module.  Attributes of other objects (``edge.is_reduction``) and names
-that are only stored (a dataclass field) do not count.
+that are only stored (a field) do not count.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,3 +94,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unreferenced - ALLOWED == set()
     # an entry whose name gained a caller leaves the list
     assert ALLOWED - unreferenced == set()
+
+
+def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
+    """Start-up stays cheap: an interpreter without site hooks (``python
+    -S``) that imports every nilcomm module has loaded neither
+    ``dataclasses`` nor the ``inspect`` that it imports."""
+    modules = ", ".join(f"nilcomm.{path.stem}" for path in SRC if path.stem != "__init__")
+    code = f"import sys, {modules}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
