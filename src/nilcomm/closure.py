@@ -13,13 +13,16 @@ diagrams, never from local move tables.  Each pair gets one cached index:
 for each profile field k and value v >= 1 the bitset ge[k][v] of the
 diagrams whose field k is at least v, made at C level from the field's byte
 column, so the diagrams at or above a profile are the AND of the slices of
-its nonzero fields.  Enumeration order is a linear extension of the order,
-larger diagrams first: a strict profile inequality forces dominance of the
-partitions, hence an earlier partition in reverse-lexicographic order, and
-two diagrams of one partition have equal totals at every depth, so, the
-profile being injective, they are never strictly comparable.  So the last
-diagram above a diagram is a cover, and one scan finds all covers: take the
-last diagram left, clear what lies at or above it; one AND per cover.
+its nonzero fields.  The profiles come from the enumeration walk itself, over
+row blocks weighted by their packed profiles, in walk order; each byte
+column is cut reversed, so bit j of its numeral is diagram j.  Enumeration
+order is a linear extension of the order, larger diagrams first: a strict
+profile inequality forces dominance of the partitions, hence an earlier
+partition in reverse-lexicographic order, and two diagrams of one partition
+have equal totals at every depth, so, the profile being injective, they are
+never strictly comparable.  So the last diagram above a diagram is a cover,
+and one scan finds all covers: take the last diagram left, clear what lies
+at or above it; one AND per cover.
 
 A cover (or any degeneration) Gamma1 < Gamma2 is a *reduction* when the drop
 in defect equals the drop in centralizer dimension; finding one eliminates
@@ -34,13 +37,7 @@ import struct
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .diagrams import (
-    AbDiagram,
-    PairParams,
-    PairType,
-    enumerate_diagrams,
-    DEFAULT_BOUND,
-)
+from .diagrams import DEFAULT_BOUND, AbDiagram, PairParams, PairType, _blocks, _check_size, _walk
 from .errors import NotComparable, ShapeMismatch, WrongType
 from .invariants import _dim_p_cent, defect, dim_p, dim_p_cent
 
@@ -93,30 +90,36 @@ def leq(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
     return all(map(operator.le, _truncation_profile(g1), _truncation_profile(g2)))
 
 
+@lru_cache(maxsize=1024)
+def _profile_blocks(pair_type: PairType, d: int, m: int) -> tuple[tuple[tuple, int, int], ...]:
+    """The row blocks of _blocks(pair_type, d, m), each weighted by the
+    packed profile of its rows in one-byte fields: the walk sums a diagram's
+    profile as it builds it."""
+    return tuple((rows, odd_a, sum(_row_profile(d, s, 1) for _, s in rows))
+                 for rows, odd_a, _ in _blocks(pair_type, d, m))
+
+
 class _ClosureIndex:
     """The closure order on the valid diagrams of one pair, bit-sliced.
 
-    ``blob`` holds the packed profiles in one-byte fields, last diagram
-    first, so field k's byte column is ``blob[k::width]``.  ``ge[k][v]`` is
-    the bitset of the diagrams whose field k is at least v; a value above
-    the column's top matches none.  Bit j of ``up(i)`` is set when diagram
-    j lies strictly above diagram i."""
+    ``blob`` holds the packed profiles in one-byte fields, in enumeration
+    order, so field k's byte column is ``blob[k::width]``; reversed, it
+    lists the last diagram first, so bit j of its numeral is diagram j.
+    ``ge[k][v]`` is the bitset of the diagrams whose field k is at least v;
+    a value above the column's top matches none.  Bit j of ``up(i)`` is set
+    when diagram j lies strictly above diagram i."""
 
-    def __init__(self, pair_type: PairType, diagrams: list[AbDiagram]):
+    def __init__(self, pair_type: PairType, diagrams: list[AbDiagram], blob: bytearray, width: int):
         self.pair_type = pair_type
         self.diagrams = diagrams
         self.position = {g: i for i, g in enumerate(diagrams)}
         self._all = (1 << len(diagrams)) - 1
-        self.width = (2 if pair_type.uses_letters else 1) * (diagrams[0].n if diagrams else 0)
-        # a pair whose diagrams can be listed has n < 256: a count fits one
-        # byte; a byte column lists the last diagram first, so bit j of its
-        # numeral is diagram j
-        self.blob = b"".join(sum(_row_profile(d, s, 1) for d, s in g.rows).to_bytes(self.width, "little")
-                             for g in reversed(diagrams))
+        self.width = width
+        self.blob = blob
         self.ge: list[list[int]] = [
             [self._all] + [int(column.translate(b"0" * v + b"1" * (256 - v)), 2)
                            for v in range(1, max(column) + 1)]
-            for column in (self.blob[k::self.width] for k in range(self.width))]
+            for column in (blob[k::width][::-1] for k in range(width))]
 
     def _at_or_above(self, profile) -> int:
         mask = self._all
@@ -128,7 +131,7 @@ class _ClosureIndex:
         return mask
 
     def up(self, i: int) -> int:
-        start = (len(self.diagrams) - 1 - i) * self.width
+        start = i * self.width
         return self._at_or_above(self.blob[start:start + self.width]) & ~(1 << i)
 
     def minimal(self, up: int) -> list[int]:
@@ -155,7 +158,17 @@ class _ClosureIndex:
 
 @lru_cache(maxsize=4)
 def _closure_index(pair_type: PairType, params: PairParams, bound: int) -> _ClosureIndex:
-    return _ClosureIndex(pair_type, enumerate_diagrams(pair_type, params, bound))
+    """The index of a pair, checked as enumerate_diagrams: one walk over
+    blocks weighted by their profiles lists the diagrams and writes each
+    profile into the blob as it comes.  A pair whose diagrams can be listed
+    has n < 256, so a count fits one byte."""
+    _check_size(pair_type, params, bound)
+    width = (2 if pair_type.uses_letters else 1) * params.n
+    diagrams, blob = [], bytearray()
+    for g, profile in _walk(pair_type, params, _profile_blocks):
+        diagrams.append(g)
+        blob += profile.to_bytes(width, "little")
+    return _ClosureIndex(pair_type, diagrams, blob, width)
 
 
 def minimal_degenerations(

@@ -17,7 +17,11 @@ as b's and an odd row one extra cell of its start letter, so a diagram of
 shape ``part`` has sum_d floor(d/2) m_d + (odd rows starting with a) cells a.
 The pair's a-count thus fixes how many odd rows start with a, and the walk
 over the lengths of each partition drops a choice of letters as soon as that
-number can no longer be met.
+number can no longer be met.  The walk visits only the partitions that can
+carry a diagram: one cached table per (pair type, n, block table) lists the
+partitions whose every length has a block, with the fewest and most a-cells
+their blocks allow, and a partition whose range misses the pair's a-count is
+skipped before any letter is chosen.
 """
 
 from __future__ import annotations
@@ -395,17 +399,6 @@ def is_valid(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> boo
 # -- enumeration -------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n in decreasing parts, reverse-lexicographic order:
-    one table per n, built from the tables of smaller n (the bound keeps
-    every table up to n = 63)."""
-    if n == 0:
-        return ((),)
-    return tuple((head, *tail) for head in range(n, 0, -1)
-                 for tail in partitions(n - head) if not tail or tail[0] <= head)
-
-
 def pairs_of_size(n: int, types=PairType) -> Iterator[tuple[PairType, PairParams]]:
     """Every (type, params) with matrix size n: types in the given order,
     signatures (p, n - p) by increasing p."""
@@ -433,32 +426,51 @@ def _blocks(pair_type: Optional[PairType], d: int, m: int) -> tuple[tuple[tuple,
     return ((((d, None),) * m, 0, 0),) if plain else splits
 
 
-@functools.lru_cache(maxsize=4096)
-def _shape(part: tuple[int, ...]) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """(odd rows, sum of floor(d/2) over the rows, (d, m_d) by decreasing d)
-    of a partition; cached, as every signature of a size asks again."""
-    odd = sum(d % 2 for d in part)
-    return odd, (sum(part) - odd) // 2, tuple({d: part.count(d) for d in part}.items())
+@functools.lru_cache(maxsize=1024)
+def _viable(kind: Optional[PairType], n: int, table) -> tuple[tuple, ...]:
+    """The partitions of n whose every length d, taken m_d times, has a block
+    in table(kind, d, m_d), in reverse-lexicographic order (the closure
+    index relies on it: enumeration order is a linear extension of the
+    closure order); only these can carry a diagram.  An entry is (largest part, odd rows, sum of
+    floor(d/2) m_d, fewest and most a-cells the blocks allow, steps), with
+    one step (odd rows of the shorter lengths, blocks) per length by
+    decreasing d.  Built like the partitions: a head of m rows of length d
+    before each entry of n - d m whose largest part is below d, d and then m
+    decreasing.  The cache holds every (kind, n <= 30, table) of the three
+    tables."""
+    if n == 0:
+        return ((0, 0, 0, 0, 0, ()),)
+    out = []
+    for d in range(n, 0, -1):
+        for m in range(n // d, 0, -1):
+            blocks = table(kind, d, m)
+            if not blocks:
+                continue
+            odd, count = d % 2 * m, d // 2 * m
+            fewest = count + min(a for _, a, _ in blocks)
+            most = count + max(a for _, a, _ in blocks)
+            out.extend((d, odd + t_odd, count + t_count, fewest + t_fewest, most + t_most,
+                        ((t_odd, blocks), *steps))
+                       for head, t_odd, t_count, t_fewest, t_most, steps in _viable(kind, n - d * m, table)
+                       if head < d)
+    return tuple(out)
 
 
-def _lettered(part: tuple[int, ...], pair_type: Optional[PairType], lo: int, hi: int, table):
-    """(diagram, weight) for each diagram of shape part whose rows of each
-    length d are one block of table(pair_type, d, m_d) and which has between
-    lo and hi cells a, in the order of the blocks (the shortest length
-    varying fastest); a table entry is (rows, a-count of their odd cells,
-    weight), and a diagram's weight is the sum of its blocks' weights.
+def _lettered(steps: tuple, count: int, lo: int, hi: int):
+    """(diagram, weight) for each diagram whose rows of each length are one
+    of that length's blocks in steps and which has between lo and hi cells
+    a, in the order of the blocks (the shortest length varying fastest); a
+    block is (rows, a-count of their odd cells, weight), and a diagram's
+    weight is the sum of its blocks' weights.
 
-    The lengths are walked in order, carrying the a-count of the rows chosen
-    so far plus floor(d/2) for each row still to come; a prefix is dropped
-    as soon as the odd rows left can no longer bring that count into
-    [lo, hi], so only the diagrams that are kept are built."""
-    left, count, lengths = _shape(part)  # odd rows after the current length
-    if not lo - left <= count <= hi:
-        return []
+    The steps are taken in order, carrying an a-count that starts at count
+    (floor(d/2) for every row) and adds the odd a-cells of each block
+    chosen; a prefix is dropped as soon as the odd rows of the shorter
+    lengths can no longer bring that count into [lo, hi], so only the
+    diagrams that are kept are built.  The walk asks only for the viable
+    partitions (_viable)."""
     prefixes = [((), count, 0)]
-    for d, m in lengths:
-        left -= d % 2 * m
-        blocks = table(pair_type, d, m)
+    for left, blocks in steps:
         prefixes = [(rows + block, k + a, w + t) for rows, k, w in prefixes for block, a, t in blocks
                     if lo - left <= k + a <= hi]
         if not prefixes:
@@ -466,12 +478,16 @@ def _lettered(part: tuple[int, ...], pair_type: Optional[PairType], lo: int, hi:
     return [(AbDiagram(rows), w) for rows, _, w in prefixes]
 
 
-def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
+def candidates(pair_type: PairType, n: int, bound: int = DEFAULT_BOUND) -> Iterator[AbDiagram]:
     """Every diagram with n cells of the kind the type uses, valid or not,
     each exactly once: every partition (AI admits all), or every letter
-    split of each length."""
+    split of each length.  BoundExceeded past the bound, before any table
+    is built."""
+    if n > bound:
+        raise BoundExceeded(f"n={n} exceeds bound {bound}")
     kind = None if pair_type.uses_letters else PairType.AI
-    return (g for part in partitions(n) for g, _ in _lettered(part, kind, 0, n, _blocks))
+    return (g for _, _, count, _, _, steps in _viable(kind, n, _blocks)
+            for g, _ in _lettered(steps, count, 0, n))
 
 
 def _check_size(pair_type: PairType, params: PairParams, bound: int) -> None:
@@ -482,12 +498,14 @@ def _check_size(pair_type: PairType, params: PairParams, bound: int) -> None:
 
 
 def _walk(pair_type: PairType, params: PairParams, table) -> Iterator[tuple[AbDiagram, int]]:
-    """_lettered over the partitions of n, in order, with the pair's a-count
-    (any for plain rows): with _blocks, every valid diagram of the pair."""
+    """_lettered over the viable partitions of n (_viable), in order, with
+    the pair's a-count (any for plain rows), skipping a partition whose
+    blocks cannot reach it: with _blocks, every valid diagram of the pair."""
     want_a = _expected_letters(pair_type, params)[0]
     lo, hi = (want_a, want_a) if pair_type.uses_letters else (0, params.n)
-    for part in partitions(params.n):
-        yield from _lettered(part, pair_type, lo, hi, table)
+    for _, _, count, fewest, most, steps in _viable(pair_type, params.n, table):
+        if fewest <= hi and lo <= most:
+            yield from _lettered(steps, count, lo, hi)
 
 
 def enumerate_diagrams(

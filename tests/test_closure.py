@@ -211,14 +211,29 @@ def bucket_slices(profiles):
 
 
 def test_index_slices_match_bucket_build():
-    """The byte-column slices of every pair with n <= 10 equal a plain
-    per-value build from the diagrams' profiles."""
+    """The index of every pair with n <= 10 lists the enumeration, and its
+    byte-column slices equal a plain per-value build from the diagrams'
+    profiles."""
     for n in range(0, 11):
         for pt, prm in pairs_of_size(n):
             diags = enumerate_diagrams(pt, prm)
-            index = closure._ClosureIndex(pt, diags)
+            index = closure._closure_index(pt, prm, DEFAULT_BOUND)
+            assert index.diagrams == diags, (pt, prm)
             profiles = [closure._truncation_profile(d) for d in diags]
             assert index.ge == bucket_slices(profiles), (pt, prm)
+
+
+def test_index_profiles_are_the_row_sums():
+    """The profiles the walk writes into the blob, in enumeration order, are
+    the sums of the diagrams' packed row profiles (every pair, n <= 10)."""
+    for n in range(0, 11):
+        for pt, prm in pairs_of_size(n):
+            index = closure._closure_index(pt, prm, DEFAULT_BOUND)
+            w = index.width
+            assert w == (2 if pt.uses_letters else 1) * n
+            assert bytes(index.blob) == b"".join(
+                sum(closure._row_profile(d, s, 1) for d, s in g.rows).to_bytes(w, "little")
+                for g in enumerate_diagrams(pt, prm)), (pt, prm)
 
 
 @functools.lru_cache(maxsize=None)

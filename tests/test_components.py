@@ -88,8 +88,9 @@ def test_every_orbit_reported_once():
 
 def test_classification_checks_the_bound_before_any_walk(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a partition was walked")
+        raise AssertionError("a table was built or a partition walked")
 
+    monkeypatch.setattr(diagrams, "_viable", refuse)
     monkeypatch.setattr(diagrams, "_lettered", refuse)
     with pytest.raises(BoundExceeded, match="^n=31 exceeds bound 30$"):
         classify_components(PairType.AI, PairParams(31))

@@ -8,22 +8,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nilcomm
+from nilcomm import closure, diagrams, invariants
 from nilcomm.diagrams import (
+    DEFAULT_BOUND,
     AbDiagram,
     PairParams,
     PairType,
+    _blocks,
     _enumerate_cached,
     _parity_rules,
+    _viable,
     candidates,
     enumerate_diagrams,
     pairs_of_size,
     params_for,
     parse,
-    partitions,
     validate,
     is_valid,
 )
 from nilcomm.errors import AlternationError, BoundExceeded, DiagramSyntaxError
+from partition_reference import partitions
 
 
 def test_parse_ab_rows():
@@ -219,8 +223,9 @@ def test_block_rules_match_the_rules_by_type():
 
 
 def test_partitions_of_small_n():
-    """Each table is every composition of n sorted into decreasing parts,
-    deduplicated, in reverse-lexicographic order (n <= 12)."""
+    """The reference partitions of n, which the brute-force tests walk, are
+    every composition of n sorted into decreasing parts, deduplicated, in
+    reverse-lexicographic order (n <= 12)."""
     assert list(partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
     assert list(partitions(0)) == [()]
     assert len(list(partitions(8))) == 22
@@ -374,9 +379,112 @@ def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
             assert built == len(got), (pair_type, params)
 
 
+TABLES = (_blocks, invariants._torus_blocks, closure._profile_blocks)
+KINDS = (*PairType, None)
+
+
 def test_enumeration_caches_are_bounded():
-    assert _enumerate_cached.cache_info().maxsize is not None
-    assert partitions.cache_info().maxsize is not None
+    """Every cache of the walk is bounded, and large enough to hold every
+    key of the pairs with n <= DEFAULT_BOUND: each (kind, d, m) with
+    d m <= n for the block tables, each (kind, n, table) for _viable."""
+    lengths = sum(DEFAULT_BOUND // d for d in range(1, DEFAULT_BOUND + 1))
+    for cache, keys in [(_enumerate_cached, None), (_blocks, len(KINDS) * lengths),
+                        (invariants._torus_blocks, len(PairType) * lengths),
+                        (closure._profile_blocks, len(PairType) * lengths),
+                        (_viable, len(KINDS) * (DEFAULT_BOUND + 1) * len(TABLES))]:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and (keys is None or keys <= maxsize), cache
+
+
+def test_viable_table_is_the_partitions_whose_lengths_have_blocks():
+    """For every kind, each table and n <= 14, the table lists, in
+    reverse-lexicographic order, exactly the reference partitions whose
+    every length d, taken m_d times, has a block; each entry's counts,
+    steps and a-range are those of its blocks, the range being the fewest
+    and most a-cells over every choice of one block per length."""
+    checked = 0
+    for kind in KINDS:
+        for table in TABLES:
+            if table is not _blocks and kind is None:
+                continue  # the torus and profile tables are asked for pair types only
+            for n in range(0, 15):
+                want = []
+                for part in partitions(n):
+                    lengths = [(d, part.count(d)) for d in sorted(set(part), reverse=True)]
+                    if all(table(kind, d, m) for d, m in lengths):
+                        want.append((part, lengths))
+                got = _viable(kind, n, table)
+                assert len(got) == len(want), (kind, table, n)
+                for (part, lengths), (head, odd, count, fewest, most, steps) in zip(want, got):
+                    assert head == (part[0] if part else 0)
+                    assert odd == sum(d % 2 for d in part) and count == sum(d // 2 for d in part)
+                    assert [blocks for _, blocks in steps] == [table(kind, d, m) for d, m in lengths]
+                    assert [left for left, _ in steps] == [
+                        sum(d % 2 * m for d, m in lengths[i + 1:]) for i in range(len(lengths))]
+                    a_cells = [count + sum(a for _, a, _ in choice)
+                               for choice in itertools.product(*(table(kind, d, m) for d, m in lengths))]
+                    assert (fewest, most) == (min(a_cells), max(a_cells)), (kind, part)
+                    checked += 1
+    assert checked > 0
+
+
+def test_walks_visit_only_partitions_whose_lengths_have_blocks(monkeypatch):
+    """With the enumeration and index caches cleared, no walk of a pair with
+    n <= 12 (enumeration, the closure index, the almost-distinguished
+    orbits) asks _lettered for a partition with a length that has no block:
+    every length d, taken m times, admits a valid split, and on the torus
+    walk a valid split whose centralizer block is a torus."""
+    visits = []
+    lettered = diagrams._lettered
+
+    def recorded(steps, count, lo, hi):
+        visits.append(tuple(d for _, blocks in steps for d, _ in blocks[0][0]))
+        return lettered(steps, count, lo, hi)
+
+    def admits(pt, d, m, torus):
+        for a in range(m + 1):
+            rank, dim = invariants._length_term(pt, d, m, a, m - a)
+            if _parity_rules(pt, d, m, a, m - a) is None and (rank == dim or not torus):
+                return True
+        return False
+
+    monkeypatch.setattr(diagrams, "_lettered", recorded)
+    walks = [(enumerate_diagrams, False),
+             (lambda pt, prm: closure._closure_index(pt, prm, DEFAULT_BOUND), False),
+             (invariants.almost_distinguished, True)]
+    total = 0
+    for n in range(0, 13):
+        for pt, prm in pairs_of_size(n):
+            for walk, torus in walks:
+                _enumerate_cached.cache_clear()
+                closure._closure_index.cache_clear()
+                visits.clear()
+                walk(pt, prm)
+                for part in visits:
+                    assert all(admits(pt, d, part.count(d), torus) for d in part), (pt, prm, part)
+                total += len(visits)
+    assert total > 0
+
+
+@pytest.mark.parametrize("walk, message", [
+    (lambda: candidates(PairType.AI, 44), "n=44 exceeds bound 30"),
+    (lambda: candidates(PairType.BDI, 12, bound=10), "n=12 exceeds bound 10"),
+    (lambda: enumerate_diagrams(PairType.AI, PairParams(31)), "n=31 exceeds bound 30"),
+    (lambda: invariants.almost_distinguished(PairType.BDI, params_for(PairType.BDI, 12, 6, 6), 10),
+     "n=12 exceeds bound 10"),
+    (lambda: closure._closure_index(PairType.AIII, PairParams(31, (15, 16)), DEFAULT_BOUND),
+     "n=31 exceeds bound 30"),
+])
+def test_walks_check_the_bound_before_any_table(monkeypatch, walk, message):
+    """Past the bound every walk raises, on the call itself, before a table
+    is built or a partition walked."""
+    def refuse(*args):
+        raise AssertionError("a table was built or a partition walked")
+
+    monkeypatch.setattr(diagrams, "_viable", refuse)
+    monkeypatch.setattr(diagrams, "_lettered", refuse)
+    with pytest.raises(BoundExceeded, match=f"^{message}$"):
+        walk()
 
 
 def test_library_has_no_unbounded_cache():

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 import dense_reference as dense
 import nilcomm
 import sparse_reference as sparse
+from partition_reference import partitions
 
 from nilcomm import closure, invariants, oracle
 from nilcomm.diagrams import (
@@ -23,7 +24,6 @@ from nilcomm.diagrams import (
     pairs_of_size,
     params_for,
     parse,
-    partitions,
 )
 from nilcomm.errors import (
     NoAdjacentLengths,
