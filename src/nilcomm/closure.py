@@ -37,22 +37,10 @@ import struct
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .diagrams import DEFAULT_BOUND, AbDiagram, PairParams, PairType, _blocks, _check_size, _walk
+from .diagrams import (DEFAULT_BOUND, AbDiagram, PairParams, PairType, _blocks, _check_size,
+                       _row_profile, _walk)
 from .errors import NotComparable, ShapeMismatch, WrongType
 from .invariants import _dim_p_cent, defect, dim_p, dim_p_cent
-
-
-@lru_cache(maxsize=1024)
-def _row_profile(length: int, start: Optional[str], size: int) -> int:
-    """One row's truncation profile, packed in fields of size bytes (_layout)."""
-    width = 1 if start is None else 2
-    counts = [0] * (width * length + width)
-    for k in range(length - 1, -1, -1):
-        # depth k counts what depth k + 1 counts plus the cell in column k,
-        # a b when k is even for a b-row and odd for an a-row
-        counts[width * k:width * k + width] = counts[width * k + width:width * k + 2 * width]
-        counts[width * k + (start is not None and (start == "a") != (k % 2 == 0))] += 1
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
 
 
 @lru_cache(maxsize=256)
@@ -88,15 +76,6 @@ def leq(g1: AbDiagram, g2: AbDiagram, pair_type: PairType) -> bool:
     """g1 <= g2 in the degeneration order."""
     _check_comparable(g1, g2, pair_type)
     return all(map(operator.le, _truncation_profile(g1), _truncation_profile(g2)))
-
-
-@lru_cache(maxsize=1024)
-def _profile_blocks(pair_type: PairType, d: int, m: int) -> tuple[tuple[tuple, int, int], ...]:
-    """The row blocks of _blocks(pair_type, d, m), each weighted by the
-    packed profile of its rows in one-byte fields: the walk sums a diagram's
-    profile as it builds it."""
-    return tuple((rows, odd_a, sum(_row_profile(d, s, 1) for _, s in rows))
-                 for rows, odd_a, _ in _blocks(pair_type, d, m))
 
 
 class _ClosureIndex:
@@ -165,7 +144,7 @@ def _closure_index(pair_type: PairType, params: PairParams, bound: int) -> _Clos
     _check_size(pair_type, params, bound)
     width = (2 if pair_type.uses_letters else 1) * params.n
     diagrams, blob = [], bytearray()
-    for g, profile in _walk(pair_type, params, _profile_blocks):
+    for g, profile in _walk(pair_type, params, _blocks):
         diagrams.append(g)
         blob += profile.to_bytes(width, "little")
     return _ClosureIndex(pair_type, diagrams, blob, width)

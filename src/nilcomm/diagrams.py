@@ -21,7 +21,9 @@ number can no longer be met.  The walk visits only the partitions that can
 carry a diagram: one cached table per (pair type, n, block table) lists the
 partitions whose every length has a block, with the fewest and most a-cells
 their blocks allow, and a partition whose range misses the pair's a-count is
-skipped before any letter is chosen.
+skipped before any letter is chosen.  Each block of rows also carries their
+packed truncation profile, so the walk that lists a pair's diagrams gives
+the closure index their profiles too.
 """
 
 from __future__ import annotations
@@ -415,15 +417,34 @@ def pairs_of_size(n: int, types=PairType) -> Iterator[tuple[PairType, PairParams
 
 
 @functools.lru_cache(maxsize=1024)
+def _row_profile(length: int, start: Optional[str], size: int) -> int:
+    """One row's truncation profile (closure._truncation_profile): the cell
+    count per depth for a plain row, the a-count then the b-count per depth
+    for a lettered one, packed in fields of size bytes (closure._layout)."""
+    width = 1 if start is None else 2
+    counts = [0] * (width * length + width)
+    for k in range(length - 1, -1, -1):
+        # depth k counts what depth k + 1 counts plus the cell in column k,
+        # a b when k is even for a b-row and odd for an a-row
+        counts[width * k:width * k + width] = counts[width * k + width:width * k + 2 * width]
+        counts[width * k + (start is not None and (start == "a") != (k % 2 == 0))] += 1
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+
+
+@functools.lru_cache(maxsize=1024)
 def _blocks(pair_type: Optional[PairType], d: int, m: int) -> tuple[tuple[tuple, int, int], ...]:
     """The m rows of length d for each (a_d, b_d) split that the pair type
     admits (every split for None), a-count decreasing, with the a-count of
-    their odd cells and weight 0; plain rows, once, for AI and AII.  Cached,
-    as every partition of every pair asks again."""
-    splits = tuple((((d, "a"),) * a + ((d, "b"),) * (m - a), d % 2 * a, 0) for a in range(m, -1, -1)
+    their odd cells and, as weight, their packed profile in one-byte fields,
+    so that a walk sums each diagram's profile as it builds it (the closure
+    index reads it; a count fits one byte below n = 256); plain rows, once,
+    for AI and AII.  Cached, as every partition of every pair asks again."""
+    a_row, b_row = _row_profile(d, "a", 1), _row_profile(d, "b", 1)
+    splits = tuple((((d, "a"),) * a + ((d, "b"),) * (m - a), d % 2 * a, a * a_row + (m - a) * b_row)
+                   for a in range(m, -1, -1)
                    if pair_type is None or _parity_rules(pair_type, d, m, a, m - a) is None)
     plain = splits and pair_type is not None and not pair_type.uses_letters
-    return ((((d, None),) * m, 0, 0),) if plain else splits
+    return ((((d, None),) * m, 0, m * _row_profile(d, None, 1)),) if plain else splits
 
 
 @functools.lru_cache(maxsize=1024)
@@ -436,7 +457,7 @@ def _viable(kind: Optional[PairType], n: int, table) -> tuple[tuple, ...]:
     one step (odd rows of the shorter lengths, blocks) per length by
     decreasing d.  Built like the partitions: a head of m rows of length d
     before each entry of n - d m whose largest part is below d, d and then m
-    decreasing.  The cache holds every (kind, n <= 30, table) of the three
+    decreasing.  The cache holds every (kind, n <= 30, table) of the two
     tables."""
     if n == 0:
         return ((0, 0, 0, 0, 0, ()),)
@@ -478,13 +499,13 @@ def _lettered(steps: tuple, count: int, lo: int, hi: int):
     return [(AbDiagram(rows), w) for rows, _, w in prefixes]
 
 
-def candidates(pair_type: PairType, n: int, bound: int = DEFAULT_BOUND) -> Iterator[AbDiagram]:
+def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
     """Every diagram with n cells of the kind the type uses, valid or not,
     each exactly once: every partition (AI admits all), or every letter
-    split of each length.  BoundExceeded past the bound, before any table
-    is built."""
-    if n > bound:
-        raise BoundExceeded(f"n={n} exceeds bound {bound}")
+    split of each length.  BoundExceeded past DEFAULT_BOUND, before any
+    table is built."""
+    if n > DEFAULT_BOUND:
+        raise BoundExceeded(f"n={n} exceeds bound {DEFAULT_BOUND}")
     kind = None if pair_type.uses_letters else PairType.AI
     return (g for _, _, count, _, _, steps in _viable(kind, n, _blocks)
             for g, _ in _lettered(steps, count, 0, n))

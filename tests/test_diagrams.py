@@ -379,7 +379,7 @@ def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
             assert built == len(got), (pair_type, params)
 
 
-TABLES = (_blocks, invariants._torus_blocks, closure._profile_blocks)
+TABLES = (_blocks, invariants._torus_blocks)
 KINDS = (*PairType, None)
 
 
@@ -390,7 +390,6 @@ def test_enumeration_caches_are_bounded():
     lengths = sum(DEFAULT_BOUND // d for d in range(1, DEFAULT_BOUND + 1))
     for cache, keys in [(_enumerate_cached, None), (_blocks, len(KINDS) * lengths),
                         (invariants._torus_blocks, len(PairType) * lengths),
-                        (closure._profile_blocks, len(PairType) * lengths),
                         (_viable, len(KINDS) * (DEFAULT_BOUND + 1) * len(TABLES))]:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and (keys is None or keys <= maxsize), cache
@@ -406,7 +405,7 @@ def test_viable_table_is_the_partitions_whose_lengths_have_blocks():
     for kind in KINDS:
         for table in TABLES:
             if table is not _blocks and kind is None:
-                continue  # the torus and profile tables are asked for pair types only
+                continue  # the torus table is asked for pair types only
             for n in range(0, 15):
                 want = []
                 for part in partitions(n):
@@ -468,7 +467,6 @@ def test_walks_visit_only_partitions_whose_lengths_have_blocks(monkeypatch):
 
 @pytest.mark.parametrize("walk, message", [
     (lambda: candidates(PairType.AI, 44), "n=44 exceeds bound 30"),
-    (lambda: candidates(PairType.BDI, 12, bound=10), "n=12 exceeds bound 10"),
     (lambda: enumerate_diagrams(PairType.AI, PairParams(31)), "n=31 exceeds bound 30"),
     (lambda: invariants.almost_distinguished(PairType.BDI, params_for(PairType.BDI, 12, 6, 6), 10),
      "n=12 exceeds bound 10"),
