@@ -15,13 +15,15 @@ diagram.
 Enumeration builds only the diagrams it keeps.  An even row has as many a's
 as b's and an odd row one extra cell of its start letter, so a diagram of
 shape ``part`` has sum_d floor(d/2) m_d + (odd rows starting with a) cells a.
-The pair's a-count thus fixes how many odd rows start with a, and the walk
-over the lengths of each partition drops a choice of letters as soon as that
-number can no longer be met.  The walk visits only the partitions that can
-carry a diagram: one cached table per (pair type, n, block table) lists the
-partitions whose every length has a block, with the fewest and most a-cells
-their blocks allow, and a partition whose range misses the pair's a-count is
-skipped before any letter is chosen.  Each block of rows also carries their
+The pair's a-count thus fixes how many odd rows start with a.  The walk
+visits only the partitions that can carry a diagram: one cached table per
+(pair type, n, block table) lists the partitions whose every length has a
+block, each with its reach, the set of odd a-cell counts its blocks add up
+to (one bit mask), and the reach of the shorter lengths at each length.  A
+partition whose reach misses the pair's a-count is skipped before any
+letter is chosen, and the walk over its lengths drops a choice of letters
+as soon as the shorter lengths' reach cannot complete it, so every
+partition visited yields a diagram.  Each block of rows also carries their
 packed truncation profile, so the walk that lists a pair's diagrams gives
 the closure index their profiles too.
 """
@@ -31,6 +33,8 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
+from itertools import repeat
+from operator import index
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -172,19 +176,39 @@ class AbDiagram:
     length with ``a``-rows before ``b``-rows; ``start`` is None for all rows of
     a plain partition and a letter for all rows of an ab-diagram.  An
     immutable value, compared and hashed by its rows.
+
+    The constructor is the one boundary check, in one scan, and raises
+    ValueError, also under ``python -O``: it accepts any iterable of rows,
+    turns a row that is not a tuple into one and an integral length that is
+    not an int into an int (``operator.index``), and rejects a length that
+    is not integral (``3.0``, ``3.7``, ``"3"``) or not positive, a start
+    letter other than None, ``a`` or ``b``, and plain rows mixed with
+    lettered ones.  A tuple of canonical ``(int, letter)`` tuples is kept
+    as it is; rows out of order are sorted.  The enumeration walk builds
+    its rows canonical from its blocks, so it sets them unchecked
+    (``_canonical``).
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[Row, ...]):
         """One scan checks the rows and whether they are in canonical order
-        already, as enumeration builds them; only rows out of order are
-        sorted."""
-        rows = tuple(rows)
-        plain = lettered = False
+        already.  A tuple of canonical (int, letter) tuples is kept as it
+        is; a row that is not a tuple, or whose length is not an int, is
+        rebuilt as one; only rows out of order are sorted."""
+        if rows.__class__ is not tuple:
+            rows = tuple(rows)
+        plain = lettered = rebuild = False
         canonical = True
         last, last_start = math.inf, None
-        for length, start in rows:
+        for row in rows:
+            length, start = row
+            if length.__class__ is not int or row.__class__ is not tuple:
+                try:
+                    length = index(length)
+                except TypeError:
+                    raise ValueError(f"row lengths must be integers, got {row!r}") from None
+                rebuild = True
             if length <= 0:
                 raise ValueError(f"row lengths must be positive, got {length}")
             if start is None:
@@ -198,6 +222,8 @@ class AbDiagram:
             last, last_start = length, start
         if plain and lettered:
             raise ValueError("cannot mix plain and lettered rows")
+        if rebuild:
+            rows = tuple((index(length), start) for length, start in rows)
         if not canonical:
             rows = tuple(sorted(rows, key=lambda r: (-r[0], r[1] or "")))
         _set(self, "rows", rows)
@@ -222,11 +248,11 @@ class AbDiagram:
 
     @classmethod
     def from_partition(cls, parts) -> "AbDiagram":
-        return cls(tuple((int(d), None) for d in parts))
+        return cls(zip(parts, repeat(None)))
 
     @classmethod
     def from_rows(cls, pairs) -> "AbDiagram":
-        return cls(tuple((int(d), s) for d, s in pairs))
+        return cls(pairs)
 
     # -- basic views -------------------------------------------------------
 
@@ -284,6 +310,15 @@ class AbDiagram:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _canonical(rows: tuple[Row, ...]) -> AbDiagram:
+    """The diagram of rows that are canonical (int, letter) tuples by
+    construction, without the scan of __init__: the walk's constructor
+    (_lettered), whose blocks (_blocks) are built canonical."""
+    g = object.__new__(AbDiagram)
+    _set(g, "rows", rows)
+    return g
 
 
 def parse(text: str) -> AbDiagram:
@@ -452,51 +487,50 @@ def _viable(kind: Optional[PairType], n: int, table) -> tuple[tuple, ...]:
     """The partitions of n whose every length d, taken m_d times, has a block
     in table(kind, d, m_d), in reverse-lexicographic order (the closure
     index relies on it: enumeration order is a linear extension of the
-    closure order); only these can carry a diagram.  An entry is (largest part, odd rows, sum of
-    floor(d/2) m_d, fewest and most a-cells the blocks allow, steps), with
-    one step (odd rows of the shorter lengths, blocks) per length by
-    decreasing d.  Built like the partitions: a head of m rows of length d
-    before each entry of n - d m whose largest part is below d, d and then m
+    closure order); only these can carry a diagram.  An entry is (largest
+    part, sum of floor(d/2) m_d, reach, steps), with one step (reach of the
+    shorter lengths, blocks) per length by decreasing d; a reach is the set
+    of odd a-cell counts that one block per length adds up to, as a bit
+    mask.  Built like the partitions: a head of m rows of length d before
+    each entry of n - d m whose largest part is below d, d and then m
     decreasing.  The cache holds every (kind, n <= 30, table) of the two
     tables."""
     if n == 0:
-        return ((0, 0, 0, 0, 0, ()),)
+        return ((0, 0, 1, ()),)
     out = []
     for d in range(n, 0, -1):
         for m in range(n // d, 0, -1):
             blocks = table(kind, d, m)
             if not blocks:
                 continue
-            odd, count = d % 2 * m, d // 2 * m
-            fewest = count + min(a for _, a, _ in blocks)
-            most = count + max(a for _, a, _ in blocks)
-            out.extend((d, odd + t_odd, count + t_count, fewest + t_fewest, most + t_most,
-                        ((t_odd, blocks), *steps))
-                       for head, t_odd, t_count, t_fewest, t_most, steps in _viable(kind, n - d * m, table)
-                       if head < d)
+            for head, count, tail, steps in _viable(kind, n - d * m, table):
+                if head < d:
+                    reach = 0
+                    for _, a, _ in blocks:
+                        reach |= tail << a
+                    out.append((d, d // 2 * m + count, reach, ((tail, blocks), *steps)))
     return tuple(out)
 
 
-def _lettered(steps: tuple, count: int, lo: int, hi: int):
+def _lettered(steps: tuple, count: int, window: int):
     """(diagram, weight) for each diagram whose rows of each length are one
-    of that length's blocks in steps and which has between lo and hi cells
-    a, in the order of the blocks (the shortest length varying fastest); a
-    block is (rows, a-count of their odd cells, weight), and a diagram's
-    weight is the sum of its blocks' weights.
+    of that length's blocks in steps and whose a-cell count is in window (a
+    bit mask), in the order of the blocks (the shortest length varying
+    fastest); a block is (rows, a-count of their odd cells, weight), and a
+    diagram's weight is the sum of its blocks' weights.
 
     The steps are taken in order, carrying an a-count that starts at count
     (floor(d/2) for every row) and adds the odd a-cells of each block
-    chosen; a prefix is dropped as soon as the odd rows of the shorter
-    lengths can no longer bring that count into [lo, hi], so only the
-    diagrams that are kept are built.  The walk asks only for the viable
-    partitions (_viable)."""
+    chosen; a prefix is dropped as soon as no sum in the reach of the
+    shorter lengths brings that count into the window, so only the diagrams
+    that are kept are built, by the walk's constructor (_canonical), and a
+    call whose partition is in reach yields at least one.  The walk asks
+    only for the viable partitions (_viable)."""
     prefixes = [((), count, 0)]
-    for left, blocks in steps:
+    for reach, blocks in steps:
         prefixes = [(rows + block, k + a, w + t) for rows, k, w in prefixes for block, a, t in blocks
-                    if lo - left <= k + a <= hi]
-        if not prefixes:
-            return []
-    return [(AbDiagram(rows), w) for rows, _, w in prefixes]
+                    if reach << (k + a) & window]
+    return [(_canonical(rows), w) for rows, _, w in prefixes]
 
 
 def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
@@ -507,8 +541,8 @@ def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
     if n > DEFAULT_BOUND:
         raise BoundExceeded(f"n={n} exceeds bound {DEFAULT_BOUND}")
     kind = None if pair_type.uses_letters else PairType.AI
-    return (g for _, _, count, _, _, steps in _viable(kind, n, _blocks)
-            for g, _ in _lettered(steps, count, 0, n))
+    return (g for _, count, _, steps in _viable(kind, n, _blocks)
+            for g, _ in _lettered(steps, count, (2 << n) - 1))
 
 
 def _check_size(pair_type: PairType, params: PairParams, bound: int) -> None:
@@ -520,13 +554,13 @@ def _check_size(pair_type: PairType, params: PairParams, bound: int) -> None:
 
 def _walk(pair_type: PairType, params: PairParams, table) -> Iterator[tuple[AbDiagram, int]]:
     """_lettered over the viable partitions of n (_viable), in order, with
-    the pair's a-count (any for plain rows), skipping a partition whose
-    blocks cannot reach it: with _blocks, every valid diagram of the pair."""
+    the pair's a-count (any for plain rows) as window, skipping a partition
+    whose reach misses it: with _blocks, every valid diagram of the pair."""
     want_a = _expected_letters(pair_type, params)[0]
-    lo, hi = (want_a, want_a) if pair_type.uses_letters else (0, params.n)
-    for _, _, count, fewest, most, steps in _viable(pair_type, params.n, table):
-        if fewest <= hi and lo <= most:
-            yield from _lettered(steps, count, lo, hi)
+    window = 1 << want_a if pair_type.uses_letters else (2 << params.n) - 1
+    for _, count, reach, steps in _viable(pair_type, params.n, table):
+        if reach << count & window:
+            yield from _lettered(steps, count, window)
 
 
 def enumerate_diagrams(

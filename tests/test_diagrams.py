@@ -93,12 +93,39 @@ def test_every_row_order_builds_the_canonical_diagram():
     assert checked == 793
 
 
+class Three:
+    """An integral length that is not an int."""
+
+    def __index__(self):
+        return 3
+
+
 def test_rows_given_as_a_list_are_stored_as_a_tuple():
+    """Rows given as a list, a row given as a list, or a length that is
+    integral but not an int, are stored as (int, letter) tuples, so the
+    diagram hashes and cannot be changed through its rows."""
     d = AbDiagram([(1, "b"), (3, "a")])
     assert d.rows == ((3, "a"), (1, "b")) and isinstance(d.rows, tuple)
     d = AbDiagram([(3, None), (1, None)])
     assert d.rows == ((3, None), (1, None)) and isinstance(d.rows, tuple)
     assert hash(d) == hash(parse("3,1"))
+    assert AbDiagram.from_partition([Three(), 1]) == d
+    for d in (AbDiagram([[3, "a"], [1, "b"]]), AbDiagram(([1, "b"], (Three(), "a"))),
+              AbDiagram.from_rows([[1, "b"], [3, "a"]])):
+        assert d.rows == ((3, "a"), (1, "b")) and hash(d) == hash(parse("aba/b"))
+        assert all(row.__class__ is tuple and row[0].__class__ is int for row in d.rows)
+        with pytest.raises(TypeError):
+            d.rows[0][0] = 7
+
+
+def test_canonical_rows_are_kept_without_a_copy():
+    """A tuple of canonical (int, letter) tuples becomes the diagram's rows
+    as it is; from_partition pairs each part with None."""
+    for rows in (((3, "a"), (1, "a"), (1, "b")), ((4, None), (2, None)), ()):
+        assert AbDiagram.from_rows(rows).rows is rows and AbDiagram(rows).rows is rows
+    assert AbDiagram.from_partition([2, 4, 1, 1]).rows == ((4, None), (2, None), (1, None), (1, None))
+    assert AbDiagram.from_partition(d for d in (3, 1)).rows == ((3, None), (1, None))
+    assert AbDiagram.from_partition([]).rows == ()
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -111,11 +138,23 @@ def test_rows_given_as_a_list_are_stored_as_a_tuple():
     # every row's length and letter are checked before the kinds are compared
     ([(1, "a"), (1, None), (0, "b")], "row lengths must be positive, got 0"),
     ([(1, None), (1, "a"), (2, "x")], "bad start letter 'x'"),
+    # a length is an integer, never kept as given nor truncated
+    ([(3.0, "a")], "row lengths must be integers, got (3.0, 'a')"),
+    ([(2, "a"), [3.7, "b"]], "row lengths must be integers, got [3.7, 'b']"),
+    ([("3", None)], "row lengths must be integers, got ('3', None)"),
+    ([(2, None), (3.7, None)], "row lengths must be integers, got (3.7, None)"),
 ])
 def test_bad_rows_are_rejected_with_their_reason(rows, message):
+    """By the constructor, by from_rows and, for plain rows, by
+    from_partition."""
     with pytest.raises(ValueError) as info:
         AbDiagram(rows)
     assert str(info.value) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AbDiagram.from_rows(rows)
+    if all(start is None for _, start in rows):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AbDiagram.from_partition(length for length, _ in rows)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -360,23 +399,46 @@ def test_enumeration_unchanged_to_n14():
 
 
 def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
-    """On a cold cache, every AbDiagram built while enumerating a pair is one
-    of the diagrams returned (every pair, n <= 10)."""
+    """On a cold cache, every diagram the walk's constructor builds while
+    enumerating a pair is one of the diagrams returned (every pair, n <= 10)."""
     built = 0
-    init = AbDiagram.__init__
+    canonical = diagrams._canonical
 
-    def counted(self, rows):
+    def counted(rows):
         nonlocal built
         built += 1
-        init(self, rows)
+        return canonical(rows)
 
-    monkeypatch.setattr(AbDiagram, "__init__", counted)
+    monkeypatch.setattr(diagrams, "_canonical", counted)
     for n in range(0, 11):
         for pair_type, params in pairs_of_size(n):
             _enumerate_cached.cache_clear()
             built = 0
             got = enumerate_diagrams(pair_type, params)
             assert built == len(got), (pair_type, params)
+
+
+def test_walks_build_canonical_rows():
+    """Every diagram that a walk builds without the boundary check, for
+    every pair with n <= 12 (the enumeration, the closure index, the
+    almost-distinguished orbits and the candidates), has the rows that
+    AbDiagram gives it: canonical (int, letter) tuples."""
+    def walks(pt, prm):
+        yield from enumerate_diagrams(pt, prm)
+        yield from closure._closure_index(pt, prm, DEFAULT_BOUND).diagrams
+        yield from (g for g, _ in invariants.almost_distinguished(pt, prm))
+        yield from candidates(pt, prm.n)
+
+    checked = 0
+    for n in range(0, 13):
+        for pt, prm in pairs_of_size(n):
+            for g in walks(pt, prm):
+                assert AbDiagram(g.rows).rows == g.rows and g.rows.__class__ is tuple, g
+                assert all(row.__class__ is tuple and len(row) == 2 and row[0].__class__ is int
+                           and row[1] in (("a", "b") if pt.uses_letters else (None,))
+                           for row in g.rows), g
+                checked += 1
+    assert checked > 0
 
 
 TABLES = (_blocks, invariants._torus_blocks)
@@ -399,8 +461,13 @@ def test_viable_table_is_the_partitions_whose_lengths_have_blocks():
     """For every kind, each table and n <= 14, the table lists, in
     reverse-lexicographic order, exactly the reference partitions whose
     every length d, taken m_d times, has a block; each entry's counts,
-    steps and a-range are those of its blocks, the range being the fewest
-    and most a-cells over every choice of one block per length."""
+    steps and reaches are those of its blocks, a reach being the set (a bit
+    mask) of odd a-cell counts over every choice of one block per length,
+    of all lengths for the entry and of the shorter lengths for a step."""
+    def reach_of(table, kind, lengths):
+        choices = itertools.product(*(table(kind, d, m) for d, m in lengths))
+        return sum(1 << a for a in {sum(a for _, a, _ in choice) for choice in choices})
+
     checked = 0
     for kind in KINDS:
         for table in TABLES:
@@ -414,15 +481,13 @@ def test_viable_table_is_the_partitions_whose_lengths_have_blocks():
                         want.append((part, lengths))
                 got = _viable(kind, n, table)
                 assert len(got) == len(want), (kind, table, n)
-                for (part, lengths), (head, odd, count, fewest, most, steps) in zip(want, got):
+                for (part, lengths), (head, count, reach, steps) in zip(want, got):
                     assert head == (part[0] if part else 0)
-                    assert odd == sum(d % 2 for d in part) and count == sum(d // 2 for d in part)
+                    assert count == sum(d // 2 for d in part)
                     assert [blocks for _, blocks in steps] == [table(kind, d, m) for d, m in lengths]
-                    assert [left for left, _ in steps] == [
-                        sum(d % 2 * m for d, m in lengths[i + 1:]) for i in range(len(lengths))]
-                    a_cells = [count + sum(a for _, a, _ in choice)
-                               for choice in itertools.product(*(table(kind, d, m) for d, m in lengths))]
-                    assert (fewest, most) == (min(a_cells), max(a_cells)), (kind, part)
+                    assert reach == reach_of(table, kind, lengths), (kind, part)
+                    assert [tail for tail, _ in steps] == [
+                        reach_of(table, kind, lengths[i + 1:]) for i in range(len(lengths))]
                     checked += 1
     assert checked > 0
 
@@ -432,13 +497,16 @@ def test_walks_visit_only_partitions_whose_lengths_have_blocks(monkeypatch):
     n <= 12 (enumeration, the closure index, the almost-distinguished
     orbits) asks _lettered for a partition with a length that has no block:
     every length d, taken m times, admits a valid split, and on the torus
-    walk a valid split whose centralizer block is a torus."""
+    walk a valid split whose centralizer block is a torus.  Every visit
+    yields a diagram."""
     visits = []
     lettered = diagrams._lettered
 
-    def recorded(steps, count, lo, hi):
+    def recorded(steps, count, window):
         visits.append(tuple(d for _, blocks in steps for d, _ in blocks[0][0]))
-        return lettered(steps, count, lo, hi)
+        found = lettered(steps, count, window)
+        assert found, "a walk asked _lettered for a partition with no diagram"
+        return found
 
     def admits(pt, d, m, torus):
         for a in range(m + 1):

@@ -414,6 +414,8 @@ for tampered, check in [
     ((3, (1, 1)), lambda args: PairParams(*args)),
     (((2, None), (0, None)), AbDiagram),
     (((2, None), (1, "a")), AbDiagram),
+    (((3.0, "a"),), AbDiagram),
+    ([(2, "a"), [3.7, "b"]], AbDiagram.from_rows),
 ]:
     try:
         check(tampered)
@@ -447,6 +449,8 @@ def test_oracle_checks_survive_python_O():
         "signature (1, 1) incompatible with n=3",
         "row lengths must be positive, got 0",
         "cannot mix plain and lettered rows",
+        "row lengths must be integers, got (3.0, 'a')",
+        "row lengths must be integers, got [3.7, 'b']",
     ]
 
 
