@@ -3,7 +3,8 @@
 Subcommands: enumerate, invariants, closure-graph, reduce, components,
 selflarge, exceptional, verify (which runs ``oracle.certify``).  Output
 format is text, json or dot (closure-graph only).  Exit codes: 0 success,
-1 failed verification or violated claim, 2 usage error.
+1 failed verification, violated claim or stdout closed by its reader, 2
+usage error.
 
 Configuration can also come from a JSON file named by $NILCOMM_CONFIG with
 keys "bound" and "format", read on every call; a flag given on the command
@@ -283,14 +284,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ClaimViolated as exc:
         print(f"claim violated: {exc}", file=sys.stderr)
         return 1
-    except NilcommError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NilcommError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

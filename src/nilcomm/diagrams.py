@@ -103,15 +103,25 @@ def _frozen(self, name, *value):
 class PairParams:
     """Size parameters of a symmetric pair: matrix size n, plus (p, q) when the
     type carries a signature.  An immutable value, compared and hashed by
-    (n, signature)."""
+    (n, signature).  The constructor stores n, p and q as ints
+    (``operator.index``) and the signature as a tuple; it raises ValueError,
+    also under ``python -O``, on a value that is not an integer or is
+    negative, and on p + q != n."""
 
     __slots__ = ("n", "signature")
 
     def __init__(self, n: int, signature: Optional[tuple[int, int]] = None):
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         if signature is not None:
-            p, q = signature
+            try:
+                p, q = signature = tuple(map(index, signature))
+            except (TypeError, ValueError):
+                raise ValueError(f"signature must be two integers, got {signature!r}") from None
             if p < 0 or q < 0 or p + q != n:
                 raise ValueError(f"signature {signature} incompatible with n={n}")
         _set(self, "n", n)
@@ -467,23 +477,23 @@ def _row_profile(length: int, start: Optional[str], size: int) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
-def _blocks(pair_type: Optional[PairType], d: int, m: int) -> tuple[tuple[tuple, int, int], ...]:
+def _blocks(pair_type: PairType, d: int, m: int) -> tuple[tuple[tuple, int, int], ...]:
     """The m rows of length d for each (a_d, b_d) split that the pair type
-    admits (every split for None), a-count decreasing, with the a-count of
-    their odd cells and, as weight, their packed profile in one-byte fields,
-    so that a walk sums each diagram's profile as it builds it (the closure
-    index reads it; a count fits one byte below n = 256); plain rows, once,
-    for AI and AII.  Cached, as every partition of every pair asks again."""
+    admits, a-count decreasing, with the a-count of their odd cells and, as
+    weight, their packed profile in one-byte fields, so that a walk sums
+    each diagram's profile as it builds it (the closure index reads it; a
+    count fits one byte below n = 256); plain rows, once, for AI and AII.
+    Cached, as every partition of every pair asks again."""
     a_row, b_row = _row_profile(d, "a", 1), _row_profile(d, "b", 1)
     splits = tuple((((d, "a"),) * a + ((d, "b"),) * (m - a), d % 2 * a, a * a_row + (m - a) * b_row)
                    for a in range(m, -1, -1)
-                   if pair_type is None or _parity_rules(pair_type, d, m, a, m - a) is None)
-    plain = splits and pair_type is not None and not pair_type.uses_letters
+                   if _parity_rules(pair_type, d, m, a, m - a) is None)
+    plain = splits and not pair_type.uses_letters
     return ((((d, None),) * m, 0, m * _row_profile(d, None, 1)),) if plain else splits
 
 
 @functools.lru_cache(maxsize=1024)
-def _viable(kind: Optional[PairType], n: int, table) -> tuple[tuple, ...]:
+def _viable(kind: PairType, n: int, table) -> tuple[tuple, ...]:
     """The partitions of n whose every length d, taken m_d times, has a block
     in table(kind, d, m_d), in reverse-lexicographic order (the closure
     index relies on it: enumeration order is a linear extension of the
@@ -531,18 +541,6 @@ def _lettered(steps: tuple, count: int, window: int):
         prefixes = [(rows + block, k + a, w + t) for rows, k, w in prefixes for block, a, t in blocks
                     if reach << (k + a) & window]
     return [(_canonical(rows), w) for rows, _, w in prefixes]
-
-
-def candidates(pair_type: PairType, n: int) -> Iterator[AbDiagram]:
-    """Every diagram with n cells of the kind the type uses, valid or not,
-    each exactly once: every partition (AI admits all), or every letter
-    split of each length.  BoundExceeded past DEFAULT_BOUND, before any
-    table is built."""
-    if n > DEFAULT_BOUND:
-        raise BoundExceeded(f"n={n} exceeds bound {DEFAULT_BOUND}")
-    kind = None if pair_type.uses_letters else PairType.AI
-    return (g for _, count, _, steps in _viable(kind, n, _blocks)
-            for g, _ in _lettered(steps, count, (2 << n) - 1))
 
 
 def _check_size(pair_type: PairType, params: PairParams, bound: int) -> None:

@@ -31,12 +31,14 @@ entries, with dense views built on access.  Once T is checked to be a signed
 permutation, T[r, pi r] = t_r = +-1, and h and D to be diagonal, every
 product with T, h or D is a relabeling or a scaling of entries.
 
-The oracle serves two clients.  ``certify`` checks the formulas of
-``invariants`` on every diagram up to a bound against the exact kernel
-dimensions (dim p^e, dim p(e,i)), the Jordan type, the truncation ranks and
-the defect, dim z_{p(e,0)}(x) for a sample x whose powers in p span that
-Cartan subspace.  The self-large criterion of ``selflarge`` reads the
-sparse basis of p(e,0), its torus test ``is_abelian`` and dim p(e,1).
+The oracle serves two clients.  ``certify`` checks, once per row length,
+that a diagram is realizable exactly when it is valid, and then the
+formulas of ``invariants`` on every valid diagram up to a bound against the
+exact kernel dimensions (dim p^e, dim p(e,i)), the Jordan type, the
+truncation ranks and the defect, dim z_{p(e,0)}(x) for a sample x whose
+powers in p span that Cartan subspace.  The oracle's form of the self-large
+criterion reads the sparse basis of p(e,0), its torus test ``is_abelian``
+and dim p(e,1).
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .diagrams import (
     PairParams,
     PairType,
     _frozen,
+    _parity_rules,
     _set,
-    candidates,
     enumerate_diagrams,
     pairs_of_size,
 )
@@ -266,36 +268,30 @@ def _group_block(pair_type: PairType, length: int, letters: tuple):
     return None
 
 
-def _pair_admissible(pair_type: PairType, length: int, s1: str, s2: str) -> bool:
-    """Whether the group of a row starting with s1 and, unless s2 is empty,
-    a row starting with s2 (both of the given length) has a checked block."""
-    return _group_block(pair_type, length, (s1, s2) if s2 else (s1,)) is not None
-
-
-@lru_cache(maxsize=1024)
-def _match_rows(pair_type: PairType, length: int, na: int, nb: int):
-    """Pair up rows 0 .. na+nb-1 of one length, na a-rows then nb b-rows, so
-    each pair carries an admissible coupling (a self-pair is a one-row one):
-    the (row, partner) pairs, or None.
-
-    The coupling test depends on the start letters only through their
-    product, and a one-row one not at all, so three tests decide: a row
+@lru_cache(maxsize=8192)
+def _length_groups(pair_type: PairType, length: int, m: int, na: int, nb: int):
+    """The coupled groups of the m rows of one length, na a-rows then nb
+    b-rows, as (row, partner) pairs, or None: neighbours for AII (none for
+    odd m), each row alone (a self-pair) for AI and AIII.  For the other
+    types three checked blocks decide, as a coupling depends on the start
+    letters only through their product (a one-row one not at all): a row
     alone, two a-rows, an a-row with a b-row.  If a row may couple with
-    itself, every row is a self-pair.  Otherwise neighbours pair as (k, k+1)
-    when rows of one letter couple and na and nb are even, or cross pairs
-    also couple and na + nb is even; else a-row k pairs with b-row na + k
-    when cross pairs couple and na == nb; else no perfect matching exists.
-    Each is the matching in which every row in turn takes the first
-    admissible partner (itself, then the later rows in order) that leaves
-    the other rows matchable.  The letter premise is not assumed:
-    ``realize`` checks the block of every pair with its actual letters."""
-    alone = _pair_admissible(pair_type, length, "a", "")
-    same = _pair_admissible(pair_type, length, "a", "a")
-    cross = _pair_admissible(pair_type, length, "a", "b")
+    itself, every row is a self-pair; else neighbours pair when rows of one
+    letter couple and na and nb are even, or cross pairs also couple and m
+    is even; else a-row k pairs with b-row na + k when cross pairs couple
+    and na == nb; else there is no perfect matching.  Each is the matching
+    in which every row in turn takes the first admissible partner (itself,
+    then the later rows) that leaves the others matchable; ``realize``
+    checks every pair's block with its actual letters.  The cache holds the
+    table of ``certify``."""
+    if pair_type is PairType.AII:
+        return None if m % 2 else tuple((k, k + 1) for k in range(0, m, 2))
+    alone, same, cross = (pair_type in A_TYPES or _group_block(pair_type, length, letters) is not None
+                          for letters in (("a",), ("a", "a"), ("a", "b")))
     if alone:
-        return tuple((k, k) for k in range(na + nb))
-    if same and (na % 2 == nb % 2 == 0 or cross and (na + nb) % 2 == 0):
-        return tuple((k, k + 1) for k in range(0, na + nb, 2))
+        return tuple((k, k) for k in range(m))
+    if same and (na % 2 == nb % 2 == 0 or cross and m % 2 == 0):
+        return tuple((k, k + 1) for k in range(0, m, 2))
     if cross and na == nb:
         return tuple((k, na + k) for k in range(na))
     return None
@@ -305,11 +301,11 @@ def _match_rows(pair_type: PairType, length: int, na: int, nb: int):
 def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> MatrixRealization:
     """Build a matrix realization, or raise UnrealizableDiagram when no sign
     assignment satisfies the invariants (this certifies diagram validity).
-    Every check that can reject the diagram runs before any block is placed.
+    Every check that can reject the diagram runs before any block is placed:
+    a length with no coupled groups, then the letter counts of ``validate``.
 
-    The realization is the block-diagonal sum of its coupled row groups: each
-    row alone for AI and AIII, rows (i, i+1) of one length for AII, and the
-    pairs of ``_match_rows`` for the other types.  Each group's block comes
+    The realization is the block-diagonal sum of its coupled row groups,
+    those of ``_length_groups`` for each length.  Each group's block comes
     from ``_group_block`` with the rows' actual letters and is placed at the
     rows' offsets.  Every identity of ``_identities`` is block-local: T a
     signed permutation and h, D diagonal on disjoint index sets that cover
@@ -325,28 +321,18 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
         raise WrongType(f"representation does not match {pair_type.value}")
     # (length, first row, rows, groups) per row length, longest first: the
     # rows of one length are contiguous in canonical order, a-rows first
-    lengths, nrows, a_cells = [], 0, 0
+    lengths, nrows = [], 0
     for length, (m, na, nb) in diagram.multiplicities().items():
-        if pair_type is PairType.AII:
-            if m % 2:
-                raise UnrealizableDiagram(
-                    f"no symplectic pairing: odd number of rows of length {length}")
-            groups = tuple((k, k + 1) for k in range(0, m, 2))
-        elif pair_type in A_TYPES:
-            groups = tuple((k, k) for k in range(m))
-        else:
-            groups = _match_rows(pair_type, length, na, nb)
-            if groups is None:
-                raise UnrealizableDiagram(f"no admissible coupling of the rows of length {length}")
+        groups = _length_groups(pair_type, length, m, na, nb)
+        if groups is None:
+            raise UnrealizableDiagram(
+                f"no symplectic pairing: odd number of rows of length {length}" if pair_type is PairType.AII
+                else f"no admissible coupling of the rows of length {length}")
         lengths.append((length, nrows, m, groups))
         nrows += m
-        a_cells += na * ((length + 1) // 2) + nb * (length // 2)
-    cells = (a_cells, params.n - a_cells)  # diagram.letter_counts() of an ab-diagram
-    if pair_type.has_signature and cells != params.signature:
-        raise UnrealizableDiagram(
-            f"involution eigenspace dimensions {cells} "
-            f"do not match the signature {params.signature}"
-        )
+    if pair_type.has_signature and (cells := diagram.letter_counts()) != params.signature:
+        raise UnrealizableDiagram(f"involution eigenspace dimensions {cells} "
+                                  f"do not match the signature {params.signature}")
 
     rows = diagram.rows
     starts = [0, *accumulate(length for length, _s in rows)]
@@ -682,32 +668,42 @@ def is_abelian(basis: list[dict]) -> bool:
 
 
 def certify(bound: int) -> tuple[int, list[str]]:
-    """Every candidate diagram of every pair with n <= bound is realizable
-    exactly when it is valid, and on each realization the Jordan type of e,
-    the truncation profile of the closure order, dim p^e, dim p(e,0)
-    (descriptor and graded count), dim p(e,1) and the defect equal the
-    oracle's.  Returns (realizations checked, failure lines).
-    A negative bound raises ValueError, and a bound above DEFAULT_BOUND
-    BoundExceeded, before any pair is swept."""
+    """A diagram is realizable exactly when it is valid, and on the
+    realization of every valid diagram of every pair with n <= bound the
+    Jordan type of e, the truncation profile of the closure order, dim p^e,
+    dim p(e,0) (descriptor and graded count), dim p(e,1) and the defect
+    equal the oracle's.  Returns (realizations checked, failure lines).  A
+    negative bound raises ValueError, and one above DEFAULT_BOUND
+    BoundExceeded, before any check.
+
+    The first holds for n <= DEFAULT_BOUND by a lemma checked first, as a
+    table over every type and (d, m, a, b) with d m <= DEFAULT_BOUND: the
+    rows have coupled groups (``_length_groups``) exactly when
+    ``_parity_rules`` passes, and for CI and DIII coupled rows have as many
+    a-cells as b-cells.  ``realize`` rejects in exactly three places (an odd
+    m for AII, a length with no groups, letter counts that miss the
+    signature) and ``validate`` on the parity rules and on the same letter
+    counts, which for CI and DIII must be (n/2, n/2), so the table decides
+    both alike.  The sweep then realizes only the valid diagrams."""
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
     if bound > DEFAULT_BOUND:
         raise BoundExceeded(f"n={bound} exceeds bound {DEFAULT_BOUND}")
     checked, failures = 0, []
+    for pt in PairType:
+        for d, m in ((d, m) for d in range(1, DEFAULT_BOUND + 1) for m in range(1, DEFAULT_BOUND // d + 1)):
+            for a, b in ((a, m - a) for a in range(m + 1)) if pt.uses_letters else [(0, 0)]:
+                coupled, rule = _length_groups(pt, d, m, a, b) is not None, _parity_rules(pt, d, m, a, b)
+                cells = AbDiagram(((d, "a"),) * a + ((d, "b"),) * b).letter_counts()
+                unbalanced = coupled and pt in (PairType.CI, PairType.DIII) and cells[0] != cells[1]
+                if coupled == (rule is not None) or unbalanced:
+                    failures.append(f"{pt.value} (d, m, a, b) = {(d, m, a, b)}: coupled={coupled}, "
+                                    f"parity rule {rule!r}, letter counts {cells}")
     for n in range(bound + 1):
         for pt, prm in pairs_of_size(n):
-            valid = set(enumerate_diagrams(pt, prm))
-            for d in candidates(pt, n):
-                try:
-                    real = realize(d, pt, prm)
-                    _check_realization(real)  # the assembly from blocks, checked whole
-                except UnrealizableDiagram:
-                    real = None
-                if (real is not None) != (d in valid):
-                    failures.append(f"{pt.value} {prm}: {d.text()!r} realizable={real is not None} "
-                                    f"valid={d in valid}")
-                if real is None or d not in valid:
-                    continue
+            for d in enumerate_diagrams(pt, prm):
+                real = realize(d, pt, prm)
+                _check_realization(real)  # the assembly from blocks, checked whole
                 checked += 1
                 p_cent = dim_p_cent_oracle(real)  # reads every weight once
                 p0 = dim_graded(real, 0, -1)

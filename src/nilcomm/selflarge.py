@@ -2,13 +2,17 @@
 
 An orbit is self-large when every nilpotent element of p^e already lies in
 the orbit closure; only such orbits can generate a component.  For the
-classical families the verdict is combinatorial: distinguished orbits (defect
-0) always qualify; for AI/AII the almost-distinguished orbits (p(e,0) a
-torus) whose (paired) row lengths differ pairwise by at least two; for BDI/CI
-exactly the almost-distinguished orbits.  For AIII/CII/DIII every
-almost-distinguished orbit is distinguished.  The matrix oracle provides an
-equivalent criterion (p(e,0) a torus, decided exactly by [p(e,0), p(e,0)] = 0,
-and p(e,1) = 0) that the test suite checks against these rules pair by pair.
+classical families one criterion decides it: the defect is 0 (the orbit is
+distinguished), or the orbit is almost-distinguished (p(e,0) a torus) and
+dim p(e,1) = 0.  ``oracle.certify`` checks both terms, the defect and
+dim p(e,1), against the exact matrix oracle; ``verify_self_large_criterion``
+evaluates the criterion on the oracle itself.  The reason names the term
+that decided: ``Distinguished`` for defect 0, ``DataTable`` for an orbit
+that is not almost-distinguished, and for one that is, by dim p(e,1),
+``TorusAndNoDegreeOne`` or ``AdjacentLengthWitness`` for AI/AII (a nonzero
+p(e,1) there holds the witness of two adjacent lengths) and ``DataTable``
+for BDI/CI; for AIII/CII/DIII every almost-distinguished orbit is
+distinguished.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import NamedTuple
 
 from . import oracle
 from .diagrams import AbDiagram, PairParams, PairType
-from .invariants import is_almost_distinguished, is_distinguished
+from .invariants import dim_p_graded, is_almost_distinguished, is_distinguished
 
 DISTINGUISHED = "Distinguished"
 TORUS_AND_NO_DEGREE_ONE = "TorusAndNoDegreeOne"
@@ -39,17 +43,15 @@ class SelfLargeVerdict(NamedTuple):
 
 
 def is_self_large(diagram: AbDiagram, pair_type: PairType) -> SelfLargeVerdict:
-    """Combinatorial verdict, with the reason recorded."""
+    """The criterion's verdict, with the reason recorded."""
     if is_distinguished(diagram, pair_type):
         return SelfLargeVerdict(diagram, True, DISTINGUISHED)
-    if not is_almost_distinguished(diagram, pair_type):
-        return SelfLargeVerdict(diagram, False, DATA_TABLE)
-    if pair_type in (PairType.AI, PairType.AII):
-        if diagram.adjacent_lengths() is None:
-            return SelfLargeVerdict(diagram, True, TORUS_AND_NO_DEGREE_ONE)
-        return SelfLargeVerdict(diagram, False, ADJACENT_LENGTH_WITNESS)
-    # BDI or CI: for AIII, CII and DIII almost-distinguished is distinguished
-    return SelfLargeVerdict(diagram, True, DATA_TABLE)
+    almost = is_almost_distinguished(diagram, pair_type)
+    verdict = almost and dim_p_graded(diagram, pair_type, 1) == 0
+    if almost and pair_type in (PairType.AI, PairType.AII):
+        reason = TORUS_AND_NO_DEGREE_ONE if verdict else ADJACENT_LENGTH_WITNESS
+        return SelfLargeVerdict(diagram, verdict, reason)
+    return SelfLargeVerdict(diagram, verdict, DATA_TABLE)
 
 
 def verify_self_large_criterion(

@@ -149,7 +149,8 @@ def test_verify_cert_bound_checked_before_the_sweep(capsys, monkeypatch):
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(oracle, "pairs_of_size", never)
-    monkeypatch.setattr(oracle, "candidates", never)
+    monkeypatch.setattr(oracle, "enumerate_diagrams", never)
+    monkeypatch.setattr(oracle, "_length_groups", never)
     with pytest.raises(BoundExceeded, match="n=31 exceeds bound 30"):
         oracle.certify(31)
     code, out, err = run(capsys, "verify", "--cert-bound", "31")
@@ -158,6 +159,20 @@ def test_verify_cert_bound_checked_before_the_sweep(capsys, monkeypatch):
         oracle.certify(-1)
     code, out, err = run(capsys, "verify", "--cert-bound", "-1")
     assert (code, out, err) == (2, "", "error: bound must be non-negative, got -1\n")
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes stdout after the first line, as ``| head -1``
+    does, leaves a nonzero exit and nothing on stderr: no traceback, and no
+    failed flush at exit.  The rest of the output (167 kB) does not fit in
+    the pipe, so the write after the close fails."""
+    src = os.path.dirname(os.path.dirname(nilcomm.__file__))
+    with subprocess.Popen([sys.executable, "-m", "nilcomm", "enumerate", "AIII", "20", "10", "10"],
+                          env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "abababababababababab\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, "")
 
 
 def test_python_m_nilcomm():

@@ -20,7 +20,6 @@ from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
     PairType,
-    candidates,
     enumerate_diagrams,
     is_valid,
     pairs_of_size,
@@ -30,6 +29,7 @@ from nilcomm.diagrams import (
 from nilcomm.errors import NotComparable, ShapeMismatch, WrongType
 from nilcomm.invariants import (defect, dim_p_cent, is_almost_distinguished, is_distinguished,
                                 orbit_invariants)
+from partition_reference import candidates
 
 BDI_66 = params_for(PairType.BDI, 12, 6, 6)
 BDI_75 = params_for(PairType.BDI, 12, 7, 5)

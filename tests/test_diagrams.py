@@ -18,7 +18,6 @@ from nilcomm.diagrams import (
     _enumerate_cached,
     _parity_rules,
     _viable,
-    candidates,
     enumerate_diagrams,
     pairs_of_size,
     params_for,
@@ -27,7 +26,7 @@ from nilcomm.diagrams import (
     is_valid,
 )
 from nilcomm.errors import AlternationError, BoundExceeded, DiagramSyntaxError
-from partition_reference import partitions
+from partition_reference import candidates, partitions
 
 
 def test_parse_ab_rows():
@@ -161,11 +160,26 @@ def test_bad_rows_are_rejected_with_their_reason(rows, message):
     ((-1,), "n must be non-negative, got -1"),
     ((3, (1, 1)), "signature (1, 1) incompatible with n=3"),
     ((2, (-1, 3)), "signature (-1, 3) incompatible with n=2"),
+    ((4.0,), "n must be an integer, got 4.0"),
+    (("4",), "n must be an integer, got '4'"),
+    ((4, (2.0, 2.0)), "signature must be two integers, got (2.0, 2.0)"),
+    ((4, (1, 2, 1)), "signature must be two integers, got (1, 2, 1)"),
+    ((4, 4), "signature must be two integers, got 4"),
 ])
 def test_bad_params_are_rejected_with_their_reason(args, message):
     with pytest.raises(ValueError) as info:
         PairParams(*args)
     assert str(info.value) == message
+
+
+def test_params_store_ints_and_a_tuple():
+    """An integral n, p or q that is not an int is stored as an int, and a
+    signature given as a list as a tuple, so the parameters hash and walk
+    like the canonical ones."""
+    prm, want = PairParams(Three(), [0, Three()]), PairParams(3, (0, 3))
+    assert prm.signature.__class__ is tuple and {x.__class__ for x in (prm.n, *prm.signature)} == {int}
+    assert prm == want and hash(prm) == hash(want) and repr(prm) == repr(want)
+    assert enumerate_diagrams(PairType.AIII, prm) == enumerate_diagrams(PairType.AIII, want)
 
 
 def test_diagrams_and_params_are_immutable_values():
@@ -365,18 +379,11 @@ def test_enumeration_order_is_candidate_order():
 
 
 def reference_letterings(n):
-    """Each partition of n in turn with every per-length (a_d, b_d) split,
-    the a-count decreasing and the shortest length varying fastest, bucketed
-    by letter counts in that order."""
+    """The lettered candidates of n cells in order, bucketed by letter
+    counts."""
     buckets = {}
-    for part in partitions(n):
-        lengths = sorted(set(part), reverse=True)
-        splits = [[(d, a, part.count(d) - a) for a in range(part.count(d), -1, -1)]
-                  for d in lengths]
-        for choice in itertools.product(*splits):
-            d = AbDiagram(tuple(row for length, a, b in choice
-                                for row in [(length, "a")] * a + [(length, "b")] * b))
-            buckets.setdefault(d.letter_counts(), []).append(d)
+    for d in candidates(PairType.AIII, n):
+        buckets.setdefault(d.letter_counts(), []).append(d)
     return buckets
 
 
@@ -421,13 +428,12 @@ def test_enumeration_builds_only_the_diagrams_it_keeps(monkeypatch):
 def test_walks_build_canonical_rows():
     """Every diagram that a walk builds without the boundary check, for
     every pair with n <= 12 (the enumeration, the closure index, the
-    almost-distinguished orbits and the candidates), has the rows that
-    AbDiagram gives it: canonical (int, letter) tuples."""
+    almost-distinguished orbits), has the rows that AbDiagram gives it:
+    canonical (int, letter) tuples."""
     def walks(pt, prm):
         yield from enumerate_diagrams(pt, prm)
         yield from closure._closure_index(pt, prm, DEFAULT_BOUND).diagrams
         yield from (g for g, _ in invariants.almost_distinguished(pt, prm))
-        yield from candidates(pt, prm.n)
 
     checked = 0
     for n in range(0, 13):
@@ -442,7 +448,6 @@ def test_walks_build_canonical_rows():
 
 
 TABLES = (_blocks, invariants._torus_blocks)
-KINDS = (*PairType, None)
 
 
 def test_enumeration_caches_are_bounded():
@@ -450,9 +455,9 @@ def test_enumeration_caches_are_bounded():
     key of the pairs with n <= DEFAULT_BOUND: each (kind, d, m) with
     d m <= n for the block tables, each (kind, n, table) for _viable."""
     lengths = sum(DEFAULT_BOUND // d for d in range(1, DEFAULT_BOUND + 1))
-    for cache, keys in [(_enumerate_cached, None), (_blocks, len(KINDS) * lengths),
+    for cache, keys in [(_enumerate_cached, None), (_blocks, len(PairType) * lengths),
                         (invariants._torus_blocks, len(PairType) * lengths),
-                        (_viable, len(KINDS) * (DEFAULT_BOUND + 1) * len(TABLES))]:
+                        (_viable, len(PairType) * (DEFAULT_BOUND + 1) * len(TABLES))]:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and (keys is None or keys <= maxsize), cache
 
@@ -469,10 +474,8 @@ def test_viable_table_is_the_partitions_whose_lengths_have_blocks():
         return sum(1 << a for a in {sum(a for _, a, _ in choice) for choice in choices})
 
     checked = 0
-    for kind in KINDS:
+    for kind in PairType:
         for table in TABLES:
-            if table is not _blocks and kind is None:
-                continue  # the torus table is asked for pair types only
             for n in range(0, 15):
                 want = []
                 for part in partitions(n):
@@ -534,7 +537,6 @@ def test_walks_visit_only_partitions_whose_lengths_have_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("walk, message", [
-    (lambda: candidates(PairType.AI, 44), "n=44 exceeds bound 30"),
     (lambda: enumerate_diagrams(PairType.AI, PairParams(31)), "n=31 exceeds bound 30"),
     (lambda: invariants.almost_distinguished(PairType.BDI, params_for(PairType.BDI, 12, 6, 6), 10),
      "n=12 exceeds bound 10"),

@@ -32,9 +32,10 @@ import pytest
 
 from nilcomm.cli import main
 from nilcomm.components import classify_components
-from nilcomm.diagrams import PairType, candidates, pairs_of_size
+from nilcomm.diagrams import PairType, pairs_of_size
 from nilcomm.errors import NilcommError
 from nilcomm.oracle import realize
+from partition_reference import candidates
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))

@@ -13,14 +13,16 @@ from hypothesis import given, strategies as st
 import dense_reference as dense
 import nilcomm
 import sparse_reference as sparse
-from partition_reference import partitions
+from partition_reference import candidates, partitions
 
 from nilcomm import closure, invariants, oracle
 from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
     PairType,
+    DEFAULT_BOUND,
     enumerate_diagrams,
+    is_valid,
     pairs_of_size,
     params_for,
     parse,
@@ -407,11 +409,13 @@ for tampered, check in [
     # a sampler that only draws a nilpotent with an abelian centralizer
     (oracle.realize(parse("a/a/b/b"), PairType.AIII, PairParams(4, (2, 2))),
      oracle.defect_oracle),
-    # a b/b coupling that fails while the a/a one that _match_rows tests passes
+    # a b/b coupling that fails while the a/a one that _length_groups tests passes
     (parse("a/a/b/b"), lambda d: oracle.realize(d, PairType.CII, params_for(PairType.CII, 4, 2, 2))),
     # the value types check their fields in __init__, with no assert
     ((-1,), lambda args: PairParams(*args)),
     ((3, (1, 1)), lambda args: PairParams(*args)),
+    ((4.0,), lambda args: PairParams(*args)),
+    ((4, (2.0, 2.0)), lambda args: PairParams(*args)),
     (((2, None), (0, None)), AbDiagram),
     (((2, None), (1, "a")), AbDiagram),
     (((3.0, "a"),), AbDiagram),
@@ -447,6 +451,8 @@ def test_oracle_checks_survive_python_O():
         "identity fails: the group of rows 2 and 3 has a checked block",
         "n must be non-negative, got -1",
         "signature (1, 1) incompatible with n=3",
+        "n must be an integer, got 4.0",
+        "signature must be two integers, got (2.0, 2.0)",
         "row lengths must be positive, got 0",
         "cannot mix plain and lettered rows",
         "row lengths must be integers, got (3.0, 'a')",
@@ -618,27 +624,56 @@ def test_graded_pieces_sum_to_centralizer():
         assert _graded_sum(real, -1) == oracle.dim_p_cent_oracle(real)
 
 
-def test_realizability_matches_validity_exhaustive_n6():
-    """Independent certification of the validity rules at n <= 6: a letter
-    assignment is realizable exactly when validate accepts it."""
-    for n in range(0, 7):
+def test_realizable_exactly_when_valid_to_n10():
+    """The cross-check of the per-length lemma that ``certify`` checks:
+    every candidate of every pair with n <= 10, valid or not, is realizable
+    exactly when it is valid."""
+    checked = 0
+    for n in range(0, 11):
         for pt, prm in pairs_of_size(n):
-            if not pt.uses_letters:
-                continue
-            valid = set(enumerate_diagrams(pt, prm))
-            seen = set()
-            for part in partitions(n):
-                for letters in itertools.product("ab", repeat=len(part)):
-                    d = AbDiagram.from_rows(zip(part, letters))
-                    if d in seen:
-                        continue
-                    seen.add(d)
-                    try:
-                        oracle.realize(d, pt, prm)
-                        ok = True
-                    except UnrealizableDiagram:
-                        ok = False
-                    assert ok == (d in valid), (pt, prm, d.text())
+            for d in candidates(pt, n):
+                try:
+                    oracle.realize(d, pt, prm)
+                    realizable = True
+                except UnrealizableDiagram:
+                    realizable = False
+                assert realizable == is_valid(d, pt, prm), (pt, prm, d.text())
+                checked += 1
+    assert checked == 29212
+
+
+@pytest.mark.parametrize("entry, flipped, line", [
+    # a coupled length that the parity rules reject
+    (("CI", 3, 2, 1, 1), {"_parity_rules": "flipped"},
+     "coupled=True, parity rule 'flipped', letter counts (3, 3)"),
+    # an uncoupled length that the parity rules pass
+    (("BDI", 2, 1, 1, 0), {"_parity_rules": None},
+     "coupled=False, parity rule None, letter counts (1, 1)"),
+    # two a-rows of length 1 coupled for CI, with more a-cells than b-cells
+    (("CI", 1, 2, 2, 0), {"_parity_rules": None, "_length_groups": ((0, 1),)},
+     "coupled=True, parity rule None, letter counts (2, 0)"),
+])
+def test_certify_reports_a_flipped_length_entry(monkeypatch, entry, flipped, line):
+    """Flipping one entry of the per-length table, on the side of the
+    parity rules or of the couplings, makes ``certify`` report exactly that
+    entry; the sweep of the valid diagrams, none of which has this entry's
+    rows, is unchanged."""
+    key = (PairType[entry[0]], *entry[1:])
+    for name, value in flipped.items():
+        kept = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, kept=kept, value=value:
+                            value if args == key else kept(*args))
+    checked, failures = oracle.certify(4)
+    assert checked == 100
+    assert failures == [f"{entry[0]} (d, m, a, b) = {entry[1:]}: {line}"]
+
+
+def test_length_groups_cache_holds_the_certified_table():
+    """One key per type and (d, m, a, b) with d m <= DEFAULT_BOUND, every
+    split for the lettered types and none for the plain ones."""
+    keys = sum(m + 1 if pt.uses_letters else 1 for pt in PairType
+               for d in range(1, DEFAULT_BOUND + 1) for m in range(1, DEFAULT_BOUND // d + 1))
+    assert keys == 4587 and keys <= oracle._length_groups.cache_info().maxsize
 
 
 # -- the graded systems against the full n^2 system ---------------------------------
@@ -945,18 +980,24 @@ def test_p_e0_basis_of_the_full_pass_equals_the_lone_one():
 FORM_TYPES = (PairType.BDI, PairType.CI, PairType.CII, PairType.DIII)
 
 
+def _admissible(pair_type, length, *letters):
+    """Whether the group of rows of the given length with these start
+    letters (one row for an empty second letter) has a checked block."""
+    return oracle._group_block(pair_type, length, tuple(s for s in letters if s)) is not None
+
+
 def _backtracking_match(pair_type, length, row_ids, letters):
     """Depth-first search over partners: the first row takes itself, then
     each later row in order, and recurses on the rest."""
     if not row_ids:
         return []
     first, rest = row_ids[0], row_ids[1:]
-    if oracle._pair_admissible(pair_type, length, letters[first], ""):
+    if _admissible(pair_type, length, letters[first], ""):
         sub = _backtracking_match(pair_type, length, rest, letters)
         if sub is not None:
             return [(first, first)] + sub
     for k, other in enumerate(rest):
-        if oracle._pair_admissible(pair_type, length, letters[first], letters[other]):
+        if _admissible(pair_type, length, letters[first], letters[other]):
             sub = _backtracking_match(pair_type, length, rest[:k] + rest[k + 1:], letters)
             if sub is not None:
                 return [(first, other)] + sub
@@ -964,11 +1005,11 @@ def _backtracking_match(pair_type, length, row_ids, letters):
 
 
 def test_pair_admissible_symmetric_in_letters():
-    """The premise of ``_match_rows``: a two-row coupling depends on the
+    """The premise of ``_length_groups``: a two-row coupling depends on the
     start letters only through their product, a one-row one not at all."""
     for pt in FORM_TYPES:
         for length in range(1, 25):
-            admissible = functools.partial(oracle._pair_admissible, pt, length)
+            admissible = functools.partial(_admissible, pt, length)
             assert admissible("a", "a") == admissible("b", "b"), (pt, length)
             assert admissible("a", "b") == admissible("b", "a"), (pt, length)
             assert admissible("a", "") == admissible("b", ""), (pt, length)
@@ -986,10 +1027,10 @@ def test_match_rows_equals_backtracking_search():
                 for letters in itertools.product("ab", repeat=len(part)):
                     diagram = AbDiagram.from_rows(zip(part, letters))
                     named = {i: s for i, (_d, s) in enumerate(diagram.rows)}
-                    for length, (_m, na, nb) in diagram.multiplicities().items():
+                    for length, (m, na, nb) in diagram.multiplicities().items():
                         ids = tuple(i for i, (d, _s) in enumerate(diagram.rows) if d == length)
                         want = _backtracking_match(pt, length, ids, named)
-                        got = oracle._match_rows(pt, length, na, nb)
+                        got = oracle._length_groups(pt, length, m, na, nb)
                         if got is not None:
                             got = [(ids[0] + i, ids[0] + j) for i, j in got]
                         assert got == want, (pt, part, letters, length)
@@ -1001,7 +1042,7 @@ def test_match_rows_equals_backtracking_search():
                 for nb in range(max(1 - na, 0), 11 - na):
                     letters = "a" * na + "b" * nb
                     want = _backtracking_match(pt, length, tuple(range(na + nb)), letters)
-                    got = oracle._match_rows(pt, length, na, nb)
+                    got = oracle._length_groups(pt, length, na + nb, na, nb)
                     assert (None if got is None else list(got)) == want, (pt, length, na, nb)
                     checked += 1
     assert checked > 9000 + 4 * 16 * 65
@@ -1009,19 +1050,19 @@ def test_match_rows_equals_backtracking_search():
 
 def test_match_rows_polynomial_on_unmatchable_rows(monkeypatch):
     """CI with k+2 a-rows and k b-rows of length 1 has no matching;
-    ``_match_rows`` decides it from at most three coupling tests."""
+    ``_length_groups`` decides it from at most three coupling tests."""
     calls = []
-    admissible = oracle._pair_admissible
+    block = oracle._group_block
 
     def counted(*args):
         calls.append(args)
-        return admissible(*args)
+        return block(*args)
 
-    monkeypatch.setattr(oracle, "_pair_admissible", counted)
+    monkeypatch.setattr(oracle, "_group_block", counted)
     for k in (12, 500):
         calls.clear()
-        oracle._match_rows.cache_clear()
-        assert oracle._match_rows(PairType.CI, 1, k + 2, k) is None
+        oracle._length_groups.cache_clear()
+        assert oracle._length_groups(PairType.CI, 1, 2 * k + 2, k + 2, k) is None
         assert 0 < len(calls) <= 3, k
     k = 12
     diagram = AbDiagram.from_rows([(1, "a")] * (k + 2) + [(1, "b")] * k)
@@ -1040,12 +1081,11 @@ def test_realize_rejects_before_building_matrices(monkeypatch):
         ("aba/a/b", PairType.BDI, params_for(PairType.BDI, 5, 2, 3), "signature"),
         ("ab/a/b", PairType.AIII, PairParams(4, (3, 1)), "signature"),
     ]
-    # the coupling decisions of the tested lengths, which _match_rows caches,
-    # are taken first, so that the test passes alone and in any order
+    # the coupling decisions of the tested lengths, which _length_groups
+    # caches, are taken first, so that the test passes alone and in any order
     for text, pt, _prm, _message in cases:
-        for length, (_m, na, nb) in parse(text).multiplicities().items():
-            if pt not in oracle.A_TYPES:
-                oracle._match_rows(pt, length, na, nb)
+        for length, counts in parse(text).multiplicities().items():
+            oracle._length_groups(pt, length, *counts)
     monkeypatch.setattr(oracle, "_triple_matrices", no_matrices)
     monkeypatch.setattr(oracle, "_group_block", no_matrices)
     for text, pt, prm, message in cases:
@@ -1071,12 +1111,12 @@ def test_assembled_realizations_pass_the_whole_check_at_n_9_to_12():
 
 def test_a_block_failing_for_untested_letters_is_caught(monkeypatch):
     """A b/b coupling that fails while a/a passes: letters that the
-    ``_match_rows`` templates do not test."""
+    ``_length_groups`` templates do not test."""
     block = oracle._group_block
     monkeypatch.setattr(oracle, "_group_block", lambda pt, length, letters: (
         None if letters == ("b", "b") else block(pt, length, letters)))
     prm = params_for(PairType.CII, 4, 2, 2)
-    assert oracle._match_rows(PairType.CII, 1, 2, 2) == ((0, 1), (2, 3))
+    assert oracle._length_groups(PairType.CII, 1, 4, 2, 2) == ((0, 1), (2, 3))
     with pytest.raises(OracleCheckFailed) as exc:
         oracle.realize.__wrapped__(parse("a/a/b/b"), PairType.CII, prm)
     assert str(exc.value) == "identity fails: the group of rows 2 and 3 has a checked block"
@@ -1086,7 +1126,7 @@ def test_a_block_failing_for_untested_letters_is_caught(monkeypatch):
 def test_groups_that_miss_or_share_a_row_fail_the_partition_check(monkeypatch):
     prm = params_for(PairType.CII, 4, 2, 2)
     for groups in [((0, 1),), ((0, 1), (1, 2), (3, 3)), ((0, 1), (2, 3), (4, 5))]:
-        monkeypatch.setattr(oracle, "_match_rows", lambda *_args, groups=groups: groups)
+        monkeypatch.setattr(oracle, "_length_groups", lambda *_args, groups=groups: groups)
         with pytest.raises(OracleCheckFailed) as exc:
             oracle.realize.__wrapped__(parse("a/a/b/b"), PairType.CII, prm)
         assert str(exc.value) == "identity fails: the coupled groups partition the rows"
@@ -1094,11 +1134,14 @@ def test_groups_that_miss_or_share_a_row_fail_the_partition_check(monkeypatch):
 
 def test_certify_checks_every_assembled_realization(monkeypatch):
     """A block that passes its own check but is placed wrongly, here with h
-    doubled, is caught by the whole check that ``certify`` runs."""
+    doubled, is caught by the whole check that ``certify`` runs.  A group
+    with no block keeps none, as the coupling decisions read it."""
     block = oracle._group_block
 
     def doubled_h(pt, length, letters):
-        e, h, f, t, d = block(pt, length, letters)
+        if (found := block(pt, length, letters)) is None:
+            return None
+        e, h, f, t, d = found
         return e, _scaled(2, h), f, t, d
 
     monkeypatch.setattr(oracle, "_group_block", doubled_h)
