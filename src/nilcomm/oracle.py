@@ -36,9 +36,11 @@ that a diagram is realizable exactly when it is valid, and then the
 formulas of ``invariants`` on every valid diagram up to a bound against the
 exact kernel dimensions (dim p^e, dim p(e,i)), the Jordan type, the
 truncation ranks and the defect, dim z_{p(e,0)}(x) for a sample x whose
-powers in p span that Cartan subspace.  The oracle's form of the self-large
-criterion reads the sparse basis of p(e,0), its torus test ``is_abelian``
-and dim p(e,1).
+powers in p span that Cartan subspace.  The defect's two ranks are taken
+mod a prime, where a rank can only fall short, so a sample that passes is
+certified exactly and an unlucky one fails.  The oracle's form of the
+self-large criterion reads the sparse basis of p(e,0), its torus test
+``is_abelian`` and dim p(e,1).
 """
 
 from __future__ import annotations
@@ -462,22 +464,20 @@ def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
     return real._graded[sigma][0]
 
 
-def _bracket_rows(x: dict, module: list[dict]) -> list[dict]:
-    """Rows of the linear map c -> [x, sum_k c_k module[k]] on sparse
-    matrices, one row per matrix position in row-major order."""
+def _brackets(x: dict, module: list[dict]) -> list[dict]:
+    """[x, b] for each sparse matrix b of ``module``: the columns of ad x on
+    the span of the module, as rows keyed by matrix position."""
     x_col, x_row = _rows(_transpose(x)), _rows(x)
-    eqs: dict[tuple[int, int], dict[int, int]] = {}
-    for k, b in enumerate(module):
+    out = []
+    for b in module:
         comm: dict[tuple[int, int], int] = {}
         for (r, c), v in b.items():
             for i, xv in x_col.get(r, ()):
                 comm[i, c] = comm.get((i, c), 0) + xv * v
             for j, xv in x_row.get(c, ()):
                 comm[r, j] = comm.get((r, j), 0) - v * xv
-        for pos, v in comm.items():
-            if v:
-                eqs.setdefault(pos, {})[k] = v
-    return [eqs[pos] for pos in sorted(eqs)]
+        out.append(comm)
+    return out
 
 
 # -- centralizer dimensions -----------------------------------------------------
@@ -535,7 +535,17 @@ def defect_oracle(real: MatrixRealization) -> int:
     abelian with a nondegenerate trace form, so a Cartan subspace: x is
     semisimple, its nilpotent part lying in z and trace-orthogonal to z, and
     z, an abelian ideal of the reductive z_{g(e,0)}(x), is central.  Abelian
-    z is not enough: E_02 + E_13 on AIII a/a/b/b has one of dimension 4."""
+    z is not enough: E_02 + E_13 on AIII a/a/b/b has one of dimension 4.
+
+    Both ranks are taken mod p = ``linalg.PRIME``, on integer matrices: ad x
+    on the integer basis, for an integer x, and the Gram matrix of integer
+    y_j.  For an integer M, rank_p(M) <= rank_Q(M), as a minor nonzero mod p
+    is nonzero over Z.  So k_p = len(basis) - rank_p(ad x) >= dim z, and
+    rank_p(Gram) <= rank_Q(Gram) <= dim span(y) <= dim z <= k_p: a sample is
+    accepted when rank_p(Gram) = k_p, which makes every step an equality,
+    and the argument above holds with k = k_p.  A sample for which p is
+    unlucky fails and the next one is drawn; the result is never a wrong
+    defect."""
     _graded_dims(real, -1)  # the chain read over every weight keeps the basis
     basis = p_e0_sparse(real)
     if not basis:
@@ -543,10 +553,10 @@ def defect_oracle(real: MatrixRealization) -> int:
     rng = random.Random(0)
     for _attempt in range(_SAMPLES):
         x = _sample(rng, basis)
-        k, kept = len(basis) - linalg.rank(_bracket_rows(x, basis)), []
+        k, kept = len(basis) - linalg.rank_mod_p(_brackets(x, basis)), []
         for y in _kept_powers(real, x):
             kept.append(y)
-            if len(kept) >= k and linalg.rank(
+            if len(kept) >= k and linalg.rank_mod_p(
                     [{j: sum(v * b.get((c, r), 0) for (r, c), v in a.items()) for j, b in enumerate(kept)}
                      for a in kept]) == k:
                 return k

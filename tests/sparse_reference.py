@@ -1,7 +1,8 @@
 """Sparse reference elimination for the tests: kernel dimensions and
 nullspaces of systems of sparse rows (dicts column -> coefficient), built on
-the pivots of ``linalg.echelon_pivots``.  The oracle reads its kernels off
-the chains of e; the tests check them against these."""
+the pivots of ``linalg.echelon_pivots``, and the rows of ad x on a module of
+sparse matrices.  The oracle reads its kernels off the chains of e; the
+tests check them against these."""
 
 from math import lcm
 
@@ -40,3 +41,21 @@ def nullspace(rows, ncols: int):
             vec[c] = -row[f] * (scale // row[c])
         basis.append(linalg._primitive(vec))
     return basis
+
+
+def bracket_rows(x: dict, module: list[dict]) -> list[dict]:
+    """Rows of the linear map c -> [x, sum_k c_k module[k]] on sparse
+    matrices {(r, c): value}, one row per matrix position."""
+    eqs: dict[tuple[int, int], dict[int, int]] = {}
+    for k, b in enumerate(module):
+        comm: dict[tuple[int, int], int] = {}
+        for (r, c), v in b.items():
+            for (i, j), xv in x.items():
+                if j == r:
+                    comm[i, c] = comm.get((i, c), 0) + xv * v
+                if i == c:
+                    comm[r, j] = comm.get((r, j), 0) - v * xv
+        for pos, v in comm.items():
+            if v:
+                eqs.setdefault(pos, {})[k] = v
+    return [eqs[pos] for pos in sorted(eqs)]

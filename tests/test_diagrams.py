@@ -369,15 +369,6 @@ def test_enumeration_matches_brute_force_signed(pair_type):
             assert set(got) == expected
 
 
-def test_enumeration_order_is_candidate_order():
-    """The enumeration lists the valid candidates in the order candidates
-    yields them (every pair, n <= 11)."""
-    for n in range(0, 12):
-        for pair_type, params in pairs_of_size(n):
-            want = [d for d in candidates(pair_type, n) if is_valid(d, pair_type, params)]
-            assert enumerate_diagrams(pair_type, params) == want, (pair_type, params)
-
-
 def reference_letterings(n):
     """The lettered candidates of n cells in order, bucketed by letter
     counts."""

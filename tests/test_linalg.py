@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, strategies as st
 
 import dense_reference as dense
@@ -181,3 +182,40 @@ def test_single_entry_rows_pin_their_column():
         assert rref(rows) == reference
         assert sparse.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
     assert linalg.echelon_pivots([{3: 0}, {}]) == {}
+
+
+@st.composite
+def integer_systems(draw):
+    """Sparse integer rows with negative, zero and very large entries, empty
+    rows and column ids far apart."""
+    cols = draw(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=8, unique=True))
+    entry = st.one_of(st.integers(min_value=-3, max_value=3),
+                      st.integers(min_value=-10**40, max_value=10**40),
+                      st.sampled_from([linalg.PRIME, -linalg.PRIME, 2 * linalg.PRIME + 1]))
+    return draw(st.lists(st.dictionaries(st.sampled_from(cols), entry, max_size=len(cols)), max_size=10))
+
+
+@given(integer_systems())
+def test_rank_mod_p_is_at_most_the_rank(rows):
+    assert linalg.rank_mod_p(rows) <= linalg.rank(rows)
+
+
+def test_rank_mod_p_of_a_row_through_every_column():
+    """464 columns, the widest system at the default bound.  The rows are the
+    columns of 463 pivots, upper triangular with every entry p - 1, and of
+    one more column that meets each pivot at v = p - 1, so that each of its
+    unreduced packed fields grows by (p - 1)**2 at every read before its
+    own; its last entry decides the rank."""
+    p, n = linalg.PRIME, 464
+    pivots = [{j: p - 1 for j in range(i, n)} for i in range(n - 1)]
+    for last, want in ((p - (n - 1), n - 1), (p - n, n)):
+        deepest = {j: p - 1 - j for j in range(n - 1)} | {n - 1: last}
+        columns = pivots + [deepest]
+        rows = [{k: col[j] for k, col in enumerate(columns) if j in col} for j in range(n)]
+        assert linalg.rank_mod_p(rows) == want
+
+
+def test_rank_mod_p_checks_its_headroom():
+    assert linalg.rank_mod_p([{}] * 16383) == 0
+    with pytest.raises(ValueError, match="16384 rows overflow a 64-bit field mod 33554393"):
+        linalg.rank_mod_p([{}] * 16384)

@@ -15,7 +15,7 @@ import nilcomm
 import sparse_reference as sparse
 from partition_reference import candidates, partitions
 
-from nilcomm import closure, invariants, oracle
+from nilcomm import closure, invariants, linalg, oracle
 from nilcomm.diagrams import (
     AbDiagram,
     PairParams,
@@ -369,7 +369,7 @@ def test_every_form_is_a_signed_permutation():
 
 
 OPTIMIZED_CHECKS = """
-from nilcomm import oracle
+from nilcomm import linalg, oracle
 from nilcomm.diagrams import AbDiagram, PairParams, PairType, params_for, parse
 from nilcomm.errors import OracleCheckFailed, UnrealizableDiagram
 
@@ -420,6 +420,8 @@ for tampered, check in [
     (((2, None), (1, "a")), AbDiagram),
     (((3.0, "a"),), AbDiagram),
     ([(2, "a"), [3.7, "b"]], AbDiagram.from_rows),
+    # one row more than a 64-bit field holds mod the prime
+    ([{}] * 16384, linalg.rank_mod_p),
 ]:
     try:
         check(tampered)
@@ -457,6 +459,7 @@ def test_oracle_checks_survive_python_O():
         "cannot mix plain and lettered rows",
         "row lengths must be integers, got (3.0, 'a')",
         "row lengths must be integers, got [3.7, 'b']",
+        "16384 rows overflow a 64-bit field mod 33554393",
     ]
 
 
@@ -571,11 +574,52 @@ def test_power_certificate_rejects_an_abelian_centralizer_of_a_nilpotent():
     basis = oracle.p_e0_sparse(real)
     x = {(0, 2): 1, (1, 3): 1}
     z = [oracle._add(*[(c, basis[k]) for k, c in vec.items()])
-         for vec in sparse.nullspace(oracle._bracket_rows(x, basis), len(basis))]
+         for vec in sparse.nullspace(sparse.bracket_rows(x, basis), len(basis))]
     assert len(z) == 4 and oracle.is_abelian(z)
     kept = [oracle._dense(4, y) for y in oracle._kept_powers(real, x)]
     assert kept and dense.mat_rank([[dense.trace(dense.mat_mul(a, b)) for b in kept] for a in kept]) == 0
     assert oracle.defect_oracle(real) == 2
+
+
+def test_defect_ranks_mod_p_are_exact_on_the_first_sample():
+    """On every valid diagram with n <= 8, the first sample's ad x system
+    and the Gram matrix of all its kept powers have the same rank mod the
+    prime as over Q; the ad x rows are built independently on the tests' side."""
+    systems = 0
+    for n in range(1, 9):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                basis = oracle.p_e0_sparse(real)
+                if not basis:
+                    continue
+                x = oracle._sample(random.Random(0), basis)
+                assert linalg.rank_mod_p(oracle._brackets(x, basis)) == linalg.rank(sparse.bracket_rows(x, basis))
+                kept = [oracle._dense(n, y) for y in oracle._kept_powers(real, x)]
+                gram = [{j: dense.trace(dense.mat_mul(a, b)) for j, b in enumerate(kept)} for a in kept]
+                assert linalg.rank_mod_p(gram) == linalg.rank(gram), (pt, prm, d.text())
+                systems += 1
+    assert systems == 384
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_an_unlucky_prime_never_gives_a_wrong_defect(monkeypatch, prime):
+    """Both ranks mod the prime are lower bounds, so a small prime can only
+    fail samples: on every valid diagram with 1 <= n <= 7 the oracle returns
+    the defect or raises OracleCheckFailed, and each prime does both."""
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    outcomes = Counter()
+    for n in range(1, 8):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                try:
+                    got = oracle.defect_oracle(oracle.realize.__wrapped__(d, pt, prm))
+                except OracleCheckFailed:
+                    outcomes["failed"] += 1
+                    continue
+                assert got == invariants.defect(d, pt), (pt, prm, d.text())
+                outcomes["exact"] += 1
+    assert outcomes["exact"] and outcomes["failed"], outcomes
 
 
 def test_kept_powers_are_the_trace_corrected_powers_in_p():
