@@ -100,8 +100,7 @@ class _ClosureIndex:
                            for v in range(1, max(column) + 1)]
             for column in (blob[k::width][::-1] for k in range(width))]
 
-    def _at_or_above(self, profile) -> int:
-        mask = self._all
+    def _at_or_above(self, profile, mask: int) -> int:
         for slices, v in zip(self.ge, profile):
             if v:
                 if v >= len(slices):
@@ -110,8 +109,9 @@ class _ClosureIndex:
         return mask
 
     def up(self, i: int) -> int:
+        # enumeration order lists larger diagrams first: those above i come before it
         start = i * self.width
-        return self._at_or_above(self.blob[start:start + self.width]) & ~(1 << i)
+        return self._at_or_above(self.blob[start:start + self.width], (1 << i) - 1)
 
     def minimal(self, up: int) -> list[int]:
         """Positions of the minimal diagrams of the set up, increasing: the
@@ -126,12 +126,9 @@ class _ClosureIndex:
 
     def covers(self, diagram: AbDiagram) -> list[AbDiagram]:
         i = self.position.get(diagram)
-        if i is not None:
-            up = self.up(i)
-        else:
-            if self.diagrams:
-                _check_comparable(diagram, self.diagrams[0], self.pair_type)
-            up = self._at_or_above(_truncation_profile(diagram))
+        if i is None and self.diagrams:
+            _check_comparable(diagram, self.diagrams[0], self.pair_type)
+        up = self.up(i) if i is not None else self._at_or_above(_truncation_profile(diagram), self._all)
         return [self.diagrams[j] for j in self.minimal(up)]
 
 

@@ -11,9 +11,9 @@ entry.  A row with a single entry sets its column to zero, so it is settled
 first and that column is removed from every other row; the other rows are
 eliminated shortest first.  The pivot of a row is its leftmost column, so
 the pivot columns do not depend on the order of the rows, and every rank is
-exact.  The oracle ranks the powers of e here (Jordan types and truncation
-ranks), which need the rank itself; its kernels are read off the chains of
-e, with no elimination.
+exact.  The oracle's Jordan types rank powers of a matrix here; its
+truncation ranks are counts of rows of powers of e, and its kernels are read
+off the chains of e, with no elimination.
 
 ``rank_mod_p`` ranks integer rows over GF(PRIME), packing each vector into
 one int with a 64-bit field per entry, so that a row operation is one

@@ -1,46 +1,38 @@
 """Exact matrix realizations of diagrams and matrix-level verification.
 
 Every diagram of a classical pair is realized by explicit integer matrices:
-the standard triple (e, h, f) acting on the tagged basis e^a.v_i, the bilinear
-form of the ambient algebra (or the form defining k in the A cases), and the
-involution.  All invariant dimensions are then exact kernel dimensions of
-integer linear systems, giving a verification route independent of the
-combinatorial formulas.
-
-Each kernel is graded by ad h-weight and, for a diagonal involution, by the
-sign d_r d_c.  Every e is a partial permutation with unit entries, so [e, x]
-= 0 makes x constant along chains of positions (the Toeplitz shape of a
-centralizer in gl_n), and the form ties each entry to one partner;
-``_chain_kernel`` merges the chains through the ties with a signed
-union-find and reads each dimension and the basis of p(e,0), the reduced
-echelon one of the full system, off the live classes, with no row built and
-no elimination.  One read over every weight per sign gives dim p^e and every
-dim p(e,i) and is kept on the realization with the basis of p(e,0) that the
-defect samples; a lone ``dim_graded`` or ``p_e0_sparse`` reads one weight.
-
-For the types whose involution J squares to -Id, J = sqrt(-1) * D with D an
-integer diagonal sign matrix; conjugation by J equals conjugation by D, so the
-whole computation stays rational.  The realization stores D, not the sign xi.
+the standard triple (e, h, f) on the tagged basis e^a.v_i, the bilinear form
+of the ambient algebra (or the form defining k in the A cases), and the
+involution, which the realization stores as the integer diagonal sign
+matrix D (J = D, or sqrt(-1) * D where J squares to -Id: conjugation by J
+is conjugation by D), so every invariant is exact and rational.
 
 Each of e, h, f, the form T and D has at most one nonzero entry in each row
-and each column, and none between two coupled row groups (a row and its
-partner under T).  Each group's block is built and checked once per (pair
-type, length, start letters); a realization places its groups' blocks at
-their rows' offsets and stores sparse matrices {(r, c): value} without zero
-entries, with dense views built on access.  Once T is checked to be a signed
-permutation, T[r, pi r] = t_r = +-1, and h and D to be diagonal, every
-product with T, h or D is a relabeling or a scaling of entries.
+and column, and none between two coupled row groups (a row and its partner
+under T).  Each group's block is built and checked once per (pair type,
+length, start letters).  ``realize`` reads what the rows alone decide once
+per shape (``_plan``) and places the blocks as sparse matrices {(r, c):
+value} without zero entries.  T is checked to be a signed permutation,
+T[r, pi r] = t_r = +-1, and h and D to be diagonal, so every product with
+them is a relabeling or a scaling: T is read once as (pi, t), and theta(x)
+= +-x is tested in one pass over the entries of x.
 
-The oracle serves two clients.  ``certify`` checks, once per row length,
-that a diagram is realizable exactly when it is valid, and then the
-formulas of ``invariants`` on every valid diagram up to a bound against the
-exact kernel dimensions (dim p^e, dim p(e,i)), the Jordan type, the
-truncation ranks and the defect, dim z_{p(e,0)}(x) for a sample x whose
-powers in p span that Cartan subspace.  The defect's two ranks are taken
-mod a prime, where a rank can only fall short, so a sample that passes is
-certified exactly and an unlucky one fails.  The oracle's form of the
-self-large criterion reads the sparse basis of p(e,0), its torus test
-``is_abelian`` and dim p(e,1).
+e is a partial permutation with unit entries.  So e^k is one too, and a
+truncation rank rank(P e^k) is a count of rows; and [e, x] = 0 makes x
+constant along chains of positions (the Toeplitz shape of a centralizer in
+gl_n), which ``_chain_kernel`` merges through the form's ties with a signed
+union-find, reading each graded kernel dimension and the reduced echelon
+basis of p(e,0) off the live classes, with no row built and no elimination.
+
+``certify`` checks, once per row length, that a diagram is realizable
+exactly when it is valid, and then the formulas of ``invariants`` on every
+valid diagram up to a bound against the kernel dimensions (dim p^e, dim
+p(e,i)), the Jordan type, the truncation ranks and the defect, dim
+z_{p(e,0)}(x) for a sample x whose powers in p span that Cartan subspace.
+The defect's two ranks are taken mod a prime, where a rank can only fall
+short, so a sample that passes is certified exactly and an unlucky one
+fails.  The oracle's form of the self-large criterion reads the sparse
+basis of p(e,0), its torus test ``is_abelian`` and dim p(e,1).
 """
 
 from __future__ import annotations
@@ -58,6 +50,7 @@ from .diagrams import (
     DEFAULT_BOUND,
     PairParams,
     PairType,
+    _canonical,
     _frozen,
     _parity_rules,
     _set,
@@ -83,16 +76,13 @@ class MatrixRealization:
     """Integer matrices realizing a diagram for a classical symmetric pair.
 
     ``basis[k] = (i, a)`` tags basis vector e^a.v_i (row i of the diagram,
-    power a).  e, h, f, T and D are stored as the sparse matrices that
-    ``realize`` places from checked group blocks; ``e``, ``h``, ``f``,
-    ``form`` and ``d_matrix`` are dense views built on each access.  T is the
-    Gram matrix of the bilinear form, a signed permutation (checked on every
-    block; theta relies on it): for BD/C types it cuts out g, for AI/AII it
-    cuts out k.  D is the diagonal sign matrix of the involution: the
-    involution datum J is D itself when xi = +1 and sqrt(-1) * D when xi = -1
-    (xi = ``pair_type.involution_square``); conjugation by J is conjugation
-    by D either way.  The fields cannot be reassigned; each realization
-    starts with its own empty ``_graded``.
+    power a).  e, h, f, T and D are the sparse matrices that ``realize``
+    places from checked group blocks; ``e``, ``h``, ``f``, ``form`` and
+    ``d_matrix`` are dense views built on each access.  T is the Gram matrix
+    of the bilinear form, a signed permutation (checked on every block): for
+    BD/C types it cuts out g, for AI/AII it cuts out k.  D is the diagonal
+    sign matrix of the involution.  The fields cannot be reassigned; each
+    realization starts with its own empty ``_graded``.
     """
 
     # _graded: sigma -> ({ad h-weight: kernel dimension}, basis of the weight-0
@@ -177,14 +167,21 @@ def _bracket(a, b) -> dict:
     return _add((1, _mul(a[0], b[1])), (-1, _mul(b[0], a[1])))
 
 
-def _theta(x: dict, d: Optional[dict], t: Optional[dict]) -> dict:
-    """The involution: conjugation by the diagonal D, d_r d_c x_rc at (r, c);
-    for AI/AII (no D) x -> -T^-1 x^t T = -T^t x^t T, which puts -t_r t_c x_rc
-    at (pi c, pi r) for the signed permutation T[r, pi r] = t_r."""
-    if d is not None:
-        return {(r, c): w for (r, c), v in x.items() if (w := d.get((r, r), 0) * d.get((c, c), 0) * v)}
-    perm = {r: (c, v) for (r, c), v in t.items()}
-    return {(perm[c][0], perm[r][0]): -perm[r][1] * perm[c][1] * v for (r, c), v in x.items()}
+def _involution(d: Optional[dict], t: Optional[dict]):
+    """D as {r: d_r} and T[r, pi r] = t_r as ({r: pi r}, {r: t_r}), or None."""
+    return (None if d is None else {r: v for (r, _c), v in d.items()},
+            None if t is None else ({r: c for r, c in t}, {r: v for (r, _c), v in t.items()}))
+
+
+def _theta_holds(x: dict, sign: int, dd: Optional[dict], perm) -> bool:
+    """Whether theta(x) = sign x, in one pass over the entries of x (none 0):
+    conjugation by D puts d_r d_c x_rc at (r, c), so each needs d_r d_c =
+    sign; for AI/AII (dd None) x -> -T^t x^t T puts -t_r t_c x_rc at (pi c,
+    pi r), a bijection, so each needs x_(pi c, pi r) = -sign t_r t_c x_rc."""
+    if dd is not None:
+        return all(dd.get(r, 0) * dd.get(c, 0) == sign for r, c in x)
+    pi, ts = perm
+    return all(x.get((pi[c], pi[r]), 0) == -sign * ts[r] * ts[c] * v for (r, c), v in x.items())
 
 
 def _identities(pair_type: PairType, n: int, e, h, f, t, d):
@@ -201,9 +198,10 @@ def _identities(pair_type: PairType, n: int, e, h, f, t, d):
     for x, w, identity in ((e, 2, "[h, e] = 2e"), (f, -2, "[h, f] = -2f")):
         yield all(h.get((r, r), 0) - h.get((c, c), 0) == w for r, c in x), identity
     yield _bracket(*_indexed(e, f)) == h, "[e, f] = h"
+    dd, perm = _involution(d, t)
     for x, sign, identity in ((e, -1, "theta(e) = -e"), (h, 1, "theta(h) = h"),
                               (f, -1, "theta(f) = -f")):
-        yield _theta(x, d, t) == _add((sign, x)), identity
+        yield _theta_holds(x, sign, dd, perm), identity
     if t is not None:
         eta = 1 if d is not None else -1
         eps = pair_type.form_sign if d is not None else (1 if pair_type is PairType.AI else -1)
@@ -212,7 +210,7 @@ def _identities(pair_type: PairType, n: int, e, h, f, t, d):
         # x^t T = -sign T x is T^t x^t T = -sign x, that is theta_T(x) = sign x
         for x, sign, identity in ((e, eta, "e^t T = -eta T e"), (f, eta, "f^t T = -eta T f"),
                                   (h, 1, "h^t T = -T h")):
-            yield _theta(x, None, t) == _add((sign, x)), identity
+            yield _theta_holds(x, sign, None, perm), identity
     if d is not None:
         yield len(d) == n and set(d.values()) <= {1, -1}, "D^2 = I"
         if t is not None:
@@ -287,24 +285,49 @@ def _length_groups(pair_type: PairType, length: int, m: int, na: int, nb: int):
     checks every pair's block with its actual letters.  The cache holds the
     table of ``certify``."""
     if pair_type is PairType.AII:
-        return None if m % 2 else tuple((k, k + 1) for k in range(0, m, 2))
+        return None if m % 2 else _pairs(2, 1, m // 2)
     alone, same, cross = (pair_type in A_TYPES or _group_block(pair_type, length, letters) is not None
                           for letters in (("a",), ("a", "a"), ("a", "b")))
     if alone:
-        return tuple((k, k) for k in range(m))
+        return _pairs(1, 0, m)
     if same and (na % 2 == nb % 2 == 0 or cross and m % 2 == 0):
-        return tuple((k, k + 1) for k in range(0, m, 2))
+        return _pairs(2, 1, m // 2)
     if cross and na == nb:
-        return tuple((k, na + k) for k in range(na))
+        return _pairs(1, na, na)
     return None
+
+
+@lru_cache(maxsize=1024)
+def _pairs(step: int, offset: int, count: int) -> tuple:
+    """(step k, step k + offset) for k < count, one tuple shared by every length that pairs so."""
+    return tuple((step * k, step * k + offset) for k in range(count))
+
+
+@lru_cache(maxsize=2048)
+def _plan(pair_type: PairType, rows: tuple):
+    """What ``realize`` reads off a diagram's rows alone: (n, wrong kind, the
+    a-cells of ``letter_counts()`` where the type has a signature, the first
+    length that ``_length_groups`` gives no groups or 0, and per length of
+    one ``multiplicities()`` pass (length, first row, groups, whether they
+    partition the rows)); the rows of one length are contiguous."""
+    n, diagram, lengths, first = sum(length for length, _s in rows), _canonical(rows), [], 0
+    if rows and diagram.is_ab != pair_type.uses_letters:
+        return n, True, None, 0, ()
+    for length, (m, na, nb) in diagram.multiplicities().items():
+        groups = _length_groups(pair_type, length, m, na, nb)
+        if groups is None:
+            return n, False, None, length, ()
+        lengths.append((length, first, groups, sorted(r for pair in groups for r in {*pair}) == list(range(m))))
+        first += m
+    return n, False, diagram.letter_counts()[0] if pair_type.has_signature else None, 0, tuple(lengths)
 
 
 @lru_cache(maxsize=128)
 def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> MatrixRealization:
     """Build a matrix realization, or raise UnrealizableDiagram when no sign
     assignment satisfies the invariants (this certifies diagram validity).
-    Every check that can reject the diagram runs before any block is placed:
-    a length with no coupled groups, then the letter counts of ``validate``.
+    The checks that can reject it, a length with no coupled groups and then
+    the letter counts of ``validate``, read ``_plan`` before any placement.
 
     The realization is the block-diagonal sum of its coupled row groups,
     those of ``_length_groups`` for each length.  Each group's block comes
@@ -317,45 +340,35 @@ def realize(diagram: AbDiagram, pair_type: PairType, params: PairParams) -> Matr
     identity; ``realize`` requires both premises and does not check the sum
     again (``certify`` does, as a cross-check of the assembly)."""
     params.check(pair_type)
-    if diagram.n != params.n:
-        raise SizeMismatch(f"diagram has {diagram.n} cells, pair has n={params.n}")
-    if diagram.rows and diagram.is_ab != pair_type.uses_letters:
+    n, wrong, a_cells, rejected, lengths = _plan(pair_type, diagram.rows)
+    if n != params.n:
+        raise SizeMismatch(f"diagram has {n} cells, pair has n={params.n}")
+    if wrong:
         raise WrongType(f"representation does not match {pair_type.value}")
-    # (length, first row, rows, groups) per row length, longest first: the
-    # rows of one length are contiguous in canonical order, a-rows first
-    lengths, nrows = [], 0
-    for length, (m, na, nb) in diagram.multiplicities().items():
-        groups = _length_groups(pair_type, length, m, na, nb)
-        if groups is None:
-            raise UnrealizableDiagram(
-                f"no symplectic pairing: odd number of rows of length {length}" if pair_type is PairType.AII
-                else f"no admissible coupling of the rows of length {length}")
-        lengths.append((length, nrows, m, groups))
-        nrows += m
-    if pair_type.has_signature and (cells := diagram.letter_counts()) != params.signature:
-        raise UnrealizableDiagram(f"involution eigenspace dimensions {cells} "
+    if rejected:
+        raise UnrealizableDiagram(
+            f"no symplectic pairing: odd number of rows of length {rejected}" if pair_type is PairType.AII
+            else f"no admissible coupling of the rows of length {rejected}")
+    if pair_type.has_signature and a_cells != params.signature[0]:  # p + q = n cells
+        raise UnrealizableDiagram(f"involution eigenspace dimensions {(a_cells, n - a_cells)} "
                                   f"do not match the signature {params.signature}")
 
-    rows = diagram.rows
-    starts = [0, *accumulate(length for length, _s in rows)]
+    rows, starts = diagram.rows, [0, *accumulate(length for length, _s in diagram.rows)]
     maps = e, h, f, t, d = ({}, {}, {}, None if pair_type is PairType.AIII else {},
                             {} if pair_type.uses_letters else None)
-    partners = list(range(nrows))
-    for length, first, m, groups in lengths:
-        _require(sorted(r for pair in groups for r in {*pair}) == list(range(m)),
-                 "the coupled groups partition the rows")
+    partners = list(range(len(rows)))
+    for length, first, groups, partitioned in lengths:
+        _require(partitioned, "the coupled groups partition the rows")
         for i, j in ((first + i, first + j) for i, j in groups):
             partners[i], partners[j] = j, i
             block = _group_block(pair_type, length, (rows[i][1],) if i == j else (rows[i][1], rows[j][1]))
             _require(block is not None, f"the group of rows {i} and {j} has a checked block")
-            pos = range(starts[i], starts[i] + length)
-            if j != i:
-                pos = [*pos, *range(starts[j], starts[j] + length)]
+            pos = [starts[r] + a for r in dict.fromkeys((i, j)) for a in range(length)]
             for out, x in zip(maps, block):
                 if x is not None:
                     out.update({(pos[r], pos[c]): v for (r, c), v in x.items()})
     basis = tuple((i, a) for i, (length, _s) in enumerate(rows) for a in range(length))
-    return MatrixRealization(pair_type=pair_type, diagram=diagram, n=params.n, basis=basis, e_map=e,
+    return MatrixRealization(pair_type=pair_type, diagram=diagram, n=n, basis=basis, e_map=e,
                              h_map=h, f_map=f, t_map=t, d_map=d, partners=tuple(partners))
 
 
@@ -398,12 +411,9 @@ def _chain_kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
     4. For the A types, the trace row costs weight 0 a dimension when a live
        class there has trace t0 != 0: the first one's v0 leaves the basis and
        a later v of trace t != 0 becomes the primitive sgn(t0) (t0 v - t v0)."""
-    n, hd, e = real.n, real.h_diagonal, real.e_map
+    n, hd, succ = real.n, real.h_diagonal, _successors(real)
     dd = None if real.d_map is None else [real.d_map[k, k] for k in range(n)]
-    succ = {c: r for r, c in e}
     has_pred = set(succ.values())
-    _require(len(succ) == len(has_pred) == len(e) and set(e.values()) <= {1}
-             and has_pred | set(succ) <= set(range(n)), "e is a partial permutation with unit entries")
     heads = [k for k in range(n) if k not in has_pred]
     chains, dead = [], []
     for r0 in range(n):
@@ -453,6 +463,14 @@ def _chain_kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
             basis[k] = _add((t0 // m, basis[k]), (-t // m, v0))
         del basis[k0]
     return dims, basis
+
+
+def _successors(real: MatrixRealization) -> dict:
+    """{c: succ c}, e v_c = v_succ(c), once e is required to be a partial permutation."""
+    e, succ = real.e_map, {c: r for r, c in real.e_map}
+    _require(len(succ) == len(set(succ.values())) == len(e) and set(e.values()) <= {1}
+             and {*succ, *succ.values()} <= set(range(real.n)), "e is a partial permutation with unit entries")
+    return succ
 
 
 def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
@@ -518,10 +536,11 @@ def _sample(rng: random.Random, basis: list[dict]) -> dict:
 def _kept_powers(real: MatrixRealization, x: dict):
     """y_j = n x^j - tr(x^j) I for j = 1 .. n, in order, each kept when it lies
     in p: theta(y_j) = -y_j and, for the BD/C types, y_j^t T = -T y_j."""
-    n, d, t, power, x_rows = real.n, real.d_map, real.t_map, x, _rows(x)
+    n, power, x_rows, (dd, perm) = real.n, x, _rows(x), _involution(real.d_map, real.t_map)
+    eye = {(k, k): 1 for k in range(n)}
     for _j in range(n):
-        y = _add((n, power), (-sum(power.get((k, k), 0) for k in range(n)), {(k, k): 1 for k in range(n)}))
-        if _theta(y, d, t) == _add((-1, y)) and (d is None or t is None or _theta(y, None, t) == y):
+        y = _add((n, power), (-sum(power.get((k, k), 0) for k in range(n)), eye))
+        if _theta_holds(y, -1, dd, perm) and (dd is None or perm is None or _theta_holds(y, 1, None, perm)):
             yield y
         power = _mul(power, x_rows)
 
@@ -568,8 +587,7 @@ def defect_oracle(real: MatrixRealization) -> int:
 
 def jordan_type(matrix: Matrix) -> tuple[int, ...]:
     """Partition of a nilpotent matrix from the rank sequence of its powers."""
-    x = {(r, c): v for r, row in enumerate(matrix) for c, v in enumerate(row) if v}
-    return _jordan_type(len(matrix), x)
+    return _jordan_type(len(matrix), {(r, c): v for r, row in enumerate(matrix) for c, v in enumerate(row) if v})
 
 
 def _jordan_type(n: int, x: dict) -> tuple[int, ...]:
@@ -594,17 +612,13 @@ def _partition(ranks) -> tuple[int, ...]:
 def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
     """rank(P_a e^k) then rank(P_b e^k) for k = 0 .. n-1, with P_a = (I + D)/2
     and P_b = (I - D)/2, or rank(e^k) for the types without D: the layout of
-    ``closure._truncation_profile``, whose fields the closure order compares."""
-    x_rows = _rows(real.e_map)
-    signs = (None,) if real.d_map is None else (1, -1)
-    ranks = []
-    power = {(k, k): 1 for k in range(real.n)}
+    ``closure._truncation_profile``, whose fields the closure order compares.
+    e is required to be a partial permutation with unit entries, so e^k is
+    one too, and rank(P e^k) counts the rows of its entries that P keeps."""
+    succ, d, ranks, rows = _successors(real), real.d_map, [], range(real.n)  # rows: those of e^k's entries
     for _k in range(real.n):
-        rows = _rows(power)
-        for sign in signs:
-            ranks.append(linalg.rank([dict(row) for r, row in rows.items()
-                                      if sign is None or real.d_map[r, r] == sign]))
-        power = _mul(power, x_rows)
+        ranks += [len(rows)] if d is None else [sum(d[r, r] == sign for r in rows) for sign in (1, -1)]
+        rows = [succ[r] for r in rows if r in succ]
     return tuple(ranks)
 
 
@@ -613,24 +627,6 @@ def _dominates_strictly(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     pad = (0,) * max(len(lam), len(mu))
     sums = zip(accumulate(lam + pad), accumulate(mu + pad))
     return lam != mu and sum(lam) == sum(mu) and all(a >= b for a, b in sums)
-
-
-def _partial_shift(real: MatrixRealization, idx, i1: int, i2: int) -> dict:
-    """The elementary map sending row i1 into row i2 one step up and row i2
-    back onto row i1 (lengths differing by one)."""
-    m = {}
-    for a in range(real.diagram.rows[i1][0]):
-        m[idx[(i2, a + 1)], idx[(i1, a)]] = 1
-        m[idx[(i1, a)], idx[(i2, a)]] = 1
-    return m
-
-
-def _row_restriction(real: MatrixRealization, idx, rows: set[int]) -> dict:
-    m = {}
-    for i in rows:
-        for a in range(real.diagram.rows[i][0] - 1):
-            m[idx[(i, a + 1)], idx[(i, a)]] = 1
-    return m
 
 
 def commuting_witness(real: MatrixRealization) -> Matrix:
@@ -650,12 +646,14 @@ def commuting_witness(real: MatrixRealization) -> Matrix:
         if (real.partners[i1] > i1) != (real.partners[i2] > i2):
             i1 = real.partners[i1]
         pairs = [(i1, i2), (real.partners[i1], real.partners[i2])]
-    others = set(range(len(real.diagram.rows))) - {i for pair in pairs for i in pair}
-    idx = {tag: k for k, tag in enumerate(real.basis)}
-    w = _add(*[(1, _partial_shift(real, idx, *pair)) for pair in pairs],
-             (1, _row_restriction(real, idx, others)))
+    rows, idx, w = real.diagram.rows, {tag: k for k, tag in enumerate(real.basis)}, {}
+    for i1, i2 in pairs:  # row i1 one step up into row i2, and row i2 back onto row i1
+        for a in range(rows[i1][0]):
+            w[idx[i2, a + 1], idx[i1, a]] = w[idx[i1, a], idx[i2, a]] = 1
+    for i in set(range(len(rows))) - {i for pair in pairs for i in pair}:  # e on the other rows
+        w.update({(idx[i, a + 1], idx[i, a]): 1 for a in range(rows[i][0] - 1)})
     _require(not _bracket(*_indexed(real.e_map, w)), "[e, w] = 0")
-    _require(_theta(w, None, real.t_map) == _add((-1, w)), "theta(w) = -w")
+    _require(_theta_holds(w, -1, None, _involution(None, real.t_map)[1]), "theta(w) = -w")
     _require(_dominates_strictly(_jordan_type(real.n, w), real.diagram.partition),
              "Jordan type of w strictly dominates the diagram")
     return _dense(real.n, w)
@@ -694,21 +692,26 @@ def certify(bound: int) -> tuple[int, list[str]]:
     m for AII, a length with no groups, letter counts that miss the
     signature) and ``validate`` on the parity rules and on the same letter
     counts, which for CI and DIII must be (n/2, n/2), so the table decides
-    both alike.  The sweep then realizes only the valid diagrams."""
+    both alike.  The sweep then realizes only the valid diagrams, after the
+    blocks that the table builds for lengths above the bound are dropped."""
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
     if bound > DEFAULT_BOUND:
         raise BoundExceeded(f"n={bound} exceeds bound {DEFAULT_BOUND}")
     checked, failures = 0, []
-    for pt in PairType:
-        for d, m in ((d, m) for d in range(1, DEFAULT_BOUND + 1) for m in range(1, DEFAULT_BOUND // d + 1)):
-            for a, b in ((a, m - a) for a in range(m + 1)) if pt.uses_letters else [(0, 0)]:
-                coupled, rule = _length_groups(pt, d, m, a, b) is not None, _parity_rules(pt, d, m, a, b)
-                cells = AbDiagram(((d, "a"),) * a + ((d, "b"),) * b).letter_counts()
-                unbalanced = coupled and pt in (PairType.CI, PairType.DIII) and cells[0] != cells[1]
-                if coupled == (rule is not None) or unbalanced:
-                    failures.append(f"{pt.value} (d, m, a, b) = {(d, m, a, b)}: coupled={coupled}, "
-                                    f"parity rule {rule!r}, letter counts {cells}")
+    table = [(pt, d, m, a, b) for pt in PairType for d in range(1, DEFAULT_BOUND + 1)
+             for m in range(1, DEFAULT_BOUND // d + 1)
+             for a, b in (((a, m - a) for a in range(m + 1)) if pt.uses_letters else [(0, 0)])]
+    for entry in (entry for entry in table if entry[1] > bound):  # the lengths the sweep never places
+        _length_groups(*entry)
+    _group_block.cache_clear()
+    for pt, d, m, a, b in table:
+        coupled, rule = _length_groups(pt, d, m, a, b) is not None, _parity_rules(pt, d, m, a, b)
+        cells = AbDiagram(((d, "a"),) * a + ((d, "b"),) * b).letter_counts()
+        unbalanced = coupled and pt in (PairType.CI, PairType.DIII) and cells[0] != cells[1]
+        if coupled == (rule is not None) or unbalanced:
+            failures.append(f"{pt.value} (d, m, a, b) = {(d, m, a, b)}: coupled={coupled}, "
+                            f"parity rule {rule!r}, letter counts {cells}")
     for n in range(bound + 1):
         for pt, prm in pairs_of_size(n):
             for d in enumerate_diagrams(pt, prm):

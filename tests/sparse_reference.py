@@ -1,7 +1,8 @@
 """Sparse reference elimination for the tests: kernel dimensions and
 nullspaces of systems of sparse rows (dicts column -> coefficient), built on
-the pivots of ``linalg.echelon_pivots``, and the rows of ad x on a module of
-sparse matrices.  The oracle reads its kernels off the chains of e; the
+the pivots of ``linalg.echelon_pivots``, the rows of ad x on a module of
+sparse matrices, and the exact ranks of the truncated powers of e.  The
+oracle reads its kernels off the chains of e, and counts those ranks; the
 tests check them against these."""
 
 from math import lcm
@@ -59,3 +60,23 @@ def bracket_rows(x: dict, module: list[dict]) -> list[dict]:
             if v:
                 eqs.setdefault(pos, {})[k] = v
     return [eqs[pos] for pos in sorted(eqs)]
+
+
+def truncation_ranks(e: dict, d, n: int) -> tuple[int, ...]:
+    """rank(P_a e^k) then rank(P_b e^k), or rank(e^k) without D, for k = 0
+    .. n-1, by exact elimination of the rows of the sparse powers of e."""
+    power, ranks = {(k, k): 1 for k in range(n)}, []
+    for _k in range(n):
+        for sign in (None,) if d is None else (1, -1):
+            rows: dict[int, dict] = {}
+            for (r, c), v in power.items():
+                if sign is None or d[r, r] == sign:
+                    rows.setdefault(r, {})[c] = v
+            ranks.append(linalg.rank(list(rows.values())))
+        step: dict[tuple[int, int], int] = {}
+        for (r, k), v in e.items():
+            for (k2, c), w in power.items():
+                if k2 == k:
+                    step[r, c] = step.get((r, c), 0) + v * w
+        power = {pos: v for pos, v in step.items() if v}
+    return tuple(ranks)

@@ -325,6 +325,23 @@ def test_invalid_diagram_above_every_valid_one_has_no_covers():
         assert minimal_degenerations(g, pt, prm) == [] == brute_force_covers(g, diags), text
 
 
+def test_up_sets_of_earlier_positions_equal_the_full_mask():
+    """``up(i)`` tests only the diagrams before position i, since every
+    diagram above i comes earlier in enumeration order: the same set as the
+    full mask less i itself, on every pair with n <= 12 and on AIII 20
+    (10, 10)."""
+    pairs = [*(pair for n in range(13) for pair in pairs_of_size(n)),
+             (PairType.AIII, params_for(PairType.AIII, 20, 10, 10))]
+    checked = 0
+    for pt, prm in pairs:
+        index = closure._closure_index(pt, prm, DEFAULT_BOUND)
+        for i in range(len(index.diagrams)):
+            profile = index.blob[i * index.width:(i + 1) * index.width]
+            assert index.up(i) == index._at_or_above(profile, index._all) & ~(1 << i), (pt, prm, i)
+            checked += 1
+    assert checked == 10738
+
+
 def test_index_of_zero_pair_and_single_orbit_pair():
     """Profiles of width 0 (the zero pair) and a pair with one orbit: the
     only diagram has nothing above it."""

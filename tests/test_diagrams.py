@@ -1,4 +1,5 @@
 import copy
+import importlib
 import itertools
 import pickle
 import re
@@ -547,7 +548,9 @@ def test_walks_check_the_bound_before_any_table(monkeypatch, walk, message):
 
 
 def test_library_has_no_unbounded_cache():
-    """No cache in the library grows for the life of the process."""
+    """No cache in the library grows for the life of the process: no
+    unbounded cache decorator in the source, and every LRU cache of every
+    module, the oracle's per-shape plan among them, has a maxsize."""
     src = Path(nilcomm.__file__).parent
     unbounded = re.compile(r"lru_cache\(\s*(maxsize\s*=\s*)?None|@(functools\.)?cache\b")
     found = [
@@ -557,6 +560,11 @@ def test_library_has_no_unbounded_cache():
         if unbounded.search(line)
     ]
     assert found == []
+    modules = [importlib.import_module(f"nilcomm.{path.stem}") for path in sorted(src.glob("*.py"))
+               if path.stem != "__main__"]
+    sizes = {f"{module.__name__}.{name}": cache.cache_info().maxsize for module in modules
+             for name, cache in vars(module).items() if hasattr(cache, "cache_info")}
+    assert "nilcomm.oracle._plan" in sizes and None not in sizes.values(), sizes
 
 
 def test_candidates_each_diagram_once_against_brute_force():

@@ -28,6 +28,7 @@ from nilcomm.diagrams import (
     parse,
 )
 from nilcomm.errors import (
+    NilcommError,
     NoAdjacentLengths,
     NotNilpotent,
     OracleCheckFailed,
@@ -185,6 +186,16 @@ def _shift_map(real, low, high):
         w[idx[high, a + 1], idx[low, a]] = 1
         w[idx[low, a], idx[high, a]] = 1
     return w
+
+
+def _theta(x, d, t):
+    """The involution on a sparse matrix, built as a matrix: conjugation by
+    the diagonal D, d_r d_c x_rc at (r, c); for AI/AII (d None) x -> -T^t x^t
+    T, which puts -t_r t_c x_rc at (pi c, pi r) for T[r, pi r] = t_r."""
+    if d is not None:
+        return {(r, c): w for (r, c), v in x.items() if (w := d.get((r, r), 0) * d.get((c, c), 0) * v)}
+    perm = {r: (c, v) for (r, c), v in t.items()}
+    return {(perm[c][0], perm[r][0]): -perm[r][1] * perm[c][1] * v for (r, c), v in x.items()}
 
 
 def _scaled(c, x):
@@ -927,7 +938,7 @@ def test_chain_reading_of_any_partial_permutation_matches_full_reference():
                 sub = dict.fromkeys(rng.sample(entries, rng.randint(0, len(entries))), 1)
                 copy = _rebuilt(real, e_map=sub)
                 if real.t_map is not None:
-                    broken += oracle._theta(sub, None, real.t_map) not in (sub, oracle._add((-1, sub)))
+                    broken += _theta(sub, None, real.t_map) not in (sub, oracle._add((-1, sub)))
                 maps = _reference_maps(copy, acting="e")
                 hd = copy.h_diagonal
                 for sigma in (1, -1):
@@ -1114,6 +1125,150 @@ def test_match_rows_polynomial_on_unmatchable_rows(monkeypatch):
         oracle.realize(diagram, PairType.CI, PairParams(2 * k + 2))
 
 
+def _realize_inline(diagram, pt, prm):
+    """The checks and the placement of ``realize`` as it read them off the
+    diagram on every call, before the per-shape plan: (maps, partners,
+    basis) of the realization, or the exception it raised."""
+    prm.check(pt)
+    if diagram.n != prm.n:
+        raise SizeMismatch(f"diagram has {diagram.n} cells, pair has n={prm.n}")
+    if diagram.rows and diagram.is_ab != pt.uses_letters:
+        raise WrongType(f"representation does not match {pt.value}")
+    lengths, nrows = [], 0
+    for length, (m, na, nb) in diagram.multiplicities().items():
+        groups = oracle._length_groups(pt, length, m, na, nb)
+        if groups is None:
+            raise UnrealizableDiagram(
+                f"no symplectic pairing: odd number of rows of length {length}" if pt is PairType.AII
+                else f"no admissible coupling of the rows of length {length}")
+        lengths.append((length, nrows, m, groups))
+        nrows += m
+    if pt.has_signature and (cells := diagram.letter_counts()) != prm.signature:
+        raise UnrealizableDiagram(f"involution eigenspace dimensions {cells} "
+                                  f"do not match the signature {prm.signature}")
+    rows = diagram.rows
+    starts = [0, *itertools.accumulate(length for length, _s in rows)]
+    maps = ({}, {}, {}, None if pt is PairType.AIII else {}, {} if pt.uses_letters else None)
+    partners = list(range(nrows))
+    for length, first, m, groups in lengths:
+        if sorted(r for pair in groups for r in {*pair}) != list(range(m)):
+            raise OracleCheckFailed("identity fails: the coupled groups partition the rows")
+        for i, j in ((first + i, first + j) for i, j in groups):
+            partners[i], partners[j] = j, i
+            block = oracle._group_block(pt, length, (rows[i][1],) if i == j else (rows[i][1], rows[j][1]))
+            if block is None:
+                raise OracleCheckFailed(f"identity fails: the group of rows {i} and {j} has a checked block")
+            pos = [*range(starts[i], starts[i] + length), *(range(starts[j], starts[j] + length) if j != i else ())]
+            for out, x in zip(maps, block):
+                if x is not None:
+                    out.update({(pos[r], pos[c]): v for (r, c), v in x.items()})
+    basis = tuple((i, a) for i, (length, _s) in enumerate(rows) for a in range(length))
+    return maps, tuple(partners), basis
+
+
+def _outcome(realize, diagram, pt, prm):
+    try:
+        return realize(diagram, pt, prm)
+    except (ValueError, NilcommError) as exc:
+        return type(exc), str(exc)
+
+
+def test_realize_equals_the_inline_checks_on_every_candidate():
+    """Every candidate of every type with n <= 8, under every signature of
+    its size and none, plus a diagram of the wrong size and one of the
+    wrong representation: ``realize`` gives the maps, partners and basis of
+    the inline checks, or the same exception class and message."""
+    def planned(diagram, pt, prm):
+        real = oracle.realize(diagram, pt, prm)
+        maps = (real.e_map, real.h_map, real.f_map, real.t_map, real.d_map)
+        assert real.n == prm.n
+        return maps, real.partners, real.basis
+
+    outcomes = Counter()
+    for pt in PairType:
+        for n in range(9):
+            for diagram in candidates(pt, n):
+                for prm in [PairParams(n), *(PairParams(n, (p, n - p)) for p in range(n + 1))]:
+                    got = _outcome(planned, diagram, pt, prm)
+                    assert got == _outcome(_realize_inline, diagram, pt, prm), (pt, prm, diagram.text())
+                    outcomes[got[0] if isinstance(got[0], type) else "realized"] += 1
+    for text, pt, prm, error in [("aba/a/b", PairType.BDI, PairParams(6, (3, 3)), SizeMismatch),
+                                 ("2,1", PairType.BDI, PairParams(3, (2, 1)), WrongType),
+                                 ("ab/a", PairType.AI, PairParams(3), WrongType)]:
+        got = _outcome(planned, parse(text), pt, prm)
+        assert got[0] is error and got == _outcome(_realize_inline, parse(text), pt, prm), (pt, text)
+    assert set(outcomes) == {"realized", ValueError, UnrealizableDiagram}, outcomes
+
+
+def test_kept_powers_equal_the_filter_on_built_theta():
+    """``_kept_powers`` tests theta(y) = -y and y^t T = -T y in one pass over
+    y; it keeps the same powers as a filter that builds theta(y) and -y as
+    matrices, for the first sample on every valid diagram with n <= 8 and
+    p(e,0) != 0."""
+    checked = 0
+    for n in range(1, 9):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                basis = oracle.p_e0_sparse(real)
+                if not basis:
+                    continue
+                x = oracle._sample(random.Random(0), basis)
+                dm, tm, power, want = real.d_map, real.t_map, x, []
+                for _j in range(n):
+                    trace = sum(power.get((k, k), 0) for k in range(n))
+                    y = oracle._add((n, power), (-trace, {(k, k): 1 for k in range(n)}))
+                    if _theta(y, dm, tm) == oracle._add((-1, y)) and (
+                            dm is None or tm is None or _theta(y, None, tm) == y):
+                        want.append(y)
+                    power = oracle._mul(power, oracle._rows(x))
+                assert list(oracle._kept_powers(real, x)) == want, (pt, prm, d.text())
+                checked += 1
+    assert checked == 384
+
+
+def test_plan_cache_is_bounded_and_holds_a_round_of_shapes():
+    """The per-shape plan of ``realize`` is an LRU cache with a maxsize, one
+    that holds the 1,804 shapes of every candidate of every pair with n <= 8
+    that the certification workload realizes."""
+    shapes = {(pt, d.rows) for n in range(9) for pt, _prm in pairs_of_size(n) for d in candidates(pt, n)}
+    assert len(shapes) == 1804 <= oracle._plan.cache_info().maxsize
+
+
+def test_length_groups_share_their_pairs():
+    """Lengths that pair their rows alike return one shared tuple, so the
+    certified table keeps a few dozen of them, not one per entry."""
+    assert oracle._length_groups(PairType.AI, 1, 5, 0, 0) is oracle._length_groups(PairType.AI, 2, 5, 0, 0)
+    assert oracle._length_groups(PairType.AII, 1, 4, 0, 0) == ((0, 1), (2, 3))
+    assert oracle._length_groups(PairType.CI, 1, 4, 2, 2) is oracle._length_groups(PairType.CI, 3, 4, 2, 2)
+
+
+def test_certify_keeps_only_the_blocks_its_sweep_places():
+    """The table of ``certify`` builds blocks of every length up to the
+    default bound; those longer than the certified bound are not kept, and
+    those the sweep places are."""
+    oracle.certify(4)
+    before = oracle._group_block.cache_info()
+    oracle._group_block(PairType.BDI, 30, ("a",))
+    oracle._group_block(PairType.BDI, 3, ("a",))
+    after = oracle._group_block.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+def test_truncation_ranks_are_the_exact_ranks_to_n10():
+    """Counted off the successors of e, the ranks of P e^k equal the exact
+    ranks of the sparse products on every valid diagram with n <= 10."""
+    checked = 0
+    for n in range(11):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                assert oracle.truncation_ranks(real) == sparse.truncation_ranks(real.e_map, real.d_map, n), (
+                    pt, prm, d.text())
+                checked += 1
+    assert checked == 1974
+
+
 def test_realize_rejects_before_building_matrices(monkeypatch):
     def no_matrices(*_args):
         raise AssertionError("matrices built for an unrealizable diagram")
@@ -1169,6 +1324,8 @@ def test_a_block_failing_for_untested_letters_is_caught(monkeypatch):
 
 def test_groups_that_miss_or_share_a_row_fail_the_partition_check(monkeypatch):
     prm = params_for(PairType.CII, 4, 2, 2)
+    # the shape's plan, which holds its groups, is built afresh on each call
+    monkeypatch.setattr(oracle, "_plan", oracle._plan.__wrapped__)
     for groups in [((0, 1),), ((0, 1), (1, 2), (3, 3)), ((0, 1), (2, 3), (4, 5))]:
         monkeypatch.setattr(oracle, "_length_groups", lambda *_args, groups=groups: groups)
         with pytest.raises(OracleCheckFailed) as exc:
@@ -1188,6 +1345,7 @@ def test_certify_checks_every_assembled_realization(monkeypatch):
         e, h, f, t, d = found
         return e, _scaled(2, h), f, t, d
 
+    doubled_h.cache_clear = block.cache_clear  # certify drops the blocks its table builds
     monkeypatch.setattr(oracle, "_group_block", doubled_h)
     monkeypatch.setattr(oracle, "realize", oracle.realize.__wrapped__)
     with pytest.raises(OracleCheckFailed, match=r"\[h, e\] = 2e"):
