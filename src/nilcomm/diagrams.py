@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
-from itertools import repeat
+from itertools import repeat, starmap
 from operator import index
 from typing import Iterator, NamedTuple, Optional
 
@@ -312,10 +312,8 @@ class AbDiagram:
     # -- text --------------------------------------------------------------
 
     def text(self) -> str:
-        if not self.rows:
-            return ""
         if self.is_ab:
-            return "/".join(_row_letters(d, s) for d, s in self.rows)
+            return "/".join(starmap(_row_letters, self.rows))
         return ",".join(str(d) for d, _ in self.rows)
 
     def __str__(self) -> str:

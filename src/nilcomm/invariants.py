@@ -128,7 +128,11 @@ def _theta_dims(diagram: AbDiagram, pair_type: PairType, w: int) -> tuple[int, i
     unordered cell pairs (k < l, resp. k <= l) of weight mu_k + mu_l; reading
     the second row backwards turns this into the same count, with the sign
     times (-1)^(d2 - 1)."""
-    kinds = Counter(diagram.rows)
+    return _kind_dims(Counter(diagram.rows), pair_type, w)
+
+
+def _kind_dims(kinds: Counter, pair_type: PairType, w: int) -> tuple[int, int]:
+    """``_theta_dims`` read off the counts of the row kinds (length, start letter)."""
     form = pair_type.form_sign
     same = other = 0  # ordered cell pairs of weight w whose signs agree, differ
     for (d1, s1), m1 in kinds.items():
@@ -161,8 +165,9 @@ def _theta_dims(diagram: AbDiagram, pair_type: PairType, w: int) -> tuple[int, i
 
 def dim_p_graded(diagram: AbDiagram, pair_type: PairType, i: int) -> int:
     """dim p(e,i) for i >= 0: the raising map is onto, so the kernel dimension
-    is dim p(i,h) - dim k(i+2,h)."""
-    return _theta_dims(diagram, pair_type, i)[1] - _theta_dims(diagram, pair_type, i + 2)[0]
+    is dim p(i,h) - dim k(i+2,h), both read off one count of the row kinds."""
+    kinds = Counter(diagram.rows)
+    return _kind_dims(kinds, pair_type, i)[1] - _kind_dims(kinds, pair_type, i + 2)[0]
 
 
 @lru_cache(maxsize=1024)

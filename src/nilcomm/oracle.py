@@ -273,34 +273,39 @@ def _length_groups(pair_type: PairType, length: int, m: int, na: int, nb: int):
     """The coupled groups of the m rows of one length, na a-rows then nb
     b-rows, as (row, partner) pairs, or None: neighbours for AII (none for
     odd m), each row alone (a self-pair) for AI and AIII.  For the other
-    types three checked blocks decide, as a coupling depends on the start
-    letters only through their product (a one-row one not at all): a row
-    alone, two a-rows, an a-row with a b-row.  If a row may couple with
-    itself, every row is a self-pair; else neighbours pair when rows of one
-    letter couple and na and nb are even, or cross pairs also couple and m
-    is even; else a-row k pairs with b-row na + k when cross pairs couple
-    and na == nb; else there is no perfect matching.  Each is the matching
-    in which every row in turn takes the first admissible partner (itself,
-    then the later rows) that leaves the others matchable; ``realize``
-    checks every pair's block with its actual letters.  The cache holds the
-    table of ``certify``."""
+    types checked blocks decide, each built only when those before it have
+    not, as a coupling depends on the start letters only through their
+    product (a one-row one not at all): a row alone, two a-rows, an a-row
+    with a b-row.  If a row may couple with itself, every row is a
+    self-pair; else neighbours pair when rows of one letter couple and na
+    and nb are even, or cross pairs also couple and m is even; else a-row k
+    pairs with b-row na + k when cross pairs couple and na == nb; else there
+    is no perfect matching.  Each is the matching in which every row in turn
+    takes the first admissible partner (itself, then the later rows) that
+    leaves the others matchable; ``realize`` checks every pair's block with
+    its actual letters.  The cache holds the table of ``certify``."""
     if pair_type is PairType.AII:
         return None if m % 2 else _pairs(2, 1, m // 2)
-    alone, same, cross = (pair_type in A_TYPES or _group_block(pair_type, length, letters) is not None
-                          for letters in (("a",), ("a", "a"), ("a", "b")))
-    if alone:
+    if pair_type in A_TYPES or _group_block(pair_type, length, ("a",)) is not None:
         return _pairs(1, 0, m)
-    if same and (na % 2 == nb % 2 == 0 or cross and m % 2 == 0):
+    same = _group_block(pair_type, length, ("a", "a")) is not None
+    if same and na % 2 == nb % 2 == 0:
         return _pairs(2, 1, m // 2)
-    if cross and na == nb:
-        return _pairs(1, na, na)
-    return None
+    if m % 2 or _group_block(pair_type, length, ("a", "b")) is None:  # both rules left need cross pairs, m even
+        return None
+    return _pairs(2, 1, m // 2) if same else _pairs(1, na, na) if na == nb else None
 
 
 @lru_cache(maxsize=1024)
 def _pairs(step: int, offset: int, count: int) -> tuple:
     """(step k, step k + offset) for k < count, one tuple shared by every length that pairs so."""
     return tuple((step * k, step * k + offset) for k in range(count))
+
+
+@lru_cache(maxsize=256)
+def _partitions(groups: tuple, m: int) -> bool:
+    """Whether the (row, partner) groups hold each of the rows 0 .. m-1 once."""
+    return sorted(r for pair in groups for r in {*pair}) == list(range(m))
 
 
 @lru_cache(maxsize=2048)
@@ -317,7 +322,7 @@ def _plan(pair_type: PairType, rows: tuple):
         groups = _length_groups(pair_type, length, m, na, nb)
         if groups is None:
             return n, False, None, length, ()
-        lengths.append((length, first, groups, sorted(r for pair in groups for r in {*pair}) == list(range(m))))
+        lengths.append((length, first, groups, _partitions(groups, m)))
         first += m
     return n, False, diagram.letter_counts()[0] if pair_type.has_signature else None, 0, tuple(lengths)
 
@@ -410,49 +415,58 @@ def _chain_kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
        system, whose pivots are its leftmost columns.
     4. For the A types, the trace row costs weight 0 a dimension when a live
        class there has trace t0 != 0: the first one's v0 leaves the basis and
-       a later v of trace t != 0 becomes the primitive sgn(t0) (t0 v - t v0)."""
-    n, hd, succ = real.n, real.h_diagonal, _successors(real)
+       a later v of trace t != 0 becomes the primitive sgn(t0) (t0 v - t v0).
+    It runs on flat arrays: succ, has-pred, h, D and T as (pi, t) per cell, each
+    chain's positions r*n + c and weight, each position's chain, the union-find."""
+    n, hd, succ, has_pred = real.n, real.h_diagonal, [-1] * real.n, [False] * real.n
+    for c, r in _successors(real).items():
+        succ[c], has_pred[r] = r, True
     dd = None if real.d_map is None else [real.d_map[k, k] for k in range(n)]
-    has_pred = set(succ.values())
-    heads = [k for k in range(n) if k not in has_pred]
-    chains, dead = [], []
+    heads = [k for k in range(n) if not has_pred[k]]
+    chains, weights, dead = [], [], []
     for r0 in range(n):
-        for c0 in heads if r0 in has_pred else range(n):
-            if degree is not None and hd[r0] - hd[c0] != degree or dd is not None and dd[r0] * dd[c0] != sigma:
+        for c0 in heads if has_pred[r0] else range(n):
+            w = hd[r0] - hd[c0]
+            if degree is not None and w != degree or dd is not None and dd[r0] * dd[c0] != sigma:
                 continue
-            r, c, chain = r0, c0, [(r0, c0)]
-            while r in succ and c in succ:
+            r, c, chain = succ[r0], succ[c0], [r0 * n + c0]
+            while r >= 0 and c >= 0:
+                chain.append(r * n + c)
                 r, c = succ[r], succ[c]
-                chain.append((r, c))
-            dead.append(r0 not in has_pred and c0 in has_pred or r in succ)
+            dead.append(not has_pred[r0] and has_pred[c0] or r >= 0)  # r: succ of the last row
             chains.append(chain)
-    cls = [(k, 1) for k in range(len(chains))]  # (root, s) with x_k = s x_root
+            weights.append(w)
+    roots, signs = list(range(len(chains))), [1] * len(chains)  # x_k = signs[k] x_roots[k]
     members = [[k] for k in range(len(chains))]
     if real.t_map is not None:
         s = 1 if real.d_map is not None else sigma
-        perm = {r: (c, v) for (r, c), v in real.t_map.items()}
-        where = {pos: k for k, chain in enumerate(chains) for pos in chain}
+        pi, ts, where = [None] * n, [None] * n, [-1] * (n * n)  # where: the chain of each position
         for k, chain in enumerate(chains):
-            for r, c in chain:
-                (pc, tc), (pr, tr) = perm[c], perm[r]
-                j = where.get((pc, pr))
-                (a, sa), (b, sb) = cls[k], (cls[k][0], 0) if j is None else cls[j]
-                link = -s * tr * tc * sa * sb  # x_a = link x_b
+            for p in chain:
+                where[p] = k
+        for (r, c), v in real.t_map.items():
+            pi[r], ts[r] = c, v
+        for k, chain in enumerate(chains):
+            for p in chain:
+                r, c = p // n, p % n
+                j, a = where[pi[c] * n + pi[r]], roots[k]
+                b, sb = (a, 0) if j < 0 else (roots[j], signs[j])
+                link = -s * ts[r] * ts[c] * signs[k] * sb  # x_a = link x_b
                 if a != b:
                     for m in members[a]:
-                        cls[m] = b, cls[m][1] * link
+                        roots[m], signs[m] = b, signs[m] * link
                     members[b] += members[a]
                     dead[b] = dead[a] or dead[b]
                 elif link != 1:  # a sign conflict, or no partner
                     dead[a] = True
     dims, basis = Counter(), {}
-    for k, ((r, c), *_rest) in enumerate(chains):
-        root, s = cls[k]
+    for k, (chain, root) in enumerate(zip(chains, roots)):
         if not dead[root]:
-            dims[hd[r] - hd[c]] += root == k  # each live class once, at its root chain
-            if hd[r] == hd[c]:
-                basis.setdefault(root, {}).update(dict.fromkeys(chains[k], s))
-    basis = [{pos: x * v[top] for pos, x in v.items()} for top, v in sorted((max(v), v) for v in basis.values())]
+            dims[weights[k]] += root == k  # each live class once, at its root chain
+            if not weights[k]:
+                basis.setdefault(root, {}).update(dict.fromkeys(chain, signs[k]))
+    basis = [{divmod(p, n): x * v[top] for p, x in v.items()}
+             for top, v in sorted((max(v), v) for v in basis.values())]
     traced = [(t, k) for k, v in enumerate(basis) if real.pair_type in A_TYPES
               and (t := sum(x for (r, c), x in v.items() if r == c))]
     if traced:

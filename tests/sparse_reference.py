@@ -1,13 +1,15 @@
 """Sparse reference elimination for the tests: kernel dimensions and
 nullspaces of systems of sparse rows (dicts column -> coefficient), built on
 the pivots of ``linalg.echelon_pivots``, the rows of ad x on a module of
-sparse matrices, and the exact ranks of the truncated powers of e.  The
-oracle reads its kernels off the chains of e, and counts those ranks; the
+sparse matrices, the exact ranks of the truncated powers of e, and the
+chain read of the oracle's kernels on tuple-keyed dicts.  The oracle reads
+its kernels off the chains of e on flat arrays, and counts those ranks; the
 tests check them against these."""
 
-from math import lcm
+from collections import Counter
+from math import gcd, lcm
 
-from nilcomm import linalg
+from nilcomm import linalg, oracle
 
 
 def kernel_dim(rows, ncols: int) -> int:
@@ -80,3 +82,63 @@ def truncation_ranks(e: dict, d, n: int) -> tuple[int, ...]:
                     step[r, c] = step.get((r, c), 0) + v * w
         power = {pos: v for pos, v in step.items() if v}
     return tuple(ranks)
+
+
+def chain_kernel(real, degree, sigma):
+    """``oracle._chain_kernel`` as it read the chains on tuple-keyed dicts:
+    a dict per chain position for its chain and for the union-find of the
+    form's ties.  The library kernel reads the same chains on flat cell
+    arrays and must return exactly this: the same dims and the same basis
+    vectors in the same order."""
+    n, hd, succ = real.n, real.h_diagonal, oracle._successors(real)
+    dd = None if real.d_map is None else [real.d_map[k, k] for k in range(n)]
+    has_pred = set(succ.values())
+    heads = [k for k in range(n) if k not in has_pred]
+    chains, dead = [], []
+    for r0 in range(n):
+        for c0 in heads if r0 in has_pred else range(n):
+            if degree is not None and hd[r0] - hd[c0] != degree or dd is not None and dd[r0] * dd[c0] != sigma:
+                continue
+            r, c, chain = r0, c0, [(r0, c0)]
+            while r in succ and c in succ:
+                r, c = succ[r], succ[c]
+                chain.append((r, c))
+            dead.append(r0 not in has_pred and c0 in has_pred or r in succ)
+            chains.append(chain)
+    cls = [(k, 1) for k in range(len(chains))]  # (root, s) with x_k = s x_root
+    members = [[k] for k in range(len(chains))]
+    if real.t_map is not None:
+        s = 1 if real.d_map is not None else sigma
+        perm = {r: (c, v) for (r, c), v in real.t_map.items()}
+        where = {pos: k for k, chain in enumerate(chains) for pos in chain}
+        for k, chain in enumerate(chains):
+            for r, c in chain:
+                (pc, tc), (pr, tr) = perm[c], perm[r]
+                j = where.get((pc, pr))
+                (a, sa), (b, sb) = cls[k], (cls[k][0], 0) if j is None else cls[j]
+                link = -s * tr * tc * sa * sb  # x_a = link x_b
+                if a != b:
+                    for m in members[a]:
+                        cls[m] = b, cls[m][1] * link
+                    members[b] += members[a]
+                    dead[b] = dead[a] or dead[b]
+                elif link != 1:  # a sign conflict, or no partner
+                    dead[a] = True
+    dims, basis = Counter(), {}
+    for k, ((r, c), *_rest) in enumerate(chains):
+        root, s = cls[k]
+        if not dead[root]:
+            dims[hd[r] - hd[c]] += root == k  # each live class once, at its root chain
+            if hd[r] == hd[c]:
+                basis.setdefault(root, {}).update(dict.fromkeys(chains[k], s))
+    basis = [{pos: x * v[top] for pos, x in v.items()} for top, v in sorted((max(v), v) for v in basis.values())]
+    traced = [(t, k) for k, v in enumerate(basis) if real.pair_type in oracle.A_TYPES
+              and (t := sum(x for (r, c), x in v.items() if r == c))]
+    if traced:
+        dims[0] -= 1
+        (t0, k0), v0 = traced[0], basis[traced[0][1]]
+        for t, k in traced[1:]:  # sgn(t0) (t0 v - t v0), primitive
+            m = gcd(t0, t) * (t0 // abs(t0))
+            basis[k] = oracle._add((t0 // m, basis[k]), (-t // m, v0))
+        del basis[k0]
+    return dims, basis

@@ -112,6 +112,21 @@ def test_defect_oracle_equals_the_defect_to_n_12(monkeypatch):
            f"{elapsed:.1f}s" + (f"; {mismatches[:3]}" if mismatches else ""))
 
 
+def test_chain_kernel_under_ceiling():
+    """The chain read of p over every weight, ``_chain_kernel(real, None,
+    -1)``, on every valid realization with n <= 12, realized before the
+    timer starts."""
+    reals = [oracle.realize.__wrapped__(d, pt, prm) for n in range(13)
+             for pt, prm in pairs_of_size(n) for d in enumerate_diagrams(pt, prm)]
+    start = time.perf_counter()
+    for real in reals:
+        oracle._chain_kernel(real, None, -1)
+    elapsed = time.perf_counter() - start
+    ok = len(reals) == 4674 and elapsed < 1.2
+    report("chain-kernel", "chain read over every weight (n <= 12)", ok,
+           f"{len(reals)} realizations, {elapsed:.2f}s")
+
+
 def test_criterion_5_type_a_minimal_degenerations():
     failures = []
     # AI: covers between distinct-row diagrams always have s = 1

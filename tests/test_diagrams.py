@@ -550,7 +550,8 @@ def test_walks_check_the_bound_before_any_table(monkeypatch, walk, message):
 def test_library_has_no_unbounded_cache():
     """No cache in the library grows for the life of the process: no
     unbounded cache decorator in the source, and every LRU cache of every
-    module, the oracle's per-shape plan among them, has a maxsize."""
+    module, the oracle's per-shape plan and partition check among them, has
+    a maxsize."""
     src = Path(nilcomm.__file__).parent
     unbounded = re.compile(r"lru_cache\(\s*(maxsize\s*=\s*)?None|@(functools\.)?cache\b")
     found = [
@@ -564,7 +565,8 @@ def test_library_has_no_unbounded_cache():
                if path.stem != "__main__"]
     sizes = {f"{module.__name__}.{name}": cache.cache_info().maxsize for module in modules
              for name, cache in vars(module).items() if hasattr(cache, "cache_info")}
-    assert "nilcomm.oracle._plan" in sizes and None not in sizes.values(), sizes
+    assert {"nilcomm.oracle._plan", "nilcomm.oracle._partitions"} <= set(sizes), sizes
+    assert None not in sizes.values(), sizes
 
 
 def test_candidates_each_diagram_once_against_brute_force():
@@ -632,6 +634,25 @@ def test_print_parse_round_trip_on_enumerations():
         for pair_type, params in pairs_of_size(n):
             for d in enumerate_diagrams(pair_type, params):
                 assert parse(d.text()) == d
+
+
+def test_text_joins_the_row_words():
+    """``text`` equals a join of each row's word, built letter by letter
+    here, on every candidate of every type with n <= 8 and on the empty
+    diagram."""
+    def word(length, start):
+        other = "b" if start == "a" else "a"
+        return "".join(start if i % 2 == 0 else other for i in range(length))
+
+    checked = 0
+    for pt in PairType:
+        for n in range(0, 9):
+            for d in candidates(pt, n):
+                want = ("/".join(word(*row) for row in d.rows) if pt.uses_letters and d.rows
+                        else ",".join(str(length) for length, _s in d.rows))
+                assert d.text() == want, d.rows
+                checked += 1
+    assert AbDiagram(()).text() == "" and checked == 2304, checked
 
 
 @given(st.text(max_size=12))

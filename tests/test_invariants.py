@@ -324,6 +324,21 @@ def test_graded_dims_match_oracle_to_n7():
     assert checked == 457
 
 
+def test_graded_dims_count_the_row_kinds_once():
+    """``dim_p_graded`` counts the row kinds once for both of its weights;
+    it equals the difference of the two ``_theta_dims`` counts, i <= 3, on
+    every valid diagram with n <= 10."""
+    checked = 0
+    for n in range(0, 11):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                for i in range(0, 4):
+                    want = _theta_dims(d, pt, i)[1] - _theta_dims(d, pt, i + 2)[0]
+                    assert dim_p_graded(d, pt, i) == want, (pt, prm, d.text(), i)
+                checked += 1
+    assert checked == 1974
+
+
 def test_orbit_invariants_json():
     inv = orbit_invariants(G5, PairType.BDI, BDI_5)
     assert inv.to_json() == {

@@ -921,6 +921,19 @@ def test_tied_p_systems_match_full_reference_at_n_7_and_8():
     assert checked == 496
 
 
+def _partial_permutation_copies():
+    """(label, realization, its copy with e replaced by a random subset of
+    its entries) on every valid diagram with n <= 6, from a fixed seed."""
+    rng = random.Random(28)
+    for n in range(7):
+        for pt, prm in pairs_of_size(n):
+            for diagram in enumerate_diagrams(pt, prm):
+                real = oracle.realize(diagram, pt, prm)
+                entries = sorted(real.e_map)
+                sub = dict.fromkeys(rng.sample(entries, rng.randint(0, len(entries))), 1)
+                yield (pt, prm, diagram.text(), sorted(sub)), real, _rebuilt(real, e_map=sub)
+
+
 def test_chain_reading_of_any_partial_permutation_matches_full_reference():
     """Beyond the shapes of ``realize``: with e replaced by a random subset of
     its entries, chains die at both ends where no realization's do, and T no
@@ -928,30 +941,53 @@ def test_chain_reading_of_any_partial_permutation_matches_full_reference():
     the kernel dimension of each ad h-weight, read over every weight and
     alone, and the basis of p(e,0), read both ways, still equal those of the
     full n^2 system, on every valid diagram with n <= 6."""
-    rng = random.Random(28)
     broken = checked = 0
-    for n in range(7):
+    for label, real, copy in _partial_permutation_copies():
+        n, sub = copy.n, copy.e_map
+        if real.t_map is not None:
+            broken += _theta(sub, None, real.t_map) not in (sub, oracle._add((-1, sub)))
+        maps = _reference_maps(copy, acting="e")
+        hd = copy.h_diagonal
+        for sigma in (1, -1):
+            dims = oracle._graded_dims(copy, sigma)
+            for w in {a - b for a in hd for b in hd}:
+                want = sparse.kernel_dim(_reference_rows(maps, "e", w, sigma), n * n)
+                lone = oracle.dim_graded(_rebuilt(copy), w, sigma)
+                assert dims[w] == lone == want, (label, w, sigma)
+        want = _reference_basis(_reference_rows(maps, "e", 0, -1), n)
+        lone = oracle.p_e0_basis(_rebuilt(copy))
+        assert oracle.p_e0_basis(copy) == lone == want, label
+        checked += 1
+    assert checked == 294 and broken >= 20, (checked, broken)
+
+
+KERNEL_MODES = [(None, -1), (None, 1), (0, -1), (1, -1), (2, 1)]
+
+
+def _same_kernel(real, label):
+    """The flat-array chain read returns exactly what the tuple-keyed one of
+    ``sparse_reference`` returns in every mode: the same dims as plain dicts
+    and the same basis vectors in the same order."""
+    for degree, sigma in KERNEL_MODES:
+        dims, basis = oracle._chain_kernel(real, degree, sigma)
+        want_dims, want_basis = sparse.chain_kernel(real, degree, sigma)
+        assert dict(dims) == dict(want_dims), (label, degree, sigma)
+        assert basis == want_basis, (label, degree, sigma)
+
+
+def test_chain_kernel_equals_the_tuple_keyed_reference():
+    """On every valid realization with n <= 10, and on the partial
+    permutations of the test above."""
+    checked = 0
+    for n in range(11):
         for pt, prm in pairs_of_size(n):
             for diagram in enumerate_diagrams(pt, prm):
-                real = oracle.realize(diagram, pt, prm)
-                entries = sorted(real.e_map)
-                sub = dict.fromkeys(rng.sample(entries, rng.randint(0, len(entries))), 1)
-                copy = _rebuilt(real, e_map=sub)
-                if real.t_map is not None:
-                    broken += _theta(sub, None, real.t_map) not in (sub, oracle._add((-1, sub)))
-                maps = _reference_maps(copy, acting="e")
-                hd = copy.h_diagonal
-                for sigma in (1, -1):
-                    dims = oracle._graded_dims(copy, sigma)
-                    for w in {a - b for a in hd for b in hd}:
-                        want = sparse.kernel_dim(_reference_rows(maps, "e", w, sigma), n * n)
-                        lone = oracle.dim_graded(_rebuilt(copy), w, sigma)
-                        assert dims[w] == lone == want, (pt, prm, diagram.text(), sorted(sub), w, sigma)
-                want = _reference_basis(_reference_rows(maps, "e", 0, -1), n)
-                lone = oracle.p_e0_basis(_rebuilt(copy))
-                assert oracle.p_e0_basis(copy) == lone == want, (pt, prm, diagram.text(), sorted(sub))
+                _same_kernel(oracle.realize(diagram, pt, prm), (pt, prm, diagram.text()))
                 checked += 1
-    assert checked == 294 and broken >= 20, (checked, broken)
+    for label, _real, copy in _partial_permutation_copies():
+        _same_kernel(copy, label)
+        checked += 1
+    assert checked == 1974 + 294
 
 
 def test_replaced_realization_starts_with_an_empty_memo():
@@ -1101,6 +1137,42 @@ def test_match_rows_equals_backtracking_search():
                     assert (None if got is None else list(got)) == want, (pt, length, na, nb)
                     checked += 1
     assert checked > 9000 + 4 * 16 * 65
+
+
+def _eager_length_groups(pair_type, length, m, na, nb):
+    """``_length_groups`` as it built all three probe blocks up front."""
+    if pair_type is PairType.AII:
+        return None if m % 2 else oracle._pairs(2, 1, m // 2)
+    alone, same, cross = (pair_type in oracle.A_TYPES or oracle._group_block(pair_type, length, letters) is not None
+                          for letters in (("a",), ("a", "a"), ("a", "b")))
+    if alone:
+        return oracle._pairs(1, 0, m)
+    if same and (na % 2 == nb % 2 == 0 or cross and m % 2 == 0):
+        return oracle._pairs(2, 1, m // 2)
+    if cross and na == nb:
+        return oracle._pairs(1, na, na)
+    return None
+
+
+def test_lazy_probes_give_the_eager_groups_on_the_table(monkeypatch):
+    """``_length_groups`` builds a probe block only when the ones before it
+    have not decided; it returns the groups of the eager version on every
+    entry of the table of ``certify``, and builds fewer blocks for it."""
+    table = [(pt, d, m, a, m - a) if pt.uses_letters else (pt, d, m, 0, 0)
+             for pt in PairType for d in range(1, DEFAULT_BOUND + 1) for m in range(1, DEFAULT_BOUND // d + 1)
+             for a in (range(m + 1) if pt.uses_letters else [0])]
+    built, block = set(), oracle._group_block
+
+    def counted(*args):
+        built.add(args)
+        return block(*args)
+
+    monkeypatch.setattr(oracle, "_group_block", counted)
+    lazy = [oracle._length_groups.__wrapped__(*entry) for entry in table]
+    lazy_blocks = len(built)
+    built.clear()
+    assert lazy == [_eager_length_groups(*entry) for entry in table]
+    assert len(table) == 4587 and (lazy_blocks, len(built)) == (255, 360)
 
 
 def test_match_rows_polynomial_on_unmatchable_rows(monkeypatch):
