@@ -31,8 +31,12 @@ p(e,i)), the Jordan type, the truncation ranks and the defect, dim
 z_{p(e,0)}(x) for a sample x whose powers in p span that Cartan subspace.
 The defect's two ranks are taken mod a prime, where a rank can only fall
 short, so a sample that passes is certified exactly and an unlucky one
-fails.  The oracle's form of the self-large criterion reads the sparse
-basis of p(e,0), its torus test ``is_abelian`` and dim p(e,1).
+fails.  Its certificate runs on int positions r*n + c, with D and T read
+once into lists per position: where there is a form it keeps each bracket
+[x, b] at one position of every pair the form ties, and it reads the Gram
+matrix of the powers off their traces.  The oracle's form of the
+self-large criterion reads the sparse basis of p(e,0), its torus test
+``is_abelian`` and dim p(e,1).
 """
 
 from __future__ import annotations
@@ -496,22 +500,6 @@ def _graded_dims(real: MatrixRealization, sigma: int) -> dict[int, int]:
     return real._graded[sigma][0]
 
 
-def _brackets(x: dict, module: list[dict]) -> list[dict]:
-    """[x, b] for each sparse matrix b of ``module``: the columns of ad x on
-    the span of the module, as rows keyed by matrix position."""
-    x_col, x_row = _rows(_transpose(x)), _rows(x)
-    out = []
-    for b in module:
-        comm: dict[tuple[int, int], int] = {}
-        for (r, c), v in b.items():
-            for i, xv in x_col.get(r, ()):
-                comm[i, c] = comm.get((i, c), 0) + xv * v
-            for j, xv in x_row.get(c, ()):
-                comm[r, j] = comm.get((r, j), 0) - v * xv
-        out.append(comm)
-    return out
-
-
 # -- centralizer dimensions -----------------------------------------------------
 
 
@@ -547,16 +535,97 @@ def _sample(rng: random.Random, basis: list[dict]) -> dict:
     return _add(*[(rng.randint(-10, 10), b) for b in basis])
 
 
-def _kept_powers(real: MatrixRealization, x: dict):
-    """y_j = n x^j - tr(x^j) I for j = 1 .. n, in order, each kept when it lies
-    in p: theta(y_j) = -y_j and, for the BD/C types, y_j^t T = -T y_j."""
-    n, power, x_rows, (dd, perm) = real.n, x, _rows(x), _involution(real.d_map, real.t_map)
-    eye = {(k, k): 1 for k in range(n)}
-    for _j in range(n):
-        y = _add((n, power), (-sum(power.get((k, k), 0) for k in range(n)), eye))
-        if _theta_holds(y, -1, dd, perm) and (dd is None or perm is None or _theta_holds(y, 1, None, perm)):
-            yield y
-        power = _mul(power, x_rows)
+def _cells(real: MatrixRealization):
+    """The certificate's lists per position p = r*n + c, as (n, dsign, tie,
+    link): dsign[p] = d_r d_c, or None without D; with a form T[r, pi r] =
+    t_r, tie[p] = pi(c)*n + pi(r), the position the form ties to p, and
+    link[p], the sign with y_tie[p] = link[p] y_p for every y in p; both
+    None without a form."""
+    n, d, t = real.n, real.d_map, real.t_map
+    dd = None if d is None else [d[k, k] for k in range(n)]
+    dsign = None if dd is None else [a * b for a in dd for b in dd]
+    if t is None:
+        return n, dsign, None, None
+    pi, pin, ts = [0] * n, [0] * n, [0] * n
+    for (r, c), v in t.items():
+        pi[r], pin[r], ts[r] = c, c * n, v
+    s = 1 if d is None else -1  # y in p: theta(y) = -y for AI/AII, y^t T = -T y for BD/C
+    return n, dsign, [pc + pr for pr in pi for pc in pin], [s * a * b for a in ts for b in ts]
+
+
+def _brackets(cells, x: dict, module: list[dict]) -> list[dict]:
+    """[x, b] for each b of ``module``: the columns of ad x on the span of the
+    module, as rows keyed by position, kept only at the positions p <= tie(p)
+    where there is a form."""
+    n, _dsign, tie, _link = cells
+    x_col, x_row = [[] for _ in range(n)], [[] for _ in range(n)]
+    for p, v in x.items():
+        i, j = divmod(p, n)
+        x_col[j].append((i * n, v))
+        x_row[i].append((j, v))
+    out = []
+    for b in module:
+        comm: dict[int, int] = {}
+        for p, v in b.items():
+            r, c = divmod(p, n)
+            for i, xv in x_col[r]:  # (x b)_(i, c) += x_ir b_rc
+                q = i + c
+                comm[q] = comm.get(q, 0) + xv * v
+            p -= c
+            for j, xv in x_row[c]:  # (b x)_(r, j) += b_rc x_cj
+                q = p + j
+                comm[q] = comm.get(q, 0) - v * xv
+        out.append(comm if tie is None else {q: v for q, v in comm.items() if q <= tie[q]})
+    return out
+
+
+def _kept_powers(cells, x: dict, powers: list):
+    """(j, y_j), y_j = n x^j - tr(x^j) I without zero entries for j = 1 ..
+    n in order, for each y_j that lies in p: theta(y_j) = -y_j and, for the
+    BD/C types, y_j^t T = -T y_j, tested in one pass over y_j as
+    ``_theta_holds`` does.  x^j is appended to ``powers`` before y_j is
+    tested."""
+    n, dsign, tie, link = cells
+    diag, x_rows, power = range(0, n * n, n + 1), None, x
+    for j in range(1, n + 1):
+        powers.append(power)
+        trace, y = sum(power.get(q, 0) for q in diag), {p: n * v for p, v in power.items()}
+        for q in diag if trace else ():
+            v = y.pop(q, 0) - trace
+            if v:
+                y[q] = v
+        if (dsign is None or all(dsign[p] == -1 for p in y)) and (
+                tie is None or all(y.get(tie[p], 0) == link[p] * v for p, v in y.items())):
+            yield j, y
+        if j < n:
+            if x_rows is None:
+                x_rows = [[] for _ in range(n)]
+                for p, v in x.items():
+                    x_rows[p // n].append((p % n, v))
+            out: dict[int, int] = {}
+            for p, v in power.items():  # (x^j x)_(r, c) += x^j_rk x_kc, p - k = r*n
+                k = p % n
+                p -= k
+                for c, w in x_rows[k]:
+                    q = p + c
+                    out[q] = out.get(q, 0) + v * w
+            power = {q: v for q, v in out.items() if v}
+
+
+def _gram(n: int, powers: list, traces: list, kept: list[int]) -> list[dict]:
+    """tr(y_a y_b) for a, b in ``kept``, y_a = n x^a - T_a I, as the Hankel
+    form n^2 T_(a+b) - n T_a T_b in the traces T_m = tr(x^m).  ``traces``,
+    [n] at first as T_0 = tr(I), is extended to m = 2 len(powers),
+    powers[j - 1] being x^j: by the diagonal of x^m up to len(powers), then
+    as tr(x^j x^(m-j)) at the top."""
+    j = len(powers)
+    for m in range(len(traces), 2 * j + 1):
+        if m <= j:
+            traces.append(sum(powers[m - 1].get(q, 0) for q in range(0, n * n, n + 1)))
+        else:
+            a, b = powers[j - 1], powers[m - j - 1]
+            traces.append(sum(v * b.get(p % n * n + p // n, 0) for p, v in a.items()))
+    return [{i: n * n * traces[a + b] - n * traces[a] * traces[b] for i, b in enumerate(kept)} for a in kept]
 
 
 def defect_oracle(real: MatrixRealization) -> int:
@@ -578,20 +647,31 @@ def defect_oracle(real: MatrixRealization) -> int:
     accepted when rank_p(Gram) = k_p, which makes every step an equality,
     and the argument above holds with k = k_p.  A sample for which p is
     unlucky fails and the next one is drawn; the result is never a wrong
-    defect."""
+    defect.
+
+    It runs on int positions p = r*n + c (``_cells``): the basis, x, the
+    brackets and the powers are dicts {p: value}, D is read as d_r d_c and
+    T[r, pi r] = t_r as the tied position pi(c)*n + pi(r) with its sign, in
+    lists per position.  Where there is a form, [x, b] is kept only at the
+    positions p <= pi(c)*n + pi(r), one of every tied pair.  Dropping
+    columns of ad x can only lower its rank, as the prime can, so k_p stays
+    at least dim z; and it loses nothing, as [x, b] lies in k(e,0), where y
+    = [x, b] obeys y_(pi c, pi r) = -t_r t_c y_rc (for BD/C because all of g
+    does, for AI/AII because k does).  The Gram matrix is a Hankel form in
+    the traces T_m = tr(x^m): tr(y_a y_b) = n^2 T_(a+b) - n T_a T_b for y_a
+    = n x^a - T_a I, about 2j traces instead of a product per entry."""
     _graded_dims(real, -1)  # the chain read over every weight keeps the basis
-    basis = p_e0_sparse(real)
+    n = real.n
+    basis = [{r * n + c: v for (r, c), v in b.items()} for b in p_e0_sparse(real)]
     if not basis:
         return 0
-    rng = random.Random(0)
+    cells, rng = _cells(real), random.Random(0)
     for _attempt in range(_SAMPLES):
         x = _sample(rng, basis)
-        k, kept = len(basis) - linalg.rank_mod_p(_brackets(x, basis)), []
-        for y in _kept_powers(real, x):
-            kept.append(y)
-            if len(kept) >= k and linalg.rank_mod_p(
-                    [{j: sum(v * b.get((c, r), 0) for (r, c), v in a.items()) for j, b in enumerate(kept)}
-                     for a in kept]) == k:
+        k, kept, powers, traces = len(basis) - linalg.rank_mod_p(_brackets(cells, x, basis)), [], [], [n]
+        for j, _y in _kept_powers(cells, x, powers):
+            kept.append(j)
+            if len(kept) >= k and linalg.rank_mod_p(_gram(n, powers, traces, kept)) == k:
                 return k
     raise OracleCheckFailed(f"no Cartan subspace certified in {_SAMPLES} samples of p(e,0)")
 

@@ -2,14 +2,17 @@
 nullspaces of systems of sparse rows (dicts column -> coefficient), built on
 the pivots of ``linalg.echelon_pivots``, the rows of ad x on a module of
 sparse matrices, the exact ranks of the truncated powers of e, and the
-chain read of the oracle's kernels on tuple-keyed dicts.  The oracle reads
-its kernels off the chains of e on flat arrays, and counts those ranks; the
+chain read of the oracle's kernels and the defect's certificate on
+tuple-keyed dicts.  The oracle reads its kernels off the chains of e on flat
+arrays, counts those ranks and certifies the defect on int positions; the
 tests check them against these."""
 
+import random
 from collections import Counter
 from math import gcd, lcm
 
 from nilcomm import linalg, oracle
+from nilcomm.errors import OracleCheckFailed
 
 
 def kernel_dim(rows, ncols: int) -> int:
@@ -142,3 +145,64 @@ def chain_kernel(real, degree, sigma):
             basis[k] = oracle._add((t0 // m, basis[k]), (-t // m, v0))
         del basis[k0]
     return dims, basis
+
+
+def sample(rng, basis):
+    """The oracle's sample of p(e,0) on tuple-keyed basis matrices."""
+    return oracle._add(*[(rng.randint(-10, 10), b) for b in basis])
+
+
+def brackets(x: dict, module: list[dict]) -> list[dict]:
+    """[x, b] for each tuple-keyed sparse matrix b of ``module``, at every position."""
+    x_col, x_row = oracle._rows(oracle._transpose(x)), oracle._rows(x)
+    out = []
+    for b in module:
+        comm: dict[tuple[int, int], int] = {}
+        for (r, c), v in b.items():
+            for i, xv in x_col.get(r, ()):
+                comm[i, c] = comm.get((i, c), 0) + xv * v
+            for j, xv in x_row.get(c, ()):
+                comm[r, j] = comm.get((r, j), 0) - v * xv
+        out.append(comm)
+    return out
+
+
+def kept_powers(real, x: dict):
+    """y_j = n x^j - tr(x^j) I for j = 1 .. n, in order, each kept when it
+    lies in p: theta(y_j) = -y_j and, for the BD/C types, y_j^t T = -T y_j."""
+    n, power, x_rows = real.n, x, oracle._rows(x)
+    dd, perm = oracle._involution(real.d_map, real.t_map)
+    eye = {(k, k): 1 for k in range(n)}
+    for _j in range(n):
+        y = oracle._add((n, power), (-sum(power.get((k, k), 0) for k in range(n)), eye))
+        if oracle._theta_holds(y, -1, dd, perm) and (
+                dd is None or perm is None or oracle._theta_holds(y, 1, None, perm)):
+            yield y
+        power = oracle._mul(power, x_rows)
+
+
+def gram(kept: list[dict]) -> list[dict]:
+    """tr(y_a y_b) for the kept powers, as k^2 traces of products."""
+    return [{j: sum(v * b.get((c, r), 0) for (r, c), v in a.items()) for j, b in enumerate(kept)}
+            for a in kept]
+
+
+def defect_certificate(real):
+    """(defect, samples drawn) of ``oracle.defect_oracle`` as it certified
+    the defect on tuple-keyed dicts: the whole ad x system ranked mod the
+    prime, and the Gram matrix of the kept powers built from products; or
+    its OracleCheckFailed.  The library certificate runs on int positions
+    and must decide exactly as this does."""
+    oracle._graded_dims(real, -1)
+    basis = oracle.p_e0_sparse(real)
+    if not basis:
+        return 0, 0
+    rng = random.Random(0)
+    for attempt in range(oracle._SAMPLES):
+        x = sample(rng, basis)
+        k, kept = len(basis) - linalg.rank_mod_p(brackets(x, basis)), []
+        for y in kept_powers(real, x):
+            kept.append(y)
+            if len(kept) >= k and linalg.rank_mod_p(gram(kept)) == k:
+                return k, attempt + 1
+    raise OracleCheckFailed(f"no Cartan subspace certified in {oracle._SAMPLES} samples of p(e,0)")

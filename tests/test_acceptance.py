@@ -127,6 +127,22 @@ def test_chain_kernel_under_ceiling():
            f"{len(reals)} realizations, {elapsed:.2f}s")
 
 
+def test_defect_certificate_under_ceiling():
+    """The defect's certificate, ``defect_oracle``, on every valid
+    realization with 1 <= n <= 12, realized and chain-read before the timer
+    starts."""
+    reals = [oracle.realize.__wrapped__(d, pt, prm) for n in range(1, 13)
+             for pt, prm in pairs_of_size(n) for d in enumerate_diagrams(pt, prm)]
+    for real in reals:
+        oracle.dim_p_cent_oracle(real)  # the chain read over every weight, kept on the realization
+    start = time.perf_counter()
+    defects = Counter(oracle.defect_oracle(real) for real in reals)
+    elapsed = time.perf_counter() - start
+    ok = len(reals) == 4667 and defects[0] == 1947 and elapsed < 1.2
+    report("defect-certificate", "certified defect (1 <= n <= 12)", ok,
+           f"{len(reals)} realizations, {elapsed:.2f}s")
+
+
 def test_criterion_5_type_a_minimal_degenerations():
     failures = []
     # AI: covers between distinct-row diagrams always have s = 1

@@ -188,6 +188,20 @@ def _shift_map(real, low, high):
     return w
 
 
+def _int_keyed(n, x):
+    """A sparse matrix {(r, c): v} on the certificate's int positions r*n + c."""
+    return {r * n + c: v for (r, c), v in x.items()}
+
+
+def _tuple_keyed(n, x):
+    """A sparse matrix on int positions r*n + c as {(r, c): v}."""
+    return {divmod(p, n): v for p, v in x.items()}
+
+
+def _dense_of(n, x):
+    return oracle._dense(n, _tuple_keyed(n, x))
+
+
 def _theta(x, d, t):
     """The involution on a sparse matrix, built as a matrix: conjugation by
     the diagonal D, d_r d_c x_rc at (r, c); for AI/AII (d None) x -> -T^t x^t
@@ -397,7 +411,7 @@ def _rebuilt(real, **changes):
 real = oracle.realize(parse("2,1"), PairType.AI, PairParams(3))
 two = oracle.realize(parse("2,2"), PairType.AI, PairParams(4))
 bdi = oracle.realize(parse("aba/a/b"), PairType.BDI, PairParams(5, (3, 2)))
-oracle._sample = lambda rng, basis: {(0, 2): 1, (1, 3): 1}
+oracle._sample = lambda rng, basis: {0 * 4 + 2: 1, 1 * 4 + 3: 1}  # E_02 + E_13 on int positions
 block = oracle._group_block
 oracle._group_block = lambda pt, length, letters: (
     None if letters == ("b", "b") else block(pt, length, letters))
@@ -587,7 +601,7 @@ def test_power_certificate_rejects_an_abelian_centralizer_of_a_nilpotent():
     z = [oracle._add(*[(c, basis[k]) for k, c in vec.items()])
          for vec in sparse.nullspace(sparse.bracket_rows(x, basis), len(basis))]
     assert len(z) == 4 and oracle.is_abelian(z)
-    kept = [oracle._dense(4, y) for y in oracle._kept_powers(real, x)]
+    kept = [_dense_of(4, y) for _j, y in oracle._kept_powers(oracle._cells(real), _int_keyed(4, x), [])]
     assert kept and dense.mat_rank([[dense.trace(dense.mat_mul(a, b)) for b in kept] for a in kept]) == 0
     assert oracle.defect_oracle(real) == 2
 
@@ -604,9 +618,11 @@ def test_defect_ranks_mod_p_are_exact_on_the_first_sample():
                 basis = oracle.p_e0_sparse(real)
                 if not basis:
                     continue
-                x = oracle._sample(random.Random(0), basis)
-                assert linalg.rank_mod_p(oracle._brackets(x, basis)) == linalg.rank(sparse.bracket_rows(x, basis))
-                kept = [oracle._dense(n, y) for y in oracle._kept_powers(real, x)]
+                cells, module = oracle._cells(real), [_int_keyed(n, b) for b in basis]
+                x = oracle._sample(random.Random(0), module)
+                assert linalg.rank_mod_p(oracle._brackets(cells, x, module)) == linalg.rank(
+                    sparse.bracket_rows(_tuple_keyed(n, x), basis))
+                kept = [_dense_of(n, y) for _j, y in oracle._kept_powers(cells, x, [])]
                 gram = [{j: dense.trace(dense.mat_mul(a, b)) for j, b in enumerate(kept)} for a in kept]
                 assert linalg.rank_mod_p(gram) == linalg.rank(gram), (pt, prm, d.text())
                 systems += 1
@@ -647,11 +663,11 @@ def test_kept_powers_are_the_trace_corrected_powers_in_p():
                 basis = oracle.p_e0_sparse(real)
                 if not basis:
                     continue
-                x = oracle._sample(random.Random(0), basis)
-                kept = [oracle._dense(n, y) for y in oracle._kept_powers(real, x)]
+                x = oracle._sample(random.Random(0), [_int_keyed(n, b) for b in basis])
+                kept = [_dense_of(n, y) for _j, y in oracle._kept_powers(oracle._cells(real), x, [])]
                 power, expected = dense.identity(n), []
                 for j in range(1, n + 1):
-                    power = dense.mat_mul(power, oracle._dense(n, x))
+                    power = dense.mat_mul(power, _dense_of(n, x))
                     y = dense.mat_sub(dense.mat_scale(n, power), dense.mat_scale(dense.trace(power), dense.identity(n)))
                     if real.d_map is None or j % 2 or dense.is_zero_matrix(y):
                         expected.append(y)
@@ -990,6 +1006,89 @@ def test_chain_kernel_equals_the_tuple_keyed_reference():
     assert checked == 1974 + 294
 
 
+def _certificate_outcome(certify):
+    try:
+        return certify()
+    except OracleCheckFailed as exc:
+        return OracleCheckFailed, str(exc), oracle._SAMPLES
+
+
+def test_defect_certificate_equals_the_tuple_keyed_reference(monkeypatch):
+    """On every valid realization with n <= 10, under the real prime and
+    under 2, 3 and 5, which fail many samples: the certificate on int
+    positions, with half the ad x columns and the Gram matrix read off power
+    traces, returns the defect of the tuple-keyed one, or fails as it does,
+    after as many samples."""
+    reals = [(oracle.realize(d, pt, prm), (pt, prm, d.text())) for n in range(11)
+             for pt, prm in pairs_of_size(n) for d in enumerate_diagrams(pt, prm)]
+    draw, drawn = oracle._sample, []
+
+    def counted(rng, basis):
+        drawn.append(basis)
+        return draw(rng, basis)
+
+    monkeypatch.setattr(oracle, "_sample", counted)
+    outcomes = Counter()
+    for prime in (linalg.PRIME, 2, 3, 5):
+        monkeypatch.setattr(linalg, "PRIME", prime)
+        for real, label in reals:
+            drawn.clear()
+            got = _certificate_outcome(lambda: (oracle.defect_oracle(real), len(drawn)))
+            if got[0] is OracleCheckFailed:
+                got = (*got[:2], len(drawn))
+            assert got == _certificate_outcome(lambda: sparse.defect_certificate(real)), (prime, *label)
+            outcomes[prime, got[0] is OracleCheckFailed] += 1
+    assert len(reals) == 1974 and outcomes[33_554_393, False] == 1974
+    assert all(outcomes[prime, True] for prime in (2, 3, 5)), outcomes
+
+
+def test_half_the_ad_x_columns_keep_the_rank():
+    """[x, b] lies in k(e,0), where y_(pi c, pi r) = -t_r t_c y_rc, so the
+    positions p <= pi(c)*n + pi(r) that the certificate keeps lose no rank:
+    on every valid realization with a form and n <= 10, for the first two
+    samples, the kept columns have the rank of all of them over Q and mod
+    the prime."""
+    checked, entries = 0, Counter()
+    for n in range(11):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                basis = oracle.p_e0_sparse(real)
+                if real.t_map is None or not basis:
+                    continue
+                cells, module, rng = oracle._cells(real), [_int_keyed(n, b) for b in basis], random.Random(0)
+                for _sample in range(2):
+                    x = oracle._sample(rng, module)
+                    half, full = oracle._brackets(cells, x, module), sparse.brackets(_tuple_keyed(n, x), basis)
+                    assert linalg.rank(half) == linalg.rank(full), (pt, prm, d.text())
+                    assert linalg.rank_mod_p(half) == linalg.rank_mod_p(full), (pt, prm, d.text())
+                    entries["half"] += sum(1 for row in half for v in row.values() if v)
+                    entries["full"] += sum(1 for row in full for v in row.values() if v)
+                    checked += 1
+    assert checked == 2 * 492 and entries["half"] < 0.55 * entries["full"], (checked, entries)
+
+
+def test_gram_matrix_from_power_traces_equals_the_products():
+    """tr(y_a y_b) = n^2 T_(a+b) - n T_a T_b for y_a = n x^a - T_a I and
+    T_m = tr(x^m): for the first sample of every valid diagram with n <= 8
+    and p(e,0) != 0, the Hankel Gram matrix of every kept power equals the
+    one built from products, entry for entry."""
+    checked = 0
+    for n in range(1, 9):
+        for pt, prm in pairs_of_size(n):
+            for d in enumerate_diagrams(pt, prm):
+                real = oracle.realize(d, pt, prm)
+                basis = oracle.p_e0_sparse(real)
+                if not basis:
+                    continue
+                x, powers = oracle._sample(random.Random(0), [_int_keyed(n, b) for b in basis]), []
+                kept = list(oracle._kept_powers(oracle._cells(real), x, powers))
+                want = sparse.gram([_tuple_keyed(n, y) for _j, y in kept])
+                assert oracle._gram(n, powers, [n], [j for j, _y in kept]) == want, (pt, prm, d.text())
+                checked += 1
+    assert checked == 384
+
+
 def test_replaced_realization_starts_with_an_empty_memo():
     """A copy made after the memo is filled computes its dimensions and its
     p(e,0) basis from its own matrices: with e = 0 its centralizer is all of
@@ -1285,16 +1384,18 @@ def test_kept_powers_equal_the_filter_on_built_theta():
                 basis = oracle.p_e0_sparse(real)
                 if not basis:
                     continue
-                x = oracle._sample(random.Random(0), basis)
-                dm, tm, power, want = real.d_map, real.t_map, x, []
+                cells = oracle._cells(real)
+                x = oracle._sample(random.Random(0), [_int_keyed(n, b) for b in basis])
+                dm, tm, power, want = real.d_map, real.t_map, _tuple_keyed(n, x), []
                 for _j in range(n):
                     trace = sum(power.get((k, k), 0) for k in range(n))
                     y = oracle._add((n, power), (-trace, {(k, k): 1 for k in range(n)}))
                     if _theta(y, dm, tm) == oracle._add((-1, y)) and (
                             dm is None or tm is None or _theta(y, None, tm) == y):
                         want.append(y)
-                    power = oracle._mul(power, oracle._rows(x))
-                assert list(oracle._kept_powers(real, x)) == want, (pt, prm, d.text())
+                    power = oracle._mul(power, oracle._rows(_tuple_keyed(n, x)))
+                got = [_tuple_keyed(n, y) for _j, y in oracle._kept_powers(cells, x, [])]
+                assert got == want, (pt, prm, d.text())
                 checked += 1
     assert checked == 384
 
