@@ -17,26 +17,29 @@ T[r, pi r] = t_r = +-1, and h and D to be diagonal, so every product with
 them is a relabeling or a scaling: T is read once as (pi, t), and theta(x)
 = +-x is tested in one pass over the entries of x.
 
-e is a partial permutation with unit entries.  So e^k is one too, and a
-truncation rank rank(P e^k) is a count of rows; and [e, x] = 0 makes x
-constant along chains of positions (the Toeplitz shape of a centralizer in
-gl_n), which ``_chain_kernel`` merges through the form's ties with a signed
-union-find, reading each graded kernel dimension and the reduced echelon
-basis of p(e,0) off the live classes, with no row built and no elimination.
+Every exact rank the oracle takes is read off the chains c, succ c, ... of
+a monomial matrix (``_chain_map``), with no elimination.  The Jordan type of
+e or of the AI/AII witness w is the lengths of its chains.  e is a partial
+permutation with unit entries, so e^k is one too, and a truncation rank
+rank(P e^k) is a count of rows; and [e, x] = 0 makes x constant along chains
+of positions (the Toeplitz shape of a centralizer in gl_n), which
+``_chain_kernel`` merges through the form's ties with a signed union-find,
+reading each graded kernel dimension and the reduced echelon basis of
+p(e,0) off the live classes, with no row built.
 
 ``certify`` checks, once per row length, that a diagram is realizable
 exactly when it is valid, and then the formulas of ``invariants`` on every
 valid diagram up to a bound against the kernel dimensions (dim p^e, dim
 p(e,i)), the Jordan type, the truncation ranks and the defect, dim
 z_{p(e,0)}(x) for a sample x whose powers in p span that Cartan subspace.
-The defect's two ranks are taken mod a prime, where a rank can only fall
-short, so a sample that passes is certified exactly and an unlucky one
-fails.  Its certificate runs on int positions r*n + c, with D and T read
-once into lists per position: where there is a form it keeps each bracket
-[x, b] at one position of every pair the form ties, and it reads the Gram
-matrix of the powers off their traces.  The oracle's form of the
-self-large criterion reads the sparse basis of p(e,0), its torus test
-``is_abelian`` and dim p(e,1).
+The defect's two ranks are the only ones not read off chains: they are
+taken mod a prime, where a rank can only fall short, so a sample that
+passes is certified exactly and an unlucky one fails.  Its certificate runs
+on int positions r*n + c, with D and T read once into lists per position:
+where there is a form it keeps each bracket [x, b] at one position of every
+pair the form ties, and it reads the Gram matrix of the powers off their
+traces.  The oracle's form of the self-large criterion reads the sparse
+basis of p(e,0), its torus test ``is_abelian`` and dim p(e,1).
 """
 
 from __future__ import annotations
@@ -485,9 +488,26 @@ def _chain_kernel(real: MatrixRealization, degree: Optional[int], sigma: int):
 
 def _successors(real: MatrixRealization) -> dict:
     """{c: succ c}, e v_c = v_succ(c), once e is required to be a partial permutation."""
-    e, succ = real.e_map, {c: r for r, c in real.e_map}
-    _require(len(succ) == len(set(succ.values())) == len(e) and set(e.values()) <= {1}
-             and {*succ, *succ.values()} <= set(range(real.n)), "e is a partial permutation with unit entries")
+    try:
+        succ = _chain_map(real.n, real.e_map)
+    except ValueError:
+        succ = None
+    _require(succ is not None and set(real.e_map.values()) <= {1}, "e is a partial permutation with unit entries")
+    return succ
+
+
+def _chain_map(n: int, x: dict) -> dict:
+    """{c: succ c} of an n x n sparse matrix x with at most one entry in each
+    row and column, x_(succ c, c) being the entry of column c; ValueError
+    naming an entry outside n x n, or a row or column with two entries."""
+    succ, rows = {}, set()
+    for r, c in x:
+        if not (0 <= r < n and 0 <= c < n):
+            raise ValueError(f"entry ({r}, {c}) lies outside {n} x {n}")
+        if c in succ or r in rows:
+            raise ValueError(f"column {c} holds two entries" if c in succ else f"row {r} holds two entries")
+        succ[c] = r
+        rows.add(r)
     return succ
 
 
@@ -680,27 +700,28 @@ def defect_oracle(real: MatrixRealization) -> int:
 
 
 def jordan_type(matrix: Matrix) -> tuple[int, ...]:
-    """Partition of a nilpotent matrix from the rank sequence of its powers."""
-    return _jordan_type(len(matrix), {(r, c): v for r, row in enumerate(matrix) for c, v in enumerate(row) if v})
+    """Jordan type of a nilpotent monomial matrix, read off its chains;
+    ValueError for a matrix that is not square or not monomial."""
+    n = len(matrix)
+    if (width := next((len(row) for row in matrix if len(row) != n), n)) != n:
+        raise ValueError(f"a {n} x {width} matrix is not square")
+    return _jordan_type(n, {(r, c): v for r, row in enumerate(matrix) for c, v in enumerate(row) if v})
 
 
 def _jordan_type(n: int, x: dict) -> tuple[int, ...]:
-    """``jordan_type`` of the n x n sparse matrix x."""
-    ranks = [n]
-    power, x_rows = x, _rows(x)
-    while ranks[-1] > 0:
-        if len(ranks) > n:
-            raise NotNilpotent("matrix is not nilpotent")
-        ranks.append(linalg.rank([dict(row) for row in _rows(power).values()]))
-        power = _mul(power, x_rows)
-    return _partition(ranks)
-
-
-def _partition(ranks) -> tuple[int, ...]:
-    """The Jordan type of a nilpotent x with rank x^k = ranks[k], k >= 0, and
-    x^k = 0 past the end: ranks[k - 1] - ranks[k] blocks have size >= k."""
-    at_least = [r - s for r, s in zip(ranks, [*ranks[1:], 0])] + [0]
-    return tuple(k for k in range(len(ranks), 0, -1) for _ in range(at_least[k - 1] - at_least[k]))
+    """Jordan type of the n x n monomial sparse matrix x (``_chain_map``):
+    the lengths of the chains k, succ k, ... from each index k that no entry
+    reaches, longest first, as x^j maps each chain onto itself shifted by j.
+    NotNilpotent when they miss an index, which then lies on a cycle."""
+    succ, lengths = _chain_map(n, x), []
+    for k in set(range(n)).difference(succ.values()):
+        lengths.append(1)
+        while k in succ:
+            k = succ[k]
+            lengths[-1] += 1
+    if sum(lengths) != n:
+        raise NotNilpotent("matrix is not nilpotent")
+    return tuple(sorted(lengths, reverse=True))
 
 
 def truncation_ranks(real: MatrixRealization) -> tuple[int, ...]:
@@ -774,9 +795,9 @@ def certify(bound: int) -> tuple[int, list[str]]:
     realization of every valid diagram of every pair with n <= bound the
     Jordan type of e, the truncation profile of the closure order, dim p^e,
     dim p(e,0) (descriptor and graded count), dim p(e,1) and the defect
-    equal the oracle's.  Returns (realizations checked, failure lines).  A
-    negative bound raises ValueError, and one above DEFAULT_BOUND
-    BoundExceeded, before any check.
+    equal the oracle's, all read off chains but the defect.  Returns
+    (realizations checked, failure lines).  A negative bound raises
+    ValueError, and one above DEFAULT_BOUND BoundExceeded, before any check.
 
     The first holds for n <= DEFAULT_BOUND by a lemma checked first, as a
     table over every type and (d, m, a, b) with d m <= DEFAULT_BOUND: the
@@ -814,11 +835,9 @@ def certify(bound: int) -> tuple[int, list[str]]:
                 checked += 1
                 p_cent = dim_p_cent_oracle(real)  # reads every weight once
                 p0 = dim_graded(real, 0, -1)
-                trunc = truncation_ranks(real)  # rank e^k is the sum of its two sign blocks
-                ranks = trunc if real.d_map is None else list(map(sum, zip(trunc[::2], trunc[1::2])))
                 checks = [
-                    ("jordan type", d.partition, _partition(ranks)),
-                    ("truncation profile", closure._truncation_profile(d), trunc),
+                    ("jordan type", d.partition, _jordan_type(real.n, real.e_map)),
+                    ("truncation profile", closure._truncation_profile(d), truncation_ranks(real)),
                     ("dim p^e", invariants.dim_p_cent(d, pt, prm), p_cent),
                     ("dim p(e,0)", invariants.dim_p0(d, pt), p0),
                     ("graded dim p(e,0)", invariants.dim_p_graded(d, pt, 0), p0),

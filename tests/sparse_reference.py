@@ -1,11 +1,23 @@
-"""Sparse reference elimination for the tests: kernel dimensions and
-nullspaces of systems of sparse rows (dicts column -> coefficient), built on
-the pivots of ``linalg.echelon_pivots``, the rows of ad x on a module of
-sparse matrices, the exact ranks of the truncated powers of e, and the
-chain read of the oracle's kernels and the defect's certificate on
-tuple-keyed dicts.  The oracle reads its kernels off the chains of e on flat
-arrays, counts those ranks and certifies the defect on int positions; the
-tests check them against these."""
+"""Sparse reference elimination for the tests, the exact ranks that the
+library no longer takes: fraction-free elimination of systems of sparse rows
+(dicts column -> coefficient), their ranks, kernel dimensions and
+nullspaces, the rows of ad x on a module of sparse matrices, the exact ranks
+of the truncated powers of e and the Jordan type they give, and the chain
+read of the oracle's kernels and the defect's certificate on tuple-keyed
+dicts.  The oracle reads every exact rank off the chains of a monomial
+matrix, reads its kernels off the chains of e on flat arrays and certifies
+the defect on int positions with ranks mod a prime; the tests check them
+against these.
+
+Elimination is fraction-free: each row enters with its zero entries
+dropped, its denominators cleared, its content (the gcd of its entries)
+divided out and its leftmost entry made positive, and every row operation
+is an integer combination followed by the same division, in the manner of
+Bareiss.  A row equal to an earlier one up to sign is dropped on entry.  A
+row with a single entry sets its column to zero, so it is settled first and
+that column is removed from every other row; the other rows are eliminated
+shortest first.  The pivot of a row is its leftmost column, so the pivot
+columns do not depend on the order of the rows, and every rank is exact."""
 
 import random
 from collections import Counter
@@ -15,8 +27,84 @@ from nilcomm import linalg, oracle
 from nilcomm.errors import OracleCheckFailed
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a nonzero integer row by its content."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {k: v // g for k, v in row.items()}
+
+
+def _integer_row(raw) -> dict[int, int]:
+    """The primitive integer row with the same kernel as ``raw``, its
+    leftmost entry positive."""
+    row = {k: v for k, v in raw.items() if v}
+    if not row:
+        return row
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # Fraction entries: clear their denominators first
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {k: int(v * den) for k, v in row.items()}
+        g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _combine(cur: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+    """Integer combination of ``cur`` and ``piv`` that clears column ``c``,
+    divided by its content; empty when nothing is left."""
+    p, a = piv[c], cur[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    nxt = {k: p * v for k, v in cur.items()} if p != 1 else dict(cur)
+    for k, v in piv.items():
+        nv = nxt.get(k, 0) - a * v
+        if nv:
+            nxt[k] = nv
+        else:
+            del nxt[k]
+    return _primitive(nxt) if nxt else nxt
+
+
+def echelon_pivots(rows) -> dict[int, dict[int, int]]:
+    """Forward elimination; returns pivot-column -> primitive integer row
+    (not inter-reduced).  Rows repeated up to sign are eliminated once."""
+    pivots: dict[int, dict[int, int]] = {}
+    seen = set()
+    rest = []
+    for raw in rows:
+        # a single nonzero entry sets its column c to zero: pivot {c: 1}
+        row = {c: 1} if len(raw) == 1 and raw[c := next(iter(raw))] else _integer_row(raw)
+        if len(row) == 1:
+            (c,) = row
+            pivots[c] = row
+        elif row and (key := frozenset(row.items())) not in seen:
+            seen.add(key)
+            rest.append(row)
+    settled = set(pivots)
+    rest.sort(key=len)
+    for cur in rest:
+        if not settled.isdisjoint(cur):
+            cur = {k: v for k, v in cur.items() if k not in settled}
+            cur = _primitive(cur) if cur else cur
+        while cur:
+            c = min(cur)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = cur
+                break
+            cur = _combine(cur, piv, c)
+    return pivots
+
+
+def rank(rows) -> int:
+    return len(echelon_pivots(rows))
+
+
 def kernel_dim(rows, ncols: int) -> int:
-    return ncols - linalg.rank(rows)
+    return ncols - rank(rows)
 
 
 def reduced(pivots):
@@ -28,14 +116,14 @@ def reduced(pivots):
         row = pivots[c]
         for c2, other in pivots.items():
             if c2 < c and c in other:
-                pivots[c2] = linalg._combine(other, row, c)
+                pivots[c2] = _combine(other, row, c)
     return {c: pivots[c] for c in cols}
 
 
 def nullspace(rows, ncols: int):
     """Basis of the right kernel, one sparse vector per free column f in
     increasing order, scaled to coprime integers with a positive entry at f."""
-    pivots = reduced(linalg.echelon_pivots(rows))
+    pivots = reduced(echelon_pivots(rows))
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -45,7 +133,7 @@ def nullspace(rows, ncols: int):
         vec = {f: scale}
         for c, row in hits:
             vec[c] = -row[f] * (scale // row[c])
-        basis.append(linalg._primitive(vec))
+        basis.append(_primitive(vec))
     return basis
 
 
@@ -77,7 +165,7 @@ def truncation_ranks(e: dict, d, n: int) -> tuple[int, ...]:
             for (r, c), v in power.items():
                 if sign is None or d[r, r] == sign:
                     rows.setdefault(r, {})[c] = v
-            ranks.append(linalg.rank(list(rows.values())))
+            ranks.append(rank(list(rows.values())))
         step: dict[tuple[int, int], int] = {}
         for (r, k), v in e.items():
             for (k2, c), w in power.items():
@@ -85,6 +173,15 @@ def truncation_ranks(e: dict, d, n: int) -> tuple[int, ...]:
                     step[r, c] = step.get((r, c), 0) + v * w
         power = {pos: v for pos, v in step.items() if v}
     return tuple(ranks)
+
+
+def jordan_type(matrix) -> tuple[int, ...]:
+    """The Jordan type of a nilpotent square matrix from the exact ranks of
+    its powers: rank x^(k-1) - rank x^k blocks have size >= k."""
+    n = len(matrix)
+    ranks = truncation_ranks({(r, c): v for r, row in enumerate(matrix) for c, v in enumerate(row) if v}, None, n)
+    at_least = [r - s for r, s in zip(ranks, [*ranks[1:], 0])] + [0]
+    return tuple(k for k in range(len(ranks), 0, -1) for _ in range(at_least[k - 1] - at_least[k]))
 
 
 def chain_kernel(real, degree, sigma):

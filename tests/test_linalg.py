@@ -23,14 +23,14 @@ def test_rank_matches_dense_reference(seed):
     for _ in range(m):
         row = {j: rng.choice([-2, -1, 1, 2]) for j in range(n) if rng.random() < 0.4}
         rows.append(row)
-    assert linalg.rank(rows) == dense_rank_reference(rows, n)
+    assert sparse.rank(rows) == dense_rank_reference(rows, n)
 
 
 def rref(rows):
     """The integer reduced echelon form that ``sparse.nullspace`` reads, each
     row divided by its pivot entry."""
     return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
-            for c, row in sparse.reduced(linalg.echelon_pivots(rows)).items()}
+            for c, row in sparse.reduced(sparse.echelon_pivots(rows)).items()}
 
 
 def dense_rref_reference(rows, ncols):
@@ -99,7 +99,7 @@ def test_rref_and_nullspace_match_dense_reference(system):
     reduced = rref(rows)
     assert reduced == reference and list(reduced) == list(reference)
     assert sparse.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
-    echelon = linalg.echelon_pivots(rows)
+    echelon = sparse.echelon_pivots(rows)
     assert set(echelon) == set(reference)
     for c, row in echelon.items():
         assert min(row) == c
@@ -109,7 +109,7 @@ def test_rref_and_nullspace_match_dense_reference(system):
 
 def test_rows_with_explicit_zero_coefficients():
     rows = [{0: 0, 1: 1}, {0: 0, 1: 0}, {1: 1, 2: 0}]
-    assert linalg.rank(rows) == 1
+    assert sparse.rank(rows) == 1
 
 
 def test_nullspace_vectors_are_in_kernel():
@@ -121,7 +121,7 @@ def test_nullspace_vectors_are_in_kernel():
             for _ in range(m)
         ]
         basis = sparse.nullspace(rows, n)
-        assert len(basis) == n - linalg.rank(rows)
+        assert len(basis) == n - sparse.rank(rows)
         for vec in basis:
             for row in rows:
                 assert sum(Fraction(c) * vec.get(j, 0) for j, c in row.items()) == 0
@@ -136,7 +136,7 @@ def test_row_order_repeats_and_signs_do_not_matter(system, rng, copies):
               for row in rows for _ in range(rng.randint(1, copies))
               for sign in [rng.choice((1, -1))]]
     rng.shuffle(varied)
-    assert linalg.rank(varied) == linalg.rank(rows)
+    assert sparse.rank(varied) == sparse.rank(rows)
     reduced = rref(varied)
     assert reduced == rref(rows) and list(reduced) == list(rref(rows))
     basis = sparse.nullspace(varied, ncols)
@@ -146,12 +146,12 @@ def test_row_order_repeats_and_signs_do_not_matter(system, rng, copies):
 
 def test_repeated_rows_are_not_eliminated_again(monkeypatch):
     calls = []
-    combine = linalg._combine
-    monkeypatch.setattr(linalg, "_combine", lambda *args: calls.append(args) or combine(*args))
+    combine = sparse._combine
+    monkeypatch.setattr(sparse, "_combine", lambda *args: calls.append(args) or combine(*args))
 
     def combine_calls(rows) -> int:
         calls.clear()
-        linalg.rank(rows)
+        sparse.rank(rows)
         return len(calls)
 
     rng = random.Random(3)
@@ -173,15 +173,15 @@ def test_single_entry_rows_pin_their_column():
               {5: 10**6}, {1: 0, 5: Fraction(1, 3)}]
     other = [{1: 2, 3: -4}, {0: 1, 1: 1, 4: -1}]
     ncols = 6
-    assert linalg.echelon_pivots(single) == {c: {c: 1} for c in (0, 2, 5)}
+    assert sparse.echelon_pivots(single) == {c: {c: 1} for c in (0, 2, 5)}
     for rows in (single, single + other, other + single[::-1]):
-        pivots = linalg.echelon_pivots(rows)
+        pivots = sparse.echelon_pivots(rows)
         assert all(pivots[c] == {c: 1} for c in (0, 2, 5))
-        assert linalg.rank(rows) == dense_rank_reference(rows, ncols)
+        assert sparse.rank(rows) == dense_rank_reference(rows, ncols)
         reference = dense_rref_reference(rows, ncols)
         assert rref(rows) == reference
         assert sparse.nullspace(rows, ncols) == nullspace_from_reference(reference, ncols)
-    assert linalg.echelon_pivots([{3: 0}, {}]) == {}
+    assert sparse.echelon_pivots([{3: 0}, {}]) == {}
 
 
 @st.composite
@@ -197,7 +197,7 @@ def integer_systems(draw):
 
 @given(integer_systems())
 def test_rank_mod_p_is_at_most_the_rank(rows):
-    assert linalg.rank_mod_p(rows) <= linalg.rank(rows)
+    assert linalg.rank_mod_p(rows) <= sparse.rank(rows)
 
 
 def test_rank_mod_p_of_a_row_through_every_column():

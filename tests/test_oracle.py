@@ -95,29 +95,63 @@ def test_jordan_type_zero_and_errors():
         oracle.jordan_type(dense.identity(2))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (((0, 1), (0, 0), (0, 0)), "a 3 x 2 matrix is not square"),
+    (((0, 0, 1), (0, 0, 0)), "a 2 x 3 matrix is not square"),
+    (((0, 1, 0),), "a 1 x 3 matrix is not square"),
+    (((0, 1, 1), (0, 0, 0), (0, 0, 0)), "row 0 holds two entries"),
+    (((0, 1, 0), (0, 0, 0), (0, 2, 0)), "column 1 holds two entries"),
+])
+def test_jordan_type_rejects_a_matrix_not_square_or_not_monomial(matrix, message):
+    """ValueError names the shape, or the row or column holding two entries."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle.jordan_type(matrix)
+
+
 def test_jordan_type_matches_dense_reference():
-    """On e, f and every witness of every valid diagram with n <= 8."""
-    for n in range(0, 9):
-        for pt, prm in pairs_of_size(n):
+    """On e, f and every witness of every valid diagram with n <= 8, and on
+    every AI/AII witness with n <= 14, 285 of them, against the exact sparse
+    reference above n = 8."""
+    witnesses = 0
+    for n in range(0, 15):
+        for pt, prm in pairs_of_size(n, PairType if n <= 8 else (PairType.AI, PairType.AII)):
             for diagram in enumerate_diagrams(pt, prm):
                 real = oracle.realize(diagram, pt, prm)
-                matrices = [real.e, real.f]
+                matrices = [real.e, real.f] if n <= 8 else []
                 if pt in (PairType.AI, PairType.AII) and diagram.adjacent_lengths():
                     matrices.append(oracle.commuting_witness(real))
+                    witnesses += 1
                 for m in matrices:
-                    assert oracle.jordan_type(m) == dense.jordan_type(m), (pt, prm, diagram.text())
+                    want = (dense if n <= 8 else sparse).jordan_type(m)
+                    assert oracle.jordan_type(m) == want, (pt, prm, diagram.text())
+    assert witnesses == 285
 
 
 @st.composite
-def strictly_upper_triangular(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
-    entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
-    return tuple(tuple(draw(entry) if c > r else 0 for c in range(n)) for r in range(n))
+def monomial_nilpotents(draw):
+    """(n, x, chains): a nilpotent n x n sparse matrix x, n <= 8, with an
+    entry in +-1 .. +-3 from each index of a chain to the next, the chains
+    cut at random from a random permutation of 0 .. n-1."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.permutations(range(n)))
+    cuts = [k for k, cut in enumerate(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)), 1) if cut]
+    chains = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    entry = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    return n, {(b, a): draw(entry) for chain in chains for a, b in zip(chain, chain[1:])}, chains
 
 
-@given(strictly_upper_triangular())
-def test_jordan_type_of_triangular_matrices_matches_dense_reference(m):
-    assert oracle.jordan_type(m) == dense.jordan_type(m)
+@given(monomial_nilpotents(), st.data())
+def test_jordan_type_of_monomial_nilpotents_matches_dense_reference(drawn, data):
+    """The chain read equals the dense reference, and a chain closed into a
+    cycle makes the matrix not nilpotent."""
+    n, x, chains = drawn
+    m = oracle._dense(n, x)
+    assert oracle.jordan_type(m) == dense.jordan_type(m) == tuple(sorted(map(len, chains), reverse=True))
+    chain = data.draw(st.sampled_from(chains))
+    cycle = oracle._dense(n, {**x, (chain[0], chain[-1]): data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))})
+    assert dense.jordan_type(cycle) is None
+    with pytest.raises(NotNilpotent):
+        oracle.jordan_type(cycle)
 
 
 def test_ab_label_recovery():
@@ -620,11 +654,11 @@ def test_defect_ranks_mod_p_are_exact_on_the_first_sample():
                     continue
                 cells, module = oracle._cells(real), [_int_keyed(n, b) for b in basis]
                 x = oracle._sample(random.Random(0), module)
-                assert linalg.rank_mod_p(oracle._brackets(cells, x, module)) == linalg.rank(
+                assert linalg.rank_mod_p(oracle._brackets(cells, x, module)) == sparse.rank(
                     sparse.bracket_rows(_tuple_keyed(n, x), basis))
                 kept = [_dense_of(n, y) for _j, y in oracle._kept_powers(cells, x, [])]
                 gram = [{j: dense.trace(dense.mat_mul(a, b)) for j, b in enumerate(kept)} for a in kept]
-                assert linalg.rank_mod_p(gram) == linalg.rank(gram), (pt, prm, d.text())
+                assert linalg.rank_mod_p(gram) == sparse.rank(gram), (pt, prm, d.text())
                 systems += 1
     assert systems == 384
 
@@ -1060,7 +1094,7 @@ def test_half_the_ad_x_columns_keep_the_rank():
                 for _sample in range(2):
                     x = oracle._sample(rng, module)
                     half, full = oracle._brackets(cells, x, module), sparse.brackets(_tuple_keyed(n, x), basis)
-                    assert linalg.rank(half) == linalg.rank(full), (pt, prm, d.text())
+                    assert sparse.rank(half) == sparse.rank(full), (pt, prm, d.text())
                     assert linalg.rank_mod_p(half) == linalg.rank_mod_p(full), (pt, prm, d.text())
                     entries["half"] += sum(1 for row in half for v in row.values() if v)
                     entries["full"] += sum(1 for row in full for v in row.values() if v)
